@@ -104,11 +104,11 @@ class ServiceTimeModel:
 
     def __post_init__(self):
         if self.mean < 0 or not math.isfinite(self.mean):
-            raise ValueError(f"service mean must be >= 0, got {self.mean}")
-        if self.cv < 0:
-            raise ValueError(f"service cv must be >= 0, got {self.cv}")
-        if self.floor_fraction < 0:
-            raise ValueError(f"floor_fraction must be >= 0, got {self.floor_fraction}")
+            raise ValueError(f"service mean must be finite and >= 0, got {self.mean}")
+        if not 0.0 <= self.cv < math.inf:
+            raise ValueError(f"service cv must be finite and >= 0, got {self.cv}")
+        if not 0.0 <= self.floor_fraction < math.inf:
+            raise ValueError(f"floor_fraction must be finite and >= 0, got {self.floor_fraction}")
 
     @property
     def sd(self) -> float:
@@ -134,14 +134,14 @@ class LinkDelayModel:
     payload_scale: float = 1.0
 
     def __post_init__(self):
-        if self.base_delay < 0:
-            raise ValueError(f"base_delay must be >= 0, got {self.base_delay}")
-        if self.jitter_sigma < 0:
-            raise ValueError(f"jitter_sigma must be >= 0, got {self.jitter_sigma}")
+        if not 0.0 <= self.base_delay < math.inf:
+            raise ValueError(f"base_delay must be finite and >= 0, got {self.base_delay}")
+        if not 0.0 <= self.jitter_sigma < math.inf:
+            raise ValueError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma}")
         if not 0.0 <= self.loss_probability < 1.0:
             raise ValueError(f"loss_probability must be in [0, 1), got {self.loss_probability}")
-        if self.payload_scale < 0:
-            raise ValueError(f"payload_scale must be >= 0, got {self.payload_scale}")
+        if not 0.0 <= self.payload_scale < math.inf:
+            raise ValueError(f"payload_scale must be finite and >= 0, got {self.payload_scale}")
 
 
 ZERO_LINK = LinkDelayModel(base_delay=0.0)
@@ -186,8 +186,8 @@ class DagEdge:
     payload_scale: float = 1.0
 
     def __post_init__(self):
-        if self.payload_scale < 0:
-            raise ValueError(f"edge {self.src}->{self.dst}: payload_scale must be >= 0")
+        if not 0.0 <= self.payload_scale < math.inf:
+            raise ValueError(f"edge {self.src}->{self.dst}: payload_scale must be finite and >= 0")
 
 
 @dataclass(frozen=True)

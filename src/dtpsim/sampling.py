@@ -20,6 +20,7 @@ from .pipeline import (
     ServiceTimeModel,
     TaskId,
 )
+from .streams import Draws
 
 US_PER_MS = 1000
 
@@ -31,16 +32,19 @@ def quantize_us(value_ms: float, resolution_us: int = 1) -> int:
     return round(value_ms * US_PER_MS / resolution_us) * resolution_us
 
 
-def sample_service(model: ServiceTimeModel, rng: random.Random, slowdown: float = 1.0) -> float:
+def sample_service(
+    model: ServiceTimeModel, rng: random.Random | Draws, slowdown: float = 1.0
+) -> float:
     """One service time draw in ms: floored Gaussian scaled by slowdown."""
-    if model.sd == 0.0:
+    sd = model.sd
+    if sd == 0.0:
         sample = model.mean
     else:
-        sample = max(rng.gauss(model.mean, model.sd), model.floor)
+        sample = max(rng.gauss(model.mean, sd), model.floor)
     return sample * slowdown
 
 
-def sample_link(model: LinkDelayModel, rng: random.Random) -> tuple[float, bool]:
+def sample_link(model: LinkDelayModel, rng: random.Random | Draws) -> tuple[float, bool]:
     """One transmission attempt: (delay in ms, lost flag).
 
     The delay is max(0, Gaussian(base_delay, jitter_sigma)) scaled by the
@@ -55,7 +59,7 @@ def sample_link(model: LinkDelayModel, rng: random.Random) -> tuple[float, bool]
 def traverse_edge(
     model: LinkDelayModel,
     edge_scale: float,
-    rng: random.Random,
+    rng: random.Random | Draws,
     resolution_us: int,
 ) -> tuple[int, bool]:
     """Edge crossing with the single-retransmit rule.
@@ -79,6 +83,8 @@ class StagePlan:
     task: TaskId
     node: NodeId
     model: ServiceTimeModel
+    tag: str  # stream the stage draws its service time from
+    slowdown: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -87,15 +93,21 @@ class EdgePlan:
     link: tuple[NodeId, NodeId] | None  # None when co-located
     model: LinkDelayModel | None
     edge_scale: float
+    tag: str | None = None  # stream of the crossing; None when co-located
 
 
 @dataclass(frozen=True)
 class CyclePlan:
-    """Placement-specific sampling plan: stage i, then its outgoing edge."""
+    """Placement-specific sampling plan: stage i, then its outgoing edge.
+
+    exogenous_us lists (node, busy µs) that stress load adds to every
+    cycle without delaying any stage.
+    """
 
     placement: Placement
     stages: tuple[StagePlan, ...]
     edges: tuple[EdgePlan, ...]  # len(stages) - 1, chain order
+    exogenous_us: tuple[tuple[NodeId, int], ...] = ()
 
 
 def build_cycle_plan(
@@ -103,12 +115,19 @@ def build_cycle_plan(
     placement: Placement,
     service: Mapping[tuple[TaskId, NodeId], ServiceTimeModel] | None = None,
     delays: Mapping[tuple[NodeId, NodeId], LinkDelayModel] | None = None,
+    *,
+    slowdown: Mapping[NodeId, float] | None = None,
+    exogenous_us: Mapping[NodeId, int] | None = None,
 ) -> CyclePlan:
     """Resolve per-stage models and per-edge links for one placement.
 
     ``service`` and ``delays`` override the ground-truth tables in the dag
-    (the static estimator passes its offline profile here).
+    (the static estimator passes its offline profile; the engine passes
+    the link table with the current window's faults applied).
+    ``slowdown`` multiplies the service time of every stage on a node and
+    ``exogenous_us`` is the busy time stress adds to a node per cycle.
     """
+    slowdown = slowdown or {}
     stages = []
     for task in dag.tasks:
         node = placement.node_of(task.id)
@@ -119,7 +138,7 @@ def build_cycle_plan(
                 raise ValueError(f"profile has no service entry for {task.id}@{node}") from None
         else:
             model = task.service[node]
-        stages.append(StagePlan(task.id, node, model))
+        stages.append(StagePlan(task.id, node, model, f"svc:{task.id}", slowdown.get(node, 1.0)))
 
     by_src = {e.src: e for e in dag.edges}
     edges = []
@@ -136,13 +155,16 @@ def build_cycle_plan(
                 raise ValueError(f"profile has no delay entry for {pair[0]}->{pair[1]}") from None
         else:
             model = dag.link(*pair)
-        edges.append(EdgePlan(stage.task, pair, model, edge.payload_scale))
-    return CyclePlan(placement, tuple(stages), tuple(edges))
+        tag = f"lnk:{pair[0]}:{pair[1]}"
+        edges.append(EdgePlan(stage.task, pair, model, edge.payload_scale, tag))
+    return CyclePlan(
+        placement, tuple(stages), tuple(edges), tuple((exogenous_us or {}).items())
+    )
 
 
 def sample_plan_latency(
     plan: CyclePlan,
-    rng: random.Random,
+    rng: random.Random | Draws,
     deadline_us: int,
     period_us: int,
     resolution_us: int = 1,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +43,7 @@ from .metrics import (
     NormalizationTargets,
     WindowMetrics,
     aggregate_window,
+    class_utilization,
     normalize,
     percentile_nearest_rank,
 )
@@ -51,13 +53,13 @@ from .pipeline import (
     NodeId,
     Placement,
     PipelineDag,
-    ServiceTimeModel,
     validate_pipeline,
 )
 from .sampling import (
+    CyclePlan,
+    build_cycle_plan,
     nominal_node_occupancy,
     quantize_us,
-    sample_link,
     sample_service,
     traverse_edge,
 )
@@ -70,8 +72,6 @@ __all__ = [
     "WindowRow",
     "SimTrace",
     "run_simulation",
-    "effective_service",
-    "sample_link",
     "write_cycles_csv",
     "write_windows_csv",
     "write_summary_json",
@@ -132,8 +132,8 @@ class StressProfile:
     exogenous_load: float = 0.0
 
     def __post_init__(self):
-        if self.slowdown < 1.0:
-            raise ValueError("slowdown must be >= 1")
+        if not 1.0 <= self.slowdown < math.inf:
+            raise ValueError(f"slowdown must be finite and >= 1, got {self.slowdown}")
         if not 0.0 <= self.exogenous_load < 1.0:
             raise ValueError("exogenous_load must be in [0, 1)")
         if self.start_window < 1 or self.end_window < self.start_window:
@@ -162,8 +162,10 @@ class FaultInjection:
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple((a, b) for a, b in self.links))
-        if self.mu < 0 or self.sigma < 0:
-            raise ValueError("fault mu and sigma must be >= 0")
+        if not (0.0 <= self.mu < math.inf and 0.0 <= self.sigma < math.inf):
+            raise ValueError(
+                f"fault mu and sigma must be finite and >= 0, got {self.mu} and {self.sigma}"
+            )
         if not 0.0 <= self.loss_probability < 1.0:
             raise ValueError("fault loss_probability must be in [0, 1)")
         if self.start_window < 1 or self.end_window < self.start_window:
@@ -189,16 +191,6 @@ class FaultInjection:
         )
 
 
-def effective_service(
-    base: ServiceTimeModel,
-    stress: StressProfile | None,
-    rng,
-) -> float:
-    """One service draw in ms under optional CPU stress."""
-    slowdown = stress.slowdown if stress is not None else 1.0
-    return sample_service(base, rng, slowdown)
-
-
 @dataclass(frozen=True)
 class WindowRow:
     """One row of the per-window trace."""
@@ -218,93 +210,76 @@ class SimTrace:
     summary: dict
 
 
-@dataclass
-class _WindowContext:
-    slowdown: dict[NodeId, StressProfile]
-    exogenous: dict[NodeId, float]
-    link_override: dict[tuple[NodeId, NodeId], LinkDelayModel]
-
-
-def _window_context(
+def _window_plans(
     window_index: int,
+    placements: Sequence[Placement],
     stresses: Sequence[StressProfile],
     faults: Sequence[FaultInjection],
     dag: PipelineDag,
-) -> _WindowContext:
-    slowdown: dict[NodeId, StressProfile] = {}
+    sim: SimConfig,
+    node_ids: Sequence[NodeId],
+) -> dict[str, CyclePlan]:
+    """Compile each placement's cycle plan under the stress and faults of one window."""
+    slowdown: dict[NodeId, float] = {}
     exogenous: dict[NodeId, float] = {}
     for stress in stresses:
         if not stress.active(window_index):
             continue
-        prior = slowdown.get(stress.target)
-        factor = stress.slowdown * (prior.slowdown if prior else 1.0)
-        combined = StressProfile(
-            stress.target, stress.start_window, stress.end_window, factor, 0.0
-        )
-        slowdown[stress.target] = combined
+        slowdown[stress.target] = stress.slowdown * slowdown.get(stress.target, 1.0)
         if stress.exogenous_load:
             exogenous[stress.target] = exogenous.get(stress.target, 0.0) + stress.exogenous_load
-    override: dict[tuple[NodeId, NodeId], LinkDelayModel] = {}
+    exogenous_us = {
+        node: quantize_us(load * sim.period, sim.clock_resolution_us)
+        for node, load in exogenous.items()
+        if node in node_ids
+    }
+    links = dict(dag.links)
     for fault in faults:
         if not fault.active(window_index):
             continue
         for pair in fault.links:
-            base = override.get(pair, dag.link(*pair))
-            override[pair] = fault.apply(base)
-    return _WindowContext(slowdown, exogenous, override)
+            links[pair] = fault.apply(links.get(pair) or dag.link(*pair))
+    return {
+        placement.name: build_cycle_plan(
+            dag, placement, delays=links, slowdown=slowdown, exogenous_us=exogenous_us
+        )
+        for placement in placements
+    }
 
 
 class _Engine:
-    def __init__(
-        self,
-        dag: PipelineDag,
-        fabric: Fabric,
-        sim: SimConfig,
-        streams: RandomStreams,
-    ):
-        self.dag = dag
-        self.fabric = fabric
+    def __init__(self, fabric: Fabric, sim: SimConfig, streams: RandomStreams):
         self.sim = sim
         self.streams = streams
         self.resolution = sim.clock_resolution_us
         self.period_us = quantize_us(sim.period, self.resolution)
         self.deadline_us = quantize_us(sim.deadline, self.resolution)
         self.node_ids = fabric.ids()
-        self.edge_by_src = {e.src: e for e in dag.edges}
 
-    def run_cycle(
-        self, placement: Placement, cycle_index: int, ctx: _WindowContext
-    ) -> CycleRecord:
-        dag = self.dag
+    def run_cycle(self, plan: CyclePlan, cycle_index: int) -> CycleRecord:
         streams = self.streams
         resolution = self.resolution
         busy_us = dict.fromkeys(self.node_ids, 0)
         latency_us = 0
         fatal = False
-        tasks = dag.tasks
-        for i, task in enumerate(tasks):
-            node = placement.node_of(task.id)
-            rng = streams.at(f"svc:{task.id}", cycle_index)
-            sample_ms = effective_service(task.service[node], ctx.slowdown.get(node), rng)
-            us = quantize_us(sample_ms, resolution)
-            busy_us[node] += us
+        edges = plan.edges
+        for i, stage in enumerate(plan.stages):
+            rng = streams.at(stage.tag, cycle_index)
+            us = quantize_us(sample_service(stage.model, rng, stage.slowdown), resolution)
+            busy_us[stage.node] += us
             latency_us += us
-            if i + 1 == len(tasks):
+            if i == len(edges):
                 break
-            next_node = placement.node_of(tasks[i + 1].id)
-            if node == next_node:
+            edge = edges[i]
+            if edge.link is None:
                 continue
-            pair = (node, next_node)
-            model = ctx.link_override.get(pair) or dag.link(*pair)
-            edge = self.edge_by_src[task.id]
-            rng = streams.at(f"lnk:{pair[0]}:{pair[1]}", cycle_index)
-            delay_us, fatal = traverse_edge(model, edge.payload_scale, rng, resolution)
+            rng = streams.at(edge.tag, cycle_index)
+            delay_us, fatal = traverse_edge(edge.model, edge.edge_scale, rng, resolution)
             if fatal:
                 break
             latency_us += delay_us
-        for node, load in ctx.exogenous.items():
-            if node in busy_us:
-                busy_us[node] += quantize_us(load * self.sim.period, resolution)
+        for node, us in plan.exogenous_us:
+            busy_us[node] += us
         if fatal:
             # second loss on one edge: cycle is dead, latency capped at the period
             latency_us = self.period_us
@@ -317,7 +292,7 @@ class _Engine:
             deadline_met=met,
             busy_time={n: us / 1000.0 for n, us in busy_us.items()},
             release_ms=cycle_index * self.sim.period,
-            placement=placement.name,
+            placement=plan.placement.name,
         )
 
 
@@ -353,16 +328,6 @@ def _check_occupancy(
                     UserWarning,
                     stacklevel=3,
                 )
-
-
-def _per_node_utilization(
-    records: Sequence[CycleRecord], duration: float, node_ids: Sequence[str]
-) -> dict[str, float]:
-    busy = dict.fromkeys(node_ids, 0.0)
-    for record in records:
-        for node in node_ids:
-            busy[node] += record.busy_time.get(node, 0.0)
-    return {n: min(1.0, b / duration) for n, b in busy.items()}
 
 
 def run_simulation(
@@ -417,7 +382,8 @@ def run_simulation(
     _check_occupancy(dag, placements, sim, stresses)
 
     streams = RandomStreams(sim.seed)
-    engine = _Engine(dag, fabric, sim, streams)
+    engine = _Engine(fabric, sim, streams)
+    node_ids = fabric.ids()
     estimator = estimator or EstimatorConfig()
     profile = StaticProfile.from_dag(dag, estimator.profile_perturbation)
     duration = window * sim.period
@@ -453,19 +419,17 @@ def run_simulation(
     placement_by_window: list[str] = []
 
     for k in range(1, sim.horizon + 1):
-        ctx = _window_context(k, stresses, faults, dag)
+        plans = _window_plans(k, placements, stresses, faults, dag, sim, node_ids)
+        plan = plans[placement.name]
+        shadow_plans = [plans[c.name] for c in placements if c.name != placement.name]
         records = []
         for i in range(window):
             cycle_index = (k - 1) * window + i
-            record = engine.run_cycle(placement, cycle_index, ctx)
-            records.append(record)
+            records.append(engine.run_cycle(plan, cycle_index))
             if controlled and i % shadow_stride == 0:
-                for candidate in candidates:
-                    if candidate.name == placement.name:
-                        continue
-                    shadow = engine.run_cycle(candidate, cycle_index, ctx)
-                    hist = shadow_hist[candidate.name]
-                    hist.append(shadow)
+                for shadow_plan in shadow_plans:
+                    hist = shadow_hist[shadow_plan.placement.name]
+                    hist.append(engine.run_cycle(shadow_plan, cycle_index))
                     if len(hist) > window:
                         del hist[: len(hist) - window]
         cycles.extend(records)
@@ -473,6 +437,9 @@ def run_simulation(
         placement_by_window.append(placement.name)
 
         if controlled:
+            observed_util = {
+                node: class_utilization(records, duration, (node,)) for node in node_ids
+            }
             estimates: dict[str, EstimateReport] = {}
             for candidate in candidates:
                 hist = shadow_hist[candidate.name]
@@ -480,11 +447,7 @@ def run_simulation(
                     estimates[candidate.name] = static_report(candidate)
                 elif estimator.mode == "conservative":
                     estimates[candidate.name] = estimate_conservative(
-                        metrics,
-                        candidate.name,
-                        estimator.ratios,
-                        fabric,
-                        _per_node_utilization(records, duration, fabric.ids()),
+                        metrics, candidate.name, estimator.ratios, fabric, observed_util
                     )
                 elif estimator.mode == "auto" and len(hist) >= shadow_min:
                     estimates[candidate.name] = update_shadow(
@@ -492,7 +455,6 @@ def run_simulation(
                     )
                 else:
                     estimates[candidate.name] = static_report(candidate)
-            observed_util = _per_node_utilization(records, duration, fabric.ids())
             state, decision = on_window_end(state, metrics, estimates, policy, observed_util)
             decisions.append(decision)
             windows.append(WindowRow(k, metrics, placement.name, decision.observed_cost, decision))

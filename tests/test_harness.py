@@ -1,5 +1,6 @@
 """Config resolution, scenario running, reporting, and the CLI."""
 
+import copy
 import dataclasses
 import json
 
@@ -8,6 +9,7 @@ import yaml
 
 from dtpsim.cli import main
 from dtpsim.harness import (
+    DEFAULT_CONFIG,
     Check,
     ConfigError,
     Expectation,
@@ -311,6 +313,54 @@ def test_cli_validate_bad_config(tmp_path, capsys):
     path = write_config(tmp_path, {"weights": {"alpha_x": 1.0}})
     assert main(["validate", "--config", path]) == 2
     assert "alpha_x" in capsys.readouterr().err
+
+
+def _links_with(**changes):
+    links = copy.deepcopy(DEFAULT_CONFIG["dag"]["links"])
+    links[0].update(changes)
+    return {"dag": {"links": links}}
+
+
+def _tasks_with(**changes):
+    tasks = copy.deepcopy(DEFAULT_CONFIG["dag"]["tasks"])
+    tasks[1]["service"]["E"].update(changes)
+    return {"dag": {"tasks": tasks}}
+
+
+def _edges_with(**changes):
+    edges = copy.deepcopy(DEFAULT_CONFIG["dag"]["edges"])
+    edges[0].update(changes)
+    return {"dag": {"edges": edges}}
+
+
+def _stress_with(**fields):
+    return {"scenarios": {"robot-stress": {"stresses": [{"target": "R1", **fields}]}}}
+
+
+def _fault_with(**fields):
+    fault = {"links": [["R1", "E"]], **fields}
+    return {"scenarios": {"network-impairment": {"faults": [fault]}}}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        _links_with(base_delay=float("nan")),
+        _links_with(jitter_sigma=float("inf")),
+        _links_with(payload_scale=float("nan")),
+        _tasks_with(cv=float("nan")),
+        _tasks_with(floor_fraction=float("inf")),
+        _edges_with(payload_scale=float("inf")),
+        _stress_with(slowdown=float("nan")),
+        _stress_with(slowdown=float("inf")),
+        _fault_with(mu=float("nan")),
+        _fault_with(mu=1.0, sigma=float("inf")),
+    ],
+)
+def test_cli_validate_rejects_non_finite_numbers(tmp_path, capsys, document):
+    path = write_config(tmp_path, document)
+    assert main(["validate", "--config", path]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_cli_usage_errors_exit_2(capsys):
