@@ -1,7 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 when a scenario expectation fails, 2 for
-configuration or usage errors.
+Exit codes: 0 on success, 1 when an expectation failed or none was
+evaluated, 2 for configuration or usage errors.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .harness import (
     load_config,
     load_report,
     render_report,
-    render_stored_report,
+    report_payload,
     run_scenario,
     write_report,
 )
@@ -87,14 +87,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     outdir = Path(args.out if args.out is not None else _default_outdir())
 
     echo_config(config, outdir)
-    reports = []
-    for name in names:
-        reports.append(
-            run_scenario(config, config.scenarios[name], policies, seeds, outdir)
-        )
-    write_report(reports, outdir)
-    print(render_report(reports, args.format))
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_EXPECTATION_FAILED
+    payload = report_payload(
+        [run_scenario(config, config.scenarios[name], policies, seeds, outdir) for name in names]
+    )
+    write_report(payload, outdir)
+    return _print_report(payload, args.format)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -107,9 +104,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     outdir = Path(args.out if args.out is not None else _default_outdir())
-    payload = load_report(outdir)
-    print(render_stored_report(payload, args.format))
-    return EXIT_OK if payload.get("passed") else EXIT_EXPECTATION_FAILED
+    return _print_report(load_report(outdir), args.format)
+
+
+def _print_report(payload: dict, fmt: str) -> int:
+    print(render_report(payload, fmt))
+    return EXIT_OK if payload["passed"] else EXIT_EXPECTATION_FAILED
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -111,10 +111,12 @@ def on_window_end(
 ) -> tuple[ControllerState, Decision]:
     """Advance the controller by one observed window.
 
-    ``estimates`` must cover every candidate; the active placement is
-    scored from ``observed`` rather than its estimate.  A missing estimate
-    aborts the decision and holds.  Migrations returned here take effect
-    from the next window.
+    The active placement is scored from ``observed`` rather than its
+    estimate.  ``estimates`` must cover every challenger, and the active
+    placement too when ``observed_per_node_util`` is not given (its
+    per-node utilization then comes from the estimate).  A missing
+    estimate aborts the decision and holds.  Migrations returned here
+    take effect from the next window.
     """
     k = state.window_index + 1
     observed_cost = total_cost(
@@ -131,7 +133,11 @@ def on_window_end(
     if state.dwell < config.n_min:
         return hold(REASON_DWELL)
 
-    missing = [name for name in config.candidates.names() if name not in estimates]
+    incumbent_needed = observed_per_node_util is None
+    missing = [
+        name for name in config.candidates.names()
+        if name not in estimates and (incumbent_needed or name != state.current.name)
+    ]
     if missing:
         return hold(REASON_ESTIMATE_ERROR)
 

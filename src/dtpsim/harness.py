@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 import yaml
 
@@ -227,8 +228,6 @@ DEFAULT_CONFIG: dict = {
     },
 }
 
-_SCALAR_SECTIONS = ("sim", "weights", "constraints", "controller", "estimator")
-
 
 def _check_keys(mapping: Mapping, allowed: Sequence[str], path: str) -> None:
     if not isinstance(mapping, Mapping):
@@ -254,18 +253,10 @@ def _resolve(document: Mapping) -> dict:
     resolved = {}
     for section, defaults in DEFAULT_CONFIG.items():
         override = document.get(section, {})
-        if section == "fabric":
-            _check_keys(override, ["nodes"], "fabric")
-            resolved[section] = {"nodes": override.get("nodes", defaults["nodes"])}
-        elif section == "dag":
-            _check_keys(override, ["tasks", "edges", "links"], "dag")
-            resolved[section] = {
-                key: override.get(key, defaults[key]) for key in ("tasks", "edges", "links")
-            }
-        elif section == "scenarios":
-            merged = {name: spec for name, spec in defaults.items()}
+        if section == "scenarios":
             if not isinstance(override, Mapping):
                 raise ConfigError("scenarios must be a mapping")
+            merged = dict(defaults)
             for name, spec in override.items():
                 base = merged.get(name, _EMPTY_SCENARIO)
                 merged[name] = _merge_scenario(base, spec, f"scenarios.{name}")
@@ -291,37 +282,18 @@ _EMPTY_SCENARIO: dict = {
     "checks": [],
 }
 
-_STRESS_KEYS = ("target", "start_window", "end_window", "slowdown", "exogenous_load")
-_FAULT_KEYS = (
-    "links",
-    "mu",
-    "sigma",
-    "loss_probability",
-    "start_window",
-    "end_window",
-    "additive",
-)
-_CHECK_KEYS = ("kind", "policy", "versus", "threshold", "ratio", "interval")
-
 
 def _merge_scenario(base: Mapping, override: Mapping, path: str) -> dict:
     _check_keys(override, list(_EMPTY_SCENARIO), path)
-    merged = {key: base[key] for key in _EMPTY_SCENARIO}
+    merged = dict(base)
     for key, value in override.items():
         if key == "expected":
             merged[key] = _merge_section(base["expected"], value, f"{path}.expected")
         elif key in ("sim", "controller"):
-            allowed = list(DEFAULT_CONFIG[key])
-            _check_keys(value, allowed, f"{path}.{key}")
+            _check_keys(value, list(DEFAULT_CONFIG[key]), f"{path}.{key}")
             merged[key] = {**base[key], **value}
         else:
             merged[key] = value
-    for i, stress in enumerate(merged["stresses"]):
-        _check_keys(stress, _STRESS_KEYS, f"{path}.stresses[{i}]")
-    for i, fault in enumerate(merged["faults"]):
-        _check_keys(fault, _FAULT_KEYS, f"{path}.faults[{i}]")
-    for i, check in enumerate(merged["checks"]):
-        _check_keys(check, _CHECK_KEYS, f"{path}.checks[{i}]")
     return merged
 
 
@@ -336,71 +308,81 @@ def _build(factory, path: str, /, *args, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _from_spec(cls, spec: Mapping, path: str, /, **explicit):
+    """Build the dataclass ``cls`` from a YAML mapping keyed by its fields.
+
+    The keys are checked against ``dataclasses.fields(cls)`` and omitted
+    ones take the dataclass defaults.  ``explicit`` sets the fields the
+    YAML does not name itself (an edge's ``src`` and ``dst``).
+    """
+    _check_keys(spec, [f.name for f in fields(cls) if f.name not in explicit], path)
+    return _build(cls, path, **spec, **explicit)
+
+
+def _each(items: Any, path: str) -> Iterator[tuple[str, Mapping]]:
+    """(path, entry) for each entry of a YAML list of mappings."""
+    if not isinstance(items, (list, tuple)):
+        raise ConfigError(f"{path} must be a list, got {type(items).__name__}")
+    for i, spec in enumerate(items):
+        if not isinstance(spec, Mapping):
+            raise ConfigError(f"{path}[{i}] must be a mapping, got {type(spec).__name__}")
+        yield f"{path}[{i}]", spec
+
+
+def _coerced(spec: Mapping, path: str, /, **converters) -> dict:
+    """``spec`` with each key it has in ``converters`` converted.
+
+    The dataclasses keep values as given, so this is where a YAML integer
+    becomes the float a report name shows (a threshold of ``1`` reports as
+    ``1.0``) and a YAML list becomes a tuple.
+    """
+    return {
+        key: _build(converters[key], f"{path}.{key}", value) if key in converters else value
+        for key, value in spec.items()
+    }
+
+
+def _windowed(spec: Mapping, path: str, horizon: int, /, **converters) -> dict:
+    """A stress or fault spec whose open window ends are resolved: an omitted
+    or null start is window 1, an omitted or null end is the horizon."""
+    return _coerced(
+        {"start_window": None, "end_window": None, **spec},
+        path,
+        start_window=lambda w: 1 if w is None else int(w),
+        end_window=lambda w: max(horizon, 1) if w is None else int(w),
+        **converters,
+    )
+
+
+def _endpoints(spec: Mapping, path: str) -> tuple[tuple[str, str], dict]:
+    """The ``from``/``to`` pair of an edge or link spec, and its other keys."""
+    if "from" not in spec or "to" not in spec:
+        raise ConfigError(f"{path} needs both from and to")
+    rest = {key: value for key, value in spec.items() if key not in ("from", "to")}
+    return (spec["from"], spec["to"]), rest
+
+
 def build_fabric(raw: Mapping) -> Fabric:
-    nodes = []
-    for i, spec in enumerate(raw["nodes"]):
-        _check_keys(spec, ["id", "kind", "utilization_target", "utilization_cap"], f"fabric.nodes[{i}]")
-        nodes.append(
-            _build(
-                ComputeNode,
-                f"fabric.nodes[{i}]",
-                id=spec["id"],
-                kind=spec.get("kind", "robot"),
-                utilization_target=spec.get("utilization_target", 0.8),
-                utilization_cap=spec.get("utilization_cap", 0.95),
-            )
-        )
-    return _build(Fabric, "fabric", tuple(nodes))
+    nodes = _each(raw["nodes"], "fabric.nodes")
+    return _build(Fabric, "fabric", tuple(_from_spec(ComputeNode, s, at) for at, s in nodes))
 
 
 def build_dag(raw: Mapping) -> PipelineDag:
     tasks = []
-    for i, spec in enumerate(raw["tasks"]):
-        path = f"dag.tasks[{i}]"
-        _check_keys(spec, ["id", "feasible", "service", "utilization"], path)
-        service = {}
-        for node, model in spec.get("service", {}).items():
-            _check_keys(model, ["mean", "cv", "floor_fraction"], f"{path}.service.{node}")
-            service[node] = _build(
-                ServiceTimeModel,
-                f"{path}.service.{node}",
-                mean=model["mean"],
-                cv=model.get("cv", 0.0),
-                floor_fraction=model.get("floor_fraction", 0.01),
-            )
-        tasks.append(
-            _build(
-                TaskStage,
-                path,
-                id=spec["id"],
-                feasible=frozenset(spec["feasible"]),
-                service=service,
-                utilization=dict(spec.get("utilization", {})),
-            )
-        )
+    for path, spec in _each(raw["tasks"], "dag.tasks"):
+        service = {
+            node: _from_spec(ServiceTimeModel, model, f"{path}.service.{node}")
+            for node, model in spec.get("service", {}).items()
+        }
+        tasks.append(_from_spec(TaskStage, {**spec, "service": service}, path))
     edges = []
-    for i, spec in enumerate(raw["edges"]):
-        path = f"dag.edges[{i}]"
-        _check_keys(spec, ["from", "to", "payload_scale"], path)
-        edges.append(
-            _build(DagEdge, path, spec["from"], spec["to"], spec.get("payload_scale", 1.0))
-        )
+    for path, spec in _each(raw["edges"], "dag.edges"):
+        (src, dst), rest = _endpoints(spec, path)
+        edges.append(_from_spec(DagEdge, rest, path, src=src, dst=dst))
     links = {}
-    for i, spec in enumerate(raw["links"]):
-        path = f"dag.links[{i}]"
-        _check_keys(
-            spec,
-            ["from", "to", "base_delay", "jitter_sigma", "loss_probability", "payload_scale"],
-            path,
-        )
-        links[(spec["from"], spec["to"])] = _build(
-            LinkDelayModel,
-            path,
-            base_delay=spec["base_delay"],
-            jitter_sigma=spec.get("jitter_sigma", 0.0),
-            loss_probability=spec.get("loss_probability", 0.0),
-            payload_scale=spec.get("payload_scale", 1.0),
-        )
+    for path, spec in _each(raw["links"], "dag.links"):
+        pair, rest = _endpoints(spec, path)
+        links[pair] = _from_spec(LinkDelayModel, rest, path)
     return PipelineDag(tuple(tasks), tuple(edges), links)
 
 
@@ -419,23 +401,10 @@ def build_targets(raw: Mapping, fabric: Fabric) -> NormalizationTargets:
 
 
 def build_estimator(raw: Mapping) -> EstimatorConfig:
-    section = raw["estimator"]
-    ratios = section["conservative_ratios"]
-    return _build(
-        EstimatorConfig,
-        "estimator",
-        mode=section["mode"],
-        static_samples=section["static_samples"],
-        profile_perturbation=section["profile_perturbation"],
-        ratios=_build(
-            ConservativeRatios,
-            "estimator.conservative_ratios",
-            latency=ratios["latency"],
-            violation=ratios["violation"],
-            util_robot=ratios["util_robot"],
-            util_edge=ratios["util_edge"],
-        ),
-    )
+    section = dict(raw["estimator"])
+    path = "estimator.conservative_ratios"
+    ratios = _from_spec(ConservativeRatios, section.pop("conservative_ratios"), path)
+    return _build(EstimatorConfig, "estimator", ratios=ratios, **section)
 
 
 @dataclass(frozen=True)
@@ -446,6 +415,13 @@ class Expectation:
     forbidden: tuple[str, ...] = ()
 
 
+CHECK_KINDS = (
+    "policy_violation_above",
+    "post_convergence_violation_below",
+    "violation_ratio_at_least",
+)
+
+
 @dataclass(frozen=True)
 class Check:
     kind: str
@@ -454,6 +430,15 @@ class Check:
     threshold: float = 0.0
     ratio: float = 0.0
     interval: str = "all"
+
+    def __post_init__(self):
+        if self.kind not in CHECK_KINDS:
+            known = ", ".join(CHECK_KINDS)
+            raise ValueError(f"unknown check kind {self.kind!r} (known: {known})")
+        if self.kind != "post_convergence_violation_below" and not self.policy:
+            raise ValueError(f"a {self.kind} check needs a policy")
+        if self.kind == "violation_ratio_at_least" and not self.versus:
+            raise ValueError("a violation_ratio_at_least check needs a versus policy")
 
 
 @dataclass(frozen=True)
@@ -484,6 +469,10 @@ class ResolvedConfig:
     estimator: EstimatorConfig
     scenarios: Mapping[str, ScenarioSpec] = field(default_factory=dict)
 
+    @property
+    def known_policies(self) -> tuple[str, ...]:
+        return (*self.candidates.names(), CONTROLLER_POLICY)
+
     def controller_config(self, overrides: Mapping[str, Any] | None = None) -> ControllerConfig:
         section = dict(self.raw["controller"])
         section.update(overrides or {})
@@ -502,78 +491,57 @@ class ResolvedConfig:
 
 
 def _build_scenario(name: str, raw_scenario: Mapping, sim: SimConfig) -> ScenarioSpec:
-    sim_overrides = raw_scenario["sim"]
-    scenario_sim = _build(
-        SimConfig,
-        f"scenarios.{name}.sim",
-        period=sim_overrides.get("period", sim.period),
-        deadline=sim_overrides.get("deadline", sim.deadline),
-        horizon=sim_overrides.get("horizon", sim.horizon),
-        seed=sim_overrides.get("seed", sim.seed),
-        clock_resolution_us=sim_overrides.get("clock_resolution_us", sim.clock_resolution_us),
-    )
+    path = f"scenarios.{name}"
+    scenario_sim = _build(replace, f"{path}.sim", sim, **raw_scenario["sim"])
     horizon = scenario_sim.horizon
-
-    def window_or(value, default):
-        return default if value is None else int(value)
-
-    stresses = []
-    for i, spec in enumerate(raw_scenario["stresses"]):
-        stresses.append(
-            _build(
-                StressProfile,
-                f"scenarios.{name}.stresses[{i}]",
-                target=spec["target"],
-                start_window=window_or(spec.get("start_window", 1), 1),
-                end_window=window_or(spec.get("end_window"), max(horizon, 1)),
-                slowdown=spec.get("slowdown", 1.0),
-                exogenous_load=spec.get("exogenous_load", 0.0),
-            )
-        )
-    faults = []
-    for i, spec in enumerate(raw_scenario["faults"]):
-        faults.append(
-            _build(
-                FaultInjection,
-                f"scenarios.{name}.faults[{i}]",
-                links=tuple((a, b) for a, b in spec["links"]),
-                mu=spec["mu"],
-                sigma=spec.get("sigma", 0.0),
-                loss_probability=spec.get("loss_probability", 0.0),
-                start_window=window_or(spec.get("start_window", 1), 1),
-                end_window=window_or(spec.get("end_window"), max(horizon, 1)),
-                additive=bool(spec.get("additive", False)),
-            )
-        )
-    expected_raw = raw_scenario["expected"]
-    expectation = Expectation(
-        dominant=tuple(expected_raw["dominant"]),
-        min_fraction=float(expected_raw["min_fraction"]),
-        min_seed_fraction=float(expected_raw["min_seed_fraction"]),
-        forbidden=tuple(expected_raw["forbidden"]),
+    stresses = tuple(
+        _from_spec(StressProfile, _windowed(spec, at, horizon), at)
+        for at, spec in _each(raw_scenario["stresses"], f"{path}.stresses")
+    )
+    faults = tuple(
+        _from_spec(FaultInjection, _windowed(spec, at, horizon, additive=bool), at)
+        for at, spec in _each(raw_scenario["faults"], f"{path}.faults")
     )
     checks = tuple(
-        Check(
-            kind=spec["kind"],
-            policy=spec.get("policy", ""),
-            versus=spec.get("versus", ""),
-            threshold=float(spec.get("threshold", 0.0)),
-            ratio=float(spec.get("ratio", 0.0)),
-            interval=spec.get("interval", "all"),
-        )
-        for spec in raw_scenario["checks"]
+        _from_spec(Check, _coerced(spec, at, threshold=float, ratio=float), at)
+        for at, spec in _each(raw_scenario["checks"], f"{path}.checks")
+    )
+    expected = _coerced(
+        raw_scenario["expected"],
+        f"{path}.expected",
+        dominant=tuple,
+        forbidden=tuple,
+        min_fraction=float,
+        min_seed_fraction=float,
     )
     return ScenarioSpec(
         name=name,
         sim=scenario_sim,
-        stresses=tuple(stresses),
-        faults=tuple(faults),
+        stresses=stresses,
+        faults=faults,
         policies=tuple(raw_scenario["policies"]),
-        seeds=tuple(int(s) for s in raw_scenario["seeds"]),
+        seeds=_build(lambda: tuple(int(s) for s in raw_scenario["seeds"]), f"{path}.seeds"),
         controller_overrides=dict(raw_scenario["controller"]),
-        expected=expectation,
+        expected=_from_spec(Expectation, expected, f"{path}.expected"),
         checks=checks,
     )
+
+
+def _check_references(config: ResolvedConfig, spec: ScenarioSpec) -> None:
+    """Every policy, stress target and fault link a scenario names exists."""
+    path = f"scenarios.{spec.name}"
+    named = [*spec.policies, *(p for c in spec.checks for p in (c.policy, c.versus) if p)]
+    for policy in named:
+        if policy not in config.known_policies:
+            raise ConfigError(f"{path}: unknown policy {policy!r}")
+    for stress in spec.stresses:
+        if stress.target not in config.fabric:
+            raise ConfigError(f"{path}: stress target {stress.target!r} is not a fabric node")
+    for fault in spec.faults:
+        for src, dst in fault.links:
+            if (src, dst) not in config.dag.links:
+                raise ConfigError(f"{path}: fault link {src}->{dst} is not in dag.links")
+    config.controller_config(spec.controller_overrides)  # fails fast on bad overrides
 
 
 def load_config(path: str | Path | None = None) -> ResolvedConfig:
@@ -597,32 +565,23 @@ def load_config(path: str | Path | None = None) -> ResolvedConfig:
     report = validate_pipeline(dag, fabric)
     if not report.ok:
         raise ConfigError("invalid pipeline: " + "; ".join(report.problems))
-    candidates = _build(canonical_candidates, "dag", dag)
     sim = _build(SimConfig, "sim", **raw["sim"])
-    weights = _build(Weights, "weights", **raw["weights"])
-    constraints = _build(Constraints, "constraints", **raw["constraints"])
-    targets = build_targets(raw, fabric)
-    estimator = build_estimator(raw)
-    scenarios = {
-        name: _build_scenario(name, spec, sim) for name, spec in raw["scenarios"].items()
-    }
     config = ResolvedConfig(
         raw=raw,
         fabric=fabric,
         dag=dag,
-        candidates=candidates,
+        candidates=_build(canonical_candidates, "dag", dag),
         sim=sim,
-        weights=weights,
-        constraints=constraints,
-        targets=targets,
-        estimator=estimator,
-        scenarios=scenarios,
+        weights=_build(Weights, "weights", **raw["weights"]),
+        constraints=_build(Constraints, "constraints", **raw["constraints"]),
+        targets=build_targets(raw, fabric),
+        estimator=build_estimator(raw),
+        scenarios={
+            name: _build_scenario(name, spec, sim) for name, spec in raw["scenarios"].items()
+        },
     )
-    for name, spec in scenarios.items():
-        for policy in spec.policies:
-            if policy != CONTROLLER_POLICY and policy not in candidates.names():
-                raise ConfigError(f"scenarios.{name}: unknown policy {policy!r}")
-        config.controller_config(spec.controller_overrides)  # fails fast on bad overrides
+    for spec in config.scenarios.values():
+        _check_references(config, spec)
     return config
 
 
@@ -651,12 +610,11 @@ class RunResult:
 
 @dataclass
 class ExpectationResult:
-    name: str
-    passed: bool
-    detail: str
+    """passed is None when the expectation was not evaluated (SKIP)."""
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+    name: str
+    passed: bool | None
+    detail: str
 
 
 @dataclass
@@ -667,26 +625,9 @@ class ScenarioReport:
 
     @property
     def passed(self) -> bool:
-        return all(e.passed for e in self.expectations)
-
-    def to_dict(self) -> dict:
-        policies = {}
-        for policy, runs in self.results.items():
-            policies[policy] = {
-                "seeds": [r.seed for r in runs],
-                "mean_violation_rate": _mean([r.summary["violation_rate"] for r in runs]),
-                "mean_l95_ms": _mean([r.summary["l95_latency_ms"] for r in runs]),
-                "mean_util_robot": _mean([r.summary["mean_util_robot"] for r in runs]),
-                "mean_util_edge": _mean([r.summary["mean_util_edge"] for r in runs]),
-                "mean_migrations": _mean([r.summary["migrations"] for r in runs]),
-                "per_seed": [dict(r.summary) for r in runs],
-            }
-        return {
-            "scenario": self.scenario,
-            "passed": self.passed,
-            "policies": policies,
-            "expectations": [e.to_dict() for e in self.expectations],
-        }
+        """At least one expectation was evaluated and none failed."""
+        evaluated = [e.passed for e in self.expectations if e.passed is not None]
+        return bool(evaluated) and all(evaluated)
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -726,36 +667,31 @@ def run_scenario(
     policies = tuple(policies) if policies else spec.policies
     seeds = tuple(seeds) if seeds else spec.seeds
     for policy in policies:
-        if policy != CONTROLLER_POLICY and policy not in config.candidates.names():
+        if policy not in config.known_policies:
             raise ConfigError(f"unknown policy {policy!r}")
 
     controller_cfg = config.controller_config(spec.controller_overrides)
     results: dict[str, list[RunResult]] = {p: [] for p in policies}
     for policy in policies:
+        if policy == CONTROLLER_POLICY:
+            target, options = controller_cfg, {"estimator": config.estimator}
+        else:
+            target = config.candidates.by_name(policy)
+            options = {
+                "window_size": controller_cfg.window_size,
+                "weights": config.weights,
+                "targets": config.targets,
+            }
         for seed in seeds:
-            sim = replace(spec.sim, seed=seed)
-            if policy == CONTROLLER_POLICY:
-                trace = run_simulation(
-                    config.dag,
-                    config.fabric,
-                    sim,
-                    controller_cfg,
-                    stresses=spec.stresses,
-                    faults=spec.faults,
-                    estimator=config.estimator,
-                )
-            else:
-                trace = run_simulation(
-                    config.dag,
-                    config.fabric,
-                    sim,
-                    config.candidates.by_name(policy),
-                    window_size=controller_cfg.window_size,
-                    stresses=spec.stresses,
-                    faults=spec.faults,
-                    weights=config.weights,
-                    targets=config.targets,
-                )
+            trace = run_simulation(
+                config.dag,
+                config.fabric,
+                replace(spec.sim, seed=seed),
+                target,
+                stresses=spec.stresses,
+                faults=spec.faults,
+                **options,
+            )
             if outdir is not None:
                 _write_run(outdir / spec.name / policy / f"seed_{seed}", trace, config, policy)
             results[policy].append(
@@ -822,13 +758,6 @@ def evaluate_expectations(
     return out
 
 
-def _policy_runs(results: Mapping[str, Sequence[RunResult]], policy: str) -> Sequence[RunResult]:
-    runs = results.get(policy)
-    if not runs:
-        raise ConfigError(f"check references policy {policy!r} which did not run")
-    return runs
-
-
 def _windowed_violation(run: RunResult, windows: Sequence[int]) -> float:
     rates = run.window_violations
     chosen = [rates[k - 1] for k in windows if 0 < k <= len(rates)]
@@ -838,122 +767,139 @@ def _windowed_violation(run: RunResult, windows: Sequence[int]) -> float:
 def _evaluate_check(
     check: Check, spec: ScenarioSpec, results: Mapping[str, Sequence[RunResult]]
 ) -> ExpectationResult:
+    """One check's result; SKIP when a policy it compares did not run."""
+    policy = check.policy
     if check.kind == "policy_violation_above":
-        runs = _policy_runs(results, check.policy)
+        name, needs = f"{policy}-violation-above-{check.threshold}", (policy,)
+    elif check.kind == "post_convergence_violation_below":
+        policy = policy or CONTROLLER_POLICY
+        name, needs = f"{policy}-post-convergence-violation-below-{check.threshold}", (policy,)
+    else:
+        name = f"{policy}-violation-{check.ratio}x-{check.versus}"
+        needs = (policy, check.versus)
+    missing = [p for p in needs if not results.get(p)]
+    if missing:
+        return ExpectationResult(name, None, f"not evaluated: {', '.join(missing)} did not run")
+    runs = results[policy]
+
+    if check.kind == "policy_violation_above":
         value = _mean([r.summary["violation_rate"] for r in runs])
-        passed = value > check.threshold
         return ExpectationResult(
-            f"{check.policy}-violation-above-{check.threshold}",
-            passed,
-            f"{check.policy} mean violation rate {value:.4f} (threshold {check.threshold})",
+            name,
+            value > check.threshold,
+            f"{policy} mean violation rate {value:.4f} (threshold {check.threshold})",
         )
     if check.kind == "post_convergence_violation_below":
-        runs = _policy_runs(results, check.policy or CONTROLLER_POLICY)
-        values = [
-            _windowed_violation(r, post_convergence_windows(r.summary)) for r in runs
-        ]
+        values = [_windowed_violation(r, post_convergence_windows(r.summary)) for r in runs]
         value = _mean(values)
-        passed = value <= check.threshold
         return ExpectationResult(
-            f"{check.policy or CONTROLLER_POLICY}-post-convergence-violation-below-{check.threshold}",
-            passed,
+            name,
+            value <= check.threshold,
             f"post-convergence mean violation rate {value:.4f} "
             f"(threshold {check.threshold}, worst seed {max(values):.4f})",
         )
-    if check.kind == "violation_ratio_at_least":
-        worse = _policy_runs(results, check.policy)
-        better = _policy_runs(results, check.versus)
-        windows = fault_windows(spec) if check.interval == "fault" else list(
-            range(1, spec.sim.horizon + 1)
-        )
-        worse_value = _mean([_windowed_violation(r, windows) for r in worse])
-        better_value = _mean([_windowed_violation(r, windows) for r in better])
-        passed = worse_value >= check.ratio * better_value
-        return ExpectationResult(
-            f"{check.policy}-violation-{check.ratio}x-{check.versus}",
-            passed,
-            f"{check.policy} violation {worse_value:.4f} vs {check.versus} "
-            f"{better_value:.4f} over the {check.interval} interval (need {check.ratio}x)",
-        )
-    raise ConfigError(f"unknown check kind {check.kind!r}")
+    windows = fault_windows(spec) if check.interval == "fault" else list(
+        range(1, spec.sim.horizon + 1)
+    )
+    worse_value = _mean([_windowed_violation(r, windows) for r in runs])
+    better_value = _mean([_windowed_violation(r, windows) for r in results[check.versus]])
+    return ExpectationResult(
+        name,
+        worse_value >= check.ratio * better_value,
+        f"{policy} violation {worse_value:.4f} vs {check.versus} "
+        f"{better_value:.4f} over the {check.interval} interval (need {check.ratio}x)",
+    )
 
 
 # ---------------------------------------------------------------------------
 # reporting
 
+# report.json key of each per-policy mean -> the run summary key it averages
+_MEANS = {
+    "mean_violation_rate": "violation_rate",
+    "mean_l95_ms": "l95_latency_ms",
+    "mean_util_robot": "mean_util_robot",
+    "mean_util_edge": "mean_util_edge",
+    "mean_migrations": "migrations",
+}
+_STATUS = {True: "PASS", False: "FAIL", None: "SKIP"}
 
-def render_report(reports: Sequence[ScenarioReport], fmt: str = "text") -> str:
-    if fmt == "json":
-        payload = {
-            "passed": all(r.passed for r in reports),
-            "scenarios": [r.to_dict() for r in reports],
+
+def report_payload(reports: Sequence[ScenarioReport]) -> dict:
+    """The report.json document of a set of scenario reports."""
+    scenarios = [
+        {
+            "scenario": report.scenario,
+            "passed": report.passed,
+            "policies": {
+                policy: {
+                    "seeds": [r.seed for r in runs],
+                    **{key: _mean([r.summary[s] for r in runs]) for key, s in _MEANS.items()},
+                    "per_seed": [dict(r.summary) for r in runs],
+                }
+                for policy, runs in report.results.items()
+            },
+            "expectations": [asdict(e) for e in report.expectations],
         }
+        for report in reports
+    ]
+    return {"passed": bool(reports) and all(r.passed for r in reports), "scenarios": scenarios}
+
+
+def render_report(payload: Mapping, fmt: str = "text") -> str:
+    """Render a report payload, fresh from report_payload or read by load_report.
+
+    The text table lists the fixed placements by name, then the controller.
+    """
+    if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True)
     if fmt != "text":
         raise ConfigError(f"unknown report format {fmt!r}")
-    if not reports:
+    scenarios = payload["scenarios"]
+    if not scenarios:
         return ""
     lines: list[str] = []
-    for report in reports:
-        lines.append(f"scenario: {report.scenario}")
+    for scenario in scenarios:
+        lines.append(f"scenario: {scenario['scenario']}")
         lines.append(
             f"  {'policy':<8} {'mean_vd':>9} {'l95_ms':>9} {'util_r':>7} "
             f"{'util_e':>7} {'migr':>5}"
         )
-        for policy, runs in report.results.items():
+        policies = scenario["policies"]
+        for policy in sorted(policies, key=lambda p: (p == CONTROLLER_POLICY, p)):
+            stats = policies[policy]
             lines.append(
                 f"  {policy:<8} "
-                f"{_mean([r.summary['violation_rate'] for r in runs]):>9.4f} "
-                f"{_mean([r.summary['l95_latency_ms'] for r in runs]):>9.3f} "
-                f"{_mean([r.summary['mean_util_robot'] for r in runs]):>7.3f} "
-                f"{_mean([r.summary['mean_util_edge'] for r in runs]):>7.3f} "
-                f"{_mean([r.summary['migrations'] for r in runs]):>5.1f}"
+                f"{stats['mean_violation_rate']:>9.4f} "
+                f"{stats['mean_l95_ms']:>9.3f} "
+                f"{stats['mean_util_robot']:>7.3f} "
+                f"{stats['mean_util_edge']:>7.3f} "
+                f"{stats['mean_migrations']:>5.1f}"
             )
-        for expectation in report.expectations:
-            status = "PASS" if expectation.passed else "FAIL"
-            lines.append(f"  [{status}] {expectation.name}: {expectation.detail}")
+        for expectation in scenario["expectations"]:
+            status = _STATUS[expectation["passed"]]
+            lines.append(f"  [{status}] {expectation['name']}: {expectation['detail']}")
         lines.append("")
-    overall = "PASS" if all(r.passed for r in reports) else "FAIL"
-    lines.append(f"overall: {overall}")
+    failed = any(e["passed"] is False for s in scenarios for e in s["expectations"])
+    lines.append("overall: " + ("PASS" if payload["passed"] else "FAIL" if failed else "SKIP"))
     return "\n".join(lines)
 
 
-def write_report(reports: Sequence[ScenarioReport], outdir: Path) -> Path:
+def write_report(payload: Mapping, outdir: Path) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "report.json"
-    payload = {
-        "passed": all(r.passed for r in reports),
-        "scenarios": [r.to_dict() for r in reports],
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(render_report(payload, "json") + "\n")
     return path
 
 
 def load_report(outdir: Path) -> dict:
     path = Path(outdir) / "report.json"
     try:
-        return json.loads(path.read_text())
+        payload = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"no stored report under {outdir}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"stored report is corrupt: {exc}") from exc
-
-
-def render_stored_report(payload: Mapping, fmt: str = "text") -> str:
-    """Re-render a stored report.json without rerunning anything."""
-    if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True)
-    lines = []
-    for scenario in payload.get("scenarios", []):
-        lines.append(f"scenario: {scenario['scenario']}")
-        for policy, stats in scenario.get("policies", {}).items():
-            lines.append(
-                f"  {policy:<8} mean_vd {stats['mean_violation_rate']:.4f} "
-                f"l95 {stats['mean_l95_ms']:.3f} ms migr {stats['mean_migrations']:.1f}"
-            )
-        for expectation in scenario.get("expectations", []):
-            status = "PASS" if expectation["passed"] else "FAIL"
-            lines.append(f"  [{status}] {expectation['name']}: {expectation['detail']}")
-        lines.append("")
-    lines.append("overall: " + ("PASS" if payload.get("passed") else "FAIL"))
-    return "\n".join(lines)
+    if not isinstance(payload, dict) or not {"passed", "scenarios"} <= payload.keys():
+        raise ConfigError(f"stored report is corrupt: {path} lacks passed or scenarios")
+    return payload

@@ -45,7 +45,7 @@ class ComputeNode:
     """
 
     id: NodeId
-    kind: str
+    kind: str = "robot"
     utilization_target: float = 0.8
     utilization_cap: float = 0.95
 

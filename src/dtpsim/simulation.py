@@ -18,7 +18,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -149,13 +149,15 @@ class FaultInjection:
 
     By default the fault replaces the link model with
     Gaussian(mu, sigma) delay and the given loss probability; additive
-    mode superimposes it on the base model instead.
+    mode superimposes it on the base model instead.  The fields after mu
+    are keyword-only.
     """
 
     links: tuple[tuple[NodeId, NodeId], ...]
     mu: float
-    sigma: float
-    loss_probability: float
+    _: KW_ONLY
+    sigma: float = 0.0
+    loss_probability: float = 0.0
     start_window: int
     end_window: int
     additive: bool = False
@@ -440,12 +442,13 @@ def run_simulation(
             observed_util = {
                 node: class_utilization(records, duration, (node,)) for node in node_ids
             }
+            # the incumbent is scored from the observed window and utilization
             estimates: dict[str, EstimateReport] = {}
             for candidate in candidates:
-                hist = shadow_hist[candidate.name]
                 if candidate.name == placement.name:
-                    estimates[candidate.name] = static_report(candidate)
-                elif estimator.mode == "conservative":
+                    continue
+                hist = shadow_hist[candidate.name]
+                if estimator.mode == "conservative":
                     estimates[candidate.name] = estimate_conservative(
                         metrics, candidate.name, estimator.ratios, fabric, observed_util
                     )

@@ -109,6 +109,18 @@ def test_missing_estimate_aborts_the_decision():
     assert decision.reason == "estimate-error"
 
 
+def test_observed_utilization_makes_the_incumbent_estimate_optional():
+    cfg = config(n_min=0)
+    state = state_with_dwell(cfg, 5)
+    estimates = flat_estimates(so=30.0)
+    del estimates["LOC"]
+    observed_util = {"R1": 0.3, "R2": 0.3, "E": 0.0}
+    _, decision = on_window_end(state, window(60.0), estimates, cfg, observed_util)
+    assert (decision.action, decision.target) == (ACTION_MIGRATE, "SO")
+    _, decision = on_window_end(state, window(60.0), estimates, cfg)
+    assert decision.reason == "estimate-error"
+
+
 def test_incumbent_is_scored_from_observation_not_estimate():
     cfg = config(n_min=0, delta_min=0.0)
     state = state_with_dwell(cfg, 1)

@@ -43,7 +43,10 @@ RUNS = {
         {
             "stresses": (StressProfile("E", 1, 2, slowdown=1.5, exogenous_load=0.2),),
             "faults": (
-                FaultInjection((("R1", "E"),), 3.0, 1.0, 0.3, 2, 3, additive=True),
+                FaultInjection(
+                    (("R1", "E"),), 3.0, sigma=1.0, loss_probability=0.3,
+                    start_window=2, end_window=3, additive=True,
+                ),
             ),
             "clock_resolution_us": 10,
         },

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import re
 
 import pytest
 import yaml
@@ -20,10 +21,12 @@ from dtpsim.harness import (
     load_report,
     post_convergence_windows,
     render_report,
-    render_stored_report,
+    report_payload,
     run_scenario,
+    write_report,
 )
-from dtpsim.simulation import FaultInjection, SimConfig
+from dtpsim.pipeline import ComputeNode, DagEdge, LinkDelayModel, ServiceTimeModel
+from dtpsim.simulation import FaultInjection, SimConfig, StressProfile
 
 SCENARIO_NAMES = {"baseline", "robot-stress", "edge-stress", "network-impairment"}
 
@@ -37,6 +40,37 @@ def write_config(tmp_path, document, name="config.yaml"):
 def tiny_baseline(config, horizon=8):
     spec = config.scenarios["baseline"]
     return dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, horizon=horizon))
+
+
+def _links_with(**changes):
+    links = copy.deepcopy(DEFAULT_CONFIG["dag"]["links"])
+    links[0].update(changes)
+    return {"dag": {"links": links}}
+
+
+def _tasks_with(**changes):
+    tasks = copy.deepcopy(DEFAULT_CONFIG["dag"]["tasks"])
+    tasks[1]["service"]["E"].update(changes)
+    return {"dag": {"tasks": tasks}}
+
+
+def _edges_with(**changes):
+    edges = copy.deepcopy(DEFAULT_CONFIG["dag"]["edges"])
+    edges[0].update(changes)
+    return {"dag": {"edges": edges}}
+
+
+def _stress_with(**fields):
+    return {"scenarios": {"robot-stress": {"stresses": [{"target": "R1", **fields}]}}}
+
+
+def _fault_with(**fields):
+    fault = {"links": [["R1", "E"]], **fields}
+    return {"scenarios": {"network-impairment": {"faults": [fault]}}}
+
+
+def _check_with(**fields):
+    return {"scenarios": {"baseline": {"checks": [fields]}}}
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +145,89 @@ def test_new_scenarios_start_from_the_empty_template(tmp_path):
     assert spec.policies == ("LOC",)
 
 
-def test_scenario_stress_keys_are_checked(tmp_path):
-    document = {
-        "scenarios": {
-            "baseline": {"stresses": [{"target": "R1", "slodown": 2.0}]}
-        }
-    }
+def _nodes_with(**changes):
+    nodes = copy.deepcopy(DEFAULT_CONFIG["fabric"]["nodes"])
+    nodes[0].update(changes)
+    return {"fabric": {"nodes": nodes}}
+
+
+def _task_with(**changes):
+    tasks = copy.deepcopy(DEFAULT_CONFIG["dag"]["tasks"])
+    tasks[1].update(changes)
+    return {"dag": {"tasks": tasks}}
+
+
+@pytest.mark.parametrize(
+    "document, where",
+    [
+        (_nodes_with(kinds="edge"), "fabric.nodes[0].kinds"),
+        (_task_with(feasable=["E"]), "dag.tasks[1].feasable"),
+        (_tasks_with(sigma=1.0), "dag.tasks[1].service.E.sigma"),
+        (_edges_with(src="T1"), "dag.edges[0].src"),
+        (_links_with(jitter=0.1), "dag.links[0].jitter"),
+        (_stress_with(slodown=2.0), "scenarios.robot-stress.stresses[0].slodown"),
+        (_fault_with(mu=1.0, loss=0.1), "scenarios.network-impairment.faults[0].loss"),
+        (_check_with(kind="policy_violation_above", policy="SO", treshold=0.1),
+         "scenarios.baseline.checks[0].treshold"),
+        ({"scenarios": {"baseline": {"expected": {"dominnt": ["SO"]}}}},
+         "scenarios.baseline.expected.dominnt"),
+    ],
+    ids=["nodes", "tasks", "service", "edges", "links", "stresses", "faults", "checks",
+         "expected"],
+)
+def test_unknown_item_keys_are_rejected_with_their_path(tmp_path, document, where):
     path = write_config(tmp_path, document)
-    with pytest.raises(ConfigError, match=r"stresses\[0\]"):
+    with pytest.raises(ConfigError, match=f"unknown key: {re.escape(where)}$"):
         load_config(path)
+
+
+def test_omitted_optional_keys_resolve_to_the_documented_defaults(tmp_path):
+    links = [["R1", "E"], ["E", "R1"], ["E", "R2"], ["R2", "E"], ["R1", "R2"], ["R2", "R1"]]
+    document = {
+        "fabric": {"nodes": [{"id": "R1"}, {"id": "R2"}, {"id": "E", "kind": "edge"}]},
+        "dag": {
+            "tasks": [
+                {"id": "T1", "feasible": ["R1"], "service": {"R1": {"mean": 2.0}}},
+                {"id": "T2", "feasible": ["R1", "E"],
+                 "service": {"R1": {"mean": 10.0}, "E": {"mean": 10.0}}},
+                {"id": "T3", "feasible": ["R2", "E"],
+                 "service": {"R2": {"mean": 8.0}, "E": {"mean": 8.0}}},
+                {"id": "T4", "feasible": ["R2"], "service": {"R2": {"mean": 2.0}}},
+            ],
+            "edges": [{"from": "T1", "to": "T2"}, {"from": "T2", "to": "T3"},
+                      {"from": "T3", "to": "T4"}],
+            "links": [{"from": a, "to": b, "base_delay": 1.0} for a, b in links],
+        },
+        "scenarios": {
+            "smoke": {
+                "sim": {"horizon": 7},
+                "stresses": [{"target": "R1"}],
+                "faults": [{"links": [["R1", "E"]], "mu": 5, "end_window": None}],
+                "checks": [{"kind": "post_convergence_violation_below"}],
+            }
+        },
+    }
+    config = load_config(write_config(tmp_path, document))
+    assert config.fabric.nodes[0] == ComputeNode("R1", "robot", 0.8, 0.95)
+    assert config.fabric.nodes[2] == ComputeNode("E", "edge", 0.8, 0.95)
+    task = config.dag.task("T2")
+    assert task.feasible == frozenset({"R1", "E"})
+    assert task.service["E"] == ServiceTimeModel(10.0, 0.0, 0.01)
+    assert task.utilization == {"R1": 0.0, "E": 0.0}
+    assert config.dag.edges[0] == DagEdge("T1", "T2", 1.0)
+    assert config.dag.link("E", "R2") == LinkDelayModel(1.0, 0.0, 0.0, 1.0)
+    smoke = config.scenarios["smoke"]
+    assert smoke.stresses == (StressProfile("R1", 1, 7, 1.0, 0.0),)
+    assert smoke.faults == (
+        FaultInjection((("R1", "E"),), 5, sigma=0.0, loss_probability=0.0,
+                       start_window=1, end_window=7, additive=False),
+    )
+    assert smoke.checks == (Check("post_convergence_violation_below", "", "", 0.0, 0.0, "all"),)
+    assert smoke.expected == Expectation(("LOC",), 0.6, 0.8, ())
+    assert smoke.policies == ("LOC", "SO", "DTP")
+    assert smoke.seeds == tuple(range(1, 11))
+    assert smoke.controller_overrides == {}
+    assert smoke.sim == SimConfig(40.0, 40.0, 7, 42, 1)
 
 
 def test_unknown_scenario_policy_is_rejected(tmp_path):
@@ -170,11 +278,11 @@ def test_tiny_baseline_run_passes_and_reports(tmp_path):
     assert report.results["DTP"][0].summary["migrations"] == 0
     names = [e.name for e in report.expectations]
     assert names == ["dominant-placement:LOC"]
-    text = render_report([report])
+    text = render_report(report_payload([report]))
     assert "scenario: baseline" in text
     assert "[PASS] dominant-placement:LOC" in text
     assert text.endswith("overall: PASS")
-    payload = json.loads(render_report([report], "json"))
+    payload = json.loads(render_report(report_payload([report]), "json"))
     assert payload["passed"] is True
     assert payload["scenarios"][0]["scenario"] == "baseline"
 
@@ -221,46 +329,73 @@ def test_failing_expectation_is_reported(tmp_path):
     )
     report = run_scenario(config, spec, policies=["DTP"], seeds=[1])
     assert not report.passed
-    assert "[FAIL]" in render_report([report])
+    assert "[FAIL]" in render_report(report_payload([report]))
 
 
-def test_check_referencing_missing_policy_fails_fast():
+def test_check_referencing_missing_policy_reports_skip():
     config = load_config(None)
     spec = tiny_baseline(config, horizon=4)
     spec = dataclasses.replace(
         spec,
         checks=(Check(kind="policy_violation_above", policy="SO", threshold=0.1),),
     )
-    with pytest.raises(ConfigError, match="did not run"):
-        run_scenario(config, spec, policies=["DTP"], seeds=[1])
+    report = run_scenario(config, spec, policies=["DTP"], seeds=[1])
+    skipped = report.expectations[-1]
+    assert (skipped.name, skipped.passed) == ("SO-violation-above-0.1", None)
+    assert "SO did not run" in skipped.detail
+    assert report.passed  # the evaluated dominant-placement expectation passed
+    text = render_report(report_payload([report]))
+    assert "[SKIP] SO-violation-above-0.1" in text
+    assert text.endswith("overall: PASS")
+
+
+def test_nothing_evaluated_is_skip_not_pass():
+    config = load_config(None)
+    spec = dataclasses.replace(
+        tiny_baseline(config, horizon=4),
+        checks=(Check(kind="policy_violation_above", policy="SO", threshold=0.1),),
+    )
+    report = run_scenario(config, spec, policies=["LOC"], seeds=[1])
+    assert [e.passed for e in report.expectations] == [None]
+    assert not report.passed
+    payload = report_payload([report])
+    assert payload["passed"] is False
+    text = render_report(payload)
+    assert "[SKIP] SO-violation-above-0.1" in text
+    assert text.endswith("overall: SKIP")
 
 
 def test_empty_report_renders_empty():
-    assert render_report([]) == ""
+    payload = report_payload([])
+    assert payload == {"passed": False, "scenarios": []}
+    assert render_report(payload) == ""
 
 
 def test_unknown_report_format_is_rejected():
     with pytest.raises(ConfigError, match="format"):
-        render_report([], fmt="pdf")
+        render_report(report_payload([]), fmt="pdf")
 
 
 def test_stored_report_round_trip(tmp_path):
     config = load_config(None)
     report = run_scenario(config, tiny_baseline(config, 4), policies=["DTP"], seeds=[1])
-    from dtpsim.harness import write_report
-
-    path = write_report([report], tmp_path)
+    fresh = report_payload([report])
+    path = write_report(fresh, tmp_path)
     payload = load_report(tmp_path)
     assert payload["passed"] is True
-    rendered = render_stored_report(payload)
+    rendered = render_report(payload)
+    assert rendered == render_report(fresh)
     assert "scenario: baseline" in rendered
     assert "[PASS]" in rendered
-    assert json.loads(render_stored_report(payload, "json")) == payload
-    assert path.read_text().endswith("\n")
+    assert json.loads(render_report(payload, "json")) == payload
+    assert path.read_text() == render_report(fresh, "json") + "\n"
 
 
 def test_load_report_requires_a_previous_run(tmp_path):
     with pytest.raises(ConfigError, match="no stored report"):
+        load_report(tmp_path)
+    (tmp_path / "report.json").write_text("[]")
+    with pytest.raises(ConfigError, match="corrupt"):
         load_report(tmp_path)
 
 
@@ -315,33 +450,6 @@ def test_cli_validate_bad_config(tmp_path, capsys):
     assert "alpha_x" in capsys.readouterr().err
 
 
-def _links_with(**changes):
-    links = copy.deepcopy(DEFAULT_CONFIG["dag"]["links"])
-    links[0].update(changes)
-    return {"dag": {"links": links}}
-
-
-def _tasks_with(**changes):
-    tasks = copy.deepcopy(DEFAULT_CONFIG["dag"]["tasks"])
-    tasks[1]["service"]["E"].update(changes)
-    return {"dag": {"tasks": tasks}}
-
-
-def _edges_with(**changes):
-    edges = copy.deepcopy(DEFAULT_CONFIG["dag"]["edges"])
-    edges[0].update(changes)
-    return {"dag": {"edges": edges}}
-
-
-def _stress_with(**fields):
-    return {"scenarios": {"robot-stress": {"stresses": [{"target": "R1", **fields}]}}}
-
-
-def _fault_with(**fields):
-    fault = {"links": [["R1", "E"]], **fields}
-    return {"scenarios": {"network-impairment": {"faults": [fault]}}}
-
-
 @pytest.mark.parametrize(
     "document",
     [
@@ -361,6 +469,43 @@ def test_cli_validate_rejects_non_finite_numbers(tmp_path, capsys, document):
     path = write_config(tmp_path, document)
     assert main(["validate", "--config", path]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "document, named",
+    [
+        (_check_with(kind="policy_violation_below"), "policy_violation_below"),
+        (_check_with(kind="policy_violation_above", policy="LOCO"), "LOCO"),
+        (_check_with(kind="violation_ratio_at_least", policy="SO", versus="DPT"), "DPT"),
+        (_stress_with(slowdown=2.0, target="R9"), "R9"),
+        (_fault_with(mu=5.0, links=[["R1", "R9"]]), "R1->R9"),
+    ],
+    ids=["check-kind", "check-policy", "check-versus", "stress-target", "fault-link"],
+)
+def test_cli_validate_rejects_unknown_references(tmp_path, capsys, document, named):
+    path = write_config(tmp_path, document)
+    assert main(["validate", "--config", path]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "document, where",
+    [
+        ({"estimator": {"conservative_ratios": 5}}, "estimator.conservative_ratios"),
+        ({"scenarios": {"baseline": {"seeds": [1, "x"]}}}, "scenarios.baseline.seeds"),
+        ({"fabric": {"nodes": 5}}, "fabric.nodes"),
+        ({"dag": {"tasks": ["T1"]}}, "dag.tasks[0]"),
+        ({"dag": {"edges": [{"from": "T1", "payload_scale": 2.0}]}}, "dag.edges[0]"),
+        (_check_with(kind="policy_violation_above"), "scenarios.baseline.checks[0]"),
+        (_check_with(kind="violation_ratio_at_least", policy="SO"),
+         "scenarios.baseline.checks[0]"),
+    ],
+    ids=["ratios", "seeds", "nodes", "task", "edge-endpoint", "check-policy", "check-versus"],
+)
+def test_cli_validate_rejects_malformed_entries(tmp_path, capsys, document, where):
+    path = write_config(tmp_path, document)
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}")
 
 
 def test_cli_usage_errors_exit_2(capsys):
@@ -393,6 +538,39 @@ def test_cli_run_report_cycle(tmp_path, capsys):
 
     assert main(["report", "--out", str(outdir)]) == 0
     assert "scenario: baseline" in capsys.readouterr().out
+
+
+def test_cli_json_stdout_is_the_stored_report(tmp_path, capsys):
+    config_path = write_config(tmp_path, {"scenarios": {"baseline": {"sim": {"horizon": 4}}}})
+    outdir = tmp_path / "out"
+    argv = ["run", "--config", config_path, "--out", str(outdir), "--scenario", "baseline",
+            "--policies", "LOC,DTP", "--seeds", "1", "--format", "json"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert stdout == (outdir / "report.json").read_text()  # print adds the file's newline
+    assert main(["report", "--out", str(outdir), "--format", "json"]) == 0
+    assert capsys.readouterr().out == stdout
+
+
+def test_cli_report_prints_the_run_table(tmp_path, capsys):
+    config_path = write_config(tmp_path, {"scenarios": {"baseline": {"sim": {"horizon": 4}}}})
+    outdir = tmp_path / "out"
+    argv = ["run", "--config", config_path, "--out", str(outdir), "--scenario", "baseline",
+            "--policies", "DTP,SO,LOC", "--seeds", "1,2"]
+    assert main(argv) == 0
+    ran = capsys.readouterr().out
+    assert main(["report", "--out", str(outdir)]) == 0
+    assert capsys.readouterr().out == ran
+    rows = [line.split()[0] for line in ran.splitlines()[2:5]]
+    assert rows == ["LOC", "SO", "DTP"]
+
+
+def test_cli_run_without_an_evaluated_expectation_exits_1(tmp_path, capsys):
+    config_path = write_config(tmp_path, {"scenarios": {"baseline": {"sim": {"horizon": 4}}}})
+    argv = ["run", "--config", config_path, "--out", str(tmp_path / "out"),
+            "--scenario", "baseline", "--policies", "LOC", "--seeds", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.endswith("overall: SKIP\n")
 
 
 def test_cli_run_unknown_scenario(tmp_path, capsys):
@@ -431,7 +609,7 @@ def test_cli_out_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DTPSIM_OUT", str(tmp_path / "env-out"))
     config_path = write_config(
         tmp_path, {"scenarios": {"baseline": {"sim": {"horizon": 4},
-                                              "seeds": [1], "policies": ["LOC"]}}}
+                                              "seeds": [1], "policies": ["DTP"]}}}
     )
     code = main(["run", "--config", config_path, "--scenario", "baseline"])
     assert code == 0

@@ -4,7 +4,9 @@ import pytest
 
 from conftest import make_dag, make_fabric
 from dtpsim.controller import ControllerConfig
+from dtpsim import simulation
 from dtpsim.cost import Constraints, Weights
+from dtpsim.estimator import EstimatorConfig, estimate_static
 from dtpsim.metrics import NormalizationTargets
 from dtpsim.pipeline import canonical_candidates, nominal_latency
 from dtpsim.simulation import (
@@ -206,6 +208,26 @@ def test_migration_applies_at_the_next_window_boundary():
     assert trace.summary["first_migration_window"] == 2
     assert trace.summary["placement_occupancy"] == {"LOC": pytest.approx(2 / 6),
                                                     "SO": pytest.approx(4 / 6)}
+
+
+def test_run_estimates_only_the_challengers(monkeypatch):
+    # the incumbent is scored from the observed window, so its static
+    # Monte Carlo estimate would never be read
+    estimated = []
+
+    def recording(profile, dag, placement, *args):
+        estimated.append(placement.name)
+        return estimate_static(profile, dag, placement, *args)
+
+    monkeypatch.setattr(simulation, "estimate_static", recording)
+    dag = make_dag()
+    sim = SimConfig(period=40.0, deadline=40.0, horizon=3, seed=5)
+    trace = run_simulation(
+        dag, FABRIC, sim, controller_policy(dag, n_min=0),
+        estimator=EstimatorConfig(mode="static", static_samples=200),
+    )
+    assert trace.summary["migrations"] == 0
+    assert sorted(estimated) == ["HYB", "SO"]
 
 
 def test_fixed_run_summary_reports_single_placement():
