@@ -4,7 +4,8 @@ Three mechanisms, in the order the engine prefers them:
 
 * shadow: aggregate recent shadow cycles (cycles simulated under the
   candidate in the live environment without driving actuation),
-* static: Monte Carlo over offline-measured service and delay tables,
+* static: Monte Carlo over the DAG's own service-time and link-delay
+  models,
 * conservative: scale the observed metrics of the active placement by
   pessimistic ratios, as a cheap upper bound.
 """
@@ -22,15 +23,7 @@ from .metrics import (
     class_utilization,
     percentile_nearest_rank,
 )
-from .pipeline import (
-    Fabric,
-    LinkDelayModel,
-    NodeId,
-    PipelineDag,
-    Placement,
-    ServiceTimeModel,
-    TaskId,
-)
+from .pipeline import Fabric, PipelineDag, Placement
 from .sampling import build_cycle_plan, quantize_us, sample_plan_latency
 
 MIN_STATIC_SAMPLES = 100
@@ -38,45 +31,6 @@ MIN_STATIC_SAMPLES = 100
 MECHANISM_STATIC = "static"
 MECHANISM_SHADOW = "shadow"
 MECHANISM_CONSERVATIVE = "conservative"
-
-
-@dataclass(frozen=True)
-class StaticProfile:
-    """Offline-measured lookup tables keyed by (task, node) and node pair."""
-
-    service: Mapping[tuple[TaskId, NodeId], ServiceTimeModel]
-    delays: Mapping[tuple[NodeId, NodeId], LinkDelayModel]
-    utilization: Mapping[tuple[TaskId, NodeId], float] = field(default_factory=dict)
-
-    @classmethod
-    def from_dag(cls, dag: PipelineDag, perturbation: float = 0.0) -> "StaticProfile":
-        """Profile equal to the ground-truth models, optionally inflated.
-
-        perturbation scales every mean service time and base delay by
-        (1 + perturbation) to study model mismatch; 0 is exact.
-        """
-        if perturbation < -0.5:
-            raise ValueError("perturbation below -0.5 is not meaningful")
-        factor = 1.0 + perturbation
-        service = {}
-        utilization = {}
-        for task in dag.tasks:
-            for node in task.feasible:
-                model = task.service[node]
-                service[(task.id, node)] = ServiceTimeModel(
-                    model.mean * factor, model.cv, model.floor_fraction
-                )
-                utilization[(task.id, node)] = task.utilization.get(node, 0.0)
-        delays = {
-            pair: LinkDelayModel(
-                model.base_delay * factor,
-                model.jitter_sigma,
-                model.loss_probability,
-                model.payload_scale,
-            )
-            for pair, model in dag.links.items()
-        }
-        return cls(service, delays, utilization)
 
 
 @dataclass(frozen=True)
@@ -106,7 +60,7 @@ class ConservativeRatios:
 
 
 def predicted_node_utilization(
-    profile: StaticProfile,
+    dag: PipelineDag,
     placement: Placement,
     fabric: Fabric,
     period: float,
@@ -114,13 +68,13 @@ def predicted_node_utilization(
     """Occupancy model: sum of mean service over period plus static offsets."""
     util = {node.id: 0.0 for node in fabric}
     for task_id, node in placement.assignment.items():
-        mean = profile.service[(task_id, node)].mean
-        util[node] = util.get(node, 0.0) + mean / period + profile.utilization.get((task_id, node), 0.0)
+        task = dag.task(task_id)
+        mean = task.service[node].mean
+        util[node] = util.get(node, 0.0) + mean / period + task.utilization.get(node, 0.0)
     return {node: min(1.0, max(0.0, value)) for node, value in util.items()}
 
 
 def estimate_static(
-    profile: StaticProfile,
     dag: PipelineDag,
     placement: Placement,
     fabric: Fabric,
@@ -129,7 +83,7 @@ def estimate_static(
     samples: int,
     rng: random.Random,
 ) -> EstimateReport:
-    """Monte Carlo latency prediction from the offline profile.
+    """Monte Carlo latency prediction from the DAG's service and link models.
 
     Draws ``samples`` end-to-end latencies (including the loss/retransmit
     rule), reports nearest-rank l95 and the fraction violating the
@@ -139,7 +93,7 @@ def estimate_static(
         raise ValueError(f"static estimation needs >= {MIN_STATIC_SAMPLES} samples, got {samples}")
     if deadline > period:
         raise ValueError("deadline must not exceed period")
-    plan = build_cycle_plan(dag, placement, service=profile.service, delays=profile.delays)
+    plan = build_cycle_plan(dag, placement)
     deadline_us = quantize_us(deadline)
     period_us = quantize_us(period)
     latencies = []
@@ -149,7 +103,7 @@ def estimate_static(
         latencies.append(latency_us / 1000.0)
         if violated:
             violations += 1
-    per_node = predicted_node_utilization(profile, placement, fabric, period)
+    per_node = predicted_node_utilization(dag, placement, fabric, period)
     robot_ids = [n.id for n in fabric.of_kind("robot")]
     edge_ids = [n.id for n in fabric.of_kind("edge")]
     metrics = WindowMetrics(
@@ -211,13 +165,12 @@ class EstimatorConfig:
     """How the engine produces candidate estimates each window.
 
     mode "auto" prefers shadow aggregation once at least half a window of
-    shadow records exists and falls back to static profiling; "static"
+    shadow records exists and falls back to the static Monte Carlo; "static"
     never uses shadow records; "conservative" scales observed metrics.
     """
 
     mode: str = "auto"
     static_samples: int = 2000
-    profile_perturbation: float = 0.0
     ratios: ConservativeRatios = field(default_factory=ConservativeRatios)
 
     def __post_init__(self):

@@ -9,6 +9,7 @@ with their full path.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from collections.abc import Iterator, Mapping, Sequence
@@ -39,6 +40,7 @@ from .simulation import (
     SimConfig,
     SimTrace,
     StressProfile,
+    check_disturbances,
     run_simulation,
     write_cycles_csv,
     write_decisions_jsonl,
@@ -119,7 +121,6 @@ DEFAULT_CONFIG: dict = {
     "estimator": {
         "mode": "auto",
         "static_samples": 2000,
-        "profile_perturbation": 0.0,
         "conservative_ratios": {
             "latency": 1.5,
             "violation": 1.5,
@@ -127,22 +128,9 @@ DEFAULT_CONFIG: dict = {
             "util_edge": 1.2,
         },
     },
+    # each shipped scenario holds only what differs from SCENARIO_DEFAULT
     "scenarios": {
-        "baseline": {
-            "stresses": [],
-            "faults": [],
-            "sim": {},
-            "controller": {},
-            "policies": ["LOC", "SO", "DTP"],
-            "seeds": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
-            "expected": {
-                "dominant": ["LOC"],
-                "min_fraction": 0.6,
-                "min_seed_fraction": 0.8,
-                "forbidden": ["SO"],
-            },
-            "checks": [],
-        },
+        "baseline": {"expected": {"forbidden": ["SO"]}},
         "robot-stress": {
             "stresses": [
                 {
@@ -153,17 +141,7 @@ DEFAULT_CONFIG: dict = {
                     "exogenous_load": 0.0,
                 }
             ],
-            "faults": [],
-            "sim": {},
-            "controller": {},
-            "policies": ["LOC", "SO", "DTP"],
-            "seeds": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
-            "expected": {
-                "dominant": ["SO"],
-                "min_fraction": 0.7,
-                "min_seed_fraction": 0.8,
-                "forbidden": [],
-            },
+            "expected": {"dominant": ["SO"], "min_fraction": 0.7},
             "checks": [
                 {"kind": "policy_violation_above", "policy": "LOC", "threshold": 0.40},
                 {"kind": "post_convergence_violation_below", "policy": "DTP", "threshold": 0.05},
@@ -179,21 +157,9 @@ DEFAULT_CONFIG: dict = {
                     "exogenous_load": 0.0,
                 }
             ],
-            "faults": [],
-            "sim": {},
-            "controller": {},
-            "policies": ["LOC", "SO", "DTP"],
-            "seeds": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
-            "expected": {
-                "dominant": ["LOC", "HYB"],
-                "min_fraction": 0.7,
-                "min_seed_fraction": 0.8,
-                "forbidden": [],
-            },
-            "checks": [],
+            "expected": {"dominant": ["LOC", "HYB"], "min_fraction": 0.7},
         },
         "network-impairment": {
-            "stresses": [],
             "faults": [
                 {
                     "links": [["R1", "E"], ["E", "R1"], ["E", "R2"], ["R2", "E"]],
@@ -205,16 +171,8 @@ DEFAULT_CONFIG: dict = {
                     "additive": False,
                 }
             ],
-            "sim": {},
             "controller": {"initial_placement": "SO"},
-            "policies": ["LOC", "SO", "DTP"],
-            "seeds": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
-            "expected": {
-                "dominant": ["LOC"],
-                "min_fraction": 0.7,
-                "min_seed_fraction": 0.8,
-                "forbidden": [],
-            },
+            "expected": {"min_fraction": 0.7},
             "checks": [
                 {
                     "kind": "violation_ratio_at_least",
@@ -226,6 +184,23 @@ DEFAULT_CONFIG: dict = {
             ],
         },
     },
+}
+
+# every scenario, shipped or added by a config, overlays this one
+SCENARIO_DEFAULT: dict = {
+    "stresses": [],
+    "faults": [],
+    "sim": {},
+    "controller": {},
+    "policies": ["LOC", "SO", "DTP"],
+    "seeds": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+    "expected": {
+        "dominant": ["LOC"],
+        "min_fraction": 0.6,
+        "min_seed_fraction": 0.8,
+        "forbidden": [],
+    },
+    "checks": [],
 }
 
 
@@ -256,9 +231,12 @@ def _resolve(document: Mapping) -> dict:
         if section == "scenarios":
             if not isinstance(override, Mapping):
                 raise ConfigError("scenarios must be a mapping")
-            merged = dict(defaults)
+            merged = {
+                name: _merge_scenario(SCENARIO_DEFAULT, spec, f"scenarios.{name}")
+                for name, spec in defaults.items()
+            }
             for name, spec in override.items():
-                base = merged.get(name, _EMPTY_SCENARIO)
+                base = merged.get(name, SCENARIO_DEFAULT)
                 merged[name] = _merge_scenario(base, spec, f"scenarios.{name}")
             resolved[section] = merged
         else:
@@ -266,25 +244,10 @@ def _resolve(document: Mapping) -> dict:
     return resolved
 
 
-_EMPTY_SCENARIO: dict = {
-    "stresses": [],
-    "faults": [],
-    "sim": {},
-    "controller": {},
-    "policies": ["LOC", "SO", "DTP"],
-    "seeds": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
-    "expected": {
-        "dominant": ["LOC"],
-        "min_fraction": 0.6,
-        "min_seed_fraction": 0.8,
-        "forbidden": [],
-    },
-    "checks": [],
-}
-
-
 def _merge_scenario(base: Mapping, override: Mapping, path: str) -> dict:
-    _check_keys(override, list(_EMPTY_SCENARIO), path)
+    """``base`` overlaid with ``override``, copied so that no two scenarios
+    share an object (shared objects dump as YAML aliases)."""
+    _check_keys(override, list(SCENARIO_DEFAULT), path)
     merged = dict(base)
     for key, value in override.items():
         if key == "expected":
@@ -294,7 +257,7 @@ def _merge_scenario(base: Mapping, override: Mapping, path: str) -> dict:
             merged[key] = {**base[key], **value}
         else:
             merged[key] = value
-    return merged
+    return copy.deepcopy(merged)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +282,21 @@ def _from_spec(cls, spec: Mapping, path: str, /, **explicit):
     return _build(cls, path, **spec, **explicit)
 
 
+def _tuple(value: Any) -> tuple:
+    """A YAML list as a tuple; a string is rejected, not split into characters."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"must be a list, got {type(value).__name__}")
+    return tuple(value)
+
+
+def _pairs(value: Any) -> tuple:
+    """A YAML list of ``[from, to]`` lists as a tuple of tuples."""
+    return tuple(map(_tuple, _tuple(value)))
+
+
 def _each(items: Any, path: str) -> Iterator[tuple[str, Mapping]]:
     """(path, entry) for each entry of a YAML list of mappings."""
-    if not isinstance(items, (list, tuple)):
-        raise ConfigError(f"{path} must be a list, got {type(items).__name__}")
-    for i, spec in enumerate(items):
+    for i, spec in enumerate(_build(_tuple, path, items)):
         if not isinstance(spec, Mapping):
             raise ConfigError(f"{path}[{i}] must be a mapping, got {type(spec).__name__}")
         yield f"{path}[{i}]", spec
@@ -370,10 +343,14 @@ def build_fabric(raw: Mapping) -> Fabric:
 def build_dag(raw: Mapping) -> PipelineDag:
     tasks = []
     for path, spec in _each(raw["tasks"], "dag.tasks"):
+        models = spec.get("service", {})
+        if not isinstance(models, Mapping):
+            raise ConfigError(f"{path}.service must be a mapping, got {type(models).__name__}")
         service = {
             node: _from_spec(ServiceTimeModel, model, f"{path}.service.{node}")
-            for node, model in spec.get("service", {}).items()
+            for node, model in models.items()
         }
+        spec = _coerced(spec, path, feasible=_tuple)
         tasks.append(_from_spec(TaskStage, {**spec, "service": service}, path))
     edges = []
     for path, spec in _each(raw["edges"], "dag.edges"):
@@ -499,7 +476,7 @@ def _build_scenario(name: str, raw_scenario: Mapping, sim: SimConfig) -> Scenari
         for at, spec in _each(raw_scenario["stresses"], f"{path}.stresses")
     )
     faults = tuple(
-        _from_spec(FaultInjection, _windowed(spec, at, horizon, additive=bool), at)
+        _from_spec(FaultInjection, _windowed(spec, at, horizon, additive=bool, links=_pairs), at)
         for at, spec in _each(raw_scenario["faults"], f"{path}.faults")
     )
     checks = tuple(
@@ -509,8 +486,8 @@ def _build_scenario(name: str, raw_scenario: Mapping, sim: SimConfig) -> Scenari
     expected = _coerced(
         raw_scenario["expected"],
         f"{path}.expected",
-        dominant=tuple,
-        forbidden=tuple,
+        dominant=_tuple,
+        forbidden=_tuple,
         min_fraction=float,
         min_seed_fraction=float,
     )
@@ -519,8 +496,8 @@ def _build_scenario(name: str, raw_scenario: Mapping, sim: SimConfig) -> Scenari
         sim=scenario_sim,
         stresses=stresses,
         faults=faults,
-        policies=tuple(raw_scenario["policies"]),
-        seeds=_build(lambda: tuple(int(s) for s in raw_scenario["seeds"]), f"{path}.seeds"),
+        policies=_build(_tuple, f"{path}.policies", raw_scenario["policies"]),
+        seeds=_build(lambda: tuple(map(int, _tuple(raw_scenario["seeds"]))), f"{path}.seeds"),
         controller_overrides=dict(raw_scenario["controller"]),
         expected=_from_spec(Expectation, expected, f"{path}.expected"),
         checks=checks,
@@ -534,13 +511,7 @@ def _check_references(config: ResolvedConfig, spec: ScenarioSpec) -> None:
     for policy in named:
         if policy not in config.known_policies:
             raise ConfigError(f"{path}: unknown policy {policy!r}")
-    for stress in spec.stresses:
-        if stress.target not in config.fabric:
-            raise ConfigError(f"{path}: stress target {stress.target!r} is not a fabric node")
-    for fault in spec.faults:
-        for src, dst in fault.links:
-            if (src, dst) not in config.dag.links:
-                raise ConfigError(f"{path}: fault link {src}->{dst} is not in dag.links")
+    _build(check_disturbances, path, config.dag, config.fabric, spec.stresses, spec.faults)
     config.controller_config(spec.controller_overrides)  # fails fast on bad overrides
 
 

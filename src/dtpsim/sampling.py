@@ -113,7 +113,6 @@ class CyclePlan:
 def build_cycle_plan(
     dag: PipelineDag,
     placement: Placement,
-    service: Mapping[tuple[TaskId, NodeId], ServiceTimeModel] | None = None,
     delays: Mapping[tuple[NodeId, NodeId], LinkDelayModel] | None = None,
     *,
     slowdown: Mapping[NodeId, float] | None = None,
@@ -121,24 +120,19 @@ def build_cycle_plan(
 ) -> CyclePlan:
     """Resolve per-stage models and per-edge links for one placement.
 
-    ``service`` and ``delays`` override the ground-truth tables in the dag
-    (the static estimator passes its offline profile; the engine passes
-    the link table with the current window's faults applied).
-    ``slowdown`` multiplies the service time of every stage on a node and
-    ``exogenous_us`` is the busy time stress adds to a node per cycle.
+    Service models come from the dag's tasks.  ``delays`` replaces the
+    dag's link table (the engine passes it with the current window's
+    faults applied).  ``slowdown`` multiplies the service time of every
+    stage on a node and ``exogenous_us`` is the busy time stress adds to a
+    node per cycle.
     """
     slowdown = slowdown or {}
     stages = []
     for task in dag.tasks:
         node = placement.node_of(task.id)
-        if service is not None:
-            try:
-                model = service[(task.id, node)]
-            except KeyError:
-                raise ValueError(f"profile has no service entry for {task.id}@{node}") from None
-        else:
-            model = task.service[node]
-        stages.append(StagePlan(task.id, node, model, f"svc:{task.id}", slowdown.get(node, 1.0)))
+        stages.append(
+            StagePlan(task.id, node, task.service[node], f"svc:{task.id}", slowdown.get(node, 1.0))
+        )
 
     by_src = {e.src: e for e in dag.edges}
     edges = []
@@ -148,13 +142,7 @@ def build_cycle_plan(
             edges.append(EdgePlan(stage.task, None, None, edge.payload_scale))
             continue
         pair = (stage.node, nxt.node)
-        if delays is not None:
-            try:
-                model = delays[pair]
-            except KeyError:
-                raise ValueError(f"profile has no delay entry for {pair[0]}->{pair[1]}") from None
-        else:
-            model = dag.link(*pair)
+        model = dag.link(*pair) if delays is None else delays[pair]
         tag = f"lnk:{pair[0]}:{pair[1]}"
         edges.append(EdgePlan(stage.task, pair, model, edge.payload_scale, tag))
     return CyclePlan(

@@ -33,7 +33,6 @@ from .cost import Weights, total_cost
 from .estimator import (
     EstimateReport,
     EstimatorConfig,
-    StaticProfile,
     estimate_conservative,
     estimate_static,
     update_shadow,
@@ -71,6 +70,7 @@ __all__ = [
     "FaultInjection",
     "WindowRow",
     "SimTrace",
+    "check_disturbances",
     "run_simulation",
     "write_cycles_csv",
     "write_windows_csv",
@@ -219,7 +219,6 @@ def _window_plans(
     faults: Sequence[FaultInjection],
     dag: PipelineDag,
     sim: SimConfig,
-    node_ids: Sequence[NodeId],
 ) -> dict[str, CyclePlan]:
     """Compile each placement's cycle plan under the stress and faults of one window."""
     slowdown: dict[NodeId, float] = {}
@@ -233,14 +232,13 @@ def _window_plans(
     exogenous_us = {
         node: quantize_us(load * sim.period, sim.clock_resolution_us)
         for node, load in exogenous.items()
-        if node in node_ids
     }
     links = dict(dag.links)
     for fault in faults:
         if not fault.active(window_index):
             continue
         for pair in fault.links:
-            links[pair] = fault.apply(links.get(pair) or dag.link(*pair))
+            links[pair] = fault.apply(links[pair])
     return {
         placement.name: build_cycle_plan(
             dag, placement, delays=links, slowdown=slowdown, exogenous_us=exogenous_us
@@ -296,6 +294,23 @@ class _Engine:
             release_ms=cycle_index * self.sim.period,
             placement=plan.placement.name,
         )
+
+
+def check_disturbances(
+    dag: PipelineDag,
+    fabric: Fabric,
+    stresses: Sequence[StressProfile],
+    faults: Sequence[FaultInjection],
+) -> None:
+    """Reject a stress on a node outside the fabric or a fault on a link
+    outside ``dag.links``."""
+    for stress in stresses:
+        if stress.target not in fabric:
+            raise ValueError(f"stress target {stress.target!r} is not a fabric node")
+    for fault in faults:
+        for src, dst in fault.links:
+            if (src, dst) not in dag.links:
+                raise ValueError(f"fault link {src}->{dst} is not in dag.links")
 
 
 def _check_occupancy(
@@ -373,21 +388,13 @@ def run_simulation(
         placements = [policy]
     if window < 1:
         raise ValueError("window size must be >= 1")
-    for fault in faults:
-        for pair in fault.links:
-            try:
-                dag.link(*pair)
-            except KeyError:
-                raise ValueError(
-                    f"fault references unknown link: {pair[0]}->{pair[1]}"
-                ) from None
+    check_disturbances(dag, fabric, stresses, faults)
     _check_occupancy(dag, placements, sim, stresses)
 
     streams = RandomStreams(sim.seed)
     engine = _Engine(fabric, sim, streams)
     node_ids = fabric.ids()
     estimator = estimator or EstimatorConfig()
-    profile = StaticProfile.from_dag(dag, estimator.profile_perturbation)
     duration = window * sim.period
     shadow_stride = -(-window // 4)  # ceil(W / 4)
     shadow_min = -(-window // 2)  # ceil(W / 2)
@@ -403,7 +410,6 @@ def run_simulation(
         cached = static_cache.get(candidate.name)
         if cached is None:
             cached = estimate_static(
-                profile,
                 dag,
                 candidate,
                 fabric,
@@ -421,7 +427,7 @@ def run_simulation(
     placement_by_window: list[str] = []
 
     for k in range(1, sim.horizon + 1):
-        plans = _window_plans(k, placements, stresses, faults, dag, sim, node_ids)
+        plans = _window_plans(k, placements, stresses, faults, dag, sim)
         plan = plans[placement.name]
         shadow_plans = [plans[c.name] for c in placements if c.name != placement.name]
         records = []

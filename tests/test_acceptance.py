@@ -16,7 +16,7 @@ import pytest
 
 from dtpsim.controller import run_horizon
 from dtpsim.cost import ScoredCandidate, select_placement, switching_penalty
-from dtpsim.estimator import EstimateReport, StaticProfile, estimate_static
+from dtpsim.estimator import EstimateReport, estimate_static
 from dtpsim.harness import (
     build_dag,
     fault_windows,
@@ -373,21 +373,19 @@ def test_criterion_09_reruns_are_byte_identical(shipped, tmp_path):
 
 def test_criterion_10_static_estimator_is_calibrated(shipped):
     exact = zeroed_dag(shipped)
-    profile = StaticProfile.from_dag(exact)
     for placement in canonical_candidates(exact):
         report = estimate_static(
-            profile, exact, placement, shipped.fabric,
+            exact, placement, shipped.fabric,
             deadline=40.0, period=40.0, samples=200, rng=random.Random(1),
         )
         assert report.metrics.l95 == nominal_latency(exact, placement)
         assert report.metrics.violation_rate == 0.0
 
-    profile = StaticProfile.from_dag(shipped.dag)
     worst = 0.0
     for placement in shipped.candidates:
         estimates = [
             estimate_static(
-                profile, shipped.dag, placement, shipped.fabric,
+                shipped.dag, placement, shipped.fabric,
                 deadline=40.0, period=40.0, samples=10_000, rng=random.Random(seed),
             ).metrics.l95
             for seed in (11, 97)

@@ -8,7 +8,6 @@ from conftest import make_dag, make_fabric
 from dtpsim.estimator import (
     ConservativeRatios,
     EstimatorConfig,
-    StaticProfile,
     estimate_conservative,
     estimate_static,
     predicted_node_utilization,
@@ -22,10 +21,9 @@ FABRIC = make_fabric()
 
 def test_static_estimate_degenerate_profile_is_exact():
     dag = make_dag()
-    profile = StaticProfile.from_dag(dag)
     for placement in canonical_candidates(dag):
         report = estimate_static(
-            profile, dag, placement, FABRIC,
+            dag, placement, FABRIC,
             deadline=30.0, period=50.0, samples=200, rng=random.Random(1),
         )
         assert report.metrics.l95 == nominal_latency(dag, placement)
@@ -38,7 +36,7 @@ def test_static_estimate_all_violations_past_deadline():
     dag = make_dag()
     loc = canonical_candidates(dag).by_name("LOC")
     report = estimate_static(
-        StaticProfile.from_dag(dag), dag, loc, FABRIC,
+        dag, loc, FABRIC,
         deadline=20.0, period=50.0, samples=200, rng=random.Random(1),
     )
     # 23 ms deterministic latency misses a 20 ms deadline every time
@@ -48,41 +46,29 @@ def test_static_estimate_all_violations_past_deadline():
 def test_static_estimate_validates_inputs():
     dag = make_dag()
     loc = canonical_candidates(dag).by_name("LOC")
-    profile = StaticProfile.from_dag(dag)
     with pytest.raises(ValueError, match="samples"):
-        estimate_static(profile, dag, loc, FABRIC, 30.0, 50.0, samples=50, rng=random.Random(1))
+        estimate_static(dag, loc, FABRIC, 30.0, 50.0, samples=50, rng=random.Random(1))
     with pytest.raises(ValueError, match="deadline"):
-        estimate_static(profile, dag, loc, FABRIC, 60.0, 50.0, samples=200, rng=random.Random(1))
+        estimate_static(dag, loc, FABRIC, 60.0, 50.0, samples=200, rng=random.Random(1))
 
 
 def test_static_estimate_is_stable_across_seeds():
     dag = make_dag(cv=0.2, jitter=0.1)
     so = canonical_candidates(dag).by_name("SO")
-    profile = StaticProfile.from_dag(dag)
     reports = [
-        estimate_static(profile, dag, so, FABRIC, 40.0, 50.0, 10_000, random.Random(seed))
+        estimate_static(dag, so, FABRIC, 40.0, 50.0, 10_000, random.Random(seed))
         for seed in (11, 97)
     ]
     a, b = (r.metrics.l95 for r in reports)
     assert abs(a - b) / b < 0.05
 
 
-def test_profile_perturbation_scales_means_and_delays():
-    dag = make_dag()
-    loc = canonical_candidates(dag).by_name("LOC")
-    inflated = StaticProfile.from_dag(dag, perturbation=0.1)
-    report = estimate_static(inflated, dag, loc, FABRIC, 40.0, 50.0, 200, random.Random(1))
-    assert report.metrics.l95 == pytest.approx(23.0 * 1.1, abs=1e-3)
-
-
 def test_predicted_node_utilization_from_means():
     dag = make_dag()
     cands = canonical_candidates(dag)
-    per_node = predicted_node_utilization(StaticProfile.from_dag(dag), cands.by_name("LOC"),
-                                          FABRIC, period=40.0)
+    per_node = predicted_node_utilization(dag, cands.by_name("LOC"), FABRIC, period=40.0)
     assert per_node == pytest.approx({"R1": 0.3, "R2": 0.25, "E": 0.0})
-    per_node = predicted_node_utilization(StaticProfile.from_dag(dag), cands.by_name("SO"),
-                                          FABRIC, period=40.0)
+    per_node = predicted_node_utilization(dag, cands.by_name("SO"), FABRIC, period=40.0)
     assert per_node == pytest.approx({"R1": 0.05, "R2": 0.05, "E": 0.45})
 
 

@@ -54,6 +54,12 @@ def _tasks_with(**changes):
     return {"dag": {"tasks": tasks}}
 
 
+def _tasks_field(index, **changes):
+    tasks = copy.deepcopy(DEFAULT_CONFIG["dag"]["tasks"])
+    tasks[index].update(changes)
+    return {"dag": {"tasks": tasks}}
+
+
 def _edges_with(**changes):
     edges = copy.deepcopy(DEFAULT_CONFIG["dag"]["edges"])
     edges[0].update(changes)
@@ -261,10 +267,15 @@ def test_config_error_is_a_value_error():
 
 
 def test_echo_config_round_trips(tmp_path):
-    config = load_config(None)
-    path = echo_config(config, tmp_path)
-    assert path.name == "resolved_config.yaml"
-    assert yaml.safe_load(path.read_text()) == config.raw
+    added = {"scenarios": {"added-a": {"policies": ["LOC", "DTP"]}, "added-b": {}}}
+    for name, document in (("defaults", {}), ("added", added)):
+        config = load_config(write_config(tmp_path, document, f"{name}.yaml"))
+        path = echo_config(config, tmp_path / name)
+        assert path.name == "resolved_config.yaml"
+        text = path.read_text()
+        assert yaml.safe_load(text) == config.raw
+        # scenarios that shared a list or dict object would dump as YAML aliases
+        assert not re.search(r"[&*]id\d", text), name
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +510,20 @@ def test_cli_validate_rejects_unknown_references(tmp_path, capsys, document, nam
         (_check_with(kind="policy_violation_above"), "scenarios.baseline.checks[0]"),
         (_check_with(kind="violation_ratio_at_least", policy="SO"),
          "scenarios.baseline.checks[0]"),
+        # a string where a list belongs is rejected, not split into characters
+        ({"scenarios": {"baseline": {"expected": {"dominant": "LOC"}}}},
+         "scenarios.baseline.expected.dominant"),
+        ({"scenarios": {"baseline": {"seeds": "12"}}}, "scenarios.baseline.seeds"),
+        ({"scenarios": {"baseline": {"policies": "LOC"}}}, "scenarios.baseline.policies"),
+        (_tasks_field(0, feasible="R1"), "dag.tasks[0].feasible"),
+        (_fault_with(mu=5.0, links=["R1", "R2"]), "scenarios.network-impairment.faults[0].links"),
+        (_tasks_field(1, service=5), "dag.tasks[1].service"),
     ],
-    ids=["ratios", "seeds", "nodes", "task", "edge-endpoint", "check-policy", "check-versus"],
+    ids=[
+        "ratios", "seeds", "nodes", "task", "edge-endpoint", "check-policy", "check-versus",
+        "dominant-string", "seeds-string", "policies-string", "feasible-string",
+        "fault-links-string", "service-scalar",
+    ],
 )
 def test_cli_validate_rejects_malformed_entries(tmp_path, capsys, document, where):
     path = write_config(tmp_path, document)

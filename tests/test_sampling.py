@@ -116,14 +116,6 @@ def test_cycle_plan_skips_colocated_edges():
     assert [e.link for e in plan.edges] == [None, ("R1", "R2"), None]
 
 
-def test_cycle_plan_reports_missing_profile_entry():
-    dag = make_dag()
-    so = canonical_candidates(dag).by_name("SO")
-    partial = {("T1", "R1"): ServiceTimeModel(2.0)}
-    with pytest.raises(ValueError, match=r"T2@E"):
-        build_cycle_plan(dag, so, service=partial)
-
-
 def test_plan_latency_deterministic_chain():
     dag = make_dag()
     plan = build_cycle_plan(dag, canonical_candidates(dag).by_name("LOC"))

@@ -117,6 +117,21 @@ def test_unresolvable_fault_link_is_rejected():
         fixed_run(dag, "SO", SimConfig(50.0, 30.0, horizon=1), faults=(fault,))
 
 
+@pytest.mark.parametrize(
+    "disturbance, named",
+    [
+        ({"stresses": (StressProfile("R9", 1, 1, slowdown=2.0),)}, "R9"),
+        # a self-pair is free to cross, but it is not a link a fault can degrade
+        ({"faults": (FaultInjection((("R1", "R1"),), 5.0, start_window=1, end_window=1),)},
+         "R1->R1"),
+    ],
+    ids=["stress-target", "fault-self-pair"],
+)
+def test_unknown_disturbance_reference_is_rejected(disturbance, named):
+    with pytest.raises(ValueError, match=named):
+        fixed_run(make_dag(), "SO", SimConfig(50.0, 30.0, horizon=1), **disturbance)
+
+
 def test_cpu_stress_multiplies_service_times():
     dag = make_dag()
     stress = StressProfile("R1", start_window=1, end_window=2, slowdown=3.0)
@@ -215,9 +230,9 @@ def test_run_estimates_only_the_challengers(monkeypatch):
     # Monte Carlo estimate would never be read
     estimated = []
 
-    def recording(profile, dag, placement, *args):
+    def recording(dag, placement, *args):
         estimated.append(placement.name)
-        return estimate_static(profile, dag, placement, *args)
+        return estimate_static(dag, placement, *args)
 
     monkeypatch.setattr(simulation, "estimate_static", recording)
     dag = make_dag()
