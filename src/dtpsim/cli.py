@@ -36,6 +36,13 @@ def _csv_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
+def _seed_list(text: str) -> list[int]:
+    try:
+        return [int(item) for item in _csv_list(text)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seeds must be integers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dtpsim",
@@ -51,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="output directory (default: $DTPSIM_OUT or ./dtpsim-out)",
     )
     run.add_argument("--scenario", default="all", help="scenario name, or 'all'")
-    run.add_argument("--policies", help="comma-separated subset, e.g. LOC,DTP")
-    run.add_argument("--seeds", help="comma-separated seed subset, e.g. 1,2,3")
+    run.add_argument("--policies", type=_csv_list, help="comma-separated subset, e.g. LOC,DTP")
+    run.add_argument("--seeds", type=_seed_list, help="comma-separated seed subset, e.g. 1,2,3")
     run.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format on stdout"
     )
@@ -82,13 +89,14 @@ def _select_scenarios(config: ResolvedConfig, name: str) -> list[str]:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     names = _select_scenarios(config, args.scenario)
-    policies = _csv_list(args.policies) if args.policies else None
-    seeds = [int(s) for s in _csv_list(args.seeds)] if args.seeds else None
     outdir = Path(args.out if args.out is not None else _default_outdir())
 
     echo_config(config, outdir)
     payload = report_payload(
-        [run_scenario(config, config.scenarios[name], policies, seeds, outdir) for name in names]
+        [
+            run_scenario(config, config.scenarios[name], args.policies, args.seeds, outdir)
+            for name in names
+        ]
     )
     write_report(payload, outdir)
     return _print_report(payload, args.format)

@@ -13,7 +13,7 @@ import copy
 import json
 import math
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -58,12 +58,19 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # defaults
 
+
+def _with_defaults(cls, /, **values) -> dict:
+    """A config section: the field defaults of ``cls`` overlaid with ``values``,
+    which set the fields without a default and the keys that are not fields."""
+    return {**{f.name: f.default for f in fields(cls) if f.default is not MISSING}, **values}
+
+
 DEFAULT_CONFIG: dict = {
     "fabric": {
         "nodes": [
-            {"id": "R1", "kind": "robot", "utilization_target": 0.8, "utilization_cap": 0.95},
-            {"id": "R2", "kind": "robot", "utilization_target": 0.8, "utilization_cap": 0.95},
-            {"id": "E", "kind": "edge", "utilization_target": 0.8, "utilization_cap": 0.95},
+            _with_defaults(ComputeNode, id="R1"),
+            _with_defaults(ComputeNode, id="R2"),
+            _with_defaults(ComputeNode, id="E", kind="edge"),
         ]
     },
     "dag": {
@@ -96,50 +103,21 @@ DEFAULT_CONFIG: dict = {
             {"from": "R2", "to": "R1", "base_delay": 1.0, "jitter_sigma": 0.1},
         ],
     },
-    "sim": {
-        "period": 40.0,
-        "deadline": 40.0,
-        "horizon": 200,
-        "seed": 42,
-        "clock_resolution_us": 1,
-    },
-    "weights": {
-        "alpha_l": 1.0,
-        "alpha_v": 2.0,
-        "alpha_r": 0.5,
-        "alpha_e": 0.25,
-        "alpha_s": 0.25,
-    },
-    "constraints": {"l95_max": 40.0, "util_max": 0.95},
-    "controller": {
-        "window_size": 50,
-        "delta_min": 0.1,
-        "n_min": 3,
-        "initial_placement": "LOC",
-        "latency_target": 40.0,
-    },
-    "estimator": {
-        "mode": "auto",
-        "static_samples": 2000,
-        "conservative_ratios": {
-            "latency": 1.5,
-            "violation": 1.5,
-            "util_robot": 1.2,
-            "util_edge": 1.2,
-        },
-    },
+    "sim": _with_defaults(SimConfig, period=40.0, deadline=40.0, horizon=200),
+    "weights": _with_defaults(Weights),
+    "constraints": _with_defaults(Constraints, l95_max=40.0),
+    "controller": _with_defaults(ControllerConfig, window_size=50, latency_target=40.0),
+    "estimator": _with_defaults(
+        EstimatorConfig, conservative_ratios=_with_defaults(ConservativeRatios)
+    ),
     # each shipped scenario holds only what differs from SCENARIO_DEFAULT
     "scenarios": {
         "baseline": {"expected": {"forbidden": ["SO"]}},
         "robot-stress": {
             "stresses": [
-                {
-                    "target": "R1",
-                    "start_window": 1,
-                    "end_window": None,
-                    "slowdown": 3.0,
-                    "exogenous_load": 0.0,
-                }
+                _with_defaults(
+                    StressProfile, target="R1", start_window=1, end_window=None, slowdown=3.0
+                )
             ],
             "expected": {"dominant": ["SO"], "min_fraction": 0.7},
             "checks": [
@@ -149,27 +127,23 @@ DEFAULT_CONFIG: dict = {
         },
         "edge-stress": {
             "stresses": [
-                {
-                    "target": "E",
-                    "start_window": 1,
-                    "end_window": None,
-                    "slowdown": 3.0,
-                    "exogenous_load": 0.0,
-                }
+                _with_defaults(
+                    StressProfile, target="E", start_window=1, end_window=None, slowdown=3.0
+                )
             ],
             "expected": {"dominant": ["LOC", "HYB"], "min_fraction": 0.7},
         },
         "network-impairment": {
             "faults": [
-                {
-                    "links": [["R1", "E"], ["E", "R1"], ["E", "R2"], ["R2", "E"]],
-                    "mu": 25.0,
-                    "sigma": 5.0,
-                    "loss_probability": 0.02,
-                    "start_window": 1,
-                    "end_window": None,
-                    "additive": False,
-                }
+                _with_defaults(
+                    FaultInjection,
+                    links=[["R1", "E"], ["E", "R1"], ["E", "R2"], ["R2", "E"]],
+                    mu=25.0,
+                    sigma=5.0,
+                    loss_probability=0.02,
+                    start_window=1,
+                    end_window=None,
+                )
             ],
             "controller": {"initial_placement": "SO"},
             "expected": {"min_fraction": 0.7},
@@ -287,6 +261,23 @@ def _tuple(value: Any) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"must be a list, got {type(value).__name__}")
     return tuple(value)
+
+
+def _distinct(value: Any) -> tuple:
+    """A YAML list of entries that each appear once, as a tuple."""
+    items = _tuple(value)
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ValueError(f"{item!r} is repeated")
+    return items
+
+
+def _seeds(value: Any) -> tuple[int, ...]:
+    """A YAML list of distinct integer seeds; ``1.7`` is rejected, not truncated."""
+    for seed in _tuple(value):
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise TypeError(f"seed {seed!r} is not an integer")
+    return _distinct(value)
 
 
 def _pairs(value: Any) -> tuple:
@@ -496,8 +487,8 @@ def _build_scenario(name: str, raw_scenario: Mapping, sim: SimConfig) -> Scenari
         sim=scenario_sim,
         stresses=stresses,
         faults=faults,
-        policies=_build(_tuple, f"{path}.policies", raw_scenario["policies"]),
-        seeds=_build(lambda: tuple(map(int, _tuple(raw_scenario["seeds"]))), f"{path}.seeds"),
+        policies=_build(_distinct, f"{path}.policies", raw_scenario["policies"]),
+        seeds=_build(_seeds, f"{path}.seeds", raw_scenario["seeds"]),
         controller_overrides=dict(raw_scenario["controller"]),
         expected=_from_spec(Expectation, expected, f"{path}.expected"),
         checks=checks,
@@ -635,33 +626,25 @@ def run_scenario(
     outdir: Path | None = None,
 ) -> ScenarioReport:
     """Run every (policy, seed) pair of a scenario and evaluate expectations."""
-    policies = tuple(policies) if policies else spec.policies
-    seeds = tuple(seeds) if seeds else spec.seeds
+    policies = _build(_distinct, "policies", policies) if policies else spec.policies
+    seeds = _build(_seeds, "seeds", seeds) if seeds else spec.seeds
     for policy in policies:
         if policy not in config.known_policies:
             raise ConfigError(f"unknown policy {policy!r}")
 
-    controller_cfg = config.controller_config(spec.controller_overrides)
+    controller = config.controller_config(spec.controller_overrides)
     results: dict[str, list[RunResult]] = {p: [] for p in policies}
     for policy in policies:
-        if policy == CONTROLLER_POLICY:
-            target, options = controller_cfg, {"estimator": config.estimator}
-        else:
-            target = config.candidates.by_name(policy)
-            options = {
-                "window_size": controller_cfg.window_size,
-                "weights": config.weights,
-                "targets": config.targets,
-            }
         for seed in seeds:
             trace = run_simulation(
                 config.dag,
                 config.fabric,
                 replace(spec.sim, seed=seed),
-                target,
+                controller,
+                fixed=None if policy == CONTROLLER_POLICY else policy,
                 stresses=spec.stresses,
                 faults=spec.faults,
-                **options,
+                estimator=config.estimator,
             )
             if outdir is not None:
                 _write_run(outdir / spec.name / policy / f"seed_{seed}", trace, config, policy)

@@ -29,7 +29,7 @@ from .controller import (
     Decision,
     on_window_end,
 )
-from .cost import Weights, total_cost
+from .cost import total_cost
 from .estimator import (
     EstimateReport,
     EstimatorConfig,
@@ -39,7 +39,6 @@ from .estimator import (
 )
 from .metrics import (
     CycleRecord,
-    NormalizationTargets,
     WindowMetrics,
     aggregate_window,
     class_utilization,
@@ -208,8 +207,12 @@ class WindowRow:
 class SimTrace:
     cycles: list[CycleRecord]
     windows: list[WindowRow]
-    decisions: list[Decision]
     summary: dict
+
+    @property
+    def decisions(self) -> list[Decision]:
+        """The controller's decision of each window; empty for a fixed run."""
+        return [w.decision for w in self.windows if w.decision is not None]
 
 
 def _window_plans(
@@ -351,43 +354,35 @@ def run_simulation(
     dag: PipelineDag,
     fabric: Fabric,
     sim: SimConfig,
-    policy: ControllerConfig | Placement,
+    controller: ControllerConfig,
     *,
-    window_size: int | None = None,
+    fixed: str | None = None,
     stresses: Sequence[StressProfile] = (),
     faults: Sequence[FaultInjection] = (),
     estimator: EstimatorConfig | None = None,
-    weights: Weights | None = None,
-    targets: NormalizationTargets | None = None,
 ) -> SimTrace:
-    """Simulate ``sim.horizon`` windows under a controller or a fixed placement.
+    """Simulate ``sim.horizon`` windows of ``controller.window_size`` cycles.
 
-    With a ControllerConfig policy the engine runs shadow cycles for the
-    inactive candidates, produces estimates per window, and applies
-    migrations at the next cycle release.  With a Placement policy the
-    placement never changes and no controller state exists.  ``weights``
-    and ``targets`` are only used to annotate fixed-placement windows with
-    a comparable cost; controller runs take them from the policy.
+    Without ``fixed`` the controller runs: the engine runs shadow cycles
+    for the inactive candidates, produces estimates per window, and
+    applies migrations at the next cycle release.  ``fixed`` names a
+    member of ``controller.candidates`` that stays active for the whole
+    run; no controller state exists, and each window is scored with the
+    controller's weights and targets so fixed and controlled runs compare.
     """
     report = validate_pipeline(dag, fabric)
     if not report.ok:
         raise ValueError("invalid pipeline: " + "; ".join(report.problems))
 
-    controlled = isinstance(policy, ControllerConfig)
-    if controlled:
-        window = policy.window_size
-        candidates = policy.candidates
+    window = controller.window_size
+    candidates = controller.candidates
+    if fixed is None:
+        state = ControllerState.initial(controller)
+        placement = state.current
         placements = list(candidates)
-        weights = policy.weights
-        targets = policy.targets
     else:
-        if window_size is None:
-            raise ValueError("window_size is required for a fixed-placement run")
-        window = window_size
-        candidates = None
-        placements = [policy]
-    if window < 1:
-        raise ValueError("window size must be >= 1")
+        placement = candidates.by_name(fixed)
+        placements = [placement]
     check_disturbances(dag, fabric, stresses, faults)
     _check_occupancy(dag, placements, sim, stresses)
 
@@ -399,12 +394,8 @@ def run_simulation(
     shadow_stride = -(-window // 4)  # ceil(W / 4)
     shadow_min = -(-window // 2)  # ceil(W / 2)
 
-    state = ControllerState.initial(policy) if controlled else None
-    placement = state.current if controlled else policy
     static_cache: dict[str, EstimateReport] = {}
-    shadow_hist: dict[str, list[CycleRecord]] = (
-        {p.name: [] for p in candidates} if controlled else {}
-    )
+    shadow_hist: dict[str, list[CycleRecord]] = {p.name: [] for p in placements}
 
     def static_report(candidate: Placement) -> EstimateReport:
         cached = static_cache.get(candidate.name)
@@ -423,8 +414,6 @@ def run_simulation(
 
     cycles: list[CycleRecord] = []
     windows: list[WindowRow] = []
-    decisions: list[Decision] = []
-    placement_by_window: list[str] = []
 
     for k in range(1, sim.horizon + 1):
         plans = _window_plans(k, placements, stresses, faults, dag, sim)
@@ -434,7 +423,7 @@ def run_simulation(
         for i in range(window):
             cycle_index = (k - 1) * window + i
             records.append(engine.run_cycle(plan, cycle_index))
-            if controlled and i % shadow_stride == 0:
+            if i % shadow_stride == 0:
                 for shadow_plan in shadow_plans:
                     hist = shadow_hist[shadow_plan.placement.name]
                     hist.append(engine.run_cycle(shadow_plan, cycle_index))
@@ -442,71 +431,61 @@ def run_simulation(
                         del hist[: len(hist) - window]
         cycles.extend(records)
         metrics = aggregate_window(records, duration, fabric, k)
-        placement_by_window.append(placement.name)
 
-        if controlled:
-            observed_util = {
-                node: class_utilization(records, duration, (node,)) for node in node_ids
-            }
-            # the incumbent is scored from the observed window and utilization
-            estimates: dict[str, EstimateReport] = {}
-            for candidate in candidates:
-                if candidate.name == placement.name:
-                    continue
-                hist = shadow_hist[candidate.name]
-                if estimator.mode == "conservative":
-                    estimates[candidate.name] = estimate_conservative(
-                        metrics, candidate.name, estimator.ratios, fabric, observed_util
-                    )
-                elif estimator.mode == "auto" and len(hist) >= shadow_min:
-                    estimates[candidate.name] = update_shadow(
-                        hist, candidate.name, window, sim.period, fabric
-                    )
-                else:
-                    estimates[candidate.name] = static_report(candidate)
-            state, decision = on_window_end(state, metrics, estimates, policy, observed_util)
-            decisions.append(decision)
-            windows.append(WindowRow(k, metrics, placement.name, decision.observed_cost, decision))
-            if decision.action == ACTION_MIGRATE:
-                placement = candidates.by_name(decision.target)
-        else:
-            cost_j = None
-            if weights is not None and targets is not None:
-                cost_j = total_cost(normalize(metrics, targets), placement, placement, weights)
+        if fixed is not None:
+            normalized = normalize(metrics, controller.targets)
+            cost_j = total_cost(normalized, placement, placement, controller.weights)
             windows.append(WindowRow(k, metrics, placement.name, cost_j, None))
+            continue
+        observed_util = {node: class_utilization(records, duration, (node,)) for node in node_ids}
+        # the incumbent is scored from the observed window and utilization
+        estimates: dict[str, EstimateReport] = {}
+        for candidate in candidates:
+            if candidate.name == placement.name:
+                continue
+            hist = shadow_hist[candidate.name]
+            if estimator.mode == "conservative":
+                estimates[candidate.name] = estimate_conservative(
+                    metrics, candidate.name, estimator.ratios, fabric, observed_util
+                )
+            elif estimator.mode == "auto" and len(hist) >= shadow_min:
+                estimates[candidate.name] = update_shadow(
+                    hist, candidate.name, window, sim.period, fabric
+                )
+            else:
+                estimates[candidate.name] = static_report(candidate)
+        state, decision = on_window_end(state, metrics, estimates, controller, observed_util)
+        windows.append(WindowRow(k, metrics, placement.name, decision.observed_cost, decision))
+        if decision.action == ACTION_MIGRATE:
+            placement = candidates.by_name(decision.target)
 
-    summary = _build_summary(
-        sim, window, policy, cycles, windows, decisions, placement_by_window, controlled
-    )
-    return SimTrace(cycles, windows, decisions, summary)
+    return SimTrace(cycles, windows, _build_summary(sim, controller, fixed, cycles, windows))
 
 
 def _build_summary(
     sim: SimConfig,
-    window: int,
-    policy,
+    controller: ControllerConfig,
+    fixed: str | None,
     cycles: Sequence[CycleRecord],
     windows: Sequence[WindowRow],
-    decisions: Sequence[Decision],
-    placement_by_window: Sequence[str],
-    controlled: bool,
 ) -> dict:
     latencies = [c.e2e_latency for c in cycles]
-    migrations = [d for d in decisions if d.action == ACTION_MIGRATE]
+    migrations = [
+        w.decision for w in windows if w.decision and w.decision.action == ACTION_MIGRATE
+    ]
+    placements = [w.placement for w in windows]
     occupancy: dict[str, float] = {}
-    for name in placement_by_window:
+    for name in placements:
         occupancy[name] = occupancy.get(name, 0.0) + 1.0
-    if placement_by_window:
-        occupancy = {n: c / len(placement_by_window) for n, c in sorted(occupancy.items())}
+    if placements:
+        occupancy = {n: c / len(placements) for n, c in sorted(occupancy.items())}
     return {
-        "policy": "controller" if controlled else "fixed",
-        "initial_placement": (
-            policy.initial_placement if controlled else policy.name
-        ),
+        "policy": "controller" if fixed is None else "fixed",
+        "initial_placement": fixed or controller.initial_placement,
         "seed": sim.seed,
         "period_ms": sim.period,
         "deadline_ms": sim.deadline,
-        "window_size": window,
+        "window_size": controller.window_size,
         "windows": len(windows),
         "cycles": len(cycles),
         "mean_latency_ms": (sum(latencies) / len(latencies)) if latencies else 0.0,
@@ -523,7 +502,7 @@ def _build_summary(
         "migrations": len(migrations),
         "first_migration_window": migrations[0].window_index if migrations else None,
         "placement_occupancy": occupancy,
-        "window_placements": list(placement_by_window),
+        "window_placements": placements,
     }
 
 

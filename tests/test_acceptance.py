@@ -340,7 +340,9 @@ def test_criterion_08_deterministic_limit_is_exact(shipped):
     mismatches = []
     for placement in canonical_candidates(dag):
         expected = nominal_latency(dag, placement)
-        trace = run_simulation(dag, shipped.fabric, sim, placement, window_size=50)
+        trace = run_simulation(
+            dag, shipped.fabric, sim, shipped.controller_config(), fixed=placement.name
+        )
         if any(r.e2e_latency != expected for r in trace.cycles):
             mismatches.append(placement.name)
         assert trace.summary["l95_latency_ms"] == expected

@@ -113,19 +113,12 @@ def run_digests(name, tmp_path):
         start, end = changes["fault_window"]
         faults = tuple(replace(f, start_window=start, end_window=end) for f in faults)
     stresses = changes.get("stresses", spec.stresses)
-    controller = CONFIG.controller_config(spec.controller_overrides)
-    if policy == CONTROLLER_POLICY:
-        estimator = replace(CONFIG.estimator, mode=changes.get("estimator", "auto"))
-        trace = run_simulation(
-            CONFIG.dag, CONFIG.fabric, sim, controller,
-            stresses=stresses, faults=faults, estimator=estimator,
-        )
-    else:
-        trace = run_simulation(
-            CONFIG.dag, CONFIG.fabric, sim, CONFIG.candidates.by_name(policy),
-            window_size=controller.window_size, stresses=stresses, faults=faults,
-            weights=CONFIG.weights, targets=CONFIG.targets,
-        )
+    trace = run_simulation(
+        CONFIG.dag, CONFIG.fabric, sim, CONFIG.controller_config(spec.controller_overrides),
+        fixed=None if policy == CONTROLLER_POLICY else policy,
+        stresses=stresses, faults=faults,
+        estimator=replace(CONFIG.estimator, mode=changes.get("estimator", "auto")),
+    )
     write_cycles_csv(trace, CONFIG.fabric, tmp_path / "cycles.csv")
     write_windows_csv(trace, tmp_path / "windows.csv")
     write_summary_json(trace, tmp_path / "summary.json")

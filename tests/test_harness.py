@@ -96,6 +96,35 @@ def test_defaults_resolve():
     assert controller.window_size == 50
 
 
+def test_dataclass_sections_resolve_to_the_shipped_values():
+    shipped = {
+        "sim": {
+            "period": 40.0, "deadline": 40.0, "horizon": 200, "seed": 42,
+            "clock_resolution_us": 1,
+        },
+        "weights": {
+            "alpha_l": 1.0, "alpha_v": 2.0, "alpha_r": 0.5, "alpha_e": 0.25, "alpha_s": 0.25,
+        },
+        "constraints": {"l95_max": 40.0, "util_max": 0.95},
+        "controller": {
+            "window_size": 50, "delta_min": 0.1, "n_min": 3, "initial_placement": "LOC",
+            "latency_target": 40.0,
+        },
+        "estimator": {
+            "mode": "auto",
+            "static_samples": 2000,
+            "conservative_ratios": {
+                "latency": 1.5, "violation": 1.5, "util_robot": 1.2, "util_edge": 1.2,
+            },
+        },
+    }
+    raw = load_config(None).raw
+    sections = {key: raw[key] for key in shipped}
+    assert sections == shipped
+    # resolved_config.yaml tells 40 from 40.0, which == does not
+    assert yaml.safe_dump(sections) == yaml.safe_dump(shipped)
+
+
 def test_scenario_specs_carry_their_policies():
     config = load_config(None)
     baseline = config.scenarios["baseline"]
@@ -518,11 +547,18 @@ def test_cli_validate_rejects_unknown_references(tmp_path, capsys, document, nam
         (_tasks_field(0, feasible="R1"), "dag.tasks[0].feasible"),
         (_fault_with(mu=5.0, links=["R1", "R2"]), "scenarios.network-impairment.faults[0].links"),
         (_tasks_field(1, service=5), "dag.tasks[1].service"),
+        # a repeated policy or seed would run again and count twice
+        ({"scenarios": {"baseline": {"policies": ["LOC", "LOC", "DTP"]}}},
+         "scenarios.baseline.policies"),
+        ({"scenarios": {"baseline": {"seeds": [1, 2, 1]}}}, "scenarios.baseline.seeds"),
+        # a fractional seed is rejected, not truncated onto another
+        ({"scenarios": {"baseline": {"seeds": [1, 1.7]}}}, "scenarios.baseline.seeds"),
     ],
     ids=[
         "ratios", "seeds", "nodes", "task", "edge-endpoint", "check-policy", "check-versus",
         "dominant-string", "seeds-string", "policies-string", "feasible-string",
-        "fault-links-string", "service-scalar",
+        "fault-links-string", "service-scalar", "policies-repeated", "seeds-repeated",
+        "seed-fraction",
     ],
 )
 def test_cli_validate_rejects_malformed_entries(tmp_path, capsys, document, where):
@@ -535,6 +571,23 @@ def test_cli_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["run", "--format", "pdf"]) == 2
     capsys.readouterr()
+
+
+def test_cli_rejects_a_seed_that_is_not_an_integer(tmp_path, capsys):
+    assert main(["run", "--out", str(tmp_path), "--seeds", "1,x"]) == 2
+    assert "seeds must be integers" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_rejects_repeated_policies_and_seeds(tmp_path, capsys):
+    config_path = write_config(tmp_path, {"scenarios": {"baseline": {"sim": {"horizon": 2}}}})
+    outdir = tmp_path / "out"
+    run = ["run", "--config", config_path, "--out", str(outdir), "--scenario", "baseline"]
+    assert main([*run, "--policies", "DTP,DTP", "--seeds", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: policies: 'DTP' is repeated")
+    assert main([*run, "--policies", "DTP", "--seeds", "1,01"]) == 2
+    assert capsys.readouterr().err.startswith("error: seeds: 1 is repeated")
+    assert not (outdir / "baseline").exists()
 
 
 def test_cli_help_exits_0(capsys):

@@ -1,8 +1,11 @@
 """Engine behavior: determinism, stress, faults, and controller wiring."""
 
-import pytest
+from unittest import mock
 
-from conftest import make_dag, make_fabric
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import NODE_PAIRS, make_dag, make_fabric
 from dtpsim.controller import ControllerConfig
 from dtpsim import simulation
 from dtpsim.cost import Constraints, Weights
@@ -20,10 +23,9 @@ FABRIC = make_fabric()
 
 
 def fixed_run(dag, placement_name, sim, window_size=5, stresses=(), faults=()):
-    placement = canonical_candidates(dag).by_name(placement_name)
     return run_simulation(
-        dag, FABRIC, sim, placement,
-        window_size=window_size, stresses=stresses, faults=faults,
+        dag, FABRIC, sim, controller_policy(dag, window_size), fixed=placement_name,
+        stresses=stresses, faults=faults,
     )
 
 
@@ -253,3 +255,95 @@ def test_fixed_run_summary_reports_single_placement():
     assert trace.summary["migrations"] == 0
     assert trace.summary["first_migration_window"] is None
     assert trace.decisions == []
+
+
+def test_fixed_run_scores_windows_with_the_controller_cost():
+    dag = make_dag(cv=0.2)
+    trace = fixed_run(dag, "SO", SimConfig(40.0, 40.0, horizon=2, seed=3))
+    assert all(w.cost_j is not None and w.cost_j > 0 for w in trace.windows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    placement=st.sampled_from(["LOC", "SO", "HYB"]),
+    cv=st.floats(0.0, 0.4),
+    jitter=st.floats(0.0, 0.5),
+    loss=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**31),
+    window_size=st.integers(1, 6),
+    horizon=st.integers(2, 4),
+    data=st.data(),
+)
+def test_a_fault_in_one_window_leaves_every_other_window_unchanged(
+    placement, cv, jitter, loss, seed, window_size, horizon, data
+):
+    dag = make_dag(cv=cv, jitter=jitter, loss=loss)
+    k = data.draw(st.integers(1, horizon), label="fault window")
+    fault = FaultInjection(
+        tuple(data.draw(st.lists(st.sampled_from(NODE_PAIRS), min_size=1, unique=True))),
+        data.draw(st.floats(0.0, 20.0), label="mu"),
+        sigma=data.draw(st.floats(0.0, 5.0), label="sigma"),
+        loss_probability=data.draw(st.floats(0.0, 0.9), label="fault loss"),
+        start_window=k,
+        end_window=k,
+        additive=data.draw(st.booleans(), label="additive"),
+    )
+    sim = SimConfig(period=50.0, deadline=30.0, horizon=horizon, seed=seed)
+    clean = fixed_run(dag, placement, sim, window_size=window_size)
+    faulted = fixed_run(dag, placement, sim, window_size=window_size, faults=(fault,))
+    assert len(faulted.cycles) == len(clean.cycles) == horizon * window_size
+    for j in range(1, horizon + 1):
+        if j != k:
+            cycles = slice((j - 1) * window_size, j * window_size)
+            assert faulted.cycles[cycles] == clean.cycles[cycles], j
+
+
+def test_every_fatal_cycle_is_capped_at_the_period():
+    # (record, whether an edge crossing of its cycle was lost twice) for
+    # every active and shadow cycle the engine runs
+    cycles = []
+    crossing_fatal = [False]
+    run_cycle = simulation._Engine.run_cycle
+    traverse_edge = simulation.traverse_edge
+
+    def recording_traverse(*args):
+        delay_us, fatal = traverse_edge(*args)
+        crossing_fatal[0] |= fatal
+        return delay_us, fatal
+
+    def recording_run_cycle(engine, plan, cycle_index):
+        crossing_fatal[0] = False
+        record = run_cycle(engine, plan, cycle_index)
+        cycles.append((record, crossing_fatal[0]))
+        return record
+
+    fatal_seen = []
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        fixed=st.sampled_from([None, "LOC", "SO", "HYB"]),
+        cv=st.floats(0.0, 0.4),
+        jitter=st.floats(0.0, 0.5),
+        loss=st.floats(0.3, 0.9),
+        seed=st.integers(0, 2**31),
+        period=st.sampled_from([40.0, 50.0]),
+        resolution=st.sampled_from([1, 10]),
+    )
+    def check(fixed, cv, jitter, loss, seed, period, resolution):
+        dag = make_dag(cv=cv, jitter=jitter, loss=loss)
+        sim = SimConfig(period, period, horizon=3, seed=seed, clock_resolution_us=resolution)
+        cycles.clear()
+        with mock.patch.object(simulation, "traverse_edge", recording_traverse), \
+                mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle):
+            run_simulation(
+                dag, FABRIC, sim, controller_policy(dag, window_size=4, n_min=0),
+                fixed=fixed, estimator=EstimatorConfig(static_samples=100),
+            )
+        for record, fatal in cycles:
+            if fatal:
+                assert record.e2e_latency == period
+                assert not record.deadline_met
+        fatal_seen.append(sum(fatal for _, fatal in cycles))
+
+    check()
+    assert sum(fatal_seen) > 0
