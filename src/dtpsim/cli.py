@@ -20,6 +20,7 @@ from .harness import (
     render_report,
     report_payload,
     run_scenario,
+    select_runs,
     write_report,
 )
 
@@ -33,7 +34,10 @@ def _default_outdir() -> str:
 
 
 def _csv_list(text: str) -> list[str]:
-    return [item.strip() for item in text.split(",") if item.strip()]
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+    return items
 
 
 def _seed_list(text: str) -> list[int]:
@@ -88,15 +92,14 @@ def _select_scenarios(config: ResolvedConfig, name: str) -> list[str]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    names = _select_scenarios(config, args.scenario)
+    specs = [config.scenarios[name] for name in _select_scenarios(config, args.scenario)]
+    for spec in specs:  # reject a bad subset before anything is written
+        select_runs(config, spec, args.policies, args.seeds)
     outdir = Path(args.out if args.out is not None else _default_outdir())
 
     echo_config(config, outdir)
     payload = report_payload(
-        [
-            run_scenario(config, config.scenarios[name], args.policies, args.seeds, outdir)
-            for name in names
-        ]
+        [run_scenario(config, spec, args.policies, args.seeds, outdir) for spec in specs]
     )
     write_report(payload, outdir)
     return _print_report(payload, args.format)

@@ -5,15 +5,15 @@ under the active placement, scores every candidate from the estimates,
 and migrates only when the best candidate beats the observed cost by more
 than delta_min and the placement has been stable for at least n_min
 windows.  Both guards exist to prevent chattering between near-equal
-placements.
+placements.  The window loop that drives it is ``simulation.run_horizon``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Mapping, Sequence
 
 from .cost import Constraints, ScoredCandidate, Weights, select_placement, total_cost
 from .estimator import EstimateReport
@@ -89,16 +89,8 @@ class Decision:
     feasible: bool = True
 
     def to_json(self) -> str:
-        payload = {
-            "window": self.window_index,
-            "action": self.action,
-            "target": self.target,
-            "observed_cost": self.observed_cost,
-            "best_alternative_cost": self.best_alternative_cost,
-            "delta_j": self.delta_j,
-            "reason": self.reason,
-            "feasible": self.feasible,
-        }
+        payload = asdict(self)
+        payload["window"] = payload.pop("window_index")
         return json.dumps(payload, sort_keys=True)
 
 
@@ -107,16 +99,14 @@ def on_window_end(
     observed: WindowMetrics,
     estimates: Mapping[str, EstimateReport],
     config: ControllerConfig,
-    observed_per_node_util: Mapping[str, float] | None = None,
+    observed_per_node_util: Mapping[str, float],
 ) -> tuple[ControllerState, Decision]:
     """Advance the controller by one observed window.
 
-    The active placement is scored from ``observed`` rather than its
-    estimate.  ``estimates`` must cover every challenger, and the active
-    placement too when ``observed_per_node_util`` is not given (its
-    per-node utilization then comes from the estimate).  A missing
-    estimate aborts the decision and holds.  Migrations returned here
-    take effect from the next window.
+    The active placement is scored from ``observed`` and
+    ``observed_per_node_util`` rather than from an estimate.  ``estimates``
+    must cover every challenger; a missing one aborts the decision and
+    holds.  Migrations returned here take effect from the next window.
     """
     k = state.window_index + 1
     observed_cost = total_cost(
@@ -133,25 +123,19 @@ def on_window_end(
     if state.dwell < config.n_min:
         return hold(REASON_DWELL)
 
-    incumbent_needed = observed_per_node_util is None
-    missing = [
-        name for name in config.candidates.names()
-        if name not in estimates and (incumbent_needed or name != state.current.name)
-    ]
-    if missing:
+    if any(
+        name != state.current.name and name not in estimates
+        for name in config.candidates.names()
+    ):
         return hold(REASON_ESTIMATE_ERROR)
 
     scored = []
     for candidate in config.candidates:
         if candidate.name == state.current.name:
-            metrics = observed
-            per_node = observed_per_node_util
-            if per_node is None:
-                per_node = estimates[candidate.name].per_node_utilization
+            metrics, per_node = observed, observed_per_node_util
         else:
             report = estimates[candidate.name]
-            metrics = report.metrics
-            per_node = report.per_node_utilization
+            metrics, per_node = report.metrics, report.per_node_utilization
         j = total_cost(normalize(metrics, config.targets), candidate, state.current, config.weights)
         scored.append(ScoredCandidate(candidate, metrics, per_node, j))
 
@@ -165,34 +149,6 @@ def on_window_end(
         )
         return new_state, decision
     return hold(REASON_BELOW_THRESHOLD, choice.cost, delta, feasible)
-
-
-Environment = Callable[[int, Placement], tuple[WindowMetrics, Mapping[str, EstimateReport]]]
-
-
-def run_horizon(
-    config: ControllerConfig,
-    environment: Environment,
-    horizon: int,
-) -> list[Decision]:
-    """Drive the controller for ``horizon`` windows over an environment.
-
-    The environment maps (window_index, active placement) to the observed
-    WindowMetrics and the estimate per candidate.  Failures propagate as
-    EnvironmentFailure carrying the window index.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    state = ControllerState.initial(config)
-    decisions: list[Decision] = []
-    for k in range(1, horizon + 1):
-        try:
-            observed, estimates = environment(k, state.current)
-        except Exception as exc:
-            raise EnvironmentFailure(k, exc) from exc
-        state, decision = on_window_end(state, observed, estimates, config)
-        decisions.append(decision)
-    return decisions
 
 
 def migration_count(decisions: Sequence[Decision]) -> int:

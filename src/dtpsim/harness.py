@@ -618,6 +618,25 @@ def fault_windows(spec: ScenarioSpec) -> list[int]:
     return sorted(active)
 
 
+def select_runs(
+    config: ResolvedConfig,
+    spec: ScenarioSpec,
+    policies: Sequence[str] | None = None,
+    seeds: Sequence[int] | None = None,
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The policies and seeds a run of ``spec`` covers: the scenario's own
+    lists for None, else the given subsets, each non-empty and checked."""
+    for path, subset in (("policies", policies), ("seeds", seeds)):
+        if subset is not None and not subset:
+            raise ConfigError(f"{path}: an empty subset selects nothing")
+    policies = spec.policies if policies is None else _build(_distinct, "policies", policies)
+    seeds = spec.seeds if seeds is None else _build(_seeds, "seeds", seeds)
+    for policy in policies:
+        if policy not in config.known_policies:
+            raise ConfigError(f"unknown policy {policy!r}")
+    return policies, seeds
+
+
 def run_scenario(
     config: ResolvedConfig,
     spec: ScenarioSpec,
@@ -626,12 +645,7 @@ def run_scenario(
     outdir: Path | None = None,
 ) -> ScenarioReport:
     """Run every (policy, seed) pair of a scenario and evaluate expectations."""
-    policies = _build(_distinct, "policies", policies) if policies else spec.policies
-    seeds = _build(_seeds, "seeds", seeds) if seeds else spec.seeds
-    for policy in policies:
-        if policy not in config.known_policies:
-            raise ConfigError(f"unknown policy {policy!r}")
-
+    policies, seeds = select_runs(config, spec, policies, seeds)
     controller = config.controller_config(spec.controller_overrides)
     results: dict[str, list[RunResult]] = {p: [] for p in policies}
     for policy in policies:

@@ -18,18 +18,19 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 from .controller import (
     ACTION_MIGRATE,
     ControllerConfig,
     ControllerState,
     Decision,
+    EnvironmentFailure,
     on_window_end,
 )
-from .cost import total_cost
+from .cost import total_cost  # noqa: F401  bench/tracing.SITES wraps this name here
 from .estimator import (
     EstimateReport,
     EstimatorConfig,
@@ -42,10 +43,11 @@ from .metrics import (
     WindowMetrics,
     aggregate_window,
     class_utilization,
-    normalize,
+    normalize,  # noqa: F401  bench/tracing.SITES wraps this name here
     percentile_nearest_rank,
 )
 from .pipeline import (
+    CandidateSet,
     Fabric,
     LinkDelayModel,
     NodeId,
@@ -70,6 +72,7 @@ __all__ = [
     "WindowRow",
     "SimTrace",
     "check_disturbances",
+    "run_horizon",
     "run_simulation",
     "write_cycles_csv",
     "write_windows_csv",
@@ -199,7 +202,7 @@ class WindowRow:
     window_index: int
     metrics: WindowMetrics
     placement: str
-    cost_j: float | None
+    cost_j: float
     decision: Decision | None
 
 
@@ -350,6 +353,33 @@ def _check_occupancy(
                 )
 
 
+def run_horizon(
+    config: ControllerConfig,
+    environment: Callable[[int, Placement], tuple[WindowMetrics, Mapping, Mapping]],
+    horizon: int,
+) -> list[Decision]:
+    """Drive the controller for ``horizon`` windows over an environment.
+
+    The environment maps (window_index, active placement) to the observed
+    WindowMetrics, the observed per-node utilization and the estimate per
+    challenger.  Failures propagate as EnvironmentFailure carrying the
+    window index.  Every run goes through this loop: run_simulation passes
+    the engine in as the environment.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    state = ControllerState.initial(config)
+    decisions: list[Decision] = []
+    for k in range(1, horizon + 1):
+        try:
+            observed, observed_util, estimates = environment(k, state.current)
+        except Exception as exc:
+            raise EnvironmentFailure(k, exc) from exc
+        state, decision = on_window_end(state, observed, estimates, config, observed_util)
+        decisions.append(decision)
+    return decisions
+
+
 def run_simulation(
     dag: PipelineDag,
     fabric: Fabric,
@@ -363,32 +393,30 @@ def run_simulation(
 ) -> SimTrace:
     """Simulate ``sim.horizon`` windows of ``controller.window_size`` cycles.
 
-    Without ``fixed`` the controller runs: the engine runs shadow cycles
-    for the inactive candidates, produces estimates per window, and
-    applies migrations at the next cycle release.  ``fixed`` names a
-    member of ``controller.candidates`` that stays active for the whole
-    run; no controller state exists, and each window is scored with the
-    controller's weights and targets so fixed and controlled runs compare.
+    The engine is the environment of ``run_horizon``: per window it runs
+    the active cycles and shadow cycles for the inactive candidates, and
+    returns the estimates.  Migrations apply at the next cycle release.
+    ``fixed`` names a member of ``controller.candidates`` that stays active
+    for the whole run: the controller then runs over that one candidate,
+    so a fixed window is scored by the same code as a controlled one.
     """
     report = validate_pipeline(dag, fabric)
     if not report.ok:
         raise ValueError("invalid pipeline: " + "; ".join(report.problems))
 
+    if fixed is not None:
+        controller = replace(
+            controller,
+            candidates=CandidateSet((controller.candidates.by_name(fixed),)),
+            initial_placement=fixed,
+        )
     window = controller.window_size
-    candidates = controller.candidates
-    if fixed is None:
-        state = ControllerState.initial(controller)
-        placement = state.current
-        placements = list(candidates)
-    else:
-        placement = candidates.by_name(fixed)
-        placements = [placement]
+    placements = list(controller.candidates)
     check_disturbances(dag, fabric, stresses, faults)
     _check_occupancy(dag, placements, sim, stresses)
 
     streams = RandomStreams(sim.seed)
     engine = _Engine(fabric, sim, streams)
-    node_ids = fabric.ids()
     estimator = estimator or EstimatorConfig()
     duration = window * sim.period
     shadow_stride = -(-window // 4)  # ceil(W / 4)
@@ -413,9 +441,9 @@ def run_simulation(
         return cached
 
     cycles: list[CycleRecord] = []
-    windows: list[WindowRow] = []
+    observed: list[tuple[WindowMetrics, str]] = []
 
-    for k in range(1, sim.horizon + 1):
+    def environment(k: int, placement: Placement):
         plans = _window_plans(k, placements, stresses, faults, dag, sim)
         plan = plans[placement.name]
         shadow_plans = [plans[c.name] for c in placements if c.name != placement.name]
@@ -431,16 +459,10 @@ def run_simulation(
                         del hist[: len(hist) - window]
         cycles.extend(records)
         metrics = aggregate_window(records, duration, fabric, k)
-
-        if fixed is not None:
-            normalized = normalize(metrics, controller.targets)
-            cost_j = total_cost(normalized, placement, placement, controller.weights)
-            windows.append(WindowRow(k, metrics, placement.name, cost_j, None))
-            continue
-        observed_util = {node: class_utilization(records, duration, (node,)) for node in node_ids}
-        # the incumbent is scored from the observed window and utilization
+        observed.append((metrics, placement.name))
+        observed_util = {node: class_utilization(records, duration, (node,)) for node in engine.node_ids}
         estimates: dict[str, EstimateReport] = {}
-        for candidate in candidates:
+        for candidate in placements:
             if candidate.name == placement.name:
                 continue
             hist = shadow_hist[candidate.name]
@@ -454,11 +476,13 @@ def run_simulation(
                 )
             else:
                 estimates[candidate.name] = static_report(candidate)
-        state, decision = on_window_end(state, metrics, estimates, controller, observed_util)
-        windows.append(WindowRow(k, metrics, placement.name, decision.observed_cost, decision))
-        if decision.action == ACTION_MIGRATE:
-            placement = candidates.by_name(decision.target)
+        return metrics, observed_util, estimates
 
+    decisions = run_horizon(controller, environment, sim.horizon)
+    windows = [
+        WindowRow(k, metrics, name, decision.observed_cost, decision if fixed is None else None)
+        for k, ((metrics, name), decision) in enumerate(zip(observed, decisions), 1)
+    ]
     return SimTrace(cycles, windows, _build_summary(sim, controller, fixed, cycles, windows))
 
 
@@ -481,7 +505,7 @@ def _build_summary(
         occupancy = {n: c / len(placements) for n, c in sorted(occupancy.items())}
     return {
         "policy": "controller" if fixed is None else "fixed",
-        "initial_placement": fixed or controller.initial_placement,
+        "initial_placement": controller.initial_placement,
         "seed": sim.seed,
         "period_ms": sim.period,
         "deadline_ms": sim.deadline,
@@ -562,7 +586,7 @@ def write_windows_csv(trace: SimTrace, path: str | Path) -> None:
                     _fmt_rate(row.metrics.violation_rate),
                     _fmt_rate(row.metrics.util_robot),
                     _fmt_rate(row.metrics.util_edge),
-                    _fmt_rate(row.cost_j) if row.cost_j is not None else "",
+                    _fmt_rate(row.cost_j),
                     decision.action if decision else "fixed",
                     decision.target if decision else row.placement,
                     _fmt_rate(decision.delta_j)

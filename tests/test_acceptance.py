@@ -14,7 +14,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from dtpsim.controller import run_horizon
 from dtpsim.cost import ScoredCandidate, select_placement, switching_penalty
 from dtpsim.estimator import EstimateReport, estimate_static
 from dtpsim.harness import (
@@ -26,7 +25,7 @@ from dtpsim.harness import (
 )
 from dtpsim.metrics import WindowMetrics, percentile_nearest_rank
 from dtpsim.pipeline import canonical_candidates, nominal_latency
-from dtpsim.simulation import SimConfig, run_simulation
+from dtpsim.simulation import SimConfig, run_horizon, run_simulation
 
 
 def verdict(number, ok, detail):
@@ -200,7 +199,7 @@ def random_environment(rng, names, horizon):
             )
             for name in names
         }
-        return row[current.name][0], estimates
+        return (*row[current.name], estimates)
 
     return environment
 

@@ -15,12 +15,12 @@ from dtpsim.controller import (
     EnvironmentFailure,
     migration_count,
     on_window_end,
-    run_horizon,
 )
 from dtpsim.cost import Constraints, Weights
 from dtpsim.estimator import EstimateReport
 from dtpsim.metrics import NormalizationTargets, WindowMetrics
 from dtpsim.pipeline import canonical_candidates
+from dtpsim.simulation import run_horizon
 
 CANDS = canonical_candidates(make_dag())
 
@@ -29,6 +29,8 @@ CANDS = canonical_candidates(make_dag())
 PURE_LATENCY = Weights(1.0, 2.0, 0.0, 0.0, 0.0)
 TARGETS = NormalizationTargets(latency=40.0)
 CONSTRAINTS = Constraints(l95_max=1000.0)
+# the observed per-node utilization of the incumbent; far below util_max
+UTIL = {"R1": 0.3, "R2": 0.3, "E": 0.0}
 
 
 def config(n_min=3, delta_min=0.1, initial="LOC", window_size=50):
@@ -64,7 +66,7 @@ def state_with_dwell(cfg, dwell):
 def test_dwell_gate_holds_regardless_of_estimates():
     cfg = config(n_min=3)
     state = state_with_dwell(cfg, 1)
-    new_state, decision = on_window_end(state, window(60.0), flat_estimates(so=4.0), cfg)
+    new_state, decision = on_window_end(state, window(60.0), flat_estimates(so=4.0), cfg, UTIL)
     assert decision.action == ACTION_HOLD
     assert decision.reason == "dwell-gate"
     assert new_state.dwell == 2
@@ -75,7 +77,8 @@ def test_migrates_when_improvement_clears_threshold():
     cfg = config(n_min=3)
     state = state_with_dwell(cfg, 3)
     # observed 60/40 = 1.5 against the best alternative 40/40 = 1.0
-    new_state, decision = on_window_end(state, window(60.0), flat_estimates(so=40.0, hyb=48.0), cfg)
+    estimates = flat_estimates(so=40.0, hyb=48.0)
+    new_state, decision = on_window_end(state, window(60.0), estimates, cfg, UTIL)
     assert decision.action == ACTION_MIGRATE
     assert decision.target == "SO"
     assert decision.observed_cost == pytest.approx(1.5)
@@ -91,7 +94,7 @@ def test_holds_when_improvement_is_below_threshold():
     cfg = config(n_min=3)
     state = state_with_dwell(cfg, 3)
     # observed 42/40 = 1.05 against 1.0: improvement 0.05 <= 0.1
-    new_state, decision = on_window_end(state, window(42.0), flat_estimates(so=40.0), cfg)
+    new_state, decision = on_window_end(state, window(42.0), flat_estimates(so=40.0), cfg, UTIL)
     assert decision.action == ACTION_HOLD
     assert decision.reason == "below-threshold"
     assert decision.best_alternative_cost == pytest.approx(1.0)
@@ -104,7 +107,7 @@ def test_missing_estimate_aborts_the_decision():
     state = state_with_dwell(cfg, 5)
     estimates = flat_estimates()
     del estimates["HYB"]
-    _, decision = on_window_end(state, window(60.0), estimates, cfg)
+    _, decision = on_window_end(state, window(60.0), estimates, cfg, UTIL)
     assert decision.action == ACTION_HOLD
     assert decision.reason == "estimate-error"
 
@@ -114,11 +117,8 @@ def test_observed_utilization_makes_the_incumbent_estimate_optional():
     state = state_with_dwell(cfg, 5)
     estimates = flat_estimates(so=30.0)
     del estimates["LOC"]
-    observed_util = {"R1": 0.3, "R2": 0.3, "E": 0.0}
-    _, decision = on_window_end(state, window(60.0), estimates, cfg, observed_util)
+    _, decision = on_window_end(state, window(60.0), estimates, cfg, UTIL)
     assert (decision.action, decision.target) == (ACTION_MIGRATE, "SO")
-    _, decision = on_window_end(state, window(60.0), estimates, cfg)
-    assert decision.reason == "estimate-error"
 
 
 def test_incumbent_is_scored_from_observation_not_estimate():
@@ -127,7 +127,7 @@ def test_incumbent_is_scored_from_observation_not_estimate():
     # the stale LOC estimate says 80 ms but the observation says 36 ms;
     # no alternative beats the observed cost, so the controller holds
     estimates = flat_estimates(loc=80.0, so=38.0, hyb=38.0)
-    _, decision = on_window_end(state, window(36.0), estimates, cfg)
+    _, decision = on_window_end(state, window(36.0), estimates, cfg, UTIL)
     assert decision.action == ACTION_HOLD
 
 
@@ -141,7 +141,7 @@ def test_never_migrates_to_itself():
     # penalty, so the incumbent re-scored without it looks strictly better
     start = CANDS.by_name("SO")
     state = ControllerState(4, start, CANDS.by_name("LOC"), 0)
-    _, decision = on_window_end(state, window(40.0), flat_estimates(loc=80.0, hyb=80.0), cfg)
+    _, decision = on_window_end(state, window(40.0), flat_estimates(loc=80.0, hyb=80.0), cfg, UTIL)
     assert decision.action == ACTION_HOLD
     assert decision.target == "SO"
 
@@ -150,7 +150,7 @@ def environment_from_table(table):
     def env(window_index, current):
         loc, so, hyb = table(window_index)
         return window(loc if current.name == "LOC" else so if current.name == "SO" else hyb,
-                      index=window_index), flat_estimates(loc, so, hyb)
+                      index=window_index), UTIL, flat_estimates(loc, so, hyb)
     return env
 
 
@@ -186,7 +186,7 @@ def test_environment_failure_carries_window_index():
     def broken(window_index, current):
         if window_index == 5:
             raise RuntimeError("sensor went away")
-        return window(40.0, index=window_index), flat_estimates()
+        return window(40.0, index=window_index), UTIL, flat_estimates()
 
     with pytest.raises(EnvironmentFailure) as err:
         run_horizon(cfg, broken, 10)
@@ -224,7 +224,7 @@ def test_chatter_bound_over_randomized_environments():
 def test_decision_serializes_to_single_json_line():
     cfg = config(n_min=0)
     state = state_with_dwell(cfg, 1)
-    _, decision = on_window_end(state, window(60.0), flat_estimates(so=36.0), cfg)
+    _, decision = on_window_end(state, window(60.0), flat_estimates(so=36.0), cfg, UTIL)
     line = decision.to_json()
     assert "\n" not in line
     payload = json.loads(line)

@@ -333,6 +333,15 @@ def test_run_scenario_rejects_unknown_policy():
         run_scenario(config, tiny_baseline(config), policies=["LOCO"], seeds=[1])
 
 
+def test_run_scenario_rejects_an_empty_subset():
+    # only None selects the scenario's own list; an empty one selects nothing
+    config = load_config(None)
+    with pytest.raises(ConfigError, match="policies: an empty subset"):
+        run_scenario(config, tiny_baseline(config), policies=[], seeds=[1])
+    with pytest.raises(ConfigError, match="seeds: an empty subset"):
+        run_scenario(config, tiny_baseline(config), policies=["DTP"], seeds=[])
+
+
 def test_run_artifacts_are_written_per_policy_and_seed(tmp_path):
     config = load_config(None)
     spec = tiny_baseline(config, horizon=4)
@@ -588,6 +597,40 @@ def test_cli_rejects_repeated_policies_and_seeds(tmp_path, capsys):
     assert main([*run, "--policies", "DTP", "--seeds", "1,01"]) == 2
     assert capsys.readouterr().err.startswith("error: seeds: 1 is repeated")
     assert not (outdir / "baseline").exists()
+
+
+def test_cli_rejects_an_empty_subset(tmp_path, capsys):
+    config_path = write_config(tmp_path, {"scenarios": {"baseline": {"sim": {"horizon": 2}}}})
+    outdir = tmp_path / "out"
+    run = ["run", "--config", config_path, "--out", str(outdir), "--scenario", "baseline"]
+    for subset in (["--policies", ""], ["--seeds", ","], ["--seeds", ",", "--policies", ""]):
+        assert main([*run, *subset]) == 2, subset
+        assert "expected a comma-separated list" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "rejected",
+    [["--policies", "XYZ"], ["--policies", "DTP,DTP"], ["--seeds", "1,1"]],
+    ids=["unknown-policy", "repeated-policy", "repeated-seed"],
+)
+def test_cli_rejected_run_writes_no_resolved_config(tmp_path, capsys, rejected):
+    outdir = tmp_path / "out"
+    assert main(["run", "--out", str(outdir), "--scenario", "baseline", *rejected]) == 2
+    capsys.readouterr()
+    assert not outdir.exists()
+
+
+def test_cli_rejected_run_keeps_the_earlier_resolved_config(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    run = ["run", "--out", str(outdir), "--scenario", "baseline"]
+    earlier = write_config(tmp_path, {"scenarios": {"baseline": {"sim": {"horizon": 6}}}}, "a.yaml")
+    assert main([*run, "--config", earlier, "--policies", "DTP", "--seeds", "1"]) == 0
+    kept = (outdir / "resolved_config.yaml").read_bytes()
+    later = write_config(tmp_path, {"scenarios": {"baseline": {"sim": {"horizon": 7}}}}, "b.yaml")
+    assert main([*run, "--config", later, "--policies", "XYZ"]) == 2
+    assert "unknown policy 'XYZ'" in capsys.readouterr().err
+    assert (outdir / "resolved_config.yaml").read_bytes() == kept
 
 
 def test_cli_help_exits_0(capsys):

@@ -12,6 +12,7 @@ from dtpsim.cost import Constraints, Weights
 from dtpsim.estimator import EstimatorConfig, estimate_static
 from dtpsim.metrics import NormalizationTargets
 from dtpsim.pipeline import canonical_candidates, nominal_latency
+from dtpsim.sampling import quantize_us
 from dtpsim.simulation import (
     FaultInjection,
     SimConfig,
@@ -347,3 +348,134 @@ def test_every_fatal_cycle_is_capped_at_the_period():
 
     check()
     assert sum(fatal_seen) > 0
+
+
+# Common random numbers: draws are keyed by (task or link tag, cycle), never by
+# placement, so a DTP run's active and shadow cycles are the fixed runs' cycles.
+@settings(max_examples=40, deadline=None)
+@given(
+    cv=st.floats(0.0, 0.4),
+    jitter=st.floats(0.0, 0.5),
+    loss=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2**31),
+    slowdown=st.floats(1.0, 2.5),
+    stressed=st.sampled_from(["R1", "R2", "E"]),
+    data=st.data(),
+)
+def test_every_dtp_cycle_equals_the_fixed_run_cycle_of_its_placement(
+    cv, jitter, loss, seed, slowdown, stressed, data
+):
+    dag = make_dag(cv=cv, jitter=jitter, loss=loss)
+    horizon, window_size = 8, 4
+    stress = StressProfile(
+        stressed,
+        start_window=data.draw(st.integers(1, horizon), label="stress start"),
+        end_window=horizon,
+        slowdown=slowdown,
+        exogenous_load=data.draw(st.floats(0.0, 0.3), label="exogenous load"),
+    )
+    fault = FaultInjection(
+        tuple(data.draw(st.lists(st.sampled_from(NODE_PAIRS), min_size=1, unique=True))),
+        data.draw(st.floats(0.0, 10.0), label="mu"),
+        sigma=data.draw(st.floats(0.0, 3.0), label="sigma"),
+        loss_probability=data.draw(st.floats(0.0, 0.5), label="fault loss"),
+        start_window=data.draw(st.integers(1, horizon), label="fault window"),
+        end_window=horizon,
+    )
+    sim = SimConfig(period=50.0, deadline=30.0, horizon=horizon, seed=seed)
+    controller = controller_policy(dag, window_size=window_size, n_min=0)
+    disturbances = {"stresses": (stress,), "faults": (fault,)}
+    ran = []
+    run_cycle = simulation._Engine.run_cycle
+
+    def recording_run_cycle(engine, plan, cycle_index):
+        record = run_cycle(engine, plan, cycle_index)
+        ran.append(record)
+        return record
+
+    with mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle):
+        run_simulation(dag, FABRIC, sim, controller,
+                       estimator=EstimatorConfig(static_samples=100), **disturbances)
+    fixed = {
+        name: run_simulation(dag, FABRIC, sim, controller, fixed=name, **disturbances).cycles
+        for name in {record.placement for record in ran}
+    }
+    assert len(ran) > horizon * window_size  # shadow cycles ran too
+    for record in ran:
+        assert record == fixed[record.placement][record.cycle_index]
+
+
+def record_cycle_parts(run):
+    """Run ``run()`` and return, per engine cycle, its record, the quantized
+    service µs of each executed stage, the (delay µs, fatal) of each edge
+    crossing and the exogenous busy µs of its plan."""
+    cycles = []
+    run_cycle = simulation._Engine.run_cycle
+    sample_service = simulation.sample_service
+    traverse_edge = simulation.traverse_edge
+
+    def recording_sample_service(model, rng, slowdown=1.0):
+        ms = sample_service(model, rng, slowdown)
+        cycles[-1]["service_us"].append(quantize_us(ms, cycles[-1]["resolution"]))
+        return ms
+
+    def recording_traverse(*args):
+        crossing = traverse_edge(*args)
+        cycles[-1]["edges"].append(crossing)
+        return crossing
+
+    def recording_run_cycle(engine, plan, cycle_index):
+        parts = {"resolution": engine.resolution, "service_us": [], "edges": [],
+                 "exogenous_us": sum(us for _, us in plan.exogenous_us)}
+        cycles.append(parts)
+        parts["record"] = run_cycle(engine, plan, cycle_index)
+        return parts["record"]
+
+    with mock.patch.object(simulation, "sample_service", recording_sample_service), \
+            mock.patch.object(simulation, "traverse_edge", recording_traverse), \
+            mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle):
+        run()
+    return cycles
+
+
+engine_runs = st.fixed_dictionaries({
+    "fixed": st.sampled_from([None, "LOC", "SO", "HYB"]),
+    "cv": st.floats(0.0, 0.4),
+    "jitter": st.floats(0.0, 0.5),
+    "loss": st.floats(0.0, 0.6),
+    "seed": st.integers(0, 2**31),
+    "resolution": st.sampled_from([1, 7, 100]),
+    "load": st.floats(0.0, 0.5),
+})
+
+
+def run_engine(fixed, cv, jitter, loss, seed, resolution, load):
+    dag = make_dag(cv=cv, jitter=jitter, loss=loss)
+    sim = SimConfig(50.0, 50.0, horizon=3, seed=seed, clock_resolution_us=resolution)
+    stress = StressProfile("E", 2, 3, slowdown=2.0, exogenous_load=load)
+    return record_cycle_parts(lambda: run_simulation(
+        dag, FABRIC, sim, controller_policy(dag, window_size=4, n_min=0), fixed=fixed,
+        stresses=(stress,), estimator=EstimatorConfig(static_samples=100),
+    ))
+
+
+@settings(max_examples=40, deadline=None)
+@given(engine_runs)
+def test_a_cycle_latency_is_its_service_plus_edge_microseconds(params):
+    cycles = run_engine(**params)
+    assert cycles
+    for parts in cycles:
+        if any(fatal for _, fatal in parts["edges"]):
+            continue
+        total_us = sum(parts["service_us"]) + sum(us for us, _ in parts["edges"])
+        assert parts["record"].e2e_latency == total_us / 1000.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(engine_runs)
+def test_busy_time_is_the_stage_plus_exogenous_microseconds(params):
+    cycles = run_engine(**params)
+    assert cycles
+    for parts in cycles:
+        busy_us = sum(round(ms * 1000) for ms in parts["record"].busy_time.values())
+        assert busy_us == sum(parts["service_us"]) + parts["exogenous_us"]
