@@ -22,7 +22,7 @@ import yaml
 from .controller import ControllerConfig
 from .cost import Constraints, Weights
 from .estimator import ConservativeRatios, EstimatorConfig
-from .metrics import NormalizationTargets
+from .metrics import CycleRecord, NormalizationTargets
 from .pipeline import (
     CandidateSet,
     ComputeNode,
@@ -644,22 +644,34 @@ def run_scenario(
     seeds: Sequence[int] | None = None,
     outdir: Path | None = None,
 ) -> ScenarioReport:
-    """Run every (policy, seed) pair of a scenario and evaluate expectations."""
+    """Run every (policy, seed) pair of a scenario and evaluate expectations.
+
+    Runs go seed by seed, each seed's fixed policies before its ``DTP`` run,
+    which reads the cycles of the placements they cover instead of
+    simulating them again.  Only one seed's fixed cycles are held at a
+    time.  The results keep the order of ``policies``.
+    """
     policies, seeds = select_runs(config, spec, policies, seeds)
     controller = config.controller_config(spec.controller_overrides)
     results: dict[str, list[RunResult]] = {p: [] for p in policies}
-    for policy in policies:
-        for seed in seeds:
+    reuse = CONTROLLER_POLICY in policies
+    for seed in seeds:
+        known: dict[str, list[CycleRecord]] = {}
+        for policy in sorted(policies, key=lambda p: p == CONTROLLER_POLICY):
+            fixed = None if policy == CONTROLLER_POLICY else policy
             trace = run_simulation(
                 config.dag,
                 config.fabric,
                 replace(spec.sim, seed=seed),
                 controller,
-                fixed=None if policy == CONTROLLER_POLICY else policy,
+                fixed=fixed,
                 stresses=spec.stresses,
                 faults=spec.faults,
                 estimator=config.estimator,
+                known_cycles=None if fixed else known,
             )
+            if fixed and reuse:
+                known[fixed] = trace.cycles
             if outdir is not None:
                 _write_run(outdir / spec.name / policy / f"seed_{seed}", trace, config, policy)
             results[policy].append(

@@ -9,7 +9,12 @@ configuration is checked so nominal occupancy fits inside the period.
 
 Randomness comes from per-purpose substreams addressed by cycle index, so
 stress windows, faults, shadow cycles, and placement changes can never
-shift the samples of unrelated draws.
+shift the samples of unrelated draws.  A stream's tag names a task or a
+link, never a placement, so the cycle of a placement at index i is the
+same record in every run of one scenario and seed, whichever placement is
+active.  ``run_simulation`` can therefore read the active and shadow cycles
+of a ``DTP`` run from fixed runs of its candidates (``known_cycles``)
+instead of simulating them again.
 """
 
 from __future__ import annotations
@@ -254,13 +259,25 @@ def _window_plans(
 
 
 class _Engine:
-    def __init__(self, fabric: Fabric, sim: SimConfig, streams: RandomStreams):
+    def __init__(
+        self,
+        fabric: Fabric,
+        sim: SimConfig,
+        streams: RandomStreams,
+        known: Mapping[str, Sequence[CycleRecord]],
+    ):
         self.sim = sim
         self.streams = streams
+        self.known = known
         self.resolution = sim.clock_resolution_us
         self.period_us = quantize_us(sim.period, self.resolution)
         self.deadline_us = quantize_us(sim.deadline, self.resolution)
         self.node_ids = fabric.ids()
+
+    def cycle(self, plan: CyclePlan, cycle_index: int) -> CycleRecord:
+        """The known record of this placement and cycle, else a simulated one."""
+        known = self.known.get(plan.placement.name)
+        return known[cycle_index] if known is not None else self.run_cycle(plan, cycle_index)
 
     def run_cycle(self, plan: CyclePlan, cycle_index: int) -> CycleRecord:
         streams = self.streams
@@ -317,6 +334,31 @@ def check_disturbances(
         for src, dst in fault.links:
             if (src, dst) not in dag.links:
                 raise ValueError(f"fault link {src}->{dst} is not in dag.links")
+
+
+def _check_known_cycles(
+    known: Mapping[str, Sequence[CycleRecord]],
+    placements: Sequence[Placement],
+    count: int,
+) -> None:
+    """Reject known cycles that cannot come from a fixed run of this shape:
+    a name outside the candidates, a length other than ``count`` (horizon x
+    window), or a record off its position or of another placement."""
+    names = {p.name for p in placements}
+    for name, records in known.items():
+        if name not in names:
+            raise ValueError(f"known cycles of {name!r}: not a candidate")
+        if len(records) != count:
+            raise ValueError(
+                f"known cycles of {name!r}: {len(records)} records, expected {count} "
+                "(horizon x window)"
+            )
+        for position, record in enumerate(records):
+            if record.cycle_index != position or record.placement != name:
+                raise ValueError(
+                    f"known cycles of {name!r}: record {position} is cycle "
+                    f"{record.cycle_index} of {record.placement!r}"
+                )
 
 
 def _check_occupancy(
@@ -390,6 +432,7 @@ def run_simulation(
     stresses: Sequence[StressProfile] = (),
     faults: Sequence[FaultInjection] = (),
     estimator: EstimatorConfig | None = None,
+    known_cycles: Mapping[str, Sequence[CycleRecord]] | None = None,
 ) -> SimTrace:
     """Simulate ``sim.horizon`` windows of ``controller.window_size`` cycles.
 
@@ -399,6 +442,12 @@ def run_simulation(
     ``fixed`` names a member of ``controller.candidates`` that stays active
     for the whole run: the controller then runs over that one candidate,
     so a fixed window is scored by the same code as a controlled one.
+
+    ``known_cycles`` maps a candidate's name to the cycles of a fixed run
+    of it with the same dag, fabric, sim (seed included), window, stresses
+    and faults.  Its active and shadow cycles are read from there, not
+    simulated, and the trace is the same.  Only the shape is checked: a
+    ValueError rejects a wrong length, order or placement name.
     """
     report = validate_pipeline(dag, fabric)
     if not report.ok:
@@ -414,9 +463,11 @@ def run_simulation(
     placements = list(controller.candidates)
     check_disturbances(dag, fabric, stresses, faults)
     _check_occupancy(dag, placements, sim, stresses)
+    known_cycles = known_cycles or {}
+    _check_known_cycles(known_cycles, placements, sim.horizon * window)
 
     streams = RandomStreams(sim.seed)
-    engine = _Engine(fabric, sim, streams)
+    engine = _Engine(fabric, sim, streams, known_cycles)
     estimator = estimator or EstimatorConfig()
     duration = window * sim.period
     shadow_stride = -(-window // 4)  # ceil(W / 4)
@@ -450,11 +501,11 @@ def run_simulation(
         records = []
         for i in range(window):
             cycle_index = (k - 1) * window + i
-            records.append(engine.run_cycle(plan, cycle_index))
+            records.append(engine.cycle(plan, cycle_index))
             if i % shadow_stride == 0:
                 for shadow_plan in shadow_plans:
                     hist = shadow_hist[shadow_plan.placement.name]
-                    hist.append(engine.run_cycle(shadow_plan, cycle_index))
+                    hist.append(engine.cycle(shadow_plan, cycle_index))
                     if len(hist) > window:
                         del hist[: len(hist) - window]
         cycles.extend(records)

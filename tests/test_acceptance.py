@@ -355,20 +355,23 @@ def test_criterion_08_deterministic_limit_is_exact(shipped):
 
 
 def test_criterion_09_reruns_are_byte_identical(shipped, tmp_path):
+    # the shipped policy set, so the DTP run reads its cycles from the fixed runs
     spec = shipped.scenarios["baseline"]
     for sub in ("a", "b"):
-        run_scenario(shipped, spec, policies=["DTP"], seeds=[1], outdir=tmp_path / sub)
-    files = ("cycles.csv", "windows.csv", "summary.json", "decisions.jsonl")
-    same = []
-    for name in files:
-        first = (tmp_path / "a" / "baseline" / "DTP" / "seed_1" / name).read_bytes()
-        second = (tmp_path / "b" / "baseline" / "DTP" / "seed_1" / name).read_bytes()
-        same.append(first == second)
+        run_scenario(shipped, spec, seeds=[1], outdir=tmp_path / sub)
+
+    def files(sub):
+        root = tmp_path / sub
+        return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+    written = files("a")
+    same = [(tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
+            for f in written]
     verdict(
         9,
-        all(same),
-        "rerunning baseline DTP seed 1 reproduced cycles.csv, windows.csv, "
-        "summary.json, and decisions.jsonl byte for byte",
+        len(written) == 3 + 3 + 4 and written == files("b") and all(same),
+        "rerunning baseline seed 1 under LOC, SO and DTP reproduced cycles.csv, "
+        "windows.csv, summary.json, and DTP's decisions.jsonl byte for byte",
     )
 
 

@@ -4,10 +4,12 @@ import copy
 import dataclasses
 import json
 import re
+from unittest import mock
 
 import pytest
 import yaml
 
+from dtpsim import simulation
 from dtpsim.cli import main
 from dtpsim.harness import (
     DEFAULT_CONFIG,
@@ -367,6 +369,51 @@ def test_reruns_are_byte_identical(tmp_path):
         first = (tmp_path / "a" / "baseline" / "DTP" / "seed_3" / name).read_bytes()
         second = (tmp_path / "b" / "baseline" / "DTP" / "seed_3" / name).read_bytes()
         assert first == second, name
+
+
+def short_scenario(config, name, horizon=12):
+    spec = config.scenarios[name]
+    return dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, horizon=horizon))
+
+
+@pytest.mark.parametrize("scenario", ["robot-stress", "network-impairment"])
+def test_dtp_run_is_the_same_alone_or_after_fixed_runs(tmp_path, scenario):
+    # after fixed runs, the DTP run reads their cycles instead of simulating
+    config = load_config(None)
+    spec = short_scenario(config, scenario)
+    orders = (["DTP"], ["LOC", "SO", "DTP"], ["DTP", "SO"])
+    for i, policies in enumerate(orders):
+        run_scenario(config, spec, policies=policies, seeds=[1, 2], outdir=tmp_path / str(i))
+    for seed in (1, 2):
+        alone = tmp_path / "0" / scenario / "DTP" / f"seed_{seed}"
+        assert json.loads((alone / "summary.json").read_text())["migrations"] >= 1
+        names = sorted(p.name for p in alone.iterdir())
+        assert names == ["cycles.csv", "decisions.jsonl", "summary.json", "windows.csv"]
+        for i in range(1, len(orders)):
+            rundir = tmp_path / str(i) / scenario / "DTP" / f"seed_{seed}"
+            assert sorted(p.name for p in rundir.iterdir()) == names
+            for name in names:
+                assert (rundir / name).read_bytes() == (alone / name).read_bytes(), (i, name)
+
+
+def test_run_scenario_simulates_each_placement_cycle_once_per_seed():
+    config = load_config(None)
+    spec = short_scenario(config, "robot-stress", horizon=8)
+    simulated = []
+    run_cycle = simulation._Engine.run_cycle
+
+    def recording_run_cycle(engine, plan, cycle_index):
+        simulated.append((engine.sim.seed, plan.placement.name, cycle_index))
+        return run_cycle(engine, plan, cycle_index)
+
+    with mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle):
+        report = run_scenario(config, spec, seeds=[1, 2])
+    assert len(set(simulated)) == len(simulated)
+    for policy in ("LOC", "SO"):
+        for seed in (1, 2):
+            assert sum(key[:2] == (seed, policy) for key in simulated) == 8 * 50
+    assert {key[1] for key in simulated} == {"LOC", "SO", "HYB"}
+    assert [r.seed for r in report.results["DTP"]] == [1, 2]
 
 
 def test_failing_expectation_is_reported(tmp_path):

@@ -405,6 +405,60 @@ def test_every_dtp_cycle_equals_the_fixed_run_cycle_of_its_placement(
         assert record == fixed[record.placement][record.cycle_index]
 
 
+def known_cycles_case():
+    dag = make_dag(cv=0.3, jitter=0.5, loss=0.05)
+    stress = StressProfile("R1", start_window=2, end_window=6, slowdown=2.5)
+    sim = SimConfig(period=50.0, deadline=30.0, horizon=6, seed=7)
+    controller = controller_policy(dag, window_size=4, n_min=0)
+    known = {
+        name: fixed_run(dag, name, sim, window_size=4, stresses=(stress,)).cycles
+        for name in ("LOC", "SO")
+    }
+
+    def run(known_cycles):
+        return run_simulation(
+            dag, FABRIC, sim, controller, stresses=(stress,),
+            estimator=EstimatorConfig(static_samples=100), known_cycles=known_cycles,
+        )
+
+    return known, run
+
+
+def test_known_cycles_are_read_and_leave_the_trace_unchanged():
+    known, run = known_cycles_case()
+    simulated = []
+    run_cycle = simulation._Engine.run_cycle
+
+    def recording_run_cycle(engine, plan, cycle_index):
+        simulated.append(plan.placement.name)
+        return run_cycle(engine, plan, cycle_index)
+
+    with mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle):
+        reused = run(known)
+    assert set(simulated) == {"HYB"}
+    fresh = run(None)
+    assert fresh.cycles == reused.cycles
+    assert fresh.windows == reused.windows
+    assert fresh.summary == reused.summary
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (lambda loc: {"LOC": loc[:-1]}, "23 records, expected 24"),
+        (lambda loc: {"LOC": loc + loc[:4]}, "28 records, expected 24"),
+        (lambda loc: {"LOC": [loc[1], loc[0], *loc[2:]]}, "record 0 is cycle 1"),
+        (lambda loc: {"SO": loc}, "record 0 is cycle 0 of 'LOC'"),
+        (lambda loc: {"XYZ": loc}, "not a candidate"),
+    ],
+    ids=["short", "long", "order", "placement", "candidate"],
+)
+def test_known_cycles_of_another_shape_are_rejected(bad, message):
+    known, run = known_cycles_case()
+    with pytest.raises(ValueError, match=message):
+        run(bad(known["LOC"]))
+
+
 def record_cycle_parts(run):
     """Run ``run()`` and return, per engine cycle, its record, the quantized
     service µs of each executed stage, the (delay µs, fatal) of each edge
