@@ -24,7 +24,7 @@ from .metrics import (
     percentile_nearest_rank,
 )
 from .pipeline import Fabric, PipelineDag, Placement
-from .sampling import build_cycle_plan, quantize_us, sample_plan_latency
+from .sampling import US_PER_MS, build_cycle_plan, quantize_us, sample_plan_latencies
 
 MIN_STATIC_SAMPLES = 100
 
@@ -93,22 +93,16 @@ def estimate_static(
         raise ValueError(f"static estimation needs >= {MIN_STATIC_SAMPLES} samples, got {samples}")
     if deadline > period:
         raise ValueError("deadline must not exceed period")
-    plan = build_cycle_plan(dag, placement)
-    deadline_us = quantize_us(deadline)
-    period_us = quantize_us(period)
-    latencies = []
-    violations = 0
-    for _ in range(samples):
-        latency_us, violated = sample_plan_latency(plan, rng, deadline_us, period_us)
-        latencies.append(latency_us / 1000.0)
-        if violated:
-            violations += 1
+    latencies_us, violations = sample_plan_latencies(
+        build_cycle_plan(dag, placement), rng, samples, quantize_us(deadline), quantize_us(period)
+    )
     per_node = predicted_node_utilization(dag, placement, fabric, period)
     robot_ids = [n.id for n in fabric.of_kind("robot")]
     edge_ids = [n.id for n in fabric.of_kind("edge")]
     metrics = WindowMetrics(
         window_index=0,
-        l95=percentile_nearest_rank(latencies, 0.95),
+        # the µs -> ms division is monotone, so the rank can be taken on the ints
+        l95=percentile_nearest_rank(latencies_us, 0.95) / US_PER_MS,
         violation_rate=violations / samples,
         util_robot=sum(per_node[n] for n in robot_ids) / len(robot_ids) if robot_ids else 0.0,
         util_edge=sum(per_node[n] for n in edge_ids) / len(edge_ids) if edge_ids else 0.0,

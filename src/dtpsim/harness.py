@@ -253,7 +253,22 @@ def _from_spec(cls, spec: Mapping, path: str, /, **explicit):
     YAML does not name itself (an edge's ``src`` and ``dst``).
     """
     _check_keys(spec, [f.name for f in fields(cls) if f.name not in explicit], path)
+    _check_integers(cls, spec, path)
     return _build(cls, path, **spec, **explicit)
+
+
+def _integer(value: Any) -> int:
+    """A YAML integer: ``8.5`` is rejected, not truncated, and ``true`` is not 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _check_integers(cls, spec: Mapping, path: str) -> None:
+    """Each value in ``spec`` for a field that ``cls`` declares ``int`` is one."""
+    for f in fields(cls):
+        if f.type in ("int", int) and f.name in spec:
+            _build(_integer, f"{path}.{f.name}", spec[f.name])
 
 
 def _tuple(value: Any) -> tuple:
@@ -275,8 +290,7 @@ def _distinct(value: Any) -> tuple:
 def _seeds(value: Any) -> tuple[int, ...]:
     """A YAML list of distinct integer seeds; ``1.7`` is rejected, not truncated."""
     for seed in _tuple(value):
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise TypeError(f"seed {seed!r} is not an integer")
+        _integer(seed)
     return _distinct(value)
 
 
@@ -312,8 +326,8 @@ def _windowed(spec: Mapping, path: str, horizon: int, /, **converters) -> dict:
     return _coerced(
         {"start_window": None, "end_window": None, **spec},
         path,
-        start_window=lambda w: 1 if w is None else int(w),
-        end_window=lambda w: max(horizon, 1) if w is None else int(w),
+        start_window=lambda w: 1 if w is None else w,
+        end_window=lambda w: max(horizon, 1) if w is None else w,
         **converters,
     )
 
@@ -372,7 +386,7 @@ def build_estimator(raw: Mapping) -> EstimatorConfig:
     section = dict(raw["estimator"])
     path = "estimator.conservative_ratios"
     ratios = _from_spec(ConservativeRatios, section.pop("conservative_ratios"), path)
-    return _build(EstimatorConfig, "estimator", ratios=ratios, **section)
+    return _from_spec(EstimatorConfig, section, "estimator", ratios=ratios)
 
 
 @dataclass(frozen=True)
@@ -447,19 +461,21 @@ class ResolvedConfig:
         return _build(
             ControllerConfig,
             "controller",
-            window_size=int(section["window_size"]),
+            window_size=section["window_size"],
             candidates=self.candidates,
             weights=self.weights,
             constraints=self.constraints,
             targets=self.targets,
             delta_min=float(section["delta_min"]),
-            n_min=int(section["n_min"]),
+            n_min=section["n_min"],
             initial_placement=section["initial_placement"],
         )
 
 
 def _build_scenario(name: str, raw_scenario: Mapping, sim: SimConfig) -> ScenarioSpec:
     path = f"scenarios.{name}"
+    _check_integers(SimConfig, raw_scenario["sim"], f"{path}.sim")
+    _check_integers(ControllerConfig, raw_scenario["controller"], f"{path}.controller")
     scenario_sim = _build(replace, f"{path}.sim", sim, **raw_scenario["sim"])
     horizon = scenario_sim.horizon
     stresses = tuple(
@@ -527,7 +543,8 @@ def load_config(path: str | Path | None = None) -> ResolvedConfig:
     report = validate_pipeline(dag, fabric)
     if not report.ok:
         raise ConfigError("invalid pipeline: " + "; ".join(report.problems))
-    sim = _build(SimConfig, "sim", **raw["sim"])
+    sim = _from_spec(SimConfig, raw["sim"], "sim")
+    _check_integers(ControllerConfig, raw["controller"], "controller")
     config = ResolvedConfig(
         raw=raw,
         fabric=fabric,

@@ -1,4 +1,10 @@
-"""Shared stochastic primitives for the engine and the static estimator.
+"""Stochastic primitives of the engine and the static estimator's batch kernel.
+
+The engine draws each cycle through ``sample_service`` and
+``traverse_edge`` from its counter-based streams.  The static estimator
+draws a whole estimate at once through ``sample_plan_latencies``, one loop
+over a Mersenne Twister that takes exactly the draws those primitives
+would take from it, in the same order and with the same float operations.
 
 All times are kept as integer microseconds internally so identical seeds
 reproduce identical traces bit for bit; milliseconds appear only at the
@@ -7,6 +13,7 @@ API boundary.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Mapping
@@ -150,30 +157,98 @@ def build_cycle_plan(
     )
 
 
-def sample_plan_latency(
+def _normal(random, cached: float | None) -> tuple[float, float | None]:
+    """One standard normal and the new cached one, as ``random.Random.gauss``
+    draws them from ``random`` given its cached ``gauss_next``."""
+    if cached is not None:
+        return cached, None
+    x2pi = random() * math.tau
+    g2rad = math.sqrt(-2.0 * math.log(1.0 - random()))
+    return math.cos(x2pi) * g2rad, math.sin(x2pi) * g2rad
+
+
+def sample_plan_latencies(
     plan: CyclePlan,
-    rng: random.Random | Draws,
+    rng: random.Random,
+    samples: int,
     deadline_us: int,
     period_us: int,
-    resolution_us: int = 1,
-) -> tuple[int, bool]:
-    """Draw one end-to-end latency for a plan from a sequential rng.
+) -> tuple[list[int], int]:
+    """Draw ``samples`` end-to-end latencies for a plan from one Mersenne Twister.
 
-    Returns (latency_us, violated).  Used by the static estimator, which
-    does not need per-node busy accounting or stress context.
+    Returns (latencies_us, violations).  The static estimator's batch
+    kernel: it needs no per-node busy accounting or stress context, and it
+    draws exactly what ``sample_service`` and ``traverse_edge`` would draw
+    stage by stage on the same ``rng``, in the same order and with the same
+    float operations.  ``random.Random.gauss`` is inlined, its cached second
+    normal included, and ``rng.gauss_next`` is read on entry and written
+    back on exit, so ``rng.getstate()`` afterwards is the same too.  A
+    double loss caps the cycle at the period and counts as a violation.
     """
-    total = 0
-    for i, stage in enumerate(plan.stages):
-        total += quantize_us(sample_service(stage.model, rng), resolution_us)
-        if i < len(plan.edges):
-            edge = plan.edges[i]
-            if edge.link is None:
+    # zero-sd stages draw nothing, so their quantized time is one constant;
+    # every other stage and each crossing edge is one step of the loop:
+    # (is_link, mu, sigma, floor or loss, slowdown or payload, edge_scale, timeout_us)
+    fixed_us = 0
+    steps = []
+    for stage, edge in zip(plan.stages, (*plan.edges, None)):
+        model = stage.model
+        sd = model.sd
+        if sd == 0.0:
+            fixed_us += quantize_us(model.mean * stage.slowdown)
+        else:
+            steps.append((False, model.mean, sd, model.floor, stage.slowdown, 0.0, 0))
+        if edge is not None and edge.link is not None:
+            link = edge.model
+            base, payload, scale = link.base_delay, link.payload_scale, edge.edge_scale
+            timeout_us = quantize_us(4.0 * base * payload * scale)
+            steps.append(
+                (True, base, link.jitter_sigma, link.loss_probability, payload, scale, timeout_us)
+            )
+
+    random = rng.random
+    sqrt, log, cos, sin, tau = math.sqrt, math.log, math.cos, math.sin, math.tau
+    cached = rng.gauss_next
+    latencies: list[int] = []
+    append = latencies.append
+    violations = 0
+    for _ in range(samples):
+        total = fixed_us
+        for is_link, mu, sigma, bound, factor, scale, timeout_us in steps:
+            # _normal inlined: a call per step costs about a fifth of the kernel
+            if cached is None:
+                x2pi = random() * tau
+                g2rad = sqrt(-2.0 * log(1.0 - random()))
+                z = cos(x2pi) * g2rad
+                cached = sin(x2pi) * g2rad
+            else:
+                z = cached
+                cached = None
+            value = mu + z * sigma
+            if not is_link:
+                if bound > value:  # the floor, as max(value, floor)
+                    value = bound
+                total += round(value * factor * US_PER_MS)
                 continue
-            delay_us, fatal = traverse_edge(edge.model, edge.edge_scale, rng, resolution_us)
-            if fatal:
-                return period_us, True
-            total += delay_us
-    return total, total > deadline_us
+            delay = value * factor if value > 0.0 else 0.0
+            if random() >= bound:
+                total += round(delay * scale * US_PER_MS)
+                continue
+            # lost: wait the timeout and retransmit once
+            z, cached = _normal(random, cached)
+            value = mu + z * sigma
+            delay = value * factor if value > 0.0 else 0.0
+            if random() < bound:
+                break
+            total += timeout_us + round(delay * scale * US_PER_MS)
+        else:
+            append(total)
+            if total > deadline_us:
+                violations += 1
+            continue
+        append(period_us)
+        violations += 1
+    rng.gauss_next = cached
+    return latencies, violations
 
 
 def nominal_node_occupancy(dag: PipelineDag, placement: Placement) -> dict[NodeId, float]:

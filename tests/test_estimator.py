@@ -1,5 +1,6 @@
 """Candidate estimation: static Monte Carlo, shadow windows, ratio scaling."""
 
+import dataclasses
 import random
 
 import pytest
@@ -13,8 +14,10 @@ from dtpsim.estimator import (
     predicted_node_utilization,
     update_shadow,
 )
+from dtpsim.harness import load_config
 from dtpsim.metrics import CycleRecord, WindowMetrics
 from dtpsim.pipeline import canonical_candidates, nominal_latency
+from dtpsim.streams import RandomStreams
 
 FABRIC = make_fabric()
 
@@ -61,6 +64,40 @@ def test_static_estimate_is_stable_across_seeds():
     ]
     a, b = (r.metrics.l95 for r in reports)
     assert abs(a - b) / b < 0.05
+
+
+# (deadline ms, lossy links) -> {candidate: (l95, violation_rate)}, pinned
+# from the per-sample estimator on the shipped DAG; the lossy table adds
+# 1 ms jitter and a 0.3 loss probability to every link, so cycles retransmit
+# and some end fatal at the period.
+SHIPPED_STATIC = {
+    (40.0, False): {"LOC": (30.186, 0.0), "SO": (29.993, 0.0), "HYB": (33.444, 0.0)},
+    (30.0, False): {"LOC": (30.186, 0.058), "SO": (29.993, 0.049), "HYB": (33.444, 0.339)},
+    (40.0, True): {"LOC": (45.528, 0.235), "SO": (40.544, 0.2285), "HYB": (52.024, 0.4345)},
+}
+
+
+@pytest.mark.parametrize("deadline,lossy", list(SHIPPED_STATIC))
+def test_static_estimate_pins_the_shipped_dag(deadline, lossy):
+    config = load_config()
+    dag = config.dag
+    if lossy:
+        links = {
+            pair: dataclasses.replace(model, jitter_sigma=1.0, loss_probability=0.3)
+            for pair, model in dag.links.items()
+        }
+        dag = dataclasses.replace(dag, links=links)
+    samples = config.estimator.static_samples
+    for placement in config.candidates:
+        report = estimate_static(
+            dag, placement, config.fabric, deadline, config.sim.period, samples,
+            RandomStreams(1).fresh(f"static:{placement.name}"),
+        )
+        metrics = report.metrics
+        assert (metrics.l95, metrics.violation_rate) == SHIPPED_STATIC[deadline, lossy][
+            placement.name
+        ]
+        assert report.sample_count == samples == 2000
 
 
 def test_predicted_node_utilization_from_means():

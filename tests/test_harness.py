@@ -609,12 +609,24 @@ def test_cli_validate_rejects_unknown_references(tmp_path, capsys, document, nam
         ({"scenarios": {"baseline": {"seeds": [1, 2, 1]}}}, "scenarios.baseline.seeds"),
         # a fractional seed is rejected, not truncated onto another
         ({"scenarios": {"baseline": {"seeds": [1, 1.7]}}}, "scenarios.baseline.seeds"),
+        # an integer field takes neither a fraction nor a bool
+        ({"sim": {"seed": 4.5}}, "sim.seed"),
+        ({"sim": {"clock_resolution_us": True}}, "sim.clock_resolution_us"),
+        ({"controller": {"n_min": 2.5}}, "controller.n_min"),
+        ({"scenarios": {"baseline": {"sim": {"horizon": 6.5}}}}, "scenarios.baseline.sim.horizon"),
+        ({"scenarios": {"baseline": {"controller": {"window_size": False}}}},
+         "scenarios.baseline.controller.window_size"),
+        (_stress_with(slowdown=2.0, start_window=1.5),
+         "scenarios.robot-stress.stresses[0].start_window"),
+        (_fault_with(mu=5.0, end_window=True), "scenarios.network-impairment.faults[0].end_window"),
     ],
     ids=[
         "ratios", "seeds", "nodes", "task", "edge-endpoint", "check-policy", "check-versus",
         "dominant-string", "seeds-string", "policies-string", "feasible-string",
         "fault-links-string", "service-scalar", "policies-repeated", "seeds-repeated",
-        "seed-fraction",
+        "seed-fraction", "sim-seed-fraction", "clock-resolution-bool", "n-min-fraction",
+        "scenario-horizon-fraction", "scenario-window-size-bool", "stress-start-fraction",
+        "fault-end-bool",
     ],
 )
 def test_cli_validate_rejects_malformed_entries(tmp_path, capsys, document, where):
@@ -633,6 +645,29 @@ def test_cli_rejects_a_seed_that_is_not_an_integer(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path), "--seeds", "1,x"]) == 2
     assert "seeds must be integers" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+SHORT_BASELINE = {"scenarios": {"baseline": {"sim": {"horizon": 2}}}}
+
+
+@pytest.mark.parametrize(
+    "document, where",
+    [
+        ({"estimator": {"static_samples": 2000.7}, **SHORT_BASELINE}, "estimator.static_samples"),
+        ({"sim": {"horizon": 8.5}}, "sim.horizon"),
+        ({"sim": {"horizon": True}}, "sim.horizon"),
+        ({"controller": {"window_size": 10.9}, **SHORT_BASELINE}, "controller.window_size"),
+    ],
+    ids=["static-samples-fraction", "horizon-fraction", "horizon-bool", "window-size-fraction"],
+)
+def test_cli_run_rejects_a_non_integer_integer_field(tmp_path, capsys, document, where):
+    """A fraction is not truncated and a bool is not read as 1: the run exits 2
+    naming the field, before it writes anything."""
+    outdir = tmp_path / "out"
+    run = ["run", "--config", write_config(tmp_path, document), "--out", str(outdir)]
+    assert main([*run, "--scenario", "baseline", "--policies", "DTP", "--seeds", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}: ")
+    assert not outdir.exists()
 
 
 def test_cli_rejects_repeated_policies_and_seeds(tmp_path, capsys):

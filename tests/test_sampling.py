@@ -4,15 +4,19 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_dag
 from dtpsim.pipeline import LinkDelayModel, ServiceTimeModel, canonical_candidates
 from dtpsim.sampling import (
+    CyclePlan,
+    EdgePlan,
+    StagePlan,
     build_cycle_plan,
     nominal_node_occupancy,
     quantize_us,
     sample_link,
-    sample_plan_latency,
+    sample_plan_latencies,
     sample_service,
     traverse_edge,
 )
@@ -119,17 +123,87 @@ def test_cycle_plan_skips_colocated_edges():
 def test_plan_latency_deterministic_chain():
     dag = make_dag()
     plan = build_cycle_plan(dag, canonical_candidates(dag).by_name("LOC"))
-    latency_us, violated = sample_plan_latency(plan, random.Random(3), 30_000, 50_000)
-    assert (latency_us, violated) == (23_000, False)
-    latency_us, violated = sample_plan_latency(plan, random.Random(3), 20_000, 50_000)
-    assert (latency_us, violated) == (23_000, True)
+    assert sample_plan_latencies(plan, random.Random(3), 1, 30_000, 50_000) == ([23_000], 0)
+    assert sample_plan_latencies(plan, random.Random(3), 1, 20_000, 50_000) == ([23_000], 1)
 
 
 def test_plan_latency_caps_at_period_on_double_loss():
     dag = make_dag(loss=0.999999999)
     plan = build_cycle_plan(dag, canonical_candidates(dag).by_name("SO"))
-    latency_us, violated = sample_plan_latency(plan, random.Random(5), 30_000, 50_000)
-    assert (latency_us, violated) == (50_000, True)
+    assert sample_plan_latencies(plan, random.Random(5), 1, 30_000, 50_000) == ([50_000], 1)
+
+
+def reference_latencies(plan, rng, samples, deadline_us, period_us):
+    """The batch kernel spelled out with the engine's own per-draw primitives."""
+    latencies, violations = [], 0
+    for _ in range(samples):
+        total = 0
+        for stage, edge in zip(plan.stages, (*plan.edges, None)):
+            total += quantize_us(sample_service(stage.model, rng, stage.slowdown))
+            if edge is None or edge.link is None:
+                continue
+            delay_us, fatal = traverse_edge(edge.model, edge.edge_scale, rng, 1)
+            if fatal:
+                total = None
+                break
+            total += delay_us
+        latencies.append(period_us if total is None else total)
+        violations += total is None or total > deadline_us
+    return latencies, violations
+
+
+service_models = st.builds(
+    ServiceTimeModel,
+    mean=st.floats(0.0, 20.0),
+    cv=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),  # zero-sd stages draw nothing
+    floor_fraction=st.floats(0.0, 1.5),  # above ~1 - cv the floor binds often
+)
+link_models = st.builds(
+    LinkDelayModel,
+    base_delay=st.floats(0.0, 5.0),
+    jitter_sigma=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    loss_probability=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),  # 0.95: mostly fatal
+    payload_scale=st.floats(0.0, 4.0),
+)
+
+
+@st.composite
+def cycle_plans(draw):
+    n = draw(st.integers(1, 5))
+    stages = tuple(
+        StagePlan(f"T{i}", "N", draw(service_models), f"svc:T{i}", draw(st.floats(0.25, 4.0)))
+        for i in range(n)
+    )
+    edges = []
+    for i in range(n - 1):
+        scale = draw(st.floats(0.1, 5.0))
+        if draw(st.booleans()):
+            edges.append(EdgePlan(f"T{i}", None, None, scale))
+        else:
+            edges.append(EdgePlan(f"T{i}", ("A", "B"), draw(link_models), scale, "lnk:A:B"))
+    return CyclePlan(None, stages, tuple(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    plan=cycle_plans(),
+    seed=st.integers(0, 2**32),
+    earlier_gauss=st.integers(0, 3),  # odd: the kernel starts on a cached normal
+    samples=st.integers(1, 40),
+    period_us=st.integers(1, 100_000),
+    deadline_fraction=st.floats(0.0, 1.0),
+)
+def test_batch_kernel_draws_as_the_engine_primitives(
+    plan, seed, earlier_gauss, samples, period_us, deadline_fraction
+):
+    deadline_us = round(period_us * deadline_fraction)
+    kernel_rng, reference_rng = random.Random(seed), random.Random(seed)
+    for _ in range(earlier_gauss):
+        kernel_rng.gauss()
+        reference_rng.gauss()
+    got = sample_plan_latencies(plan, kernel_rng, samples, deadline_us, period_us)
+    assert got == reference_latencies(plan, reference_rng, samples, deadline_us, period_us)
+    assert kernel_rng.getstate() == reference_rng.getstate()
 
 
 def test_nominal_node_occupancy_sums_means():
