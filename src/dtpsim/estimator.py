@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .metrics import (
-    CycleRecord,
+    CycleStore,
     WindowMetrics,
     aggregate_window,
     class_utilization,
@@ -111,7 +111,7 @@ def estimate_static(
 
 
 def update_shadow(
-    history: Sequence[CycleRecord],
+    history: CycleStore,
     placement: str,
     window_size: int,
     period: float,
@@ -120,13 +120,14 @@ def update_shadow(
     """Aggregate the most recent shadow cycles into a predicted window."""
     if not history:
         raise ValueError("shadow history is empty")
-    recent = list(history[-window_size:])
-    duration = len(recent) * period
+    recent = history.columns(-window_size)
+    count = len(recent.latency_us)
+    duration = count * period
     metrics = aggregate_window(recent, duration, fabric, window_index=0)
     per_node = {
         node.id: class_utilization(recent, duration, [node.id]) for node in fabric
     }
-    return EstimateReport(placement, metrics, per_node, len(recent), MECHANISM_SHADOW)
+    return EstimateReport(placement, metrics, per_node, count, MECHANISM_SHADOW)
 
 
 def estimate_conservative(

@@ -22,7 +22,7 @@ import yaml
 from .controller import ControllerConfig
 from .cost import Constraints, Weights
 from .estimator import ConservativeRatios, EstimatorConfig
-from .metrics import CycleRecord, NormalizationTargets
+from .metrics import CycleStore, NormalizationTargets
 from .pipeline import (
     CandidateSet,
     ComputeNode,
@@ -253,7 +253,7 @@ def _from_spec(cls, spec: Mapping, path: str, /, **explicit):
     YAML does not name itself (an edge's ``src`` and ``dst``).
     """
     _check_keys(spec, [f.name for f in fields(cls) if f.name not in explicit], path)
-    _check_integers(cls, spec, path)
+    _check_numbers(cls, spec, path)
     return _build(cls, path, **spec, **explicit)
 
 
@@ -264,11 +264,29 @@ def _integer(value: Any) -> int:
     return value
 
 
-def _check_integers(cls, spec: Mapping, path: str) -> None:
-    """Each value in ``spec`` for a field that ``cls`` declares ``int`` is one."""
+def _number(value: Any) -> int | float:
+    """A YAML number: ``true`` is not 1, and ``"0.1"`` or null is not a number."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return value
+
+
+def _real(value: Any) -> float:
+    """A YAML number as a float, so that ``1`` reports as ``1.0``."""
+    return float(_number(value))
+
+
+# the check of each value for a field annotated with the key
+_NUMERIC = {"int": _integer, int: _integer, "float": _number, float: _number}
+
+
+def _check_numbers(cls, spec: Mapping, path: str) -> None:
+    """Each value in ``spec`` for a field that ``cls`` declares ``int`` or
+    ``float`` is one."""
     for f in fields(cls):
-        if f.type in ("int", int) and f.name in spec:
-            _build(_integer, f"{path}.{f.name}", spec[f.name])
+        check = _NUMERIC.get(f.type)
+        if check is not None and f.name in spec:
+            _build(check, f"{path}.{f.name}", spec[f.name])
 
 
 def _tuple(value: Any) -> tuple:
@@ -371,10 +389,11 @@ def build_dag(raw: Mapping) -> PipelineDag:
 def build_targets(raw: Mapping, fabric: Fabric) -> NormalizationTargets:
     robots = fabric.of_kind("robot")
     edges = fabric.of_kind("edge")
+    path = "controller.latency_target"
     return _build(
         NormalizationTargets,
-        "controller.latency_target",
-        latency=raw["controller"]["latency_target"],
+        path,
+        latency=_build(_number, path, raw["controller"]["latency_target"]),
         util_robot=(
             sum(n.utilization_target for n in robots) / len(robots) if robots else 0.8
         ),
@@ -474,8 +493,8 @@ class ResolvedConfig:
 
 def _build_scenario(name: str, raw_scenario: Mapping, sim: SimConfig) -> ScenarioSpec:
     path = f"scenarios.{name}"
-    _check_integers(SimConfig, raw_scenario["sim"], f"{path}.sim")
-    _check_integers(ControllerConfig, raw_scenario["controller"], f"{path}.controller")
+    _check_numbers(SimConfig, raw_scenario["sim"], f"{path}.sim")
+    _check_numbers(ControllerConfig, raw_scenario["controller"], f"{path}.controller")
     scenario_sim = _build(replace, f"{path}.sim", sim, **raw_scenario["sim"])
     horizon = scenario_sim.horizon
     stresses = tuple(
@@ -487,7 +506,7 @@ def _build_scenario(name: str, raw_scenario: Mapping, sim: SimConfig) -> Scenari
         for at, spec in _each(raw_scenario["faults"], f"{path}.faults")
     )
     checks = tuple(
-        _from_spec(Check, _coerced(spec, at, threshold=float, ratio=float), at)
+        _from_spec(Check, _coerced(spec, at, threshold=_real, ratio=_real), at)
         for at, spec in _each(raw_scenario["checks"], f"{path}.checks")
     )
     expected = _coerced(
@@ -495,8 +514,8 @@ def _build_scenario(name: str, raw_scenario: Mapping, sim: SimConfig) -> Scenari
         f"{path}.expected",
         dominant=_tuple,
         forbidden=_tuple,
-        min_fraction=float,
-        min_seed_fraction=float,
+        min_fraction=_real,
+        min_seed_fraction=_real,
     )
     return ScenarioSpec(
         name=name,
@@ -544,15 +563,15 @@ def load_config(path: str | Path | None = None) -> ResolvedConfig:
     if not report.ok:
         raise ConfigError("invalid pipeline: " + "; ".join(report.problems))
     sim = _from_spec(SimConfig, raw["sim"], "sim")
-    _check_integers(ControllerConfig, raw["controller"], "controller")
+    _check_numbers(ControllerConfig, raw["controller"], "controller")
     config = ResolvedConfig(
         raw=raw,
         fabric=fabric,
         dag=dag,
         candidates=_build(canonical_candidates, "dag", dag),
         sim=sim,
-        weights=_build(Weights, "weights", **raw["weights"]),
-        constraints=_build(Constraints, "constraints", **raw["constraints"]),
+        weights=_from_spec(Weights, raw["weights"], "weights"),
+        constraints=_from_spec(Constraints, raw["constraints"], "constraints"),
         targets=build_targets(raw, fabric),
         estimator=build_estimator(raw),
         scenarios={
@@ -673,7 +692,7 @@ def run_scenario(
     results: dict[str, list[RunResult]] = {p: [] for p in policies}
     reuse = CONTROLLER_POLICY in policies
     for seed in seeds:
-        known: dict[str, list[CycleRecord]] = {}
+        known: dict[str, CycleStore] = {}
         for policy in sorted(policies, key=lambda p: p == CONTROLLER_POLICY):
             fixed = None if policy == CONTROLLER_POLICY else policy
             trace = run_simulation(

@@ -1,18 +1,30 @@
-"""Per-cycle records, per-window QoS metrics, and normalization.
+"""Per-cycle storage, per-window QoS metrics, and normalization.
 
 A window is W consecutive control cycles.  The controller never sees raw
 cycles; it sees one WindowMetrics per window: the 95th-percentile latency,
 the deadline violation rate, and the mean utilization of the robot and
 edge node classes.
+
+A run keeps its cycles in a CycleStore: one stdlib ``array`` column per
+field (latency µs, deadline met, busy µs per fabric node, placement), about
+35 bytes per cycle where a CycleRecord object with its busy-time dict costs
+over 400.  The aggregates read a range of the columns (``CycleStore.columns``)
+and do their float arithmetic in the same order as over records, so every
+report is unchanged.  Indexing a store still gives a CycleRecord.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import Mapping, NamedTuple
 
 from .pipeline import Fabric
+from .sampling import US_PER_MS
 
 # guards against float fuzz in p * n for exact-integer products; config
 # percentiles carry far fewer than 9 decimals
@@ -54,6 +66,102 @@ class CycleRecord:
             raise ValueError("cycle_index must be >= 0")
         if self.e2e_latency < 0:
             raise ValueError("e2e_latency must be >= 0")
+
+
+# One cycle as the engine computes it: latency µs, deadline met (a bool or
+# 0/1), and the busy µs of each node in the store's node order.
+Row = tuple[int, int, list[int]]
+
+
+class Columns(NamedTuple):
+    """A range of a CycleStore's columns; ``busy_us`` is keyed by node."""
+
+    latency_us: array
+    met: bytearray
+    busy_us: Mapping[str, array]
+
+
+class CycleStore(Sequence[CycleRecord]):
+    """The cycles of a run as columns, read-only to everyone but the engine.
+
+    Row i is cycle i, released at ``i * period`` ms.  ``placement`` holds an
+    index into ``names``, so a store names at most 256 placements.  As a
+    sequence a store yields CycleRecords in ms, built from the integer
+    columns on access: an index gives one record, a slice gives a list of
+    them, and two stores compare equal when every record does.
+    """
+
+    __slots__ = ("nodes", "period", "names", "latency_us", "met", "busy_us", "placement")
+
+    def __init__(self, nodes: Sequence[str], period: float, names: Sequence[str]):
+        self.nodes = tuple(nodes)
+        self.period = period
+        self.names = tuple(names)
+        self.latency_us = array("q")
+        self.met = bytearray()
+        self.busy_us = tuple(array("q") for _ in self.nodes)
+        self.placement = bytearray()
+
+    def append(self, row: Row, placement: int) -> None:
+        """Add a cycle run under ``names[placement]``."""
+        latency_us, met, busy_us = row
+        self.latency_us.append(latency_us)
+        self.met.append(met)
+        for column, us in zip(self.busy_us, busy_us):
+            column.append(us)
+        self.placement.append(placement)
+
+    def row(self, index: int) -> Row:
+        """Cycle ``index`` as the engine computed it."""
+        return self.latency_us[index], self.met[index], [c[index] for c in self.busy_us]
+
+    def keep_last(self, count: int) -> None:
+        """Drop all but the last ``count`` cycles.  The positions then no longer
+        match cycle indices; only the columns of such a store are read."""
+        drop = slice(0, max(0, len(self) - count))
+        for column in (self.latency_us, self.met, *self.busy_us, self.placement):
+            del column[drop]
+
+    def columns(self, start: int = 0, stop: int | None = None) -> Columns:
+        """Cycles ``[start:stop]`` as columns (slice semantics).  All of them
+        come back uncopied, so the caller must only read them."""
+        if start == 0 and stop is None:
+            return Columns(self.latency_us, self.met, dict(zip(self.nodes, self.busy_us)))
+        cut = slice(start, stop)
+        return Columns(
+            self.latency_us[cut],
+            self.met[cut],
+            {node: column[cut] for node, column in zip(self.nodes, self.busy_us)},
+        )
+
+    def __len__(self) -> int:
+        return len(self.latency_us)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("cycle index out of range")
+        return CycleRecord(
+            cycle_index=index,
+            e2e_latency=self.latency_us[index] / US_PER_MS,
+            deadline_met=bool(self.met[index]),
+            busy_time={n: c[index] / US_PER_MS for n, c in zip(self.nodes, self.busy_us)},
+            release_ms=index * self.period,
+            placement=self.names[self.placement[index]],
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, CycleStore):
+            return NotImplemented
+        return (self.nodes, self.period, self.latency_us, self.met, self.busy_us) == (
+            other.nodes, other.period, other.latency_us, other.met, other.busy_us
+        ) and [self.names[i] for i in self.placement] == [other.names[i] for i in other.placement]
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -102,45 +210,46 @@ class NormalizedMetrics(NamedTuple):
 
 
 def class_utilization(
-    records: Sequence[CycleRecord],
+    cycles: Columns,
     window_duration: float,
     nodes: Sequence[str],
 ) -> float:
     """Mean busy fraction across ``nodes`` over the window, clamped to [0, 1]."""
     if not nodes:
         return 0.0
+    columns = [cycles.busy_us[n] for n in nodes if n in cycles.busy_us]
+    # cycle by cycle, node by node, each in ms: the order the reports were pinned with
     busy = 0.0
-    for record in records:
-        for node in nodes:
-            busy += record.busy_time.get(node, 0.0)
+    for us in columns[0] if len(columns) == 1 else chain.from_iterable(zip(*columns)):
+        busy += us / US_PER_MS
     return min(1.0, max(0.0, busy / (window_duration * len(nodes))))
 
 
 def aggregate_window(
-    records: Sequence[CycleRecord],
+    cycles: Columns,
     window_duration: float,
     fabric: Fabric,
     window_index: int = 1,
 ) -> WindowMetrics:
-    """Collapse one window of cycle records into WindowMetrics.
+    """Collapse one window of cycles into WindowMetrics.
 
     window_duration is W * P in milliseconds and is the utilization
     denominator per node.
     """
-    if not records:
-        raise ValueError("aggregate_window requires at least one record")
+    count = len(cycles.latency_us)
+    if not count:
+        raise ValueError("aggregate_window requires at least one cycle")
     if window_duration <= 0:
         raise ValueError("window_duration must be > 0")
-    latencies = [r.e2e_latency for r in records]
-    violations = sum(1 for r in records if not r.deadline_met)
     robot_ids = [n.id for n in fabric.of_kind("robot")]
     edge_ids = [n.id for n in fabric.of_kind("edge")]
     return WindowMetrics(
         window_index=window_index,
-        l95=percentile_nearest_rank(latencies, 0.95),
-        violation_rate=violations / len(records),
-        util_robot=class_utilization(records, window_duration, robot_ids),
-        util_edge=class_utilization(records, window_duration, edge_ids),
+        # the µs -> ms division is monotone, so the rank can be taken on the ints
+        l95=percentile_nearest_rank(cycles.latency_us, 0.95) / US_PER_MS,
+        violation_rate=(count - cycles.met.count(1)) / count,
+        util_robot=class_utilization(cycles, window_duration, robot_ids),
+        util_edge=class_utilization(cycles, window_duration, edge_ids),
     )
 
 

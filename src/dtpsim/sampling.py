@@ -29,7 +29,8 @@ from .pipeline import (
 )
 from .streams import Draws
 
-US_PER_MS = 1000
+# a float: an int µs over it is the same ms as over int 1000, and faster
+US_PER_MS = 1000.0
 
 
 def quantize_us(value_ms: float, resolution_us: int = 1) -> int:

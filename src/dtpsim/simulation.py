@@ -7,14 +7,19 @@ single-retransmit loss rule, and record end-to-end latency, deadline
 outcome, and per-node busy time.  There is no cross-cycle queueing; the
 configuration is checked so nominal occupancy fits inside the period.
 
+A cycle is an integer row (µs) appended to the run's CycleStore, a set of
+stdlib ``array`` columns; the shadow history of each candidate keeps its
+last W rows the same way.  Windows, the summary and ``cycles.csv`` are read
+from the columns, and ``SimTrace.cycles`` is the store itself.
+
 Randomness comes from per-purpose substreams addressed by cycle index, so
 stress windows, faults, shadow cycles, and placement changes can never
 shift the samples of unrelated draws.  A stream's tag names a task or a
 link, never a placement, so the cycle of a placement at index i is the
 same record in every run of one scenario and seed, whichever placement is
 active.  ``run_simulation`` can therefore read the active and shadow cycles
-of a ``DTP`` run from fixed runs of its candidates (``known_cycles``)
-instead of simulating them again.
+of a ``DTP`` run from the stores of fixed runs of its candidates
+(``known_cycles``) instead of simulating them again.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ import csv
 import json
 import math
 import warnings
+from itertools import repeat
+from operator import mul, truediv
 from dataclasses import KW_ONLY, dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -44,7 +51,8 @@ from .estimator import (
     update_shadow,
 )
 from .metrics import (
-    CycleRecord,
+    CycleStore,
+    Row,
     WindowMetrics,
     aggregate_window,
     class_utilization,
@@ -61,6 +69,7 @@ from .pipeline import (
     validate_pipeline,
 )
 from .sampling import (
+    US_PER_MS,
     CyclePlan,
     build_cycle_plan,
     nominal_node_occupancy,
@@ -213,7 +222,7 @@ class WindowRow:
 
 @dataclass
 class SimTrace:
-    cycles: list[CycleRecord]
+    cycles: CycleStore
     windows: list[WindowRow]
     summary: dict
 
@@ -264,7 +273,7 @@ class _Engine:
         fabric: Fabric,
         sim: SimConfig,
         streams: RandomStreams,
-        known: Mapping[str, Sequence[CycleRecord]],
+        known: Mapping[str, CycleStore],
     ):
         self.sim = sim
         self.streams = streams
@@ -274,12 +283,12 @@ class _Engine:
         self.deadline_us = quantize_us(sim.deadline, self.resolution)
         self.node_ids = fabric.ids()
 
-    def cycle(self, plan: CyclePlan, cycle_index: int) -> CycleRecord:
-        """The known record of this placement and cycle, else a simulated one."""
+    def cycle(self, plan: CyclePlan, cycle_index: int) -> Row:
+        """The known row of this placement and cycle, else a simulated one."""
         known = self.known.get(plan.placement.name)
-        return known[cycle_index] if known is not None else self.run_cycle(plan, cycle_index)
+        return known.row(cycle_index) if known is not None else self.run_cycle(plan, cycle_index)
 
-    def run_cycle(self, plan: CyclePlan, cycle_index: int) -> CycleRecord:
+    def run_cycle(self, plan: CyclePlan, cycle_index: int) -> Row:
         streams = self.streams
         resolution = self.resolution
         busy_us = dict.fromkeys(self.node_ids, 0)
@@ -305,18 +314,8 @@ class _Engine:
             busy_us[node] += us
         if fatal:
             # second loss on one edge: cycle is dead, latency capped at the period
-            latency_us = self.period_us
-            met = False
-        else:
-            met = latency_us <= self.deadline_us
-        return CycleRecord(
-            cycle_index=cycle_index,
-            e2e_latency=latency_us / 1000.0,
-            deadline_met=met,
-            busy_time={n: us / 1000.0 for n, us in busy_us.items()},
-            release_ms=cycle_index * self.sim.period,
-            placement=plan.placement.name,
-        )
+            return self.period_us, False, [*busy_us.values()]
+        return latency_us, latency_us <= self.deadline_us, [*busy_us.values()]
 
 
 def check_disturbances(
@@ -337,28 +336,33 @@ def check_disturbances(
 
 
 def _check_known_cycles(
-    known: Mapping[str, Sequence[CycleRecord]],
+    known: Mapping[str, CycleStore],
     placements: Sequence[Placement],
+    nodes: Sequence[str],
     count: int,
 ) -> None:
     """Reject known cycles that cannot come from a fixed run of this shape:
-    a name outside the candidates, a length other than ``count`` (horizon x
-    window), or a record off its position or of another placement."""
+    a name outside the candidates, anything but a CycleStore, a length other
+    than ``count`` (horizon x window), cycles of another placement or more
+    than one, or busy columns of other nodes."""
     names = {p.name for p in placements}
-    for name, records in known.items():
+    for name, store in known.items():
         if name not in names:
             raise ValueError(f"known cycles of {name!r}: not a candidate")
-        if len(records) != count:
+        if not isinstance(store, CycleStore):
             raise ValueError(
-                f"known cycles of {name!r}: {len(records)} records, expected {count} "
+                f"known cycles of {name!r}: a {type(store).__name__}, not the CycleStore "
+                "of a fixed run"
+            )
+        if len(store) != count:
+            raise ValueError(
+                f"known cycles of {name!r}: {len(store)} cycles, expected {count} "
                 "(horizon x window)"
             )
-        for position, record in enumerate(records):
-            if record.cycle_index != position or record.placement != name:
-                raise ValueError(
-                    f"known cycles of {name!r}: record {position} is cycle "
-                    f"{record.cycle_index} of {record.placement!r}"
-                )
+        if store.names != (name,):
+            raise ValueError(f"known cycles of {name!r}: cycles of {', '.join(store.names)}")
+        if store.nodes != tuple(nodes):
+            raise ValueError(f"known cycles of {name!r}: busy columns of {store.nodes}")
 
 
 def _check_occupancy(
@@ -432,7 +436,7 @@ def run_simulation(
     stresses: Sequence[StressProfile] = (),
     faults: Sequence[FaultInjection] = (),
     estimator: EstimatorConfig | None = None,
-    known_cycles: Mapping[str, Sequence[CycleRecord]] | None = None,
+    known_cycles: Mapping[str, CycleStore] | None = None,
 ) -> SimTrace:
     """Simulate ``sim.horizon`` windows of ``controller.window_size`` cycles.
 
@@ -443,11 +447,12 @@ def run_simulation(
     for the whole run: the controller then runs over that one candidate,
     so a fixed window is scored by the same code as a controlled one.
 
-    ``known_cycles`` maps a candidate's name to the cycles of a fixed run
-    of it with the same dag, fabric, sim (seed included), window, stresses
-    and faults.  Its active and shadow cycles are read from there, not
-    simulated, and the trace is the same.  Only the shape is checked: a
-    ValueError rejects a wrong length, order or placement name.
+    ``known_cycles`` maps a candidate's name to the ``cycles`` store of a
+    fixed run of it with the same dag, fabric, sim (seed included), window,
+    stresses and faults.  Its active and shadow cycles are read from there,
+    not simulated, and the trace is the same.  Only the shape is checked: a
+    ValueError rejects anything but a store, a wrong length, or cycles of
+    another placement or node set.
     """
     report = validate_pipeline(dag, fabric)
     if not report.ok:
@@ -464,17 +469,18 @@ def run_simulation(
     check_disturbances(dag, fabric, stresses, faults)
     _check_occupancy(dag, placements, sim, stresses)
     known_cycles = known_cycles or {}
-    _check_known_cycles(known_cycles, placements, sim.horizon * window)
+    _check_known_cycles(known_cycles, placements, fabric.ids(), sim.horizon * window)
 
     streams = RandomStreams(sim.seed)
     engine = _Engine(fabric, sim, streams, known_cycles)
+    names = [p.name for p in placements]
     estimator = estimator or EstimatorConfig()
     duration = window * sim.period
     shadow_stride = -(-window // 4)  # ceil(W / 4)
     shadow_min = -(-window // 2)  # ceil(W / 2)
 
     static_cache: dict[str, EstimateReport] = {}
-    shadow_hist: dict[str, list[CycleRecord]] = {p.name: [] for p in placements}
+    shadow_hist = {name: CycleStore(engine.node_ids, sim.period, (name,)) for name in names}
 
     def static_report(candidate: Placement) -> EstimateReport:
         cached = static_cache.get(candidate.name)
@@ -491,24 +497,25 @@ def run_simulation(
             static_cache[candidate.name] = cached
         return cached
 
-    cycles: list[CycleRecord] = []
+    cycles = CycleStore(engine.node_ids, sim.period, names)
     observed: list[tuple[WindowMetrics, str]] = []
 
     def environment(k: int, placement: Placement):
         plans = _window_plans(k, placements, stresses, faults, dag, sim)
         plan = plans[placement.name]
+        active = names.index(placement.name)
         shadow_plans = [plans[c.name] for c in placements if c.name != placement.name]
-        records = []
+        start = (k - 1) * window
         for i in range(window):
-            cycle_index = (k - 1) * window + i
-            records.append(engine.cycle(plan, cycle_index))
+            cycle_index = start + i
+            cycles.append(engine.cycle(plan, cycle_index), active)
             if i % shadow_stride == 0:
                 for shadow_plan in shadow_plans:
                     hist = shadow_hist[shadow_plan.placement.name]
-                    hist.append(engine.cycle(shadow_plan, cycle_index))
-                    if len(hist) > window:
-                        del hist[: len(hist) - window]
-        cycles.extend(records)
+                    hist.append(engine.cycle(shadow_plan, cycle_index), 0)
+        for hist in shadow_hist.values():
+            hist.keep_last(window)
+        records = cycles.columns(start)
         metrics = aggregate_window(records, duration, fabric, k)
         observed.append((metrics, placement.name))
         observed_util = {node: class_utilization(records, duration, (node,)) for node in engine.node_ids}
@@ -541,10 +548,11 @@ def _build_summary(
     sim: SimConfig,
     controller: ControllerConfig,
     fixed: str | None,
-    cycles: Sequence[CycleRecord],
+    cycles: CycleStore,
     windows: Sequence[WindowRow],
 ) -> dict:
-    latencies = [c.e2e_latency for c in cycles]
+    columns = cycles.columns()
+    latencies = columns.latency_us
     migrations = [
         w.decision for w in windows if w.decision and w.decision.action == ACTION_MIGRATE
     ]
@@ -562,11 +570,16 @@ def _build_summary(
         "deadline_ms": sim.deadline,
         "window_size": controller.window_size,
         "windows": len(windows),
-        "cycles": len(cycles),
-        "mean_latency_ms": (sum(latencies) / len(latencies)) if latencies else 0.0,
-        "l95_latency_ms": percentile_nearest_rank(latencies, 0.95) if latencies else 0.0,
+        "cycles": len(latencies),
+        # cycle by cycle in ms, as the summaries were pinned
+        "mean_latency_ms": (
+            sum(us / US_PER_MS for us in latencies) / len(latencies) if latencies else 0.0
+        ),
+        "l95_latency_ms": (
+            percentile_nearest_rank(latencies, 0.95) / US_PER_MS if latencies else 0.0
+        ),
         "violation_rate": (
-            sum(1 for c in cycles if not c.deadline_met) / len(cycles) if cycles else 0.0
+            (len(latencies) - columns.met.count(1)) / len(latencies) if latencies else 0.0
         ),
         "mean_util_robot": (
             sum(w.metrics.util_robot for w in windows) / len(windows) if windows else 0.0
@@ -582,16 +595,21 @@ def _build_summary(
 
 
 # fixed float formats keep repeated runs byte-identical
-def _fmt_ms(value: float) -> str:
-    return f"{value:.3f}"
-
-
-def _fmt_rate(value: float) -> str:
-    return f"{value:.6f}"
+_fmt_ms = "{:.3f}".format
+_fmt_rate = "{:.6f}".format
 
 
 def write_cycles_csv(trace: SimTrace, fabric: Fabric, path: str | Path) -> None:
+    """One row per cycle, formatted column by column from the store; a node
+    of ``fabric`` the run did not have is busy 0."""
     node_ids = fabric.ids()
+    cycles = trace.cycles
+    count = len(cycles)
+    busy = dict(zip(cycles.nodes, cycles.busy_us))
+
+    def ms(values_us):
+        return map(_fmt_ms, map(truediv, values_us, repeat(US_PER_MS)))
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -599,17 +617,16 @@ def write_cycles_csv(trace: SimTrace, fabric: Fabric, path: str | Path) -> None:
             + [f"busy_{n}_ms" for n in node_ids]
             + ["placement_name"]
         )
-        for c in trace.cycles:
-            writer.writerow(
-                [
-                    c.cycle_index,
-                    _fmt_ms(c.release_ms),
-                    _fmt_ms(c.e2e_latency),
-                    "true" if c.deadline_met else "false",
-                ]
-                + [_fmt_ms(c.busy_time.get(n, 0.0)) for n in node_ids]
-                + [c.placement]
+        writer.writerows(
+            zip(
+                range(count),
+                map(_fmt_ms, map(mul, range(count), repeat(cycles.period))),
+                ms(cycles.latency_us),
+                map(("false", "true").__getitem__, cycles.met),
+                *(ms(busy.get(n, repeat(0, count))) for n in node_ids),
+                map(cycles.names.__getitem__, cycles.placement),
             )
+        )
 
 
 def write_windows_csv(trace: SimTrace, path: str | Path) -> None:

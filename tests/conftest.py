@@ -2,6 +2,9 @@
 
 import pytest
 
+from dtpsim.controller import ControllerConfig
+from dtpsim.cost import Constraints, Weights
+from dtpsim.metrics import CycleStore, NormalizationTargets
 from dtpsim.pipeline import (
     ComputeNode,
     DagEdge,
@@ -10,6 +13,7 @@ from dtpsim.pipeline import (
     PipelineDag,
     ServiceTimeModel,
     TaskStage,
+    canonical_candidates,
 )
 
 NODE_PAIRS = [
@@ -17,6 +21,15 @@ NODE_PAIRS = [
     ("R2", "E"), ("E", "R2"),
     ("R1", "R2"), ("R2", "R1"),
 ]
+
+
+def cycle_store(records, nodes=("R1", "R2", "E"), period=30.0):
+    """A one-placement store of (latency ms, met, {node: busy ms}) cycles."""
+    store = CycleStore(nodes, period, ("LOC",))
+    for latency, met, busy in records:
+        us = [round(busy.get(n, 0.0) * 1000) for n in nodes]
+        store.append((round(latency * 1000), met, us), 0)
+    return store
 
 
 def make_fabric():
@@ -60,6 +73,19 @@ def make_dag(
         pair: LinkDelayModel(base, jitter, loss, link_scale) for pair in NODE_PAIRS
     }
     return PipelineDag(tasks, edges, links)
+
+
+def controller_policy(dag, window_size=8, n_min=1):
+    return ControllerConfig(
+        window_size=window_size,
+        candidates=canonical_candidates(dag),
+        weights=Weights(),
+        constraints=Constraints(l95_max=40.0),
+        targets=NormalizationTargets(latency=40.0),
+        delta_min=0.1,
+        n_min=n_min,
+        initial_placement="LOC",
+    )
 
 
 @pytest.fixture

@@ -1,0 +1,194 @@
+"""The columnar cycle store: its sequence view, its memory, and its writer.
+
+The reference functions below are the record-based trace writer and window
+aggregation that the column code replaced, kept as oracles: every byte of
+``cycles.csv`` and every window float must come out as they give it.
+"""
+
+import csv
+import gc
+import tracemalloc
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import NODE_PAIRS, controller_policy, cycle_store, make_dag, make_fabric
+from dtpsim import simulation
+from dtpsim.estimator import EstimatorConfig
+from dtpsim.metrics import CycleRecord, WindowMetrics, percentile_nearest_rank
+from dtpsim.simulation import (
+    FaultInjection,
+    SimConfig,
+    StressProfile,
+    run_simulation,
+    write_cycles_csv,
+)
+
+FABRIC = make_fabric()
+
+
+def reference_write_cycles_csv(records, fabric, path):
+    node_ids = fabric.ids()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["cycle_index", "release_ms", "latency_ms", "deadline_met"]
+            + [f"busy_{n}_ms" for n in node_ids]
+            + ["placement_name"]
+        )
+        for c in records:
+            writer.writerow(
+                [
+                    c.cycle_index,
+                    f"{c.release_ms:.3f}",
+                    f"{c.e2e_latency:.3f}",
+                    "true" if c.deadline_met else "false",
+                ]
+                + [f"{c.busy_time.get(n, 0.0):.3f}" for n in node_ids]
+                + [c.placement]
+            )
+
+
+def reference_utilization(records, window_duration, nodes):
+    if not nodes:
+        return 0.0
+    busy = 0.0
+    for record in records:
+        for node in nodes:
+            busy += record.busy_time.get(node, 0.0)
+    return min(1.0, max(0.0, busy / (window_duration * len(nodes))))
+
+
+def reference_aggregate(records, window_duration, fabric, window_index):
+    robot_ids = [n.id for n in fabric.of_kind("robot")]
+    edge_ids = [n.id for n in fabric.of_kind("edge")]
+    return WindowMetrics(
+        window_index=window_index,
+        l95=percentile_nearest_rank([r.e2e_latency for r in records], 0.95),
+        violation_rate=sum(1 for r in records if not r.deadline_met) / len(records),
+        util_robot=reference_utilization(records, window_duration, robot_ids),
+        util_edge=reference_utilization(records, window_duration, edge_ids),
+    )
+
+
+def test_a_store_reads_as_a_sequence_of_records():
+    cycles = [(12.5, True, {"R1": 2.0, "E": 10.5}), (50.0, False, {"R2": 0.125})]
+    store = cycle_store(cycles, period=40.0)
+    assert len(store) == 2
+    assert store[1] == CycleRecord(1, 50.0, False, {"R1": 0.0, "R2": 0.125, "E": 0.0}, 40.0, "LOC")
+    assert store[-2] == store[0] == CycleRecord(
+        0, 12.5, True, {"R1": 2.0, "R2": 0.0, "E": 10.5}, 0.0, "LOC"
+    )
+    assert store[0:2] == [store[0], store[1]]
+    assert store[5:] == []
+    assert list(store) == store[:]
+    with pytest.raises(IndexError):
+        store[2]
+    assert store == cycle_store(cycles, period=40.0)
+    assert store != cycle_store(cycles[:1], period=40.0)
+    assert store != cycle_store(cycles, period=50.0)
+    assert store != list(store)
+
+
+def test_a_trace_retains_under_64_bytes_per_cycle():
+    """2,000 cycles of a fixed run live in columns: the trace holds under 64 B
+    per cycle (a record with its busy-time dict held over 400)."""
+    dag = make_dag(cv=0.3, jitter=0.2, loss=0.05)
+    sim = SimConfig(40.0, 40.0, horizon=40, seed=3)
+    controller = controller_policy(dag, window_size=50)
+    run_simulation(dag, FABRIC, sim, controller, fixed="SO")  # fills any lazy module state
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        trace = run_simulation(dag, FABRIC, sim, controller, fixed="SO")
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        cycles = len(trace.cycles)
+        del trace
+        gc.collect()
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert cycles == 2000
+    assert retained / cycles < 64
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    fixed=st.sampled_from([None, "LOC", "SO", "HYB"]),
+    cv=st.floats(0.0, 0.4),
+    jitter=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**31),
+    resolution=st.sampled_from([1, 7, 100]),
+    stressed=st.sampled_from(["R1", "R2", "E"]),
+    slowdown=st.floats(1.0, 3.0),
+    load=st.floats(0.0, 0.4),
+    fatal_loss=st.floats(0.0, 0.9),
+    data=st.data(),
+)
+def test_the_column_writer_matches_the_record_writer(
+    tmp_path_factory, fixed, cv, jitter, seed, resolution, stressed, slowdown, load, fatal_loss,
+    data,
+):
+    horizon, window = 3, 10
+    dag = make_dag(cv=cv, jitter=jitter, loss=0.02)
+    stress = StressProfile(
+        stressed, data.draw(st.integers(1, horizon), label="stress start"), horizon,
+        slowdown=slowdown, exogenous_load=load,
+    )
+    fault = FaultInjection(
+        tuple(data.draw(st.lists(st.sampled_from(NODE_PAIRS), min_size=1, unique=True))),
+        data.draw(st.floats(0.0, 10.0), label="mu"),
+        sigma=data.draw(st.floats(0.0, 3.0), label="sigma"),
+        loss_probability=fatal_loss,
+        start_window=data.draw(st.integers(1, horizon), label="fault window"),
+        end_window=horizon,
+        additive=data.draw(st.booleans(), label="additive"),
+    )
+    sim = SimConfig(50.0, 50.0, horizon=horizon, seed=seed, clock_resolution_us=resolution)
+    rows = {}
+    run_cycle = simulation._Engine.run_cycle
+
+    def recording_run_cycle(engine, plan, cycle_index):
+        row = run_cycle(engine, plan, cycle_index)
+        rows[plan.placement.name, cycle_index] = row
+        return row
+
+    with mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle):
+        trace = run_simulation(
+            dag, FABRIC, sim, controller_policy(dag, window_size=window, n_min=0), fixed=fixed,
+            stresses=(stress,), faults=(fault,), estimator=EstimatorConfig(static_samples=100),
+        )
+    records = list(trace.cycles)
+    assert len(records) == horizon * window
+    for i, record in enumerate(records):
+        name = trace.windows[i // window].placement
+        latency_us, met, busy_us = rows[name, i]
+        assert record == trace.cycles[i] == CycleRecord(
+            cycle_index=i,
+            e2e_latency=latency_us / 1000.0,
+            deadline_met=met,
+            busy_time={n: us / 1000.0 for n, us in zip(FABRIC.ids(), busy_us)},
+            release_ms=i * sim.period,
+            placement=name,
+        )
+
+    out = tmp_path_factory.mktemp("cycles")
+    write_cycles_csv(trace, FABRIC, out / "columns.csv")
+    reference_write_cycles_csv(records, FABRIC, out / "records.csv")
+    assert (out / "columns.csv").read_bytes() == (out / "records.csv").read_bytes()
+
+    duration = window * sim.period
+    for k, row in enumerate(trace.windows, 1):
+        window_records = records[(k - 1) * window:k * window]
+        assert row.metrics == reference_aggregate(window_records, duration, FABRIC, k)
+    latencies = [r.e2e_latency for r in records]
+    assert trace.summary["mean_latency_ms"] == sum(latencies) / len(latencies)
+    assert trace.summary["l95_latency_ms"] == percentile_nearest_rank(latencies, 0.95)
+    assert trace.summary["violation_rate"] == (
+        sum(1 for r in records if not r.deadline_met) / len(records)
+    )

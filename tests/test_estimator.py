@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import make_dag, make_fabric
+from conftest import cycle_store, make_dag, make_fabric
 from dtpsim.estimator import (
     ConservativeRatios,
     EstimatorConfig,
@@ -15,7 +15,7 @@ from dtpsim.estimator import (
     update_shadow,
 )
 from dtpsim.harness import load_config
-from dtpsim.metrics import CycleRecord, WindowMetrics
+from dtpsim.metrics import WindowMetrics
 from dtpsim.pipeline import canonical_candidates, nominal_latency
 from dtpsim.streams import RandomStreams
 
@@ -110,12 +110,12 @@ def test_predicted_node_utilization_from_means():
 
 
 def shadow_record(i, latency, met=True, busy=None):
-    return CycleRecord(i, latency, met, busy or {"R1": 0.0})
+    return latency, met, busy or {"R1": 0.0}
 
 
 def test_shadow_uniform_history():
     history = [shadow_record(i, 10.0) for i in range(20)]
-    report = update_shadow(history, "SO", window_size=20, period=30.0, fabric=FABRIC)
+    report = update_shadow(cycle_store(history), "SO", window_size=20, period=30.0, fabric=FABRIC)
     assert report.metrics.l95 == 10.0
     assert report.metrics.violation_rate == 0.0
     assert report.mechanism == "shadow"
@@ -125,7 +125,7 @@ def test_shadow_uniform_history():
 def test_shadow_counts_violations():
     latencies = [5.0] * 9 + [50.0]
     history = [shadow_record(i, lat, met=lat <= 30.0) for i, lat in enumerate(latencies)]
-    report = update_shadow(history, "SO", window_size=10, period=30.0, fabric=FABRIC)
+    report = update_shadow(cycle_store(history), "SO", window_size=10, period=30.0, fabric=FABRIC)
     assert report.metrics.violation_rate == pytest.approx(0.1)
     assert report.metrics.l95 == 50.0
 
@@ -133,14 +133,14 @@ def test_shadow_counts_violations():
 def test_shadow_uses_only_most_recent_window():
     old = [shadow_record(i, 100.0, met=False) for i in range(10)]
     new = [shadow_record(10 + i, 10.0) for i in range(10)]
-    report = update_shadow(old + new, "SO", window_size=10, period=30.0, fabric=FABRIC)
+    report = update_shadow(cycle_store(old + new), "SO", window_size=10, period=30.0, fabric=FABRIC)
     assert report.metrics.l95 == 10.0
     assert report.metrics.violation_rate == 0.0
 
 
 def test_shadow_tracks_per_node_busy_time():
     history = [shadow_record(i, 10.0, busy={"R1": 10.0, "E": 5.0}) for i in range(10)]
-    report = update_shadow(history, "SO", window_size=10, period=20.0, fabric=FABRIC)
+    report = update_shadow(cycle_store(history), "SO", window_size=10, period=20.0, fabric=FABRIC)
     assert report.per_node_utilization["R1"] == pytest.approx(0.5)
     assert report.per_node_utilization["E"] == pytest.approx(0.25)
     assert report.per_node_utilization["R2"] == 0.0
@@ -148,7 +148,7 @@ def test_shadow_tracks_per_node_busy_time():
 
 def test_shadow_rejects_empty_history():
     with pytest.raises(ValueError, match="empty"):
-        update_shadow([], "SO", window_size=10, period=30.0, fabric=FABRIC)
+        update_shadow(cycle_store([]), "SO", window_size=10, period=30.0, fabric=FABRIC)
 
 
 OBSERVED = WindowMetrics(3, l95=20.0, violation_rate=0.1, util_robot=0.4, util_edge=0.3)

@@ -619,6 +619,13 @@ def test_cli_validate_rejects_unknown_references(tmp_path, capsys, document, nam
         (_stress_with(slowdown=2.0, start_window=1.5),
          "scenarios.robot-stress.stresses[0].start_window"),
         (_fault_with(mu=5.0, end_window=True), "scenarios.network-impairment.faults[0].end_window"),
+        # a float field takes neither a bool, nor a string, nor null
+        ({"sim": {"deadline": True}}, "sim.deadline"),
+        ({"controller": {"delta_min": True}}, "controller.delta_min"),
+        ({"weights": {"alpha_l": True}}, "weights.alpha_l"),
+        ({"controller": {"delta_min": "0.1"}}, "controller.delta_min"),
+        ({"sim": {"deadline": "30"}}, "sim.deadline"),
+        ({"constraints": {"l95_max": None}}, "constraints.l95_max"),
     ],
     ids=[
         "ratios", "seeds", "nodes", "task", "edge-endpoint", "check-policy", "check-versus",
@@ -626,7 +633,8 @@ def test_cli_validate_rejects_unknown_references(tmp_path, capsys, document, nam
         "fault-links-string", "service-scalar", "policies-repeated", "seeds-repeated",
         "seed-fraction", "sim-seed-fraction", "clock-resolution-bool", "n-min-fraction",
         "scenario-horizon-fraction", "scenario-window-size-bool", "stress-start-fraction",
-        "fault-end-bool",
+        "fault-end-bool", "deadline-bool", "delta-min-bool", "alpha-l-bool", "delta-min-string",
+        "deadline-string", "l95-max-null",
     ],
 )
 def test_cli_validate_rejects_malformed_entries(tmp_path, capsys, document, where):

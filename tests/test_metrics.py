@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import cycle_store
 from dtpsim.metrics import (
-    CycleRecord,
     NormalizationTargets,
     WindowMetrics,
     aggregate_window,
@@ -18,8 +18,9 @@ from dtpsim.metrics import (
 from dtpsim.pipeline import ComputeNode, Fabric
 
 
-def record(latency, met=True, busy=None, index=0):
-    return CycleRecord(index, latency, met, busy or {})
+def window(*records):
+    """The columns of (latency ms, met, {node: busy ms}) cycles."""
+    return cycle_store(records, nodes=("R1", "R2", "E")).columns()
 
 
 def test_percentile_of_1_to_100_at_95():
@@ -79,21 +80,21 @@ def small_fabric():
 
 
 def test_uniform_window_aggregates_trivially():
-    records = [record(10.0) for _ in range(20)]
+    records = window(*[(10.0, True, {})] * 20)
     m = aggregate_window(records, 20 * 30.0, small_fabric())
     assert (m.l95, m.violation_rate, m.util_robot, m.util_edge) == (10.0, 0.0, 0.0, 0.0)
 
 
 def test_one_late_cycle_in_ten():
     latencies = [5.0] * 9 + [50.0]
-    records = [record(lat, met=lat <= 30.0) for lat in latencies]
+    records = window(*[(lat, lat <= 30.0, {}) for lat in latencies])
     m = aggregate_window(records, 10 * 30.0, small_fabric())
     assert m.violation_rate == pytest.approx(0.1)
     assert m.l95 == 50.0
 
 
 def test_busy_time_becomes_utilization():
-    records = [record(5.0, busy={"R1": 10.0}) for _ in range(4)]
+    records = window(*[(5.0, True, {"R1": 10.0})] * 4)
     assert class_utilization(records, 4 * 20.0, ["R1"]) == pytest.approx(0.5)
     m = aggregate_window(records, 4 * 20.0, small_fabric())
     assert m.util_robot == pytest.approx(0.5)
@@ -101,18 +102,18 @@ def test_busy_time_becomes_utilization():
 
 
 def test_class_utilization_averages_over_nodes():
-    records = [record(5.0, busy={"R1": 10.0, "R2": 0.0}) for _ in range(4)]
+    records = window(*[(5.0, True, {"R1": 10.0, "R2": 0.0})] * 4)
     assert class_utilization(records, 4 * 20.0, ["R1", "R2"]) == pytest.approx(0.25)
 
 
 def test_class_utilization_clamps_overload():
-    records = [record(5.0, busy={"R1": 30.0}) for _ in range(4)]
+    records = window(*[(5.0, True, {"R1": 30.0})] * 4)
     assert class_utilization(records, 4 * 20.0, ["R1"]) == 1.0
 
 
 def test_aggregate_rejects_empty_window():
     with pytest.raises(ValueError):
-        aggregate_window([], 100.0, small_fabric())
+        aggregate_window(window(), 100.0, small_fabric())
 
 
 def test_normalize_divides_by_targets():

@@ -1,16 +1,14 @@
 """Engine behavior: determinism, stress, faults, and controller wiring."""
 
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import NODE_PAIRS, make_dag, make_fabric
-from dtpsim.controller import ControllerConfig
+from conftest import NODE_PAIRS, controller_policy, make_dag, make_fabric
 from dtpsim import simulation
-from dtpsim.cost import Constraints, Weights
 from dtpsim.estimator import EstimatorConfig, estimate_static
-from dtpsim.metrics import NormalizationTargets
 from dtpsim.pipeline import canonical_candidates, nominal_latency
 from dtpsim.sampling import quantize_us
 from dtpsim.simulation import (
@@ -45,7 +43,8 @@ def test_deterministic_limit_matches_nominal_latency():
 
 def test_horizon_zero_produces_empty_trace():
     trace = fixed_run(make_dag(), "LOC", SimConfig(50.0, 30.0, horizon=0))
-    assert trace.cycles == []
+    assert len(trace.cycles) == 0
+    assert list(trace.cycles) == []
     assert trace.windows == []
     assert trace.summary["cycles"] == 0
     assert trace.summary["violation_rate"] == 0.0
@@ -194,19 +193,6 @@ def test_stressed_overload_warns_but_runs():
     assert trace.cycles
 
 
-def controller_policy(dag, window_size=8, n_min=1):
-    return ControllerConfig(
-        window_size=window_size,
-        candidates=canonical_candidates(dag),
-        weights=Weights(),
-        constraints=Constraints(l95_max=40.0),
-        targets=NormalizationTargets(latency=40.0),
-        delta_min=0.1,
-        n_min=n_min,
-        initial_placement="LOC",
-    )
-
-
 def test_migration_applies_at_the_next_window_boundary():
     # The middle hop is the heavy one, so offloading both T2 and T3 beats
     # the half-offload once R1 slows down.
@@ -300,7 +286,7 @@ def test_a_fault_in_one_window_leaves_every_other_window_unchanged(
 
 
 def test_every_fatal_cycle_is_capped_at_the_period():
-    # (record, whether an edge crossing of its cycle was lost twice) for
+    # (row, whether an edge crossing of its cycle was lost twice) for
     # every active and shadow cycle the engine runs
     cycles = []
     crossing_fatal = [False]
@@ -314,9 +300,9 @@ def test_every_fatal_cycle_is_capped_at_the_period():
 
     def recording_run_cycle(engine, plan, cycle_index):
         crossing_fatal[0] = False
-        record = run_cycle(engine, plan, cycle_index)
-        cycles.append((record, crossing_fatal[0]))
-        return record
+        row = run_cycle(engine, plan, cycle_index)
+        cycles.append((row, crossing_fatal[0]))
+        return row
 
     fatal_seen = []
 
@@ -340,10 +326,10 @@ def test_every_fatal_cycle_is_capped_at_the_period():
                 dag, FABRIC, sim, controller_policy(dag, window_size=4, n_min=0),
                 fixed=fixed, estimator=EstimatorConfig(static_samples=100),
             )
-        for record, fatal in cycles:
+        for (latency_us, met, _), fatal in cycles:
             if fatal:
-                assert record.e2e_latency == period
-                assert not record.deadline_met
+                assert latency_us == period * 1000
+                assert not met
         fatal_seen.append(sum(fatal for _, fatal in cycles))
 
     check()
@@ -389,29 +375,32 @@ def test_every_dtp_cycle_equals_the_fixed_run_cycle_of_its_placement(
     run_cycle = simulation._Engine.run_cycle
 
     def recording_run_cycle(engine, plan, cycle_index):
-        record = run_cycle(engine, plan, cycle_index)
-        ran.append(record)
-        return record
+        row = run_cycle(engine, plan, cycle_index)
+        ran.append((plan.placement.name, cycle_index, row))
+        return row
 
     with mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle):
         run_simulation(dag, FABRIC, sim, controller,
                        estimator=EstimatorConfig(static_samples=100), **disturbances)
     fixed = {
         name: run_simulation(dag, FABRIC, sim, controller, fixed=name, **disturbances).cycles
-        for name in {record.placement for record in ran}
+        for name in {name for name, _, _ in ran}
     }
     assert len(ran) > horizon * window_size  # shadow cycles ran too
-    for record in ran:
-        assert record == fixed[record.placement][record.cycle_index]
+    for name, cycle_index, row in ran:
+        assert row == fixed[name].row(cycle_index)
+        assert fixed[name][cycle_index].placement == name
 
 
-def known_cycles_case():
+def known_cycles_case(horizon=6):
     dag = make_dag(cv=0.3, jitter=0.5, loss=0.05)
     stress = StressProfile("R1", start_window=2, end_window=6, slowdown=2.5)
     sim = SimConfig(period=50.0, deadline=30.0, horizon=6, seed=7)
     controller = controller_policy(dag, window_size=4, n_min=0)
     known = {
-        name: fixed_run(dag, name, sim, window_size=4, stresses=(stress,)).cycles
+        name: fixed_run(
+            dag, name, replace(sim, horizon=horizon), window_size=4, stresses=(stress,)
+        ).cycles
         for name in ("LOC", "SO")
     }
 
@@ -443,24 +432,25 @@ def test_known_cycles_are_read_and_leave_the_trace_unchanged():
 
 
 @pytest.mark.parametrize(
-    "bad, message",
+    "horizon, bad, message",
     [
-        (lambda loc: {"LOC": loc[:-1]}, "23 records, expected 24"),
-        (lambda loc: {"LOC": loc + loc[:4]}, "28 records, expected 24"),
-        (lambda loc: {"LOC": [loc[1], loc[0], *loc[2:]]}, "record 0 is cycle 1"),
-        (lambda loc: {"SO": loc}, "record 0 is cycle 0 of 'LOC'"),
-        (lambda loc: {"XYZ": loc}, "not a candidate"),
+        (5, lambda loc: {"LOC": loc}, "20 cycles, expected 24"),
+        (7, lambda loc: {"LOC": loc}, "28 cycles, expected 24"),
+        (6, lambda loc: {"LOC": list(loc)}, "a list, not the CycleStore of a fixed run"),
+        (6, lambda loc: {"SO": loc}, "known cycles of 'SO': cycles of LOC"),
+        (6, lambda loc: {"XYZ": loc}, "not a candidate"),
     ],
-    ids=["short", "long", "order", "placement", "candidate"],
+    ids=["short", "long", "list", "placement", "candidate"],
 )
-def test_known_cycles_of_another_shape_are_rejected(bad, message):
-    known, run = known_cycles_case()
+def test_known_cycles_of_another_shape_are_rejected(horizon, bad, message):
+    known, _ = known_cycles_case(horizon)
+    _, run = known_cycles_case()
     with pytest.raises(ValueError, match=message):
         run(bad(known["LOC"]))
 
 
 def record_cycle_parts(run):
-    """Run ``run()`` and return, per engine cycle, its record, the quantized
+    """Run ``run()`` and return, per engine cycle, its row, the quantized
     service µs of each executed stage, the (delay µs, fatal) of each edge
     crossing and the exogenous busy µs of its plan."""
     cycles = []
@@ -482,8 +472,8 @@ def record_cycle_parts(run):
         parts = {"resolution": engine.resolution, "service_us": [], "edges": [],
                  "exogenous_us": sum(us for _, us in plan.exogenous_us)}
         cycles.append(parts)
-        parts["record"] = run_cycle(engine, plan, cycle_index)
-        return parts["record"]
+        parts["row"] = run_cycle(engine, plan, cycle_index)
+        return parts["row"]
 
     with mock.patch.object(simulation, "sample_service", recording_sample_service), \
             mock.patch.object(simulation, "traverse_edge", recording_traverse), \
@@ -522,7 +512,7 @@ def test_a_cycle_latency_is_its_service_plus_edge_microseconds(params):
         if any(fatal for _, fatal in parts["edges"]):
             continue
         total_us = sum(parts["service_us"]) + sum(us for us, _ in parts["edges"])
-        assert parts["record"].e2e_latency == total_us / 1000.0
+        assert parts["row"][0] == total_us
 
 
 @settings(max_examples=40, deadline=None)
@@ -531,5 +521,4 @@ def test_busy_time_is_the_stage_plus_exogenous_microseconds(params):
     cycles = run_engine(**params)
     assert cycles
     for parts in cycles:
-        busy_us = sum(round(ms * 1000) for ms in parts["record"].busy_time.values())
-        assert busy_us == sum(parts["service_us"]) + parts["exogenous_us"]
+        assert sum(parts["row"][2]) == sum(parts["service_us"]) + parts["exogenous_us"]
