@@ -4,14 +4,19 @@ A single YAML document describes the fabric, the task chain, timing,
 cost weights, controller settings, and a set of named scenarios.  Every
 key has a shipped default, so a config naming only a scenario still
 resolves to a complete runnable document, and unknown keys are rejected
-with their full path.
+with their full path.  Each section or list entry builds one dataclass;
+its keys are that dataclass's fields, and each YAML value is converted
+by its field's annotation (``_convert``), so the dataclasses are the
+only statement of what a config value may be.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
+import typing
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -249,44 +254,47 @@ def _from_spec(cls, spec: Mapping, path: str, /, **explicit):
     """Build the dataclass ``cls`` from a YAML mapping keyed by its fields.
 
     The keys are checked against ``dataclasses.fields(cls)`` and omitted
-    ones take the dataclass defaults.  ``explicit`` sets the fields the
+    ones take the dataclass defaults.  Each value is converted by its
+    field's annotation (``_converted``).  ``explicit`` sets the fields the
     YAML does not name itself (an edge's ``src`` and ``dst``).
     """
     _check_keys(spec, [f.name for f in fields(cls) if f.name not in explicit], path)
-    _check_numbers(cls, spec, path)
-    return _build(cls, path, **spec, **explicit)
+    return _build(cls, path, **_converted(cls, spec, path), **explicit)
 
 
-def _integer(value: Any) -> int:
-    """A YAML integer: ``8.5`` is rejected, not truncated, and ``true`` is not 1."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{value!r} is not an integer")
-    return value
+# the annotation of each field of a dataclass, resolved once per class
+_hints = functools.cache(typing.get_type_hints)
 
 
-def _number(value: Any) -> int | float:
-    """A YAML number: ``true`` is not 1, and ``"0.1"`` or null is not a number."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a number")
-    return value
+def _converted(cls, spec: Mapping, path: str) -> dict:
+    """``spec`` with each value converted by the annotation of its field in ``cls``."""
+    hints = _hints(cls)
+    return {key: _build(_convert, f"{path}.{key}", hints[key], v) for key, v in spec.items()}
 
 
-def _real(value: Any) -> float:
-    """A YAML number as a float, so that ``1`` reports as ``1.0``."""
-    return float(_number(value))
+def _convert(hint: Any, value: Any) -> Any:
+    """A YAML value as the type ``hint`` names.
 
-
-# the check of each value for a field annotated with the key
-_NUMERIC = {"int": _integer, int: _integer, "float": _number, float: _number}
-
-
-def _check_numbers(cls, spec: Mapping, path: str) -> None:
-    """Each value in ``spec`` for a field that ``cls`` declares ``int`` or
-    ``float`` is one."""
-    for f in fields(cls):
-        check = _NUMERIC.get(f.type)
-        if check is not None and f.name in spec:
-            _build(check, f"{path}.{f.name}", spec[f.name])
+    An ``int`` takes neither a fraction (``8.5`` is not truncated) nor a
+    bool (``true`` is not 1); a ``float`` takes any number but a bool and
+    reads ``1`` as ``1.0``; a ``bool`` or ``str`` takes only itself; a
+    ``tuple`` or ``frozenset`` takes a YAML list, converted item by item.
+    Any other type (a mapping, a built dataclass) takes the value as given.
+    """
+    if hint in (int, float, bool, str):
+        accepted = (int, float) if hint is float else hint
+        if not isinstance(value, accepted) or isinstance(value, bool) != (hint is bool):
+            raise TypeError(f"{value!r} is not {'an' if hint is int else 'a'} {hint.__name__}")
+        return hint(value)
+    origin = typing.get_origin(hint)
+    if origin is not tuple and origin is not frozenset:
+        return value
+    items, args = _tuple(value), typing.get_args(hint)
+    if origin is frozenset or args[-1] is Ellipsis:
+        return origin(_convert(args[0], item) for item in items)
+    if len(items) != len(args):
+        raise ValueError(f"{list(items)!r} must have {len(args)} entries")
+    return tuple(map(_convert, args, items))
 
 
 def _tuple(value: Any) -> tuple:
@@ -307,14 +315,7 @@ def _distinct(value: Any) -> tuple:
 
 def _seeds(value: Any) -> tuple[int, ...]:
     """A YAML list of distinct integer seeds; ``1.7`` is rejected, not truncated."""
-    for seed in _tuple(value):
-        _integer(seed)
-    return _distinct(value)
-
-
-def _pairs(value: Any) -> tuple:
-    """A YAML list of ``[from, to]`` lists as a tuple of tuples."""
-    return tuple(map(_tuple, _tuple(value)))
+    return _distinct(_convert(tuple[int, ...], value))
 
 
 def _each(items: Any, path: str) -> Iterator[tuple[str, Mapping]]:
@@ -325,29 +326,15 @@ def _each(items: Any, path: str) -> Iterator[tuple[str, Mapping]]:
         yield f"{path}[{i}]", spec
 
 
-def _coerced(spec: Mapping, path: str, /, **converters) -> dict:
-    """``spec`` with each key it has in ``converters`` converted.
-
-    The dataclasses keep values as given, so this is where a YAML integer
-    becomes the float a report name shows (a threshold of ``1`` reports as
-    ``1.0``) and a YAML list becomes a tuple.
-    """
-    return {
-        key: _build(converters[key], f"{path}.{key}", value) if key in converters else value
-        for key, value in spec.items()
-    }
-
-
-def _windowed(spec: Mapping, path: str, horizon: int, /, **converters) -> dict:
+def _windowed(spec: Mapping, horizon: int) -> dict:
     """A stress or fault spec whose open window ends are resolved: an omitted
     or null start is window 1, an omitted or null end is the horizon."""
-    return _coerced(
-        {"start_window": None, "end_window": None, **spec},
-        path,
-        start_window=lambda w: 1 if w is None else w,
-        end_window=lambda w: max(horizon, 1) if w is None else w,
-        **converters,
-    )
+    start, end = spec.get("start_window"), spec.get("end_window")
+    return {
+        **spec,
+        "start_window": 1 if start is None else start,
+        "end_window": max(horizon, 1) if end is None else end,
+    }
 
 
 def _endpoints(spec: Mapping, path: str) -> tuple[tuple[str, str], dict]:
@@ -373,7 +360,6 @@ def build_dag(raw: Mapping) -> PipelineDag:
             node: _from_spec(ServiceTimeModel, model, f"{path}.service.{node}")
             for node, model in models.items()
         }
-        spec = _coerced(spec, path, feasible=_tuple)
         tasks.append(_from_spec(TaskStage, {**spec, "service": service}, path))
     edges = []
     for path, spec in _each(raw["edges"], "dag.edges"):
@@ -386,14 +372,15 @@ def build_dag(raw: Mapping) -> PipelineDag:
     return PipelineDag(tuple(tasks), tuple(edges), links)
 
 
-def build_targets(raw: Mapping, fabric: Fabric) -> NormalizationTargets:
+def build_targets(latency: Any, fabric: Fabric, path: str) -> NormalizationTargets:
+    """The cost targets: a controller section's ``latency_target`` (found at
+    ``path``) and the mean utilization target of each node kind."""
     robots = fabric.of_kind("robot")
     edges = fabric.of_kind("edge")
-    path = "controller.latency_target"
     return _build(
         NormalizationTargets,
         path,
-        latency=_build(_number, path, raw["controller"]["latency_target"]),
+        latency=_build(_convert, path, _hints(NormalizationTargets)["latency"], latency),
         util_robot=(
             sum(n.utilization_target for n in robots) / len(robots) if robots else 0.8
         ),
@@ -415,12 +402,20 @@ class Expectation:
     min_seed_fraction: float
     forbidden: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        for name in ("min_fraction", "min_seed_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+
 
 CHECK_KINDS = (
     "policy_violation_above",
     "post_convergence_violation_below",
     "violation_ratio_at_least",
 )
+# the windows a violation_ratio_at_least check compares: every one, or the faults'
+CHECK_INTERVALS = ("all", "fault")
 
 
 @dataclass(frozen=True)
@@ -440,6 +435,9 @@ class Check:
             raise ValueError(f"a {self.kind} check needs a policy")
         if self.kind == "violation_ratio_at_least" and not self.versus:
             raise ValueError("a violation_ratio_at_least check needs a versus policy")
+        if self.interval not in CHECK_INTERVALS:
+            known = ", ".join(CHECK_INTERVALS)
+            raise ValueError(f"unknown check interval {self.interval!r} (known: {known})")
 
 
 @dataclass(frozen=True)
@@ -466,7 +464,6 @@ class ResolvedConfig:
     sim: SimConfig
     weights: Weights
     constraints: Constraints
-    targets: NormalizationTargets
     estimator: EstimatorConfig
     scenarios: Mapping[str, ScenarioSpec] = field(default_factory=dict)
 
@@ -474,48 +471,39 @@ class ResolvedConfig:
     def known_policies(self) -> tuple[str, ...]:
         return (*self.candidates.names(), CONTROLLER_POLICY)
 
-    def controller_config(self, overrides: Mapping[str, Any] | None = None) -> ControllerConfig:
-        section = dict(self.raw["controller"])
-        section.update(overrides or {})
-        return _build(
+    def controller_config(
+        self, overrides: Mapping[str, Any] | None = None, path: str = "controller"
+    ) -> ControllerConfig:
+        """The controller of the ``controller`` section overlaid with
+        ``overrides``; errors name ``path``, where the overrides are."""
+        section = {**self.raw["controller"], **(overrides or {})}
+        latency = section.pop("latency_target")
+        return _from_spec(
             ControllerConfig,
-            "controller",
-            window_size=section["window_size"],
+            section,
+            path,
             candidates=self.candidates,
             weights=self.weights,
             constraints=self.constraints,
-            targets=self.targets,
-            delta_min=float(section["delta_min"]),
-            n_min=section["n_min"],
-            initial_placement=section["initial_placement"],
+            targets=build_targets(latency, self.fabric, f"{path}.latency_target"),
         )
 
 
 def _build_scenario(name: str, raw_scenario: Mapping, sim: SimConfig) -> ScenarioSpec:
     path = f"scenarios.{name}"
-    _check_numbers(SimConfig, raw_scenario["sim"], f"{path}.sim")
-    _check_numbers(ControllerConfig, raw_scenario["controller"], f"{path}.controller")
-    scenario_sim = _build(replace, f"{path}.sim", sim, **raw_scenario["sim"])
+    overrides = _converted(SimConfig, raw_scenario["sim"], f"{path}.sim")
+    scenario_sim = _build(replace, f"{path}.sim", sim, **overrides)
     horizon = scenario_sim.horizon
     stresses = tuple(
-        _from_spec(StressProfile, _windowed(spec, at, horizon), at)
+        _from_spec(StressProfile, _windowed(spec, horizon), at)
         for at, spec in _each(raw_scenario["stresses"], f"{path}.stresses")
     )
     faults = tuple(
-        _from_spec(FaultInjection, _windowed(spec, at, horizon, additive=bool, links=_pairs), at)
+        _from_spec(FaultInjection, _windowed(spec, horizon), at)
         for at, spec in _each(raw_scenario["faults"], f"{path}.faults")
     )
     checks = tuple(
-        _from_spec(Check, _coerced(spec, at, threshold=_real, ratio=_real), at)
-        for at, spec in _each(raw_scenario["checks"], f"{path}.checks")
-    )
-    expected = _coerced(
-        raw_scenario["expected"],
-        f"{path}.expected",
-        dominant=_tuple,
-        forbidden=_tuple,
-        min_fraction=_real,
-        min_seed_fraction=_real,
+        _from_spec(Check, spec, at) for at, spec in _each(raw_scenario["checks"], f"{path}.checks")
     )
     return ScenarioSpec(
         name=name,
@@ -525,7 +513,7 @@ def _build_scenario(name: str, raw_scenario: Mapping, sim: SimConfig) -> Scenari
         policies=_build(_distinct, f"{path}.policies", raw_scenario["policies"]),
         seeds=_build(_seeds, f"{path}.seeds", raw_scenario["seeds"]),
         controller_overrides=dict(raw_scenario["controller"]),
-        expected=_from_spec(Expectation, expected, f"{path}.expected"),
+        expected=_from_spec(Expectation, raw_scenario["expected"], f"{path}.expected"),
         checks=checks,
     )
 
@@ -538,7 +526,7 @@ def _check_references(config: ResolvedConfig, spec: ScenarioSpec) -> None:
         if policy not in config.known_policies:
             raise ConfigError(f"{path}: unknown policy {policy!r}")
     _build(check_disturbances, path, config.dag, config.fabric, spec.stresses, spec.faults)
-    config.controller_config(spec.controller_overrides)  # fails fast on bad overrides
+    config.controller_config(spec.controller_overrides, f"{path}.controller")  # fails fast
 
 
 def load_config(path: str | Path | None = None) -> ResolvedConfig:
@@ -563,7 +551,6 @@ def load_config(path: str | Path | None = None) -> ResolvedConfig:
     if not report.ok:
         raise ConfigError("invalid pipeline: " + "; ".join(report.problems))
     sim = _from_spec(SimConfig, raw["sim"], "sim")
-    _check_numbers(ControllerConfig, raw["controller"], "controller")
     config = ResolvedConfig(
         raw=raw,
         fabric=fabric,
@@ -572,12 +559,12 @@ def load_config(path: str | Path | None = None) -> ResolvedConfig:
         sim=sim,
         weights=_from_spec(Weights, raw["weights"], "weights"),
         constraints=_from_spec(Constraints, raw["constraints"], "constraints"),
-        targets=build_targets(raw, fabric),
         estimator=build_estimator(raw),
         scenarios={
             name: _build_scenario(name, spec, sim) for name, spec in raw["scenarios"].items()
         },
     )
+    config.controller_config()  # the section itself, before any scenario overrides it
     for spec in config.scenarios.values():
         _check_references(config, spec)
     return config

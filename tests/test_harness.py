@@ -280,6 +280,20 @@ def test_bad_controller_override_is_rejected(tmp_path):
         load_config(path)
 
 
+def test_scenario_latency_target_override_sets_the_cost_targets(tmp_path):
+    costs = {}
+    for target in (10.0, 40.0):
+        document = {"scenarios": {"baseline": {"controller": {"latency_target": target}}}}
+        config = load_config(write_config(tmp_path, document))
+        spec = tiny_baseline(config, horizon=3)
+        controller = config.controller_config(spec.controller_overrides)
+        assert controller.targets.latency == target
+        sim = dataclasses.replace(spec.sim, seed=1)
+        trace = simulation.run_simulation(config.dag, config.fabric, sim, controller)
+        costs[target] = [row.cost_j for row in trace.windows]
+    assert costs[10.0] != costs[40.0]
+
+
 def test_missing_file_and_bad_yaml_raise_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(tmp_path / "nope.yaml")
@@ -575,8 +589,12 @@ def test_cli_validate_rejects_non_finite_numbers(tmp_path, capsys, document):
         (_check_with(kind="violation_ratio_at_least", policy="SO", versus="DPT"), "DPT"),
         (_stress_with(slowdown=2.0, target="R9"), "R9"),
         (_fault_with(mu=5.0, links=[["R1", "R9"]]), "R1->R9"),
+        # a misspelt interval is not read as "all"
+        (_check_with(kind="violation_ratio_at_least", policy="SO", versus="DTP", ratio=2.0,
+                     interval="faults"), "'faults'"),
     ],
-    ids=["check-kind", "check-policy", "check-versus", "stress-target", "fault-link"],
+    ids=["check-kind", "check-policy", "check-versus", "stress-target", "fault-link",
+         "check-interval"],
 )
 def test_cli_validate_rejects_unknown_references(tmp_path, capsys, document, named):
     path = write_config(tmp_path, document)
@@ -626,6 +644,17 @@ def test_cli_validate_rejects_unknown_references(tmp_path, capsys, document, nam
         ({"controller": {"delta_min": "0.1"}}, "controller.delta_min"),
         ({"sim": {"deadline": "30"}}, "sim.deadline"),
         ({"constraints": {"l95_max": None}}, "constraints.l95_max"),
+        ({"scenarios": {"baseline": {"controller": {"latency_target": True}}}},
+         "scenarios.baseline.controller.latency_target"),
+        # a bool field takes only a bool, a name only a string
+        (_fault_with(mu=5.0, additive="no"), "scenarios.network-impairment.faults[0].additive"),
+        ({"scenarios": {"baseline": {"expected": {"dominant": [5]}}}},
+         "scenarios.baseline.expected.dominant"),
+        # a fraction outside [0, 1] could never pass or never fail
+        ({"scenarios": {"baseline": {"expected": {"min_fraction": 1.5}}}},
+         "scenarios.baseline.expected: min_fraction"),
+        ({"scenarios": {"baseline": {"expected": {"min_seed_fraction": -0.1}}}},
+         "scenarios.baseline.expected: min_seed_fraction"),
     ],
     ids=[
         "ratios", "seeds", "nodes", "task", "edge-endpoint", "check-policy", "check-versus",
@@ -634,7 +663,8 @@ def test_cli_validate_rejects_unknown_references(tmp_path, capsys, document, nam
         "seed-fraction", "sim-seed-fraction", "clock-resolution-bool", "n-min-fraction",
         "scenario-horizon-fraction", "scenario-window-size-bool", "stress-start-fraction",
         "fault-end-bool", "deadline-bool", "delta-min-bool", "alpha-l-bool", "delta-min-string",
-        "deadline-string", "l95-max-null",
+        "deadline-string", "l95-max-null", "scenario-latency-target-bool", "additive-string",
+        "dominant-integer", "min-fraction-above-1", "min-seed-fraction-below-0",
     ],
 )
 def test_cli_validate_rejects_malformed_entries(tmp_path, capsys, document, where):
@@ -676,6 +706,27 @@ def test_cli_run_rejects_a_non_integer_integer_field(tmp_path, capsys, document,
     assert main([*run, "--scenario", "baseline", "--policies", "DTP", "--seeds", "1"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {where}: ")
     assert not outdir.exists()
+
+
+def test_an_integer_spelling_of_a_float_field_writes_the_same_run(tmp_path, capsys):
+    """``period: 40`` runs and reports as ``period: 40.0`` does; only
+    resolved_config.yaml echoes the value as written."""
+    for name, number in (("int", 40), ("float", 40.0)):
+        document = {"sim": {"period": number, "deadline": number, "horizon": 3}}
+        config = write_config(tmp_path, document, f"{name}.yaml")
+        run = ["run", "--config", config, "--out", str(tmp_path / name), "--scenario", "baseline"]
+        main([*run, "--seeds", "1"])
+    capsys.readouterr()
+    written = {}
+    for name in ("int", "float"):
+        root = tmp_path / name
+        written[name] = {
+            str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "resolved_config.yaml"
+        }
+    assert "baseline/LOC/seed_1/summary.json" in written["int"]
+    assert written["int"] == written["float"]
 
 
 def test_cli_rejects_repeated_policies_and_seeds(tmp_path, capsys):
