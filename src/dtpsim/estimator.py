@@ -1,20 +1,21 @@
 """Candidate QoS estimation for placements that are not currently active.
 
-Three mechanisms, in the order the engine prefers them:
+The engine estimates a challenger one of two ways:
 
-* shadow: aggregate recent shadow cycles (cycles simulated under the
-  candidate in the live environment without driving actuation),
 * static: Monte Carlo over the DAG's own service-time and link-delay
-  models,
-* conservative: scale the observed metrics of the active placement by
-  pessimistic ratios, as a cheap upper bound.
+  models, until the challenger has half a window of shadow cycles,
+* shadow: aggregate those recent shadow cycles (cycles simulated under the
+  candidate in the live environment without driving actuation) after.
+
+``estimate_conservative`` scales an observed window by pessimistic ratios;
+the engine does not call it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 from .metrics import (
     CycleStore,
@@ -138,7 +139,7 @@ def estimate_conservative(
     per_node_utilization: Mapping[str, float] | None = None,
 ) -> EstimateReport:
     """Upper-bound a candidate by inflating the active placement's window."""
-    kind_ratio = {"robot": ratios.util_robot, "edge": ratios.util_edge, "cloud": 1.0}
+    kind_ratio = {"robot": ratios.util_robot, "edge": ratios.util_edge}
     per_node = {}
     if per_node_utilization and fabric is not None:
         per_node = {
@@ -157,19 +158,10 @@ def estimate_conservative(
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """How the engine produces candidate estimates each window.
+    """How many Monte Carlo samples a static estimate draws."""
 
-    mode "auto" prefers shadow aggregation once at least half a window of
-    shadow records exists and falls back to the static Monte Carlo; "static"
-    never uses shadow records; "conservative" scales observed metrics.
-    """
-
-    mode: str = "auto"
     static_samples: int = 2000
-    ratios: ConservativeRatios = field(default_factory=ConservativeRatios)
 
     def __post_init__(self):
-        if self.mode not in ("auto", "static", "conservative"):
-            raise ValueError(f"unknown estimator mode {self.mode!r}")
         if self.static_samples < MIN_STATIC_SAMPLES:
             raise ValueError(f"static_samples must be >= {MIN_STATIC_SAMPLES}")

@@ -26,7 +26,7 @@ import yaml
 
 from .controller import ControllerConfig
 from .cost import Constraints, Weights
-from .estimator import ConservativeRatios, EstimatorConfig
+from .estimator import EstimatorConfig
 from .metrics import CycleStore, NormalizationTargets
 from .pipeline import (
     CandidateSet,
@@ -112,9 +112,7 @@ DEFAULT_CONFIG: dict = {
     "weights": _with_defaults(Weights),
     "constraints": _with_defaults(Constraints, l95_max=40.0),
     "controller": _with_defaults(ControllerConfig, window_size=50, latency_target=40.0),
-    "estimator": _with_defaults(
-        EstimatorConfig, conservative_ratios=_with_defaults(ConservativeRatios)
-    ),
+    "estimator": _with_defaults(EstimatorConfig),
     # each shipped scenario holds only what differs from SCENARIO_DEFAULT
     "scenarios": {
         "baseline": {"expected": {"forbidden": ["SO"]}},
@@ -388,13 +386,6 @@ def build_targets(latency: Any, fabric: Fabric, path: str) -> NormalizationTarge
     )
 
 
-def build_estimator(raw: Mapping) -> EstimatorConfig:
-    section = dict(raw["estimator"])
-    path = "estimator.conservative_ratios"
-    ratios = _from_spec(ConservativeRatios, section.pop("conservative_ratios"), path)
-    return _from_spec(EstimatorConfig, section, "estimator", ratios=ratios)
-
-
 @dataclass(frozen=True)
 class Expectation:
     dominant: tuple[str, ...]
@@ -519,12 +510,15 @@ def _build_scenario(name: str, raw_scenario: Mapping, sim: SimConfig) -> Scenari
 
 
 def _check_references(config: ResolvedConfig, spec: ScenarioSpec) -> None:
-    """Every policy, stress target and fault link a scenario names exists."""
+    """Every policy, placement, stress target and fault link a scenario names exists."""
     path = f"scenarios.{spec.name}"
     named = [*spec.policies, *(p for c in spec.checks for p in (c.policy, c.versus) if p)]
     for policy in named:
         if policy not in config.known_policies:
             raise ConfigError(f"{path}: unknown policy {policy!r}")
+    for placement in (*spec.expected.dominant, *spec.expected.forbidden):
+        if placement not in config.candidates.names():
+            raise ConfigError(f"{path}.expected: unknown placement {placement!r}")
     _build(check_disturbances, path, config.dag, config.fabric, spec.stresses, spec.faults)
     config.controller_config(spec.controller_overrides, f"{path}.controller")  # fails fast
 
@@ -559,7 +553,7 @@ def load_config(path: str | Path | None = None) -> ResolvedConfig:
         sim=sim,
         weights=_from_spec(Weights, raw["weights"], "weights"),
         constraints=_from_spec(Constraints, raw["constraints"], "constraints"),
-        estimator=build_estimator(raw),
+        estimator=_from_spec(EstimatorConfig, raw["estimator"], "estimator"),
         scenarios={
             name: _build_scenario(name, spec, sim) for name, spec in raw["scenarios"].items()
         },

@@ -19,7 +19,7 @@ TaskId = str
 
 TASK_ORDER: tuple[TaskId, ...] = ("T1", "T2", "T3", "T4")
 CHAIN_EDGES: tuple[tuple[TaskId, TaskId], ...] = (("T1", "T2"), ("T2", "T3"), ("T3", "T4"))
-NODE_KINDS = ("robot", "edge", "cloud")
+NODE_KINDS = ("robot", "edge")
 
 LOCAL = "LOC"
 STATIC_OFFLOAD = "SO"

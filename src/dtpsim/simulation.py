@@ -46,7 +46,7 @@ from .cost import total_cost  # noqa: F401  bench/tracing.SITES wraps this name 
 from .estimator import (
     EstimateReport,
     EstimatorConfig,
-    estimate_conservative,
+    estimate_conservative,  # noqa: F401  bench/tracing.SITES wraps this name here
     estimate_static,
     update_shadow,
 )
@@ -524,16 +524,11 @@ def run_simulation(
             if candidate.name == placement.name:
                 continue
             hist = shadow_hist[candidate.name]
-            if estimator.mode == "conservative":
-                estimates[candidate.name] = estimate_conservative(
-                    metrics, candidate.name, estimator.ratios, fabric, observed_util
-                )
-            elif estimator.mode == "auto" and len(hist) >= shadow_min:
-                estimates[candidate.name] = update_shadow(
-                    hist, candidate.name, window, sim.period, fabric
-                )
-            else:
-                estimates[candidate.name] = static_report(candidate)
+            estimates[candidate.name] = (
+                update_shadow(hist, candidate.name, window, sim.period, fabric)
+                if len(hist) >= shadow_min
+                else static_report(candidate)
+            )
         return metrics, observed_util, estimates
 
     decisions = run_horizon(controller, environment, sim.horizon)

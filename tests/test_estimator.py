@@ -193,7 +193,5 @@ def test_ratios_must_not_shrink():
 
 
 def test_estimator_config_validates_mode_and_samples():
-    with pytest.raises(ValueError, match="mode"):
-        EstimatorConfig(mode="oracle")
     with pytest.raises(ValueError):
         EstimatorConfig(static_samples=10)

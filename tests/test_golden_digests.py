@@ -34,7 +34,6 @@ RUNS = {
     "impairment-so": ("network-impairment", "SO", 3, 8, {"fault_window": (3, 6)}),
     "edge-stress-dtp": ("edge-stress", "DTP", 4, 6, {}),
     "baseline-loc": ("baseline", "LOC", 5, 4, {}),
-    "conservative-dtp": ("robot-stress", "DTP", 7, 4, {"estimator": "conservative"}),
     "mixed-hyb": (
         "baseline",
         "HYB",
@@ -84,12 +83,6 @@ GOLDEN = {
         "summary.json": "bf56c568f2b0b3f98a0e0a163678b290c61b6e57610e98f5d5332955fb614386",
         "windows.csv": "6aabe5cb47fa567d537d6dfe3cd6d5f52bb1d205b4b9790a1f7bd9b69ec5e685",
     },
-    "conservative-dtp": {
-        "cycles.csv": "742bacc40d75e4121e69dc9a66c7875886097658ac8c46d263d3eb03bc9c5bc1",
-        "decisions.jsonl": "6a5e79efb01b60247d548c6125e8ce85fb2ffddd7051957a4426cd4e5efa54e2",
-        "summary.json": "cd94ca96bf9256b5fa4517843bcb1a9f504b34752f23916f22815408dee97692",
-        "windows.csv": "1625d5d481f50b0c548e991d55661de172b84e7e2426917e7312cfeb88e2bd8c",
-    },
     "mixed-hyb": {
         "cycles.csv": "cda79a3ac1e28fd8c9574c619f338fe5bea3d2d03e8fc44f6cb4f8ce7002d922",
         "decisions.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -117,7 +110,7 @@ def run_digests(name, tmp_path):
         CONFIG.dag, CONFIG.fabric, sim, CONFIG.controller_config(spec.controller_overrides),
         fixed=None if policy == CONTROLLER_POLICY else policy,
         stresses=stresses, faults=faults,
-        estimator=replace(CONFIG.estimator, mode=changes.get("estimator", "auto")),
+        estimator=CONFIG.estimator,
     )
     write_cycles_csv(trace, CONFIG.fabric, tmp_path / "cycles.csv")
     write_windows_csv(trace, tmp_path / "windows.csv")

@@ -112,13 +112,7 @@ def test_dataclass_sections_resolve_to_the_shipped_values():
             "window_size": 50, "delta_min": 0.1, "n_min": 3, "initial_placement": "LOC",
             "latency_target": 40.0,
         },
-        "estimator": {
-            "mode": "auto",
-            "static_samples": 2000,
-            "conservative_ratios": {
-                "latency": 1.5, "violation": 1.5, "util_robot": 1.2, "util_edge": 1.2,
-            },
-        },
+        "estimator": {"static_samples": 2000},
     }
     raw = load_config(None).raw
     sections = {key: raw[key] for key in shipped}
@@ -208,9 +202,12 @@ def _task_with(**changes):
          "scenarios.baseline.checks[0].treshold"),
         ({"scenarios": {"baseline": {"expected": {"dominnt": ["SO"]}}}},
          "scenarios.baseline.expected.dominnt"),
+        # removed estimator settings: the engine has one estimation rule
+        ({"estimator": {"mode": "static"}}, "estimator.mode"),
+        ({"estimator": {"conservative_ratios": 5}}, "estimator.conservative_ratios"),
     ],
     ids=["nodes", "tasks", "service", "edges", "links", "stresses", "faults", "checks",
-         "expected"],
+         "expected", "estimator-mode", "estimator-conservative-ratios"],
 )
 def test_unknown_item_keys_are_rejected_with_their_path(tmp_path, document, where):
     path = write_config(tmp_path, document)
@@ -592,9 +589,14 @@ def test_cli_validate_rejects_non_finite_numbers(tmp_path, capsys, document):
         # a misspelt interval is not read as "all"
         (_check_with(kind="violation_ratio_at_least", policy="SO", versus="DTP", ratio=2.0,
                      interval="faults"), "'faults'"),
+        # a misspelt placement would fail every seed, or never be enforced
+        ({"scenarios": {"baseline": {"expected": {"dominant": ["LOCO"]}}}},
+         "scenarios.baseline.expected: unknown placement 'LOCO'"),
+        ({"scenarios": {"baseline": {"expected": {"forbidden": ["XYZ"]}}}},
+         "scenarios.baseline.expected: unknown placement 'XYZ'"),
     ],
     ids=["check-kind", "check-policy", "check-versus", "stress-target", "fault-link",
-         "check-interval"],
+         "check-interval", "expected-dominant", "expected-forbidden"],
 )
 def test_cli_validate_rejects_unknown_references(tmp_path, capsys, document, named):
     path = write_config(tmp_path, document)
@@ -605,9 +607,11 @@ def test_cli_validate_rejects_unknown_references(tmp_path, capsys, document, nam
 @pytest.mark.parametrize(
     "document, where",
     [
-        ({"estimator": {"conservative_ratios": 5}}, "estimator.conservative_ratios"),
         ({"scenarios": {"baseline": {"seeds": [1, "x"]}}}, "scenarios.baseline.seeds"),
         ({"fabric": {"nodes": 5}}, "fabric.nodes"),
+        # no task may run on a cloud node, so the kind is not accepted
+        ({"fabric": {"nodes": [*DEFAULT_CONFIG["fabric"]["nodes"],
+                               {"id": "C", "kind": "cloud"}]}}, "fabric.nodes[3]"),
         ({"dag": {"tasks": ["T1"]}}, "dag.tasks[0]"),
         ({"dag": {"edges": [{"from": "T1", "payload_scale": 2.0}]}}, "dag.edges[0]"),
         (_check_with(kind="policy_violation_above"), "scenarios.baseline.checks[0]"),
@@ -657,8 +661,8 @@ def test_cli_validate_rejects_unknown_references(tmp_path, capsys, document, nam
          "scenarios.baseline.expected: min_seed_fraction"),
     ],
     ids=[
-        "ratios", "seeds", "nodes", "task", "edge-endpoint", "check-policy", "check-versus",
-        "dominant-string", "seeds-string", "policies-string", "feasible-string",
+        "seeds", "nodes", "node-kind-cloud", "task", "edge-endpoint", "check-policy",
+        "check-versus", "dominant-string", "seeds-string", "policies-string", "feasible-string",
         "fault-links-string", "service-scalar", "policies-repeated", "seeds-repeated",
         "seed-fraction", "sim-seed-fraction", "clock-resolution-bool", "n-min-fraction",
         "scenario-horizon-fraction", "scenario-window-size-bool", "stress-start-fraction",

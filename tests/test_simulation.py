@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import NODE_PAIRS, controller_policy, make_dag, make_fabric
 from dtpsim import simulation
-from dtpsim.estimator import EstimatorConfig, estimate_static
+from dtpsim.controller import on_window_end
+from dtpsim.estimator import (
+    MECHANISM_SHADOW,
+    MECHANISM_STATIC,
+    EstimatorConfig,
+    estimate_static,
+)
 from dtpsim.pipeline import canonical_candidates, nominal_latency
 from dtpsim.sampling import quantize_us
 from dtpsim.simulation import (
@@ -225,13 +231,43 @@ def test_run_estimates_only_the_challengers(monkeypatch):
 
     monkeypatch.setattr(simulation, "estimate_static", recording)
     dag = make_dag()
-    sim = SimConfig(period=40.0, deadline=40.0, horizon=3, seed=5)
+    # window 1 holds 4 shadow rows per challenger, fewer than the 25 a
+    # shadow estimate needs, so both challengers are estimated statically
+    sim = SimConfig(period=40.0, deadline=40.0, horizon=1, seed=5)
     trace = run_simulation(
-        dag, FABRIC, sim, controller_policy(dag, n_min=0),
-        estimator=EstimatorConfig(mode="static", static_samples=200),
+        dag, FABRIC, sim, controller_policy(dag, window_size=50, n_min=0),
+        estimator=EstimatorConfig(static_samples=200),
     )
     assert trace.summary["migrations"] == 0
     assert sorted(estimated) == ["HYB", "SO"]
+
+
+@pytest.mark.parametrize("window_size, first_shadow", [(50, 7), (8, 1)])
+def test_challengers_switch_from_static_to_shadow_at_half_a_window(
+    monkeypatch, window_size, first_shadow
+):
+    # a challenger gains 4 shadow rows per window (one every ceil(W / 4)
+    # cycles) and is estimated from them once it holds ceil(W / 2): after
+    # window 7 (28 >= 25) at W = 50, after window 1 (4 >= 4) at W = 8
+    mechanisms = []
+
+    def recording(state, observed, estimates, *args):
+        mechanisms.append({name: report.mechanism for name, report in estimates.items()})
+        return on_window_end(state, observed, estimates, *args)
+
+    monkeypatch.setattr(simulation, "on_window_end", recording)
+    dag = make_dag()
+    horizon = 8
+    sim = SimConfig(period=40.0, deadline=40.0, horizon=horizon, seed=5)
+    # the dwell gate never opens, so LOC stays the incumbent throughout
+    controller = controller_policy(dag, window_size=window_size, n_min=horizon + 1)
+    trace = run_simulation(
+        dag, FABRIC, sim, controller, estimator=EstimatorConfig(static_samples=200)
+    )
+    assert trace.summary["migrations"] == 0
+    expected = [MECHANISM_STATIC] * (first_shadow - 1)
+    expected += [MECHANISM_SHADOW] * (horizon - first_shadow + 1)
+    assert mechanisms == [{"SO": m, "HYB": m} for m in expected]
 
 
 def test_fixed_run_summary_reports_single_placement():
