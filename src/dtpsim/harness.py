@@ -27,7 +27,7 @@ import yaml
 from .controller import ControllerConfig
 from .cost import Constraints, Weights
 from .estimator import EstimatorConfig
-from .metrics import CycleStore, NormalizationTargets
+from .metrics import NormalizationTargets
 from .pipeline import (
     CandidateSet,
     ComputeNode,
@@ -47,6 +47,7 @@ from .simulation import (
     StressProfile,
     check_disturbances,
     run_simulation,
+    simulate_cycles,
     write_cycles_csv,
     write_decisions_jsonl,
     write_summary_json,
@@ -663,32 +664,43 @@ def run_scenario(
 ) -> ScenarioReport:
     """Run every (policy, seed) pair of a scenario and evaluate expectations.
 
-    Runs go seed by seed, each seed's fixed policies before its ``DTP`` run,
-    which reads the cycles of the placements they cover instead of
-    simulating them again.  Only one seed's fixed cycles are held at a
-    time.  The results keep the order of ``policies``.
+    Runs go seed by seed.  ``simulate_cycles`` first simulates the cycles
+    of every fixed policy of the seed in one pass; each fixed run adopts
+    its placement's store, and the ``DTP`` run reads the stores of the
+    placements they cover instead of simulating them again.  Only one
+    seed's fixed cycles are held at a time.  The results keep the order of
+    ``policies``.
     """
     policies, seeds = select_runs(config, spec, policies, seeds)
     controller = config.controller_config(spec.controller_overrides)
     results: dict[str, list[RunResult]] = {p: [] for p in policies}
-    reuse = CONTROLLER_POLICY in policies
+    fixed_placements = [
+        controller.candidates.by_name(p) for p in policies if p != CONTROLLER_POLICY
+    ]
     for seed in seeds:
-        known: dict[str, CycleStore] = {}
+        sim = replace(spec.sim, seed=seed)
+        known = simulate_cycles(
+            config.dag,
+            config.fabric,
+            sim,
+            fixed_placements,
+            controller.window_size,
+            spec.stresses,
+            spec.faults,
+        )
         for policy in sorted(policies, key=lambda p: p == CONTROLLER_POLICY):
             fixed = None if policy == CONTROLLER_POLICY else policy
             trace = run_simulation(
                 config.dag,
                 config.fabric,
-                replace(spec.sim, seed=seed),
+                sim,
                 controller,
                 fixed=fixed,
                 stresses=spec.stresses,
                 faults=spec.faults,
                 estimator=config.estimator,
-                known_cycles=None if fixed else known,
+                known_cycles={fixed: known[fixed]} if fixed else known,
             )
-            if fixed and reuse:
-                known[fixed] = trace.cycles
             if outdir is not None:
                 _write_run(outdir / spec.name / policy / f"seed_{seed}", trace, config, policy)
             results[policy].append(

@@ -85,8 +85,8 @@ class CycleStore(Sequence[CycleRecord]):
     """The cycles of a run as columns, read-only to everyone but the engine.
 
     Row i is cycle i, released at ``i * period`` ms.  ``placement`` holds an
-    index into ``names``, so a store names at most 256 placements.  As a
-    sequence a store yields CycleRecords in ms, built from the integer
+    index into ``names``, a byte, so a store names at most 256 placements.
+    As a sequence a store yields CycleRecords in ms, built from the integer
     columns on access: an index gives one record, a slice gives a list of
     them, and two stores compare equal when every record does.
     """
@@ -94,9 +94,13 @@ class CycleStore(Sequence[CycleRecord]):
     __slots__ = ("nodes", "period", "names", "latency_us", "met", "busy_us", "placement")
 
     def __init__(self, nodes: Sequence[str], period: float, names: Sequence[str]):
+        self.names = tuple(names)
+        if len(self.names) > 256:
+            raise ValueError(
+                f"a CycleStore names at most 256 placements, got {len(self.names)}"
+            )
         self.nodes = tuple(nodes)
         self.period = period
-        self.names = tuple(names)
         self.latency_us = array("q")
         self.met = bytearray()
         self.busy_us = tuple(array("q") for _ in self.nodes)
@@ -110,6 +114,17 @@ class CycleStore(Sequence[CycleRecord]):
         for column, us in zip(self.busy_us, busy_us):
             column.append(us)
         self.placement.append(placement)
+
+    def extend(self, source: "CycleStore", start: int, stop: int, placement: int) -> None:
+        """Add cycles ``[start:stop]`` of ``source``, a store over the same
+        nodes, as run under ``names[placement]``: one slice per column."""
+        cut = slice(start, stop)
+        latency_us = source.latency_us[cut]
+        self.latency_us += latency_us
+        self.met += source.met[cut]
+        for column, other in zip(self.busy_us, source.busy_us):
+            column += other[cut]
+        self.placement += bytes((placement,)) * len(latency_us)
 
     def row(self, index: int) -> Row:
         """Cycle ``index`` as the engine computed it."""

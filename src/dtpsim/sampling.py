@@ -44,11 +44,13 @@ def sample_service(
     model: ServiceTimeModel, rng: random.Random | Draws, slowdown: float = 1.0
 ) -> float:
     """One service time draw in ms: floored Gaussian scaled by slowdown."""
-    sd = model.sd
+    # the fields once, not through the sd and floor properties: a hot path
+    mean = model.mean
+    sd = mean * model.cv
     if sd == 0.0:
-        sample = model.mean
+        sample = mean
     else:
-        sample = max(rng.gauss(model.mean, sd), model.floor)
+        sample = max(rng.gauss(mean, sd), mean * model.floor_fraction)
     return sample * slowdown
 
 

@@ -19,12 +19,20 @@ link, never a placement, so the cycle of a placement at index i is the
 same record in every run of one scenario and seed, whichever placement is
 active.  ``run_simulation`` can therefore read the active and shadow cycles
 of a ``DTP`` run from the stores of fixed runs of its candidates
-(``known_cycles``) instead of simulating them again.
+(``known_cycles``) instead of simulating them again, and a fixed run adopts
+the store of its own placement whole.
+
+``simulate_cycles`` builds those stores for several placements at once.
+It runs each cycle of every placement back to back, so a tag the
+placements share (every ``svc:`` tag of ``LOC`` and ``SO``) is keyed and
+drawn once per cycle: the stream handle replays the draws of its current
+step.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -88,6 +96,7 @@ __all__ = [
     "check_disturbances",
     "run_horizon",
     "run_simulation",
+    "simulate_cycles",
     "write_cycles_csv",
     "write_windows_csv",
     "write_summary_json",
@@ -365,18 +374,27 @@ def _check_known_cycles(
             raise ValueError(f"known cycles of {name!r}: busy columns of {store.nodes}")
 
 
-def _check_occupancy(
+def _check_run(
     dag: PipelineDag,
+    fabric: Fabric,
     placements: Sequence[Placement],
     sim: SimConfig,
     stresses: Sequence[StressProfile],
+    faults: Sequence[FaultInjection],
+    warn: bool,
 ) -> None:
-    """Reject configs whose unstressed pipeline cannot fit in the period.
+    """Reject an invalid pipeline, a disturbance outside it, or a config whose
+    unstressed pipeline cannot fit in the period.
 
     Stress is allowed to push a node past the period (that saturation is
     exactly what the controller must react to), but it is worth a warning
-    because latency stays a pure sum with no queueing behind it.
+    because latency stays a pure sum with no queueing behind it.  ``warn``
+    is False where a run that adopts the cycles warns instead.
     """
+    report = validate_pipeline(dag, fabric)
+    if not report.ok:
+        raise ValueError("invalid pipeline: " + "; ".join(report.problems))
+    check_disturbances(dag, fabric, stresses, faults)
     max_slowdown: dict[NodeId, float] = {}
     for stress in stresses:
         max_slowdown[stress.target] = max(max_slowdown.get(stress.target, 1.0), stress.slowdown)
@@ -390,7 +408,7 @@ def _check_occupancy(
                     "cycles would queue"
                 )
             stressed = busy * max_slowdown.get(node, 1.0)
-            if stressed > sim.period:
+            if warn and stressed > sim.period:
                 warnings.warn(
                     f"stressed occupancy of node {node} under {placement.name} "
                     f"({stressed:.1f} ms) exceeds the period; utilization will saturate",
@@ -449,15 +467,12 @@ def run_simulation(
 
     ``known_cycles`` maps a candidate's name to the ``cycles`` store of a
     fixed run of it with the same dag, fabric, sim (seed included), window,
-    stresses and faults.  Its active and shadow cycles are read from there,
-    not simulated, and the trace is the same.  Only the shape is checked: a
-    ValueError rejects anything but a store, a wrong length, or cycles of
-    another placement or node set.
+    stresses and faults (``simulate_cycles`` builds them).  Its active and
+    shadow cycles are read from there, not simulated, and the trace is the
+    same; a fixed run adopts the store of its placement as its ``cycles``.
+    Only the shape is checked: a ValueError rejects anything but a store, a
+    wrong length, or cycles of another placement or node set.
     """
-    report = validate_pipeline(dag, fabric)
-    if not report.ok:
-        raise ValueError("invalid pipeline: " + "; ".join(report.problems))
-
     if fixed is not None:
         controller = replace(
             controller,
@@ -466,8 +481,7 @@ def run_simulation(
         )
     window = controller.window_size
     placements = list(controller.candidates)
-    check_disturbances(dag, fabric, stresses, faults)
-    _check_occupancy(dag, placements, sim, stresses)
+    _check_run(dag, fabric, placements, sim, stresses, faults, warn=True)
     known_cycles = known_cycles or {}
     _check_known_cycles(known_cycles, placements, fabric.ids(), sim.horizon * window)
 
@@ -497,7 +511,10 @@ def run_simulation(
             static_cache[candidate.name] = cached
         return cached
 
-    cycles = CycleStore(engine.node_ids, sim.period, names)
+    # a fixed run adopts its known store as it is: it would append the same rows
+    cycles = known_cycles.get(fixed)
+    if cycles is None:
+        cycles = CycleStore(engine.node_ids, sim.period, names)
     observed: list[tuple[WindowMetrics, str]] = []
 
     def environment(k: int, placement: Placement):
@@ -506,16 +523,28 @@ def run_simulation(
         active = names.index(placement.name)
         shadow_plans = [plans[c.name] for c in placements if c.name != placement.name]
         start = (k - 1) * window
-        for i in range(window):
-            cycle_index = start + i
-            cycles.append(engine.cycle(plan, cycle_index), active)
-            if i % shadow_stride == 0:
-                for shadow_plan in shadow_plans:
-                    hist = shadow_hist[shadow_plan.placement.name]
-                    hist.append(engine.cycle(shadow_plan, cycle_index), 0)
+        stop = start + window
+
+        def run_shadows(cycle_index: int) -> None:
+            for shadow_plan in shadow_plans:
+                hist = shadow_hist[shadow_plan.placement.name]
+                hist.append(engine.cycle(shadow_plan, cycle_index), 0)
+
+        known = known_cycles.get(placement.name)
+        if known is None:
+            # shadows right after the active cycle of their index replay its draws
+            for i in range(window):
+                cycles.append(engine.run_cycle(plan, start + i), active)
+                if i % shadow_stride == 0:
+                    run_shadows(start + i)
+        else:
+            if known is not cycles:
+                cycles.extend(known, start, stop, active)
+            for cycle_index in range(start, stop, shadow_stride):
+                run_shadows(cycle_index)
         for hist in shadow_hist.values():
             hist.keep_last(window)
-        records = cycles.columns(start)
+        records = cycles.columns(start, stop)
         metrics = aggregate_window(records, duration, fabric, k)
         observed.append((metrics, placement.name))
         observed_util = {node: class_utilization(records, duration, (node,)) for node in engine.node_ids}
@@ -537,6 +566,37 @@ def run_simulation(
         for k, ((metrics, name), decision) in enumerate(zip(observed, decisions), 1)
     ]
     return SimTrace(cycles, windows, _build_summary(sim, controller, fixed, cycles, windows))
+
+
+def simulate_cycles(
+    dag: PipelineDag,
+    fabric: Fabric,
+    sim: SimConfig,
+    placements: Sequence[Placement],
+    window: int,
+    stresses: Sequence[StressProfile] = (),
+    faults: Sequence[FaultInjection] = (),
+) -> dict[str, CycleStore]:
+    """The ``cycles`` store of a fixed run of each placement, by name.
+
+    Each store equals the one ``run_simulation(fixed=name)`` would build
+    with the same arguments and a window of ``window`` cycles, and that
+    run adopts it as its cycles when passed ``known_cycles={name: store}``.
+    Window by window, each cycle runs every placement back to back, so the
+    placements mix and draw each (tag, cycle) they share once.  The checks
+    are those of ``run_simulation``, but only the runs that adopt the
+    stores warn about stressed occupancy.
+    """
+    _check_run(dag, fabric, placements, sim, stresses, faults, warn=False)
+    engine = _Engine(fabric, sim, RandomStreams(sim.seed), {})
+    stores = {p.name: CycleStore(engine.node_ids, sim.period, (p.name,)) for p in placements}
+    for k in range(1, sim.horizon + 1):
+        plans = _window_plans(k, placements, stresses, faults, dag, sim)
+        runs = [(plans[name], store) for name, store in stores.items()]
+        for cycle_index in range((k - 1) * window, k * window):
+            for plan, store in runs:
+                store.append(engine.run_cycle(plan, cycle_index), 0)
+    return stores
 
 
 def _build_summary(
@@ -594,32 +654,48 @@ _fmt_ms = "{:.3f}".format
 _fmt_rate = "{:.6f}".format
 
 
+def _csv_row(fields: Sequence[str]) -> str:
+    """``fields`` as ``csv.writer`` writes them: quoted where needed, CRLF."""
+    out = io.StringIO()
+    csv.writer(out).writerow(fields)
+    return out.getvalue()
+
+
 def write_cycles_csv(trace: SimTrace, fabric: Fabric, path: str | Path) -> None:
     """One row per cycle, formatted column by column from the store; a node
-    of ``fabric`` the run did not have is busy 0."""
+    of ``fabric`` the run did not have is busy 0.
+
+    The bytes are those of ``csv.writer``: only the header and the
+    placement names can need quoting, so they go through it once and every
+    row is one ``str.format`` of a template.
+    """
     node_ids = fabric.ids()
     cycles = trace.cycles
     count = len(cycles)
     busy = dict(zip(cycles.nodes, cycles.busy_us))
+    names = [_csv_row([name])[:-2] for name in cycles.names]
+    row = ",".join(["{}", "{:.3f}", "{:.3f}", "{}", *["{:.3f}"] * len(node_ids), "{}"]) + "\r\n"
 
     def ms(values_us):
-        return map(_fmt_ms, map(truediv, values_us, repeat(US_PER_MS)))
+        return map(truediv, values_us, repeat(US_PER_MS))
 
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["cycle_index", "release_ms", "latency_ms", "deadline_met"]
-            + [f"busy_{n}_ms" for n in node_ids]
-            + ["placement_name"]
+        fh.write(
+            _csv_row(
+                ["cycle_index", "release_ms", "latency_ms", "deadline_met"]
+                + [f"busy_{n}_ms" for n in node_ids]
+                + ["placement_name"]
+            )
         )
-        writer.writerows(
-            zip(
+        fh.writelines(
+            map(
+                row.format,
                 range(count),
-                map(_fmt_ms, map(mul, range(count), repeat(cycles.period))),
+                map(mul, range(count), repeat(cycles.period)),
                 ms(cycles.latency_us),
                 map(("false", "true").__getitem__, cycles.met),
                 *(ms(busy.get(n, repeat(0, count))) for n in node_ids),
-                map(cycles.names.__getitem__, cycles.placement),
+                map(names.__getitem__, cycles.placement),
             )
         )
 

@@ -12,6 +12,14 @@ handle with ``derive_seed(master, tag, step)``, and draw n of that handle
 is the top 53 bits of ``_mix64(key ^ n * golden)`` scaled into [0, 1).
 Normals come from Box-Muller over two fresh uniforms, with no cached
 second normal, so every draw has a fixed address (tag, step, n).
+
+A tag's handle keeps the uniforms it has drawn at its current step.  Since
+a draw is a pure function of (tag, step, n), ``at(tag, step)`` with the
+step unchanged only rewinds n and replays them; a new step re-keys the
+handle and drops them.  So placements that share a tag (every ``svc:``
+tag of ``LOC`` and ``SO``) and run one cycle back to back mix each key
+once, and no handle ever holds more than one step's draws.
+
 ``fresh(tag)`` still returns a Mersenne Twister ``random.Random``, seeded
 once, for batch Monte Carlo whose caller owns the whole sequence.
 """
@@ -46,22 +54,33 @@ def derive_seed(master_seed: int, tag: str, step: int = 0) -> int:
 
 
 class Draws:
-    """Uniform and normal draws addressed by (key, draw index)."""
+    """Uniform and normal draws addressed by (key, draw index).
 
-    __slots__ = ("key", "n")
+    ``drawn`` memoizes the uniforms of the current key: draw n is computed
+    once, however often ``n`` is rewound to replay it.  Whoever changes
+    ``key`` clears ``drawn``.
+    """
+
+    __slots__ = ("key", "n", "drawn")
 
     def __init__(self, key: int = 0):
         self.key = key
         self.n = 0
+        self.drawn: list[float] = []
 
     def random(self) -> float:
         """Draw n in [0, 1): the top 53 bits of _mix64(key ^ n * golden)."""
         n = self.n
         self.n = n + 1
+        drawn = self.drawn
+        if n < len(drawn):
+            return drawn[n]
         x = self.key ^ ((n * _GOLDEN) & _MASK64)
         x = ((x ^ (x >> 30)) * 0xBF58476D1F4E5787) & _MASK64
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return ((x ^ (x >> 31)) >> 11) * 1.1102230246251565e-16  # 2**-53
+        u = ((x ^ (x >> 31)) >> 11) * 1.1102230246251565e-16  # 2**-53
+        drawn.append(u)
+        return u
 
     def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         """Box-Muller normal from the next two uniforms."""
@@ -72,24 +91,29 @@ class Draws:
 class RandomStreams:
     """Family of named random streams sharing one master seed.
 
-    ``at(tag, step)`` re-keys and returns the tag's draw handle positioned
-    at ``step``.  The handle is only valid until the next ``at()`` call
-    with the same tag; callers draw what they need immediately.
-    ``fresh(tag)`` returns an independent generator for batch sampling
-    that the caller owns.
+    ``at(tag, step)`` returns the tag's draw handle positioned at draw 0
+    of ``step``: re-keyed for a new step, only rewound for the step it
+    already has, whose draws it keeps.  The handle is only valid until the
+    next ``at()`` call with the same tag; callers draw what they need
+    immediately.  ``fresh(tag)`` returns an independent generator for
+    batch sampling that the caller owns.
     """
 
     def __init__(self, master_seed: int):
         self.master_seed = int(master_seed)
-        self._handles: dict[str, tuple[int, Draws]] = {}
+        # tag -> [tag base, current step, handle]
+        self._handles: dict[str, list] = {}
 
     def at(self, tag: str, step: int) -> Draws:
         entry = self._handles.get(tag)
         if entry is None:
-            entry = (_tag_base(self.master_seed, tag), Draws())
+            entry = [_tag_base(self.master_seed, tag), None, Draws()]
             self._handles[tag] = entry
-        base, handle = entry
-        handle.key = _mix64(base ^ ((step * _GOLDEN) & _MASK64))
+        handle = entry[2]
+        if entry[1] != step:
+            entry[1] = step
+            handle.key = _mix64(entry[0] ^ ((step * _GOLDEN) & _MASK64))
+            handle.drawn.clear()
         handle.n = 0
         return handle
 

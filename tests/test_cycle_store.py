@@ -16,10 +16,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import NODE_PAIRS, controller_policy, cycle_store, make_dag, make_fabric
 from dtpsim import simulation
 from dtpsim.estimator import EstimatorConfig
-from dtpsim.metrics import CycleRecord, WindowMetrics, percentile_nearest_rank
+from dtpsim.metrics import CycleRecord, CycleStore, WindowMetrics, percentile_nearest_rank
+from dtpsim.pipeline import ComputeNode, Fabric
 from dtpsim.simulation import (
     FaultInjection,
     SimConfig,
+    SimTrace,
     StressProfile,
     run_simulation,
     write_cycles_csv,
@@ -89,6 +91,42 @@ def test_a_store_reads_as_a_sequence_of_records():
     assert store != cycle_store(cycles[:1], period=40.0)
     assert store != cycle_store(cycles, period=50.0)
     assert store != list(store)
+
+
+def test_a_store_names_at_most_256_placements():
+    names = [f"P{i}" for i in range(257)]
+    with pytest.raises(ValueError, match="at most 256 placements, got 257"):
+        CycleStore(("R1",), 40.0, names)
+    store = CycleStore(("R1",), 40.0, names[:256])
+    store.append((1000, True, [500]), 255)
+    assert store[0].placement == "P255"
+
+
+def test_extend_copies_a_range_of_another_store_under_one_placement():
+    source = cycle_store([(float(i), i % 2 == 0, {"E": i / 4}) for i in range(6)])
+    store = CycleStore(source.nodes, source.period, ("SO", "LOC"))
+    store.append(source.row(0), 0)
+    store.extend(source, 1, 4, 1)
+    assert len(store) == 4
+    assert [store.row(i) for i in range(4)] == [source.row(i) for i in range(4)]
+    assert [r.placement for r in store] == ["SO", "LOC", "LOC", "LOC"]
+
+
+def test_the_writer_quotes_node_ids_and_placement_names_as_csv_does(tmp_path):
+    # a comma, a quote and a line break each need quoting; the store lacks
+    # node "X,2", whose busy time is written as 0
+    fabric = Fabric((ComputeNode('R"1', "robot"), ComputeNode("X,2", "robot"),
+                     ComputeNode("E", "edge")))
+    store = CycleStore(('R"1', "E"), 30.0, ("LOC", "a,b", 'say "hi"', "two\nlines"))
+    for i in range(8):
+        store.append((1000 * i + 17, i % 3 != 0, [250 * i, 7 * i]), i % 4)
+    trace = SimTrace(store, [], {})
+    write_cycles_csv(trace, fabric, tmp_path / "columns.csv")
+    reference_write_cycles_csv(list(store), fabric, tmp_path / "records.csv")
+    written = (tmp_path / "columns.csv").read_bytes()
+    assert written == (tmp_path / "records.csv").read_bytes()
+    assert b'"busy_R""1_ms","busy_X,2_ms"' in written
+    assert b'"say ""hi"""' in written
 
 
 def test_a_trace_retains_under_64_bytes_per_cycle():

@@ -1,5 +1,7 @@
 """Engine behavior: determinism, stress, faults, and controller wiring."""
 
+import warnings
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import NODE_PAIRS, controller_policy, make_dag, make_fabric
-from dtpsim import simulation
+from dtpsim import simulation, streams
 from dtpsim.controller import on_window_end
 from dtpsim.estimator import (
     MECHANISM_SHADOW,
@@ -22,7 +24,9 @@ from dtpsim.simulation import (
     SimConfig,
     StressProfile,
     run_simulation,
+    simulate_cycles,
 )
+from dtpsim.streams import derive_seed
 
 FABRIC = make_fabric()
 
@@ -558,3 +562,123 @@ def test_busy_time_is_the_stage_plus_exogenous_microseconds(params):
     assert cycles
     for parts in cycles:
         assert sum(parts["row"][2]) == sum(parts["service_us"]) + parts["exogenous_us"]
+
+
+def draw_fault(data, horizon, additive):
+    return FaultInjection(
+        tuple(data.draw(st.lists(st.sampled_from(NODE_PAIRS), min_size=1, unique=True))),
+        data.draw(st.floats(0.0, 10.0), label="mu"),
+        sigma=data.draw(st.floats(0.0, 3.0), label="sigma"),
+        loss_probability=data.draw(st.floats(0.05, 0.6), label="fault loss"),
+        start_window=data.draw(st.integers(1, horizon), label="fault start"),
+        end_window=horizon,
+        additive=additive,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    cv=st.floats(0.0, 0.4),
+    jitter=st.floats(0.0, 0.5),
+    loss=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2**31),
+    resolution=st.sampled_from([1, 7, 100]),
+    slowdown=st.floats(1.0, 2.5),
+    stressed=st.sampled_from(["R1", "R2", "E"]),
+    data=st.data(),
+)
+def test_simulate_cycles_gives_each_placement_the_store_of_its_fixed_run(
+    cv, jitter, loss, seed, resolution, slowdown, stressed, data
+):
+    dag = make_dag(cv=cv, jitter=jitter, loss=loss)
+    horizon, window = 4, 5
+    stress = StressProfile(
+        stressed,
+        start_window=data.draw(st.integers(1, horizon), label="stress start"),
+        end_window=horizon,
+        slowdown=slowdown,
+        exogenous_load=data.draw(st.floats(0.0, 0.4), label="exogenous load"),
+    )
+    disturbances = {
+        "stresses": (stress,),
+        "faults": (draw_fault(data, horizon, False), draw_fault(data, horizon, True)),
+    }
+    sim = SimConfig(50.0, 30.0, horizon=horizon, seed=seed, clock_resolution_us=resolution)
+    controller = controller_policy(dag, window_size=window)
+    placements = list(controller.candidates)
+    stores = simulate_cycles(dag, FABRIC, sim, placements, window, **disturbances)
+    assert list(stores) == ["LOC", "SO", "HYB"]
+    for name, store in stores.items():
+        alone = run_simulation(dag, FABRIC, sim, controller, fixed=name, **disturbances)
+        assert store == alone.cycles
+        adopted = run_simulation(
+            dag, FABRIC, sim, controller, fixed=name, known_cycles={name: store},
+            **disturbances,
+        )
+        assert adopted.cycles is store
+        assert (adopted.windows, adopted.summary) == (alone.windows, alone.summary)
+
+
+def test_simulate_cycles_derives_each_shared_service_key_once():
+    dag = make_dag(cv=0.3, jitter=0.2, loss=0.1)
+    sim = SimConfig(50.0, 30.0, horizon=3, seed=5)
+    window = 4
+    controller = controller_policy(dag, window_size=window)
+    placements = [controller.candidates.by_name(name) for name in ("LOC", "SO")]
+    service_keys = {
+        derive_seed(sim.seed, f"svc:{task}", cycle)
+        for task in ("T1", "T2", "T3", "T4")
+        for cycle in range(sim.horizon * window)
+    }
+    mix64 = streams._mix64
+
+    def service_key_counts(run):
+        mixed = Counter()
+
+        def counting_mix64(x):
+            mixed[mix64(x)] += 1
+            return mix64(x)
+
+        with mock.patch.object(streams, "_mix64", counting_mix64):
+            run()
+        return {key: mixed[key] for key in service_keys}
+
+    together = service_key_counts(
+        lambda: simulate_cycles(dag, FABRIC, sim, placements, window)
+    )
+    assert set(together.values()) == {1}
+    apart = service_key_counts(lambda: [
+        run_simulation(dag, FABRIC, sim, controller, fixed=p.name) for p in placements
+    ])
+    assert set(apart.values()) == {2}
+
+
+def test_stressed_occupancy_warns_once_per_run_that_adopts_the_cycles():
+    dag = make_dag(cv=0.2)
+    sim = SimConfig(40.0, 40.0, horizon=2, seed=2)
+    stresses = (StressProfile("R1", 1, 1, slowdown=4.0),)
+    controller = controller_policy(dag, window_size=5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stores = simulate_cycles(
+            dag, FABRIC, sim, list(controller.candidates), 5, stresses=stresses
+        )
+        assert caught == []
+        for name, store in stores.items():
+            run_simulation(dag, FABRIC, sim, controller, fixed=name, stresses=stresses,
+                           known_cycles={name: store})
+    assert [str(w.message) for w in caught] == [
+        "stressed occupancy of node R1 under LOC (48.0 ms) exceeds the period; "
+        "utilization will saturate"
+    ]
+
+
+def test_simulate_cycles_rejects_what_run_simulation_rejects():
+    dag = make_dag(means=(2.0, 45.0, 8.0, 2.0))
+    sim = SimConfig(40.0, 40.0, horizon=1, seed=1)
+    placements = list(controller_policy(dag).candidates)
+    with pytest.raises(ValueError, match="cycles would queue"):
+        simulate_cycles(dag, FABRIC, sim, placements, 4)
+    fault = FaultInjection((("R1", "R3"),), 1.0, start_window=1, end_window=1)
+    with pytest.raises(ValueError, match="not in dag.links"):
+        simulate_cycles(make_dag(), FABRIC, sim, placements, 4, faults=(fault,))

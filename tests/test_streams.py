@@ -3,7 +3,9 @@
 import random
 import statistics
 
-from dtpsim.streams import _GOLDEN, _MASK64, RandomStreams, _mix64, derive_seed
+from hypothesis import given, settings, strategies as st
+
+from dtpsim.streams import _GOLDEN, _MASK64, Draws, RandomStreams, _mix64, derive_seed
 
 
 def test_derive_seed_is_deterministic():
@@ -117,3 +119,38 @@ def test_extra_draws_leave_other_tags_and_steps_unchanged():
     plain = sample(None, None, 0)
     assert sample("lnk:R1:E", 2, 7) == plain
     assert sample("svc:T1", 0, 100) == plain
+
+
+# (tag, step, draws): one at() call, then a run of gauss (True) and random
+# (False) draws from the handle it returns
+memo_calls = st.lists(
+    st.tuples(
+        st.sampled_from(["svc:T1", "svc:T2", "lnk:R1:E"]),
+        st.integers(0, 3),
+        st.lists(st.booleans(), max_size=8),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(master=st.integers(0, 2**64 - 1), calls=memo_calls)
+def test_a_handle_replays_its_step_as_a_fresh_handle_draws_it(master, calls):
+    # revisits of a step after drawing part of it, past what it drew, and
+    # after another step of the tag all draw what a fresh handle of (tag, step) draws
+    streams = RandomStreams(master)
+    reached = {}  # tag -> (its current step, the most draws made at it)
+    for tag, step, gausses in calls:
+        handle = streams.at(tag, step)
+        fresh = Draws(derive_seed(master, tag, step))
+        for gauss in gausses:
+            if gauss:
+                assert handle.gauss(1.0, 0.5) == fresh.gauss(1.0, 0.5)
+            else:
+                assert handle.random() == fresh.random()
+        current, most = reached.get(tag, (step, 0))
+        most = max(most if current == step else 0, handle.n)
+        reached[tag] = (step, most)
+        # the memo is the uniforms drawn at this step, and nothing more
+        oracle = Draws(fresh.key)
+        assert handle.drawn == [oracle.random() for _ in range(most)]
