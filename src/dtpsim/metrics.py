@@ -115,16 +115,31 @@ class CycleStore(Sequence[CycleRecord]):
             column.append(us)
         self.placement.append(placement)
 
+    def append_columns(
+        self,
+        latency_us: Sequence[int],
+        met: Sequence[int],
+        busy_us: Sequence[Sequence[int]],
+        placement: int,
+    ) -> None:
+        """Add cycles given column by column, ``busy_us`` in node order, all
+        run under ``names[placement]``."""
+        self.latency_us.extend(latency_us)
+        self.met.extend(met)
+        for column, us in zip(self.busy_us, busy_us):
+            column.extend(us)
+        self.placement.extend(bytes((placement,)) * len(latency_us))
+
     def extend(self, source: "CycleStore", start: int, stop: int, placement: int) -> None:
         """Add cycles ``[start:stop]`` of ``source``, a store over the same
         nodes, as run under ``names[placement]``: one slice per column."""
         cut = slice(start, stop)
-        latency_us = source.latency_us[cut]
-        self.latency_us += latency_us
-        self.met += source.met[cut]
-        for column, other in zip(self.busy_us, source.busy_us):
-            column += other[cut]
-        self.placement += bytes((placement,)) * len(latency_us)
+        self.append_columns(
+            source.latency_us[cut],
+            source.met[cut],
+            [column[cut] for column in source.busy_us],
+            placement,
+        )
 
     def row(self, index: int) -> Row:
         """Cycle ``index`` as the engine computed it."""

@@ -22,11 +22,13 @@ of a ``DTP`` run from the stores of fixed runs of its candidates
 (``known_cycles``) instead of simulating them again, and a fixed run adopts
 the store of its own placement whole.
 
-``simulate_cycles`` builds those stores for several placements at once.
-It runs each cycle of every placement back to back, so a tag the
-placements share (every ``svc:`` tag of ``LOC`` and ``SO``) is keyed and
-drawn once per cycle: the stream handle replays the draws of its current
-step.
+``simulate_cycles`` builds those stores for several placements at once,
+window by window and column by column (``_Engine.run_window``): all W
+draws of each tag the placements use, made once however many of them
+share it (every ``svc:`` tag of ``LOC`` and ``SO``), then each stage's and
+each crossing's µs over the W cycles, then latency and busy time summed
+column by column.  ``run_cycle`` is the same computation one cycle at a
+time; it runs the cycles of ``run_simulation`` that no store holds.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import json
 import math
 import warnings
 from itertools import repeat
-from operator import mul, truediv
+from operator import add, mul, truediv
 from dataclasses import KW_ONLY, dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -82,10 +84,11 @@ from .sampling import (
     build_cycle_plan,
     nominal_node_occupancy,
     quantize_us,
+    sample_link,
     sample_service,
     traverse_edge,
 )
-from .streams import RandomStreams
+from .streams import Draws, RandomStreams, WindowDraws
 
 __all__ = [
     "SimConfig",
@@ -325,6 +328,98 @@ class _Engine:
             # second loss on one edge: cycle is dead, latency capped at the period
             return self.period_us, False, [*busy_us.values()]
         return latency_us, latency_us <= self.deadline_us, [*busy_us.values()]
+
+    def run_window(
+        self, plan: CyclePlan, draws: WindowDraws
+    ) -> tuple[list[int], bytearray, list[list[int]]]:
+        """Cycles ``draws.steps`` of a plan as columns: latency µs, met, and
+        busy µs per node; row i is ``run_cycle(plan, draws.steps[i])``.
+
+        Each stage and each crossing is one µs column, computed from the
+        draw columns with the float operations of ``sample_service`` and
+        ``traverse_edge`` in their order.  Latency and busy time are then
+        summed column by column and the fatal cycles patched.  A lost
+        attempt retransmits through ``sample_link`` on draws 3-5 of its step.
+        """
+        resolution = self.resolution
+        count = len(draws.steps)
+        stages = plan.stages
+        stage_us = []
+        for stage in stages:
+            model = stage.model
+            mean = model.mean
+            sd = mean * model.cv
+            if sd == 0.0:
+                stage_us.append([quantize_us(mean * stage.slowdown, resolution)] * count)
+                continue
+            floor = mean * model.floor_fraction
+            radius, cosine = draws.normals(stage.tag)
+            values = [
+                floor if floor > (v := mean + sd * r * c) else v for r, c in zip(radius, cosine)
+            ]
+            stage_us.append(_quantize_column(values, stage.slowdown, resolution))
+        latency = _add_columns(stage_us, count)
+        fatal: dict[int, int] = {}  # cycle offset -> index of its first edge lost twice
+        for j, edge in enumerate(plan.edges):
+            if edge.link is None:
+                continue
+            link, scale = edge.model, edge.edge_scale
+            mu, sigma, payload = link.base_delay, link.jitter_sigma, link.payload_scale
+            radius, cosine = draws.normals(edge.tag)
+            delays = [
+                (v if (v := mu + sigma * r * c) > 0.0 else 0.0) * payload
+                for r, c in zip(radius, cosine)
+            ]
+            us = _quantize_column(delays, scale, resolution)
+            loss = link.loss_probability
+            if loss > 0.0:  # a draw in [0, 1) is never below a zero loss
+                timeout_us = quantize_us(4.0 * mu * payload * scale, resolution)
+                keys = draws.keys(edge.tag)
+                for i, u in enumerate(draws.uniforms(edge.tag, 2)):
+                    if u >= loss:
+                        continue
+                    rng = Draws(keys[i])
+                    rng.n = 3
+                    delay, lost = sample_link(link, rng)
+                    if lost:
+                        fatal.setdefault(i, j)
+                    else:
+                        us[i] = timeout_us + quantize_us(delay * scale, resolution)
+            latency = list(map(add, latency, us))
+        exogenous = dict(plan.exogenous_us)
+        busy = [
+            _add_columns(
+                [us for us, stage in zip(stage_us, stages) if stage.node == node],
+                count,
+                exogenous.get(node, 0),
+            )
+            for node in self.node_ids
+        ]
+        met = bytearray(map(self.deadline_us.__ge__, latency))
+        for i, j in fatal.items():
+            # second loss on edge j: the cycle is dead after stage j, latency capped at the period
+            latency[i] = self.period_us
+            met[i] = 0
+            for node, column in zip(self.node_ids, busy):
+                column[i] = exogenous.get(node, 0) + sum(
+                    stage_us[s][i] for s in range(j + 1) if stages[s].node == node
+                )
+        return latency, met, busy
+
+
+def _quantize_column(values_ms: Sequence[float], scale: float, resolution: int) -> list[int]:
+    """``quantize_us(value * scale, resolution)`` of each value, inlined."""
+    if resolution == 1:
+        return [round(v * scale * US_PER_MS) for v in values_ms]
+    return [round(v * scale * US_PER_MS / resolution) * resolution for v in values_ms]
+
+
+def _add_columns(columns: Sequence[Sequence[int]], count: int, constant: int = 0) -> list[int]:
+    """The element-wise sum of ``count``-long columns, plus ``constant``."""
+    total = [constant] * count
+    for column in columns:
+        total = list(map(add, total, column))
+    return total
 
 
 def check_disturbances(
@@ -582,20 +677,26 @@ def simulate_cycles(
     Each store equals the one ``run_simulation(fixed=name)`` would build
     with the same arguments and a window of ``window`` cycles, and that
     run adopts it as its cycles when passed ``known_cycles={name: store}``.
-    Window by window, each cycle runs every placement back to back, so the
-    placements mix and draw each (tag, cycle) they share once.  The checks
-    are those of ``run_simulation``, but only the runs that adopt the
-    stores warn about stressed occupancy.
+    Window by window, one ``WindowDraws`` makes the draws of every tag the
+    placements use, each key and column once, and ``_Engine.run_window``
+    turns them into each placement's columns; only one window of draws is
+    held at a time.  The checks are those of ``run_simulation``, but only
+    the runs that adopt the stores warn about stressed occupancy.  A
+    ValueError also rejects two placements of one name and a window under 1.
     """
+    names = [p.name for p in placements]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate placement names: {names}")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     _check_run(dag, fabric, placements, sim, stresses, faults, warn=False)
     engine = _Engine(fabric, sim, RandomStreams(sim.seed), {})
-    stores = {p.name: CycleStore(engine.node_ids, sim.period, (p.name,)) for p in placements}
+    stores = {name: CycleStore(engine.node_ids, sim.period, (name,)) for name in names}
     for k in range(1, sim.horizon + 1):
         plans = _window_plans(k, placements, stresses, faults, dag, sim)
-        runs = [(plans[name], store) for name, store in stores.items()]
-        for cycle_index in range((k - 1) * window, k * window):
-            for plan, store in runs:
-                store.append(engine.run_cycle(plan, cycle_index), 0)
+        draws = WindowDraws(sim.seed, (k - 1) * window, k * window)
+        for name, store in stores.items():
+            store.append_columns(*engine.run_window(plans[name], draws), 0)
     return stores
 
 

@@ -16,9 +16,13 @@ second normal, so every draw has a fixed address (tag, step, n).
 A tag's handle keeps the uniforms it has drawn at its current step.  Since
 a draw is a pure function of (tag, step, n), ``at(tag, step)`` with the
 step unchanged only rewinds n and replays them; a new step re-keys the
-handle and drops them.  So placements that share a tag (every ``svc:``
-tag of ``LOC`` and ``SO``) and run one cycle back to back mix each key
-once, and no handle ever holds more than one step's draws.
+handle and drops them.  So a shadow cycle of ``run_simulation`` that runs
+right after the active cycle of its index mixes each key they share once,
+and no handle ever holds more than one step's draws.
+
+``WindowDraws`` serves the window kernel of ``simulate_cycles``: it makes
+the draws of a range of steps tag by tag, column by column, each key and
+each column once however many placements read them.
 
 ``fresh(tag)`` still returns a Mersenne Twister ``random.Random``, seeded
 once, for batch Monte Carlo whose caller owns the whole sequence.
@@ -86,6 +90,71 @@ class Draws:
         """Box-Muller normal from the next two uniforms."""
         radius = math.sqrt(-2.0 * math.log(1.0 - self.random()))
         return mu + sigma * radius * math.cos(_TWO_PI * self.random())
+
+
+class WindowDraws:
+    """The draws of steps ``[start, stop)`` of every tag, one column per draw.
+
+    Element i of draw n's column is draw n of ``at(tag, start + i)``, with
+    the same float operations.  Each key is mixed once through ``_mix64``
+    and each column is computed once, on first read, so readers that share
+    a tag share its draws.
+    """
+
+    __slots__ = ("master_seed", "steps", "_keys", "_columns", "_normals")
+
+    def __init__(self, master_seed: int, start: int, stop: int):
+        self.master_seed = int(master_seed)
+        self.steps = range(start, stop)
+        self._keys: dict[str, list[int]] = {}
+        self._columns: dict[tuple[str, int], list[float]] = {}
+        self._normals: dict[str, tuple[list[float], list[float]]] = {}
+
+    def keys(self, tag: str) -> list[int]:
+        """``derive_seed(master_seed, tag, step)`` of each step."""
+        keys = self._keys.get(tag)
+        if keys is None:
+            base = _tag_base(self.master_seed, tag)
+            keys = [_mix64(base ^ ((step * _GOLDEN) & _MASK64)) for step in self.steps]
+            self._keys[tag] = keys
+        return keys
+
+    def uniforms(self, tag: str, n: int) -> list[float]:
+        """Draw ``n`` of each step: ``Draws.random``'s expression, inlined."""
+        column = self._columns.get((tag, n))
+        if column is None:
+            golden, mask = (n * _GOLDEN) & _MASK64, _MASK64
+            column = []
+            append = column.append
+            for key in self.keys(tag):
+                x = key ^ golden
+                x = ((x ^ (x >> 30)) * 0xBF58476D1F4E5787) & mask
+                x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+                append(((x ^ (x >> 31)) >> 11) * 1.1102230246251565e-16)  # 2**-53
+            self._columns[tag, n] = column
+        return column
+
+    def normals(self, tag: str) -> tuple[list[float], list[float]]:
+        """The Box-Muller radius and cosine of draws 0 and 1 of each step, so
+        the first ``gauss(mu, sigma)`` of step i is ``mu + sigma * r[i] * c[i]``."""
+        normals = self._normals.get(tag)
+        if normals is None:
+            sqrt, log, cos = math.sqrt, math.log, math.cos
+            golden, mask = _GOLDEN, _MASK64
+            radius: list[float] = []
+            cosine: list[float] = []
+            # draws 0 and 1 as uniforms() makes them, in one loop: the kernel's hottest
+            for key in self.keys(tag):
+                x = ((key ^ (key >> 30)) * 0xBF58476D1F4E5787) & mask
+                x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+                u = ((x ^ (x >> 31)) >> 11) * 1.1102230246251565e-16
+                radius.append(sqrt(-2.0 * log(1.0 - u)))
+                x = key ^ golden
+                x = ((x ^ (x >> 30)) * 0xBF58476D1F4E5787) & mask
+                x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+                cosine.append(cos(_TWO_PI * (((x ^ (x >> 31)) >> 11) * 1.1102230246251565e-16)))
+            normals = self._normals[tag] = (radius, cosine)
+        return normals
 
 
 class RandomStreams:

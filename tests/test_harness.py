@@ -410,14 +410,21 @@ def test_dtp_run_is_the_same_alone_or_after_fixed_runs(tmp_path, scenario):
 def test_run_scenario_simulates_each_placement_cycle_once_per_seed():
     config = load_config(None)
     spec = short_scenario(config, "robot-stress", horizon=8)
+    # (seed, placement, cycle) of every cycle the window kernel or run_cycle computes
     simulated = []
     run_cycle = simulation._Engine.run_cycle
+    run_window = simulation._Engine.run_window
 
     def recording_run_cycle(engine, plan, cycle_index):
         simulated.append((engine.sim.seed, plan.placement.name, cycle_index))
         return run_cycle(engine, plan, cycle_index)
 
-    with mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle):
+    def recording_run_window(engine, plan, draws):
+        simulated.extend((engine.sim.seed, plan.placement.name, i) for i in draws.steps)
+        return run_window(engine, plan, draws)
+
+    with mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle), \
+            mock.patch.object(simulation._Engine, "run_window", recording_run_window):
         report = run_scenario(config, spec, seeds=[1, 2])
     assert len(set(simulated)) == len(simulated)
     for policy in ("LOC", "SO"):

@@ -653,6 +653,93 @@ def test_simulate_cycles_derives_each_shared_service_key_once():
     assert set(apart.values()) == {2}
 
 
+def test_simulate_cycles_derives_each_shared_link_key_once():
+    # SO and HYB both cross R1->E and E->R2, on different dag edges
+    dag = make_dag(cv=0.3, jitter=0.2, loss=0.2, edge_scales=(3.0, 4.0, 0.5))
+    sim = SimConfig(50.0, 30.0, horizon=3, seed=5)
+    window = 4
+    controller = controller_policy(dag, window_size=window)
+    placements = list(controller.candidates)
+    assert [p.name for p in placements] == ["LOC", "SO", "HYB"]
+    cycles = range(sim.horizon * window)
+    service_keys = {
+        derive_seed(sim.seed, f"svc:{task}", cycle)
+        for task in ("T1", "T2", "T3", "T4")
+        for cycle in cycles
+    }
+    link_keys = {
+        derive_seed(sim.seed, f"lnk:{src}:{dst}", cycle)
+        for src, dst in (("R1", "E"), ("E", "R2"))
+        for cycle in cycles
+    }
+    mix64 = streams._mix64
+
+    def key_counts(run):
+        mixed = Counter()
+
+        def counting_mix64(x):
+            mixed[mix64(x)] += 1
+            return mix64(x)
+
+        with mock.patch.object(streams, "_mix64", counting_mix64):
+            run()
+        return [mixed[key] for key in service_keys], [mixed[key] for key in link_keys]
+
+    service, link = key_counts(lambda: simulate_cycles(dag, FABRIC, sim, placements, window))
+    assert set(service) == set(link) == {1}
+    service, link = key_counts(lambda: [
+        run_simulation(dag, FABRIC, sim, controller, fixed=p.name) for p in placements
+    ])
+    assert set(service) == {3}
+    assert set(link) == {2}
+
+
+@pytest.mark.parametrize("window", [1, 7])
+def test_simulate_cycles_takes_every_branch_of_run_cycle(window):
+    # zero jitter, a zero-cv stage, a loss of 0.6 on every link, exogenous load
+    # and a coarse clock: both loss outcomes and the constant stage all occur
+    dag = make_dag(cv=0.3, jitter=0.0, edge_scales=(3.0, 4.0, 0.5))
+    t1, t2, *rest = dag.tasks  # T2 runs on E, the stressed node, under SO and HYB
+    constant = replace(t2, service={n: replace(m, cv=0.0) for n, m in t2.service.items()})
+    dag = replace(dag, tasks=(t1, constant, *rest))
+    horizon = 28 // window
+    fault = FaultInjection(NODE_PAIRS, 1.5, loss_probability=0.6, start_window=1,
+                           end_window=horizon)
+    stress = StressProfile("E", 1, horizon, slowdown=1.5, exogenous_load=0.2)
+    disturbances = {"stresses": (stress,), "faults": (fault,)}
+    sim = SimConfig(50.0, 30.0, horizon=horizon, seed=3, clock_resolution_us=7)
+    controller = controller_policy(dag, window_size=window)
+    placements = list(controller.candidates)
+    retransmits = []
+    sample_link = simulation.sample_link
+
+    def recording_sample_link(model, rng):
+        delay, lost = sample_link(model, rng)
+        retransmits.append(lost)
+        return delay, lost
+
+    with mock.patch.object(simulation, "sample_link", recording_sample_link):
+        stores = simulate_cycles(dag, FABRIC, sim, placements, window, **disturbances)
+    assert False in retransmits and True in retransmits  # delivered and fatal
+    period_us = quantize_us(sim.period, sim.clock_resolution_us)
+    fatal = [(s, i) for s in stores.values() for i, us in enumerate(s.latency_us)
+             if us == period_us]
+    assert fatal and not any(s.met[i] for s, i in fatal)
+    for name, store in stores.items():
+        assert store == run_simulation(dag, FABRIC, sim, controller, fixed=name,
+                                       **disturbances).cycles, name
+
+
+def test_simulate_cycles_rejects_shared_names_and_empty_windows():
+    dag = make_dag()
+    sim = SimConfig(50.0, 30.0, horizon=2, seed=1)
+    loc, so, _ = controller_policy(dag).candidates
+    with pytest.raises(ValueError, match="duplicate placement names"):
+        simulate_cycles(dag, FABRIC, sim, [loc, replace(so, name="LOC")], 5)
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        simulate_cycles(dag, FABRIC, sim, [loc, so], 0)
+
+
 def test_stressed_occupancy_warns_once_per_run_that_adopts_the_cycles():
     dag = make_dag(cv=0.2)
     sim = SimConfig(40.0, 40.0, horizon=2, seed=2)
