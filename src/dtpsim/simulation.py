@@ -22,13 +22,15 @@ of a ``DTP`` run from the stores of fixed runs of its candidates
 (``known_cycles``) instead of simulating them again, and a fixed run adopts
 the store of its own placement whole.
 
-``simulate_cycles`` builds those stores for several placements at once,
-window by window and column by column (``_Engine.run_window``): all W
-draws of each tag the placements use, made once however many of them
-share it (every ``svc:`` tag of ``LOC`` and ``SO``), then each stage's and
+Active cycles are computed a window at a time, column by column
+(``_Engine.run_window``): all W draws of each tag, then each stage's and
 each crossing's µs over the W cycles, then latency and busy time summed
-column by column.  ``run_cycle`` is the same computation one cycle at a
-time; it runs the cycles of ``run_simulation`` that no store holds.
+column by column.  ``simulate_cycles`` builds the stores of several
+placements at once this way, each tag's draws made once however many of
+them share it (every ``svc:`` tag of ``LOC`` and ``SO``), and
+``run_simulation`` runs each active window no store holds on the same
+kernel.  ``run_cycle`` is the same computation one cycle at a time; only
+shadow cycles that no store holds use it.
 """
 
 from __future__ import annotations
@@ -554,8 +556,10 @@ def run_simulation(
     """Simulate ``sim.horizon`` windows of ``controller.window_size`` cycles.
 
     The engine is the environment of ``run_horizon``: per window it runs
-    the active cycles and shadow cycles for the inactive candidates, and
-    returns the estimates.  Migrations apply at the next cycle release.
+    the active cycles, as one ``_Engine.run_window`` call, and shadow
+    cycles for the inactive candidates, one ``run_cycle`` each at every
+    ``ceil(W / 4)``-th index, and returns the estimates.  Migrations apply
+    at the next cycle release.
     ``fixed`` names a member of ``controller.candidates`` that stays active
     for the whole run: the controller then runs over that one candidate,
     so a fixed window is scored by the same code as a controlled one.
@@ -627,16 +631,11 @@ def run_simulation(
 
         known = known_cycles.get(placement.name)
         if known is None:
-            # shadows right after the active cycle of their index replay its draws
-            for i in range(window):
-                cycles.append(engine.run_cycle(plan, start + i), active)
-                if i % shadow_stride == 0:
-                    run_shadows(start + i)
-        else:
-            if known is not cycles:
-                cycles.extend(known, start, stop, active)
-            for cycle_index in range(start, stop, shadow_stride):
-                run_shadows(cycle_index)
+            cycles.append_columns(*engine.run_window(plan, WindowDraws(sim.seed, start, stop)), active)
+        elif known is not cycles:
+            cycles.extend(known, start, stop, active)
+        for cycle_index in range(start, stop, shadow_stride):
+            run_shadows(cycle_index)
         for hist in shadow_hist.values():
             hist.keep_last(window)
         records = cycles.columns(start, stop)

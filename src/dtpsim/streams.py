@@ -16,13 +16,13 @@ second normal, so every draw has a fixed address (tag, step, n).
 A tag's handle keeps the uniforms it has drawn at its current step.  Since
 a draw is a pure function of (tag, step, n), ``at(tag, step)`` with the
 step unchanged only rewinds n and replays them; a new step re-keys the
-handle and drops them.  So a shadow cycle of ``run_simulation`` that runs
-right after the active cycle of its index mixes each key they share once,
-and no handle ever holds more than one step's draws.
+handle and drops them.  So the shadow cycles ``run_simulation`` runs at
+one cycle index mix each key they share once (the ``svc:`` tags of their
+common tasks), and no handle ever holds more than one step's draws.
 
-``WindowDraws`` serves the window kernel of ``simulate_cycles``: it makes
-the draws of a range of steps tag by tag, column by column, each key and
-each column once however many placements read them.
+``WindowDraws`` serves the window kernel, which computes every active
+cycle: it makes the draws of a range of steps tag by tag, column by
+column, each key and each column once however many placements read them.
 
 ``fresh(tag)`` still returns a Mersenne Twister ``random.Random``, seeded
 once, for batch Monte Carlo whose caller owns the whole sequence.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dtpsim import simulation
 from dtpsim.controller import ControllerConfig
 from dtpsim.cost import Constraints, Weights
 from dtpsim.metrics import CycleStore, NormalizationTargets
@@ -15,6 +16,7 @@ from dtpsim.pipeline import (
     TaskStage,
     canonical_candidates,
 )
+from dtpsim.streams import RandomStreams
 
 NODE_PAIRS = [
     ("R1", "E"), ("E", "R1"),
@@ -30,6 +32,34 @@ def cycle_store(records, nodes=("R1", "R2", "E"), period=30.0):
         us = [round(busy.get(n, 0.0) * 1000) for n in nodes]
         store.append((round(latency * 1000), met, us), 0)
     return store
+
+
+def reference_rows(dag, fabric, sim, placements, window, stresses=(), faults=()):
+    """Each placement's fixed-run rows by name, computed cycle by cycle by
+    ``_Engine.run_cycle`` over each window's plans: the oracle that the
+    window kernel's stores are checked against."""
+    engine = simulation._Engine(fabric, sim, RandomStreams(sim.seed), {})
+    rows = {p.name: [] for p in placements}
+    for k in range(1, sim.horizon + 1):
+        plans = simulation._window_plans(k, placements, stresses, faults, dag, sim)
+        cycles = range((k - 1) * window, k * window)
+        for name, out in rows.items():
+            out.extend(engine.run_cycle(plans[name], i) for i in cycles)
+    return rows
+
+
+def store_rows(store):
+    """Every row of a CycleStore, in the (latency µs, met, busy µs) form of
+    ``run_cycle``."""
+    return [store.row(i) for i in range(len(store))]
+
+
+def trace_reference_rows(trace, reference, window):
+    """The ``reference_rows`` row of each cycle of ``trace``, under the
+    placement active in its window."""
+    return [
+        reference[trace.windows[i // window].placement][i] for i in range(len(trace.cycles))
+    ]
 
 
 def make_fabric():

@@ -8,13 +8,18 @@ aggregation that the column code replaced, kept as oracles: every byte of
 import csv
 import gc
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import NODE_PAIRS, controller_policy, cycle_store, make_dag, make_fabric
-from dtpsim import simulation
+from conftest import (
+    NODE_PAIRS,
+    controller_policy,
+    cycle_store,
+    make_dag,
+    make_fabric,
+    reference_rows,
+)
 from dtpsim.estimator import EstimatorConfig
 from dtpsim.metrics import CycleRecord, CycleStore, WindowMetrics, percentile_nearest_rank
 from dtpsim.pipeline import ComputeNode, Fabric
@@ -188,24 +193,18 @@ def test_the_column_writer_matches_the_record_writer(
         additive=data.draw(st.booleans(), label="additive"),
     )
     sim = SimConfig(50.0, 50.0, horizon=horizon, seed=seed, clock_resolution_us=resolution)
-    rows = {}
-    run_cycle = simulation._Engine.run_cycle
-
-    def recording_run_cycle(engine, plan, cycle_index):
-        row = run_cycle(engine, plan, cycle_index)
-        rows[plan.placement.name, cycle_index] = row
-        return row
-
-    with mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle):
-        trace = run_simulation(
-            dag, FABRIC, sim, controller_policy(dag, window_size=window, n_min=0), fixed=fixed,
-            stresses=(stress,), faults=(fault,), estimator=EstimatorConfig(static_samples=100),
-        )
+    controller = controller_policy(dag, window_size=window, n_min=0)
+    trace = run_simulation(
+        dag, FABRIC, sim, controller, fixed=fixed,
+        stresses=(stress,), faults=(fault,), estimator=EstimatorConfig(static_samples=100),
+    )
+    # each cycle's row as run_cycle computes it for its placement and index
+    rows = reference_rows(dag, FABRIC, sim, controller.candidates, window, (stress,), (fault,))
     records = list(trace.cycles)
     assert len(records) == horizon * window
     for i, record in enumerate(records):
         name = trace.windows[i // window].placement
-        latency_us, met, busy_us = rows[name, i]
+        latency_us, met, busy_us = rows[name][i]
         assert record == trace.cycles[i] == CycleRecord(
             cycle_index=i,
             e2e_latency=latency_us / 1000.0,

@@ -8,8 +8,16 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import NODE_PAIRS, controller_policy, make_dag, make_fabric
-from dtpsim import simulation, streams
+from conftest import (
+    NODE_PAIRS,
+    controller_policy,
+    make_dag,
+    make_fabric,
+    reference_rows,
+    store_rows,
+    trace_reference_rows,
+)
+from dtpsim import sampling, simulation, streams
 from dtpsim.controller import on_window_end
 from dtpsim.estimator import (
     MECHANISM_SHADOW,
@@ -326,8 +334,9 @@ def test_a_fault_in_one_window_leaves_every_other_window_unchanged(
 
 
 def test_every_fatal_cycle_is_capped_at_the_period():
-    # (row, whether an edge crossing of its cycle was lost twice) for
-    # every active and shadow cycle the engine runs
+    # (row, whether an edge crossing of its cycle was lost twice) for every
+    # shadow cycle the engine runs and every cycle of the run_cycle oracle,
+    # which the window kernel's active cycles must equal
     cycles = []
     crossing_fatal = [False]
     run_cycle = simulation._Engine.run_cycle
@@ -359,13 +368,16 @@ def test_every_fatal_cycle_is_capped_at_the_period():
     def check(fixed, cv, jitter, loss, seed, period, resolution):
         dag = make_dag(cv=cv, jitter=jitter, loss=loss)
         sim = SimConfig(period, period, horizon=3, seed=seed, clock_resolution_us=resolution)
+        controller = controller_policy(dag, window_size=4, n_min=0)
         cycles.clear()
         with mock.patch.object(simulation, "traverse_edge", recording_traverse), \
                 mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle):
-            run_simulation(
-                dag, FABRIC, sim, controller_policy(dag, window_size=4, n_min=0),
+            trace = run_simulation(
+                dag, FABRIC, sim, controller,
                 fixed=fixed, estimator=EstimatorConfig(static_samples=100),
             )
+            reference = reference_rows(dag, FABRIC, sim, controller.candidates, 4)
+        assert store_rows(trace.cycles) == trace_reference_rows(trace, reference, 4)
         for (latency_us, met, _), fatal in cycles:
             if fatal:
                 assert latency_us == period * 1000
@@ -411,15 +423,25 @@ def test_every_dtp_cycle_equals_the_fixed_run_cycle_of_its_placement(
     sim = SimConfig(period=50.0, deadline=30.0, horizon=horizon, seed=seed)
     controller = controller_policy(dag, window_size=window_size, n_min=0)
     disturbances = {"stresses": (stress,), "faults": (fault,)}
-    ran = []
+    ran = []  # (placement, cycle, row) of every cycle the kernel or run_cycle computes
     run_cycle = simulation._Engine.run_cycle
+    run_window = simulation._Engine.run_window
 
     def recording_run_cycle(engine, plan, cycle_index):
         row = run_cycle(engine, plan, cycle_index)
         ran.append((plan.placement.name, cycle_index, row))
         return row
 
-    with mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle):
+    def recording_run_window(engine, plan, draws):
+        latency, met, busy = columns = run_window(engine, plan, draws)
+        ran.extend(
+            (plan.placement.name, cycle_index, (latency[i], met[i], [c[i] for c in busy]))
+            for i, cycle_index in enumerate(draws.steps)
+        )
+        return columns
+
+    with mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle), \
+            mock.patch.object(simulation._Engine, "run_window", recording_run_window):
         run_simulation(dag, FABRIC, sim, controller,
                        estimator=EstimatorConfig(static_samples=100), **disturbances)
     fixed = {
@@ -455,14 +477,20 @@ def known_cycles_case(horizon=6):
 
 def test_known_cycles_are_read_and_leave_the_trace_unchanged():
     known, run = known_cycles_case()
-    simulated = []
+    simulated = []  # the placement of every cycle the kernel or run_cycle computes
     run_cycle = simulation._Engine.run_cycle
+    run_window = simulation._Engine.run_window
 
     def recording_run_cycle(engine, plan, cycle_index):
         simulated.append(plan.placement.name)
         return run_cycle(engine, plan, cycle_index)
 
-    with mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle):
+    def recording_run_window(engine, plan, draws):
+        simulated.extend(plan.placement.name for _ in draws.steps)
+        return run_window(engine, plan, draws)
+
+    with mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle), \
+            mock.patch.object(simulation._Engine, "run_window", recording_run_window):
         reused = run(known)
     assert set(simulated) == {"HYB"}
     fresh = run(None)
@@ -490,9 +518,10 @@ def test_known_cycles_of_another_shape_are_rejected(horizon, bad, message):
 
 
 def record_cycle_parts(run):
-    """Run ``run()`` and return, per engine cycle, its row, the quantized
-    service µs of each executed stage, the (delay µs, fatal) of each edge
-    crossing and the exogenous busy µs of its plan."""
+    """Run ``run()`` and return its result and, per ``run_cycle`` call, the
+    placement, cycle index and row, the quantized service µs of each executed
+    stage, the (delay µs, fatal) of each edge crossing and the exogenous busy
+    µs of its plan."""
     cycles = []
     run_cycle = simulation._Engine.run_cycle
     sample_service = simulation.sample_service
@@ -509,7 +538,8 @@ def record_cycle_parts(run):
         return crossing
 
     def recording_run_cycle(engine, plan, cycle_index):
-        parts = {"resolution": engine.resolution, "service_us": [], "edges": [],
+        parts = {"placement": plan.placement.name, "cycle": cycle_index,
+                 "resolution": engine.resolution, "service_us": [], "edges": [],
                  "exogenous_us": sum(us for _, us in plan.exogenous_us)}
         cycles.append(parts)
         parts["row"] = run_cycle(engine, plan, cycle_index)
@@ -518,8 +548,8 @@ def record_cycle_parts(run):
     with mock.patch.object(simulation, "sample_service", recording_sample_service), \
             mock.patch.object(simulation, "traverse_edge", recording_traverse), \
             mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle):
-        run()
-    return cycles
+        result = run()
+    return result, cycles
 
 
 engine_runs = st.fixed_dictionaries({
@@ -534,13 +564,26 @@ engine_runs = st.fixed_dictionaries({
 
 
 def run_engine(fixed, cv, jitter, loss, seed, resolution, load):
+    """The parts of every shadow cycle of one run and, for each of its active
+    cycles (which the window kernel computes), of the ``run_cycle`` oracle
+    cycle that its row must equal."""
     dag = make_dag(cv=cv, jitter=jitter, loss=loss)
     sim = SimConfig(50.0, 50.0, horizon=3, seed=seed, clock_resolution_us=resolution)
     stress = StressProfile("E", 2, 3, slowdown=2.0, exogenous_load=load)
-    return record_cycle_parts(lambda: run_simulation(
-        dag, FABRIC, sim, controller_policy(dag, window_size=4, n_min=0), fixed=fixed,
+    controller = controller_policy(dag, window_size=4, n_min=0)
+    trace, cycles = record_cycle_parts(lambda: run_simulation(
+        dag, FABRIC, sim, controller, fixed=fixed,
         stresses=(stress,), estimator=EstimatorConfig(static_samples=100),
     ))
+    _, reference = record_cycle_parts(
+        lambda: reference_rows(dag, FABRIC, sim, controller.candidates, 4, (stress,))
+    )
+    oracle = {(parts["placement"], parts["cycle"]): parts for parts in reference}
+    for i in range(len(trace.cycles)):
+        parts = oracle[trace.windows[i // 4].placement, i]
+        assert trace.cycles.row(i) == parts["row"]
+        cycles.append(parts)
+    return cycles
 
 
 @settings(max_examples=40, deadline=None)
@@ -576,6 +619,83 @@ def draw_fault(data, horizon, additive):
     )
 
 
+def with_constant_stage(dag, task):
+    """``dag`` with the service of ``task`` (None: no task) made zero-cv."""
+    return replace(dag, tasks=tuple(
+        replace(t, service={n: replace(m, cv=0.0) for n, m in t.service.items()})
+        if t.id == task else t
+        for t in dag.tasks
+    ))
+
+
+def test_every_kernel_cycle_is_the_run_cycle_row_of_its_placement():
+    # the window kernel (simulate_cycles, and every active window of
+    # run_simulation) against the per-cycle oracle, over stresses, both fault
+    # modes, coarse clocks, a zero-cv stage and losses that retransmit
+    crossings = Counter()  # (attempts, fatal) of every crossing the oracle makes
+    attempts = [0]
+    sample_link = sampling.sample_link
+    traverse_edge = simulation.traverse_edge
+    moved = []
+
+    def counting_sample_link(*args):
+        attempts[0] += 1
+        return sample_link(*args)
+
+    def recording_traverse(*args):
+        attempts[0] = 0
+        delay_us, fatal = traverse_edge(*args)
+        crossings[attempts[0], fatal] += 1
+        return delay_us, fatal
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        cv=st.floats(0.0, 1.0),
+        jitter=st.floats(0.0, 0.5),
+        loss=st.floats(0.0, 0.9),
+        seed=st.integers(0, 2**31),
+        resolution=st.sampled_from([1, 7, 100]),
+        constant=st.sampled_from([None, "T1", "T2", "T3", "T4"]),
+        slowdown=st.floats(1.0, 2.5),
+        stressed=st.sampled_from(["R1", "R2", "E"]),
+        window=st.integers(1, 6),
+        data=st.data(),
+    )
+    def check(cv, jitter, loss, seed, resolution, constant, slowdown, stressed, window, data):
+        dag = with_constant_stage(make_dag(cv=cv, jitter=jitter, loss=loss), constant)
+        horizon = 4
+        stress = StressProfile(
+            stressed,
+            start_window=data.draw(st.integers(1, horizon), label="stress start"),
+            end_window=horizon,
+            slowdown=slowdown,
+            exogenous_load=data.draw(st.floats(0.0, 0.4), label="exogenous load"),
+        )
+        disturbances = {
+            "stresses": (stress,),
+            "faults": (draw_fault(data, horizon, False), draw_fault(data, horizon, True)),
+        }
+        sim = SimConfig(50.0, 30.0, horizon=horizon, seed=seed, clock_resolution_us=resolution)
+        controller = controller_policy(dag, window_size=window, n_min=0)
+        placements = list(controller.candidates)
+        with mock.patch.object(simulation, "traverse_edge", recording_traverse), \
+                mock.patch.object(sampling, "sample_link", counting_sample_link):
+            reference = reference_rows(dag, FABRIC, sim, placements, window, **disturbances)
+        stores = simulate_cycles(dag, FABRIC, sim, placements, window, **disturbances)
+        for name, rows in reference.items():
+            assert store_rows(stores[name]) == rows, name
+            alone = run_simulation(dag, FABRIC, sim, controller, fixed=name, **disturbances)
+            assert store_rows(alone.cycles) == rows, name
+        dtp = run_simulation(dag, FABRIC, sim, controller,
+                             estimator=EstimatorConfig(static_samples=100), **disturbances)
+        assert store_rows(dtp.cycles) == trace_reference_rows(dtp, reference, window)
+        moved.append(dtp.summary["migrations"])
+
+    check()
+    assert crossings[2, False] and crossings[2, True]  # delivered and fatal retransmits
+    assert any(moved)  # some DTP run computed windows of more than one placement
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     cv=st.floats(0.0, 0.4),
@@ -608,7 +728,9 @@ def test_simulate_cycles_gives_each_placement_the_store_of_its_fixed_run(
     placements = list(controller.candidates)
     stores = simulate_cycles(dag, FABRIC, sim, placements, window, **disturbances)
     assert list(stores) == ["LOC", "SO", "HYB"]
+    reference = reference_rows(dag, FABRIC, sim, placements, window, **disturbances)
     for name, store in stores.items():
+        assert store_rows(store) == reference[name]
         alone = run_simulation(dag, FABRIC, sim, controller, fixed=name, **disturbances)
         assert store == alone.cycles
         adopted = run_simulation(
@@ -699,9 +821,7 @@ def test_simulate_cycles_takes_every_branch_of_run_cycle(window):
     # zero jitter, a zero-cv stage, a loss of 0.6 on every link, exogenous load
     # and a coarse clock: both loss outcomes and the constant stage all occur
     dag = make_dag(cv=0.3, jitter=0.0, edge_scales=(3.0, 4.0, 0.5))
-    t1, t2, *rest = dag.tasks  # T2 runs on E, the stressed node, under SO and HYB
-    constant = replace(t2, service={n: replace(m, cv=0.0) for n, m in t2.service.items()})
-    dag = replace(dag, tasks=(t1, constant, *rest))
+    dag = with_constant_stage(dag, "T2")  # T2 runs on E, the stressed node, under SO and HYB
     horizon = 28 // window
     fault = FaultInjection(NODE_PAIRS, 1.5, loss_probability=0.6, start_window=1,
                            end_window=horizon)
@@ -725,7 +845,9 @@ def test_simulate_cycles_takes_every_branch_of_run_cycle(window):
     fatal = [(s, i) for s in stores.values() for i, us in enumerate(s.latency_us)
              if us == period_us]
     assert fatal and not any(s.met[i] for s, i in fatal)
+    reference = reference_rows(dag, FABRIC, sim, placements, window, **disturbances)
     for name, store in stores.items():
+        assert store_rows(store) == reference[name], name
         assert store == run_simulation(dag, FABRIC, sim, controller, fixed=name,
                                        **disturbances).cycles, name
 
