@@ -27,7 +27,7 @@ import yaml
 from .controller import ControllerConfig
 from .cost import Constraints, Weights
 from .estimator import EstimatorConfig
-from .metrics import NormalizationTargets
+from .metrics import NormalizationTargets, ordered_mean
 from .pipeline import (
     CandidateSet,
     ComputeNode,
@@ -380,10 +380,8 @@ def build_targets(latency: Any, fabric: Fabric, path: str) -> NormalizationTarge
         NormalizationTargets,
         path,
         latency=_build(_convert, path, _hints(NormalizationTargets)["latency"], latency),
-        util_robot=(
-            sum(n.utilization_target for n in robots) / len(robots) if robots else 0.8
-        ),
-        util_edge=(sum(n.utilization_target for n in edges) / len(edges) if edges else 0.8),
+        util_robot=ordered_mean([n.utilization_target for n in robots], 0.8),
+        util_edge=ordered_mean([n.utilization_target for n in edges], 0.8),
     )
 
 
@@ -610,10 +608,6 @@ class ScenarioReport:
         return bool(evaluated) and all(evaluated)
 
 
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
-
-
 def post_convergence_windows(summary: Mapping[str, Any]) -> list[int]:
     """1-based window indices after convergence.
 
@@ -755,7 +749,7 @@ def evaluate_expectations(
         detail = (
             f"{seed_pass}/{len(controller_runs)} seeds reached {label} occupancy >= "
             f"{expected.min_fraction:.2f} post-convergence (need {needed}; "
-            f"min {min(occupancies):.3f}, mean {_mean(occupancies):.3f}"
+            f"min {min(occupancies):.3f}, mean {ordered_mean(occupancies):.3f}"
         )
         if expected.forbidden:
             detail += f"; forbidden {'+'.join(expected.forbidden)} must stay at 0"
@@ -770,7 +764,7 @@ def evaluate_expectations(
 def _windowed_violation(run: RunResult, windows: Sequence[int]) -> float:
     rates = run.window_violations
     chosen = [rates[k - 1] for k in windows if 0 < k <= len(rates)]
-    return _mean(chosen)
+    return ordered_mean(chosen)
 
 
 def _evaluate_check(
@@ -792,7 +786,7 @@ def _evaluate_check(
     runs = results[policy]
 
     if check.kind == "policy_violation_above":
-        value = _mean([r.summary["violation_rate"] for r in runs])
+        value = ordered_mean([r.summary["violation_rate"] for r in runs])
         return ExpectationResult(
             name,
             value > check.threshold,
@@ -800,7 +794,7 @@ def _evaluate_check(
         )
     if check.kind == "post_convergence_violation_below":
         values = [_windowed_violation(r, post_convergence_windows(r.summary)) for r in runs]
-        value = _mean(values)
+        value = ordered_mean(values)
         return ExpectationResult(
             name,
             value <= check.threshold,
@@ -810,8 +804,8 @@ def _evaluate_check(
     windows = fault_windows(spec) if check.interval == "fault" else list(
         range(1, spec.sim.horizon + 1)
     )
-    worse_value = _mean([_windowed_violation(r, windows) for r in runs])
-    better_value = _mean([_windowed_violation(r, windows) for r in results[check.versus]])
+    worse_value = ordered_mean([_windowed_violation(r, windows) for r in runs])
+    better_value = ordered_mean([_windowed_violation(r, windows) for r in results[check.versus]])
     return ExpectationResult(
         name,
         worse_value >= check.ratio * better_value,
@@ -843,7 +837,7 @@ def report_payload(reports: Sequence[ScenarioReport]) -> dict:
             "policies": {
                 policy: {
                     "seeds": [r.seed for r in runs],
-                    **{key: _mean([r.summary[s] for r in runs]) for key, s in _MEANS.items()},
+                    **{k: ordered_mean([r.summary[s] for r in runs]) for k, s in _MEANS.items()},
                     "per_seed": [dict(r.summary) for r in runs],
                 }
                 for policy, runs in report.results.items()

@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 from typing import Mapping, NamedTuple
 
@@ -29,6 +30,16 @@ from .sampling import US_PER_MS
 # guards against float fuzz in p * n for exact-integer products; config
 # percentiles carry far fewer than 9 decimals
 _RANK_EPS = 1e-9
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0, as ``sum()`` did before Python 3.12."""
+    return reduce(operator.add, values, 0.0)
+
+
+def ordered_mean(values: Sequence[float], empty: float = 0.0) -> float:
+    """``ordered_sum(values) / len(values)``, or ``empty`` for no values."""
+    return ordered_sum(values) / len(values) if values else empty
 
 
 def percentile_nearest_rank(samples: Sequence[float], p: float) -> float:

@@ -10,7 +10,9 @@ configuration is checked so nominal occupancy fits inside the period.
 A cycle is an integer row (µs) appended to the run's CycleStore, a set of
 stdlib ``array`` columns; the shadow history of each candidate keeps its
 last W rows the same way.  Windows, the summary and ``cycles.csv`` are read
-from the columns, and ``SimTrace.cycles`` is the store itself.
+from the columns, and ``SimTrace.cycles`` is the store itself.  Float sums
+add left to right (``metrics.ordered_sum``), as ``sum()`` did before Python 3.12,
+so no byte of a run depends on the interpreter.
 
 Randomness comes from per-purpose substreams addressed by cycle index, so
 stress windows, faults, shadow cycles, and placement changes can never
@@ -23,14 +25,14 @@ of a ``DTP`` run from the stores of fixed runs of its candidates
 the store of its own placement whole.
 
 Active cycles are computed a window at a time, column by column
-(``_Engine.run_window``): all W draws of each tag, then each stage's and
-each crossing's µs over the W cycles, then latency and busy time summed
-column by column.  ``simulate_cycles`` builds the stores of several
-placements at once this way, each tag's draws made once however many of
-them share it (every ``svc:`` tag of ``LOC`` and ``SO``), and
-``run_simulation`` runs each active window no store holds on the same
-kernel.  ``run_cycle`` is the same computation one cycle at a time; only
-shadow cycles that no store holds use it.
+(``_Engine.run_window``): all W draws of each tag, in 128-bit lanes of one
+int (``streams.WindowDraws``), then each stage's and each crossing's µs over
+the W cycles, then latency and busy time summed column by column.
+``simulate_cycles`` builds the stores of several placements at once this
+way, each tag's draws made once however many of them share it (every
+``svc:`` tag of ``LOC`` and ``SO``), and ``run_simulation`` runs each active
+window no store holds on the same kernel.  ``run_cycle`` is the same
+computation one cycle at a time; only shadow cycles that no store holds use it.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ from .metrics import (
     aggregate_window,
     class_utilization,
     normalize,  # noqa: F401  bench/tracing.SITES wraps this name here
+    ordered_mean,
+    ordered_sum,
     percentile_nearest_rank,
 )
 from .pipeline import (
@@ -728,7 +732,7 @@ def _build_summary(
         "cycles": len(latencies),
         # cycle by cycle in ms, as the summaries were pinned
         "mean_latency_ms": (
-            sum(us / US_PER_MS for us in latencies) / len(latencies) if latencies else 0.0
+            ordered_sum(us / US_PER_MS for us in latencies) / len(latencies) if latencies else 0.0
         ),
         "l95_latency_ms": (
             percentile_nearest_rank(latencies, 0.95) / US_PER_MS if latencies else 0.0
@@ -736,12 +740,8 @@ def _build_summary(
         "violation_rate": (
             (len(latencies) - columns.met.count(1)) / len(latencies) if latencies else 0.0
         ),
-        "mean_util_robot": (
-            sum(w.metrics.util_robot for w in windows) / len(windows) if windows else 0.0
-        ),
-        "mean_util_edge": (
-            sum(w.metrics.util_edge for w in windows) / len(windows) if windows else 0.0
-        ),
+        "mean_util_robot": ordered_mean([w.metrics.util_robot for w in windows]),
+        "mean_util_edge": ordered_mean([w.metrics.util_edge for w in windows]),
         "migrations": len(migrations),
         "first_migration_window": migrations[0].window_index if migrations else None,
         "placement_occupancy": occupancy,

@@ -23,6 +23,8 @@ common tasks), and no handle ever holds more than one step's draws.
 ``WindowDraws`` serves the window kernel, which computes every active
 cycle: it makes the draws of a range of steps tag by tag, column by
 column, each key and each column once however many placements read them.
+Each step is a 128-bit lane of one int, so splitmix64 mixes a column in a
+dozen big-int operations, and ``map`` chains make ``Draws``' float operations.
 
 ``fresh(tag)`` still returns a Mersenne Twister ``random.Random``, seeded
 once, for batch Monte Carlo whose caller owns the whole sequence.
@@ -32,7 +34,12 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import zlib
+from array import array
+from functools import lru_cache
+from itertools import repeat
+from operator import mul, sub
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -92,46 +99,68 @@ class Draws:
         return mu + sigma * radius * math.cos(_TWO_PI * self.random())
 
 
+@lru_cache(maxsize=16)
+def _lanes(count: int) -> tuple[int, int, int, int]:
+    """Over ``count`` 128-bit lanes: 1, the lane's index, and 64- and 53-bit masks."""
+    ones = int.from_bytes((array("Q", (1, 0)) * count).tobytes(), sys.byteorder)
+    ramp = array("Q", [v for i in range(count) for v in (i, 0)]).tobytes()
+    return ones, int.from_bytes(ramp, sys.byteorder), ones * _MASK64, ones * ((1 << 53) - 1)
+
+
+def _unpacked(x: int, count: int) -> array:
+    """The low 64 bits of each of the ``count`` lanes of ``x``."""
+    return array("Q", x.to_bytes(16 * count, sys.byteorder))[::2]
+
+
+def _mix64_lanes(x: int, lane_mask: int) -> int:
+    """``_mix64`` of every lane of ``x`` at once, lane values below 2**64."""
+    x = ((x ^ (x >> 30)) & lane_mask) * 0xBF58476D1F4E5787 & lane_mask
+    x = ((x ^ (x >> 27)) & lane_mask) * 0x94D049BB133111EB & lane_mask
+    return x ^ (x >> 31)  # bits above 64 hold the next lane's: mask before use
+
+
 class WindowDraws:
     """The draws of steps ``[start, stop)`` of every tag, one column per draw.
 
-    Element i of draw n's column is draw n of ``at(tag, start + i)``, with
-    the same float operations.  Each key is mixed once through ``_mix64``
-    and each column is computed once, on first read, so readers that share
-    a tag share its draws.
+    Element i of draw n's column is draw n of ``at(tag, start + i)``, bit for
+    bit, computed over the steps' lanes by ``_mix64_lanes``.  Each key column
+    and each draw column is computed once, on first read, so readers that
+    share a tag share its draws.
     """
 
     __slots__ = ("master_seed", "steps", "_keys", "_columns", "_normals")
 
     def __init__(self, master_seed: int, start: int, stop: int):
+        if start < 0 or stop < start:
+            raise ValueError(f"window steps [{start}, {stop}) are not a range of cycles")
         self.master_seed = int(master_seed)
         self.steps = range(start, stop)
-        self._keys: dict[str, list[int]] = {}
+        self._keys: dict[str, int] = {}
         self._columns: dict[tuple[str, int], list[float]] = {}
         self._normals: dict[str, tuple[list[float], list[float]]] = {}
 
-    def keys(self, tag: str) -> list[int]:
-        """``derive_seed(master_seed, tag, step)`` of each step."""
+    def _packed_keys(self, tag: str) -> int:
         keys = self._keys.get(tag)
         if keys is None:
-            base = _tag_base(self.master_seed, tag)
-            keys = [_mix64(base ^ ((step * _GOLDEN) & _MASK64)) for step in self.steps]
-            self._keys[tag] = keys
+            ones, ramp, mask, _ = _lanes(len(self.steps))
+            # step * golden fits its lane: (2**64 + count) * golden < 2**128
+            steps = (self.steps.start & _MASK64) * ones + ramp
+            base = _tag_base(self.master_seed, tag) * ones
+            keys = self._keys[tag] = _mix64_lanes(base ^ (steps * _GOLDEN & mask), mask) & mask
         return keys
 
+    def keys(self, tag: str) -> list[int]:
+        """``derive_seed(master_seed, tag, step)`` of each step."""
+        return _unpacked(self._packed_keys(tag), len(self.steps)).tolist()
+
     def uniforms(self, tag: str, n: int) -> list[float]:
-        """Draw ``n`` of each step: ``Draws.random``'s expression, inlined."""
+        """Draw ``n`` of each step: the top 53 bits of its lane, times 2**-53."""
         column = self._columns.get((tag, n))
         if column is None:
-            golden, mask = (n * _GOLDEN) & _MASK64, _MASK64
-            column = []
-            append = column.append
-            for key in self.keys(tag):
-                x = key ^ golden
-                x = ((x ^ (x >> 30)) * 0xBF58476D1F4E5787) & mask
-                x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
-                append(((x ^ (x >> 31)) >> 11) * 1.1102230246251565e-16)  # 2**-53
-            self._columns[tag, n] = column
+            ones, _, mask, top53 = _lanes(len(self.steps))
+            x = _mix64_lanes(self._packed_keys(tag) ^ (n * _GOLDEN & _MASK64) * ones, mask)
+            column = _unpacked(x >> 11 & top53, len(self.steps))
+            column = self._columns[tag, n] = list(map(mul, column, repeat(2.0**-53)))
         return column
 
     def normals(self, tag: str) -> tuple[list[float], list[float]]:
@@ -139,20 +168,10 @@ class WindowDraws:
         the first ``gauss(mu, sigma)`` of step i is ``mu + sigma * r[i] * c[i]``."""
         normals = self._normals.get(tag)
         if normals is None:
-            sqrt, log, cos = math.sqrt, math.log, math.cos
-            golden, mask = _GOLDEN, _MASK64
-            radius: list[float] = []
-            cosine: list[float] = []
-            # draws 0 and 1 as uniforms() makes them, in one loop: the kernel's hottest
-            for key in self.keys(tag):
-                x = ((key ^ (key >> 30)) * 0xBF58476D1F4E5787) & mask
-                x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
-                u = ((x ^ (x >> 31)) >> 11) * 1.1102230246251565e-16
-                radius.append(sqrt(-2.0 * log(1.0 - u)))
-                x = key ^ golden
-                x = ((x ^ (x >> 30)) * 0xBF58476D1F4E5787) & mask
-                x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
-                cosine.append(cos(_TWO_PI * (((x ^ (x >> 31)) >> 11) * 1.1102230246251565e-16)))
+            # sqrt(-2.0 * log(1.0 - u0)) and cos(_TWO_PI * u1), as Draws.gauss
+            radius = map(sub, repeat(1.0), self.uniforms(tag, 0))
+            radius = list(map(math.sqrt, map(mul, repeat(-2.0), map(math.log, radius))))
+            cosine = list(map(math.cos, map(mul, repeat(_TWO_PI), self.uniforms(tag, 1))))
             normals = self._normals[tag] = (radius, cosine)
         return normals
 

@@ -1,5 +1,6 @@
 """Engine behavior: determinism, stress, faults, and controller wiring."""
 
+import math
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -57,6 +58,27 @@ def test_deterministic_limit_matches_nominal_latency():
             assert record.e2e_latency == expected
             assert record.deadline_met
             assert record.placement == placement.name
+
+
+def test_summary_means_add_left_to_right_on_every_python():
+    # from Python 3.12 on, sum() compensates float rounding; these runs have
+    # means that compensated (fsum) and plain addition round apart
+    dag = make_dag(cv=0.3, jitter=0.2)
+    rounded_apart = set()
+    for seed in (2, 3):
+        trace = fixed_run(dag, "SO", SimConfig(40.0, 40.0, horizon=4, seed=seed))
+        for key, values in (
+            ("mean_latency_ms", [us / 1000.0 for us in trace.cycles.columns().latency_us]),
+            ("mean_util_robot", [w.metrics.util_robot for w in trace.windows]),
+            ("mean_util_edge", [w.metrics.util_edge for w in trace.windows]),
+        ):
+            total = 0.0
+            for value in values:
+                total += value
+            assert trace.summary[key] == total / len(values)
+            if math.fsum(values) / len(values) != total / len(values):
+                rounded_apart.add(key)
+    assert rounded_apart == {"mean_latency_ms", "mean_util_robot", "mean_util_edge"}
 
 
 def test_horizon_zero_produces_empty_trace():
@@ -741,6 +763,30 @@ def test_simulate_cycles_gives_each_placement_the_store_of_its_fixed_run(
         assert (adopted.windows, adopted.summary) == (alone.windows, alone.summary)
 
 
+def mixed_values(run) -> Counter:
+    """How often ``run()`` mixes each value: one per ``_mix64`` call and one
+    per lane of each ``_mix64_lanes`` call, where the window kernel derives
+    the keys of a (tag, window) column together."""
+    mixed = Counter()
+    mix64, mix64_lanes = streams._mix64, streams._mix64_lanes
+
+    def counting_mix64(x):
+        mixed[mix64(x)] += 1
+        return mix64(x)
+
+    def counting_mix64_lanes(x, lane_mask):
+        lanes = mix64_lanes(x, lane_mask)
+        for shift in range(0, lane_mask.bit_length(), 128):
+            mixed[lanes >> shift & streams._MASK64] += 1
+        return lanes
+
+    with mock.patch.object(streams, "_mix64", counting_mix64), mock.patch.object(
+        streams, "_mix64_lanes", counting_mix64_lanes
+    ):
+        run()
+    return mixed
+
+
 def test_simulate_cycles_derives_each_shared_service_key_once():
     dag = make_dag(cv=0.3, jitter=0.2, loss=0.1)
     sim = SimConfig(50.0, 30.0, horizon=3, seed=5)
@@ -752,27 +798,13 @@ def test_simulate_cycles_derives_each_shared_service_key_once():
         for task in ("T1", "T2", "T3", "T4")
         for cycle in range(sim.horizon * window)
     }
-    mix64 = streams._mix64
 
-    def service_key_counts(run):
-        mixed = Counter()
-
-        def counting_mix64(x):
-            mixed[mix64(x)] += 1
-            return mix64(x)
-
-        with mock.patch.object(streams, "_mix64", counting_mix64):
-            run()
-        return {key: mixed[key] for key in service_keys}
-
-    together = service_key_counts(
-        lambda: simulate_cycles(dag, FABRIC, sim, placements, window)
-    )
-    assert set(together.values()) == {1}
-    apart = service_key_counts(lambda: [
+    together = mixed_values(lambda: simulate_cycles(dag, FABRIC, sim, placements, window))
+    assert {together[key] for key in service_keys} == {1}
+    apart = mixed_values(lambda: [
         run_simulation(dag, FABRIC, sim, controller, fixed=p.name) for p in placements
     ])
-    assert set(apart.values()) == {2}
+    assert {apart[key] for key in service_keys} == {2}
 
 
 def test_simulate_cycles_derives_each_shared_link_key_once():
@@ -794,26 +826,14 @@ def test_simulate_cycles_derives_each_shared_link_key_once():
         for src, dst in (("R1", "E"), ("E", "R2"))
         for cycle in cycles
     }
-    mix64 = streams._mix64
 
-    def key_counts(run):
-        mixed = Counter()
-
-        def counting_mix64(x):
-            mixed[mix64(x)] += 1
-            return mix64(x)
-
-        with mock.patch.object(streams, "_mix64", counting_mix64):
-            run()
-        return [mixed[key] for key in service_keys], [mixed[key] for key in link_keys]
-
-    service, link = key_counts(lambda: simulate_cycles(dag, FABRIC, sim, placements, window))
-    assert set(service) == set(link) == {1}
-    service, link = key_counts(lambda: [
+    mixed = mixed_values(lambda: simulate_cycles(dag, FABRIC, sim, placements, window))
+    assert {mixed[key] for key in service_keys} == {mixed[key] for key in link_keys} == {1}
+    mixed = mixed_values(lambda: [
         run_simulation(dag, FABRIC, sim, controller, fixed=p.name) for p in placements
     ])
-    assert set(service) == {3}
-    assert set(link) == {2}
+    assert {mixed[key] for key in service_keys} == {3}
+    assert {mixed[key] for key in link_keys} == {2}
 
 
 @pytest.mark.parametrize("window", [1, 7])

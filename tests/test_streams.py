@@ -1,11 +1,21 @@
 """Keyed random streams: stability, independence, and cache semantics."""
 
+import math
 import random
 import statistics
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtpsim.streams import _GOLDEN, _MASK64, Draws, RandomStreams, _mix64, derive_seed
+from dtpsim.streams import (
+    _GOLDEN,
+    _MASK64,
+    Draws,
+    RandomStreams,
+    WindowDraws,
+    _mix64,
+    derive_seed,
+)
 
 
 def test_derive_seed_is_deterministic():
@@ -154,3 +164,34 @@ def test_a_handle_replays_its_step_as_a_fresh_handle_draws_it(master, calls):
         # the memo is the uniforms drawn at this step, and nothing more
         oracle = Draws(fresh.key)
         assert handle.drawn == [oracle.random() for _ in range(most)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    master=st.integers(-(2**64), 2**65),
+    start=st.integers(0, 2**40),
+    count=st.integers(0, 130),
+    tag=st.sampled_from(["svc:T1", "lnk:R1:E", ""]),
+)
+def test_window_draws_are_the_draws_of_each_step(master, start, count, tag):
+    # one 128-bit lane per step: an empty window, W=1 and windows past a
+    # 64-lane boundary all give, bit for bit, what at(tag, step) draws
+    window = WindowDraws(master, start, start + count)
+    streams = RandomStreams(master)
+    keys = [streams.at(tag, step).key for step in range(start, start + count)]
+    assert window.keys(tag) == keys
+    draws = [[handle.random() for _ in range(6)] for handle in map(Draws, keys)]
+    for n in range(6):
+        assert window.uniforms(tag, n) == [d[n] for d in draws]
+    radius, cosine = window.normals(tag)
+    assert radius == [math.sqrt(-2.0 * math.log(1.0 - d[0])) for d in draws]
+    assert cosine == [math.cos(2.0 * math.pi * d[1]) for d in draws]
+    assert [1.5 + 0.25 * r * c for r, c in zip(radius, cosine)] == [
+        Draws(key).gauss(1.5, 0.25) for key in keys
+    ]
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 4), (5, 4), (-3, -1)])
+def test_window_draws_reject_steps_that_are_no_range_of_cycles(start, stop):
+    with pytest.raises(ValueError, match="window steps"):
+        WindowDraws(1, start, stop)
