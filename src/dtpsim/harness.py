@@ -16,6 +16,7 @@ import copy
 import functools
 import json
 import math
+import sys
 import typing
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -261,8 +262,13 @@ def _from_spec(cls, spec: Mapping, path: str, /, **explicit):
     return _build(cls, path, **_converted(cls, spec, path), **explicit)
 
 
-# the annotation of each field of a dataclass, resolved once per class
-_hints = functools.cache(typing.get_type_hints)
+@functools.cache
+def _hints(cls) -> dict[str, Any]:
+    """The annotation of each field of the dataclass ``cls``, resolved once in
+    its module.  Only fields are read, so a ``KW_ONLY`` marker is never
+    evaluated (``typing.get_type_hints`` rejects it before Python 3.11)."""
+    namespace = vars(sys.modules[cls.__module__])
+    return {f.name: eval(f.type, namespace) for f in fields(cls)}
 
 
 def _converted(cls, spec: Mapping, path: str) -> dict:

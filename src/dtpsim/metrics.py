@@ -7,10 +7,9 @@ edge node classes.
 
 A run keeps its cycles in a CycleStore: one stdlib ``array`` column per
 field (latency µs, deadline met, busy µs per fabric node, placement), about
-35 bytes per cycle where a CycleRecord object with its busy-time dict costs
-over 400.  The aggregates read a range of the columns (``CycleStore.columns``)
-and do their float arithmetic in the same order as over records, so every
-report is unchanged.  Indexing a store still gives a CycleRecord.
+35 bytes per cycle.  A store is read only as columns: whole, or a range of
+them (``CycleStore.columns``).  The aggregates add their floats cycle by
+cycle and node by node, in the order the reports were pinned with.
 """
 
 from __future__ import annotations
@@ -56,29 +55,6 @@ def percentile_nearest_rank(samples: Sequence[float], p: float) -> float:
     return ordered[max(rank, 1) - 1]
 
 
-@dataclass(frozen=True, slots=True)
-class CycleRecord:
-    """Outcome of one control cycle.
-
-    busy_time maps node id to the milliseconds of compute the cycle put on
-    that node (including any exogenous stress load folded in by the
-    engine).  release_ms and placement are carried for trace output.
-    """
-
-    cycle_index: int
-    e2e_latency: float
-    deadline_met: bool
-    busy_time: Mapping[str, float]
-    release_ms: float = 0.0
-    placement: str = ""
-
-    def __post_init__(self):
-        if self.cycle_index < 0:
-            raise ValueError("cycle_index must be >= 0")
-        if self.e2e_latency < 0:
-            raise ValueError("e2e_latency must be >= 0")
-
-
 # One cycle as the engine computes it: latency µs, deadline met (a bool or
 # 0/1), and the busy µs of each node in the store's node order.
 Row = tuple[int, int, list[int]]
@@ -92,14 +68,11 @@ class Columns(NamedTuple):
     busy_us: Mapping[str, array]
 
 
-class CycleStore(Sequence[CycleRecord]):
+class CycleStore:
     """The cycles of a run as columns, read-only to everyone but the engine.
 
     Row i is cycle i, released at ``i * period`` ms.  ``placement`` holds an
     index into ``names``, a byte, so a store names at most 256 placements.
-    As a sequence a store yields CycleRecords in ms, built from the integer
-    columns on access: an index gives one record, a slice gives a list of
-    them, and two stores compare equal when every record does.
     """
 
     __slots__ = ("nodes", "period", "names", "latency_us", "met", "busy_us", "placement")
@@ -141,20 +114,18 @@ class CycleStore(Sequence[CycleRecord]):
             column.extend(us)
         self.placement.extend(bytes((placement,)) * len(latency_us))
 
-    def extend(self, source: "CycleStore", start: int, stop: int, placement: int) -> None:
-        """Add cycles ``[start:stop]`` of ``source``, a store over the same
+    def extend(
+        self, source: "CycleStore", start: int, stop: int, placement: int, step: int = 1
+    ) -> None:
+        """Add cycles ``[start:stop:step]`` of ``source``, a store over the same
         nodes, as run under ``names[placement]``: one slice per column."""
-        cut = slice(start, stop)
+        cut = slice(start, stop, step)
         self.append_columns(
             source.latency_us[cut],
             source.met[cut],
             [column[cut] for column in source.busy_us],
             placement,
         )
-
-    def row(self, index: int) -> Row:
-        """Cycle ``index`` as the engine computed it."""
-        return self.latency_us[index], self.met[index], [c[index] for c in self.busy_us]
 
     def keep_last(self, count: int) -> None:
         """Drop all but the last ``count`` cycles.  The positions then no longer
@@ -164,8 +135,8 @@ class CycleStore(Sequence[CycleRecord]):
             del column[drop]
 
     def columns(self, start: int = 0, stop: int | None = None) -> Columns:
-        """Cycles ``[start:stop]`` as columns (slice semantics).  All of them
-        come back uncopied, so the caller must only read them."""
+        """Cycles ``[start:stop]`` as columns (slice semantics).  The whole
+        store comes back uncopied, so the caller must only read it."""
         if start == 0 and stop is None:
             return Columns(self.latency_us, self.met, dict(zip(self.nodes, self.busy_us)))
         cut = slice(start, stop)
@@ -177,32 +148,6 @@ class CycleStore(Sequence[CycleRecord]):
 
     def __len__(self) -> int:
         return len(self.latency_us)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        index = operator.index(index)
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("cycle index out of range")
-        return CycleRecord(
-            cycle_index=index,
-            e2e_latency=self.latency_us[index] / US_PER_MS,
-            deadline_met=bool(self.met[index]),
-            busy_time={n: c[index] / US_PER_MS for n, c in zip(self.nodes, self.busy_us)},
-            release_ms=index * self.period,
-            placement=self.names[self.placement[index]],
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, CycleStore):
-            return NotImplemented
-        return (self.nodes, self.period, self.latency_us, self.met, self.busy_us) == (
-            other.nodes, other.period, other.latency_us, other.met, other.busy_us
-        ) and [self.names[i] for i in self.placement] == [other.names[i] for i in other.placement]
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 NodeId = str
 TaskId = str
@@ -78,12 +78,6 @@ class Fabric:
     def ids(self) -> tuple[NodeId, ...]:
         return tuple(n.id for n in self.nodes)
 
-    def by_id(self, node_id: NodeId) -> ComputeNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
     def of_kind(self, kind: str) -> tuple[ComputeNode, ...]:
         return tuple(n for n in self.nodes if n.kind == kind)
 
@@ -142,9 +136,6 @@ class LinkDelayModel:
             raise ValueError(f"loss_probability must be in [0, 1), got {self.loss_probability}")
         if not 0.0 <= self.payload_scale < math.inf:
             raise ValueError(f"payload_scale must be finite and >= 0, got {self.payload_scale}")
-
-
-ZERO_LINK = LinkDelayModel(base_delay=0.0)
 
 
 @dataclass(frozen=True)
@@ -211,9 +202,7 @@ class PipelineDag:
         raise KeyError(task_id)
 
     def link(self, a: NodeId, b: NodeId) -> LinkDelayModel:
-        """Delay model for the ordered pair (a, b); co-located is free."""
-        if a == b:
-            return ZERO_LINK
+        """Delay model for the ordered pair (a, b) of distinct nodes."""
         try:
             return self.links[(a, b)]
         except KeyError:
@@ -272,34 +261,6 @@ class ValidationReport:
         return not self.problems
 
 
-def _find_cycle(edges: Sequence[tuple[TaskId, TaskId]]) -> list[TaskId] | None:
-    adjacency: dict[TaskId, list[TaskId]] = {}
-    for a, b in edges:
-        adjacency.setdefault(a, []).append(b)
-    state: dict[TaskId, int] = {}
-
-    def visit(node: TaskId, path: list[TaskId]) -> list[TaskId] | None:
-        state[node] = 1
-        path.append(node)
-        for nxt in adjacency.get(node, ()):
-            if state.get(nxt) == 1:
-                return path[path.index(nxt):] + [nxt]
-            if state.get(nxt, 0) == 0:
-                found = visit(nxt, path)
-                if found:
-                    return found
-        state[node] = 2
-        path.pop()
-        return None
-
-    for start in list(adjacency):
-        if state.get(start, 0) == 0:
-            found = visit(start, [])
-            if found:
-                return found
-    return None
-
-
 def validate_pipeline(dag: PipelineDag, fabric: Fabric) -> ValidationReport:
     """Structural and referential checks; returns every violation found."""
     problems: list[str] = []
@@ -307,10 +268,8 @@ def validate_pipeline(dag: PipelineDag, fabric: Fabric) -> ValidationReport:
     if ids != TASK_ORDER:
         problems.append(f"non-chain topology: tasks must be {list(TASK_ORDER)}, got {list(ids)}")
 
+    # the exact chain also rules out every cycle
     edge_pairs = [(e.src, e.dst) for e in dag.edges]
-    cycle = _find_cycle(edge_pairs)
-    if cycle:
-        problems.append("cycle: " + "->".join(cycle))
     if sorted(edge_pairs) != sorted(CHAIN_EDGES):
         problems.append(
             f"non-chain topology: edges must be {list(CHAIN_EDGES)}, got {edge_pairs}"

@@ -19,10 +19,11 @@ stress windows, faults, shadow cycles, and placement changes can never
 shift the samples of unrelated draws.  A stream's tag names a task or a
 link, never a placement, so the cycle of a placement at index i is the
 same record in every run of one scenario and seed, whichever placement is
-active.  ``run_simulation`` can therefore read the active and shadow cycles
-of a ``DTP`` run from the stores of fixed runs of its candidates
-(``known_cycles``) instead of simulating them again, and a fixed run adopts
-the store of its own placement whole.
+active.  ``run_simulation`` can therefore read the cycles of a ``DTP``
+run's candidates from the stores of their fixed runs (``known_cycles``)
+instead of simulating them again, only ever as column slices: a window of
+active cycles, or one strided slice of shadow rows per window.  A fixed run
+adopts the store of its own placement whole.
 
 Active cycles are computed a window at a time, column by column
 (``_Engine.run_window``): all W draws of each tag, in 128-bit lanes of one
@@ -32,7 +33,8 @@ the W cycles, then latency and busy time summed column by column.
 way, each tag's draws made once however many of them share it (every
 ``svc:`` tag of ``LOC`` and ``SO``), and ``run_simulation`` runs each active
 window no store holds on the same kernel.  ``run_cycle`` is the same
-computation one cycle at a time; only shadow cycles that no store holds use it.
+computation one cycle at a time; only the shadow cycles of a candidate
+without a store use it.
 """
 
 from __future__ import annotations
@@ -286,25 +288,13 @@ def _window_plans(
 
 
 class _Engine:
-    def __init__(
-        self,
-        fabric: Fabric,
-        sim: SimConfig,
-        streams: RandomStreams,
-        known: Mapping[str, CycleStore],
-    ):
+    def __init__(self, fabric: Fabric, sim: SimConfig, streams: RandomStreams):
         self.sim = sim
         self.streams = streams
-        self.known = known
         self.resolution = sim.clock_resolution_us
         self.period_us = quantize_us(sim.period, self.resolution)
         self.deadline_us = quantize_us(sim.deadline, self.resolution)
         self.node_ids = fabric.ids()
-
-    def cycle(self, plan: CyclePlan, cycle_index: int) -> Row:
-        """The known row of this placement and cycle, else a simulated one."""
-        known = self.known.get(plan.placement.name)
-        return known.row(cycle_index) if known is not None else self.run_cycle(plan, cycle_index)
 
     def run_cycle(self, plan: CyclePlan, cycle_index: int) -> Row:
         streams = self.streams
@@ -561,8 +551,8 @@ def run_simulation(
 
     The engine is the environment of ``run_horizon``: per window it runs
     the active cycles, as one ``_Engine.run_window`` call, and shadow
-    cycles for the inactive candidates, one ``run_cycle`` each at every
-    ``ceil(W / 4)``-th index, and returns the estimates.  Migrations apply
+    cycles for the inactive candidates at every ``ceil(W / 4)``-th index,
+    one ``run_cycle`` each, and returns the estimates.  Migrations apply
     at the next cycle release.
     ``fixed`` names a member of ``controller.candidates`` that stays active
     for the whole run: the controller then runs over that one candidate,
@@ -570,9 +560,11 @@ def run_simulation(
 
     ``known_cycles`` maps a candidate's name to the ``cycles`` store of a
     fixed run of it with the same dag, fabric, sim (seed included), window,
-    stresses and faults (``simulate_cycles`` builds them).  Its active and
-    shadow cycles are read from there, not simulated, and the trace is the
-    same; a fixed run adopts the store of its placement as its ``cycles``.
+    stresses and faults (``simulate_cycles`` builds them).  Its active
+    windows and its shadow rows (one strided slice per window) are read
+    from there, not simulated, and the trace is the same; such a candidate
+    needs no cycle plan.  A fixed run adopts the store of its placement as
+    its ``cycles``.
     Only the shape is checked: a ValueError rejects anything but a store, a
     wrong length, or cycles of another placement or node set.
     """
@@ -589,8 +581,9 @@ def run_simulation(
     _check_known_cycles(known_cycles, placements, fabric.ids(), sim.horizon * window)
 
     streams = RandomStreams(sim.seed)
-    engine = _Engine(fabric, sim, streams, known_cycles)
+    engine = _Engine(fabric, sim, streams)
     names = [p.name for p in placements]
+    simulated = [p for p in placements if p.name not in known_cycles]
     estimator = estimator or EstimatorConfig()
     duration = window * sim.period
     shadow_stride = -(-window // 4)  # ceil(W / 4)
@@ -621,25 +614,23 @@ def run_simulation(
     observed: list[tuple[WindowMetrics, str]] = []
 
     def environment(k: int, placement: Placement):
-        plans = _window_plans(k, placements, stresses, faults, dag, sim)
-        plan = plans[placement.name]
+        plans = _window_plans(k, simulated, stresses, faults, dag, sim)
         active = names.index(placement.name)
-        shadow_plans = [plans[c.name] for c in placements if c.name != placement.name]
         start = (k - 1) * window
         stop = start + window
-
-        def run_shadows(cycle_index: int) -> None:
-            for shadow_plan in shadow_plans:
-                hist = shadow_hist[shadow_plan.placement.name]
-                hist.append(engine.cycle(shadow_plan, cycle_index), 0)
-
         known = known_cycles.get(placement.name)
         if known is None:
+            plan = plans.pop(placement.name)  # each plan left is a shadow's
             cycles.append_columns(*engine.run_window(plan, WindowDraws(sim.seed, start, stop)), active)
         elif known is not cycles:
             cycles.extend(known, start, stop, active)
+        for name, store in known_cycles.items():
+            if name != placement.name:
+                shadow_hist[name].extend(store, start, stop, 0, shadow_stride)
+        # index-major, so simulated challengers share each step's draws
         for cycle_index in range(start, stop, shadow_stride):
-            run_shadows(cycle_index)
+            for name, plan in plans.items():
+                shadow_hist[name].append(engine.run_cycle(plan, cycle_index), 0)
         for hist in shadow_hist.values():
             hist.keep_last(window)
         records = cycles.columns(start, stop)
@@ -693,7 +684,7 @@ def simulate_cycles(
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     _check_run(dag, fabric, placements, sim, stresses, faults, warn=False)
-    engine = _Engine(fabric, sim, RandomStreams(sim.seed), {})
+    engine = _Engine(fabric, sim, RandomStreams(sim.seed))
     stores = {name: CycleStore(engine.node_ids, sim.period, (name,)) for name in names}
     for k in range(1, sim.horizon + 1):
         plans = _window_plans(k, placements, stresses, faults, dag, sim)

@@ -1,5 +1,7 @@
 """Shared builders for the canonical two-robot/one-edge pipeline."""
 
+from typing import NamedTuple
+
 import pytest
 
 from dtpsim import simulation
@@ -38,7 +40,7 @@ def reference_rows(dag, fabric, sim, placements, window, stresses=(), faults=())
     """Each placement's fixed-run rows by name, computed cycle by cycle by
     ``_Engine.run_cycle`` over each window's plans: the oracle that the
     window kernel's stores are checked against."""
-    engine = simulation._Engine(fabric, sim, RandomStreams(sim.seed), {})
+    engine = simulation._Engine(fabric, sim, RandomStreams(sim.seed))
     rows = {p.name: [] for p in placements}
     for k in range(1, sim.horizon + 1):
         plans = simulation._window_plans(k, placements, stresses, faults, dag, sim)
@@ -49,9 +51,38 @@ def reference_rows(dag, fabric, sim, placements, window, stresses=(), faults=())
 
 
 def store_rows(store):
-    """Every row of a CycleStore, in the (latency µs, met, busy µs) form of
-    ``run_cycle``."""
-    return [store.row(i) for i in range(len(store))]
+    """Every row of a CycleStore, read from its columns, in the
+    (latency µs, met, busy µs) form of ``run_cycle``."""
+    return [
+        (latency, met, list(busy))
+        for latency, met, busy in zip(store.latency_us, store.met, zip(*store.busy_us))
+    ]
+
+
+class Cycle(NamedTuple):
+    """One cycle of a store in ms, as ``cycles.csv`` writes it."""
+
+    cycle_index: int
+    e2e_latency: float
+    deadline_met: bool
+    busy_time: dict
+    release_ms: float
+    placement: str
+
+
+def cycle_records(store, start=0, stop=None):
+    """Cycles ``[start:stop]`` of a CycleStore as Cycles, read from its columns."""
+    return [
+        Cycle(
+            i,
+            store.latency_us[i] / 1000.0,
+            bool(store.met[i]),
+            {node: column[i] / 1000.0 for node, column in zip(store.nodes, store.busy_us)},
+            i * store.period,
+            store.names[store.placement[i]],
+        )
+        for i in range(len(store))[start:stop]
+    ]
 
 
 def trace_reference_rows(trace, reference, window):

@@ -1,8 +1,9 @@
-"""The columnar cycle store: its sequence view, its memory, and its writer.
+"""The columnar cycle store: its columns, its memory, and its writer.
 
 The reference functions below are the record-based trace writer and window
-aggregation that the column code replaced, kept as oracles: every byte of
-``cycles.csv`` and every window float must come out as they give it.
+aggregation that the column code replaced, kept as oracles over
+``conftest.cycle_records``: every byte of ``cycles.csv`` and every window
+float must come out as they give it.
 """
 
 import csv
@@ -14,14 +15,17 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     NODE_PAIRS,
+    Cycle,
     controller_policy,
+    cycle_records,
     cycle_store,
     make_dag,
     make_fabric,
     reference_rows,
+    store_rows,
 )
 from dtpsim.estimator import EstimatorConfig
-from dtpsim.metrics import CycleRecord, CycleStore, WindowMetrics, percentile_nearest_rank
+from dtpsim.metrics import CycleStore, WindowMetrics, ordered_sum, percentile_nearest_rank
 from dtpsim.pipeline import ComputeNode, Fabric
 from dtpsim.simulation import (
     FaultInjection,
@@ -79,23 +83,23 @@ def reference_aggregate(records, window_duration, fabric, window_index):
     )
 
 
-def test_a_store_reads_as_a_sequence_of_records():
+def test_a_store_is_read_only_as_columns():
     cycles = [(12.5, True, {"R1": 2.0, "E": 10.5}), (50.0, False, {"R2": 0.125})]
     store = cycle_store(cycles, period=40.0)
     assert len(store) == 2
-    assert store[1] == CycleRecord(1, 50.0, False, {"R1": 0.0, "R2": 0.125, "E": 0.0}, 40.0, "LOC")
-    assert store[-2] == store[0] == CycleRecord(
-        0, 12.5, True, {"R1": 2.0, "R2": 0.0, "E": 10.5}, 0.0, "LOC"
-    )
-    assert store[0:2] == [store[0], store[1]]
-    assert store[5:] == []
-    assert list(store) == store[:]
-    with pytest.raises(IndexError):
-        store[2]
-    assert store == cycle_store(cycles, period=40.0)
-    assert store != cycle_store(cycles[:1], period=40.0)
-    assert store != cycle_store(cycles, period=50.0)
-    assert store != list(store)
+    whole = store.columns()
+    assert whole.latency_us is store.latency_us and whole.met is store.met
+    assert whole.busy_us == dict(zip(("R1", "R2", "E"), store.busy_us))
+    second = store.columns(1)
+    assert (second.latency_us.tolist(), list(second.met)) == ([50000], [0])
+    assert {n: c.tolist() for n, c in second.busy_us.items()} == {"R1": [0], "R2": [125], "E": [0]}
+    assert len(store.columns(5).latency_us) == 0
+    assert cycle_records(store) == [
+        Cycle(0, 12.5, True, {"R1": 2.0, "R2": 0.0, "E": 10.5}, 0.0, "LOC"),
+        Cycle(1, 50.0, False, {"R1": 0.0, "R2": 0.125, "E": 0.0}, 40.0, "LOC"),
+    ]
+    with pytest.raises(TypeError):
+        store[0]
 
 
 def test_a_store_names_at_most_256_placements():
@@ -104,17 +108,18 @@ def test_a_store_names_at_most_256_placements():
         CycleStore(("R1",), 40.0, names)
     store = CycleStore(("R1",), 40.0, names[:256])
     store.append((1000, True, [500]), 255)
-    assert store[0].placement == "P255"
+    assert store.names[store.placement[0]] == "P255"
 
 
 def test_extend_copies_a_range_of_another_store_under_one_placement():
-    source = cycle_store([(float(i), i % 2 == 0, {"E": i / 4}) for i in range(6)])
+    source = cycle_store([(float(i), i % 2 == 0, {"E": i / 4}) for i in range(10)])
+    rows = store_rows(source)
     store = CycleStore(source.nodes, source.period, ("SO", "LOC"))
-    store.append(source.row(0), 0)
+    store.append(rows[0], 0)
     store.extend(source, 1, 4, 1)
-    assert len(store) == 4
-    assert [store.row(i) for i in range(4)] == [source.row(i) for i in range(4)]
-    assert [r.placement for r in store] == ["SO", "LOC", "LOC", "LOC"]
+    store.extend(source, 4, 9, 0, 3)  # a strided range, as shadow rows are read
+    assert store_rows(store) == rows[:4] + [rows[4], rows[7]]
+    assert [r.placement for r in cycle_records(store)] == ["SO", "LOC", "LOC", "LOC", "SO", "SO"]
 
 
 def test_the_writer_quotes_node_ids_and_placement_names_as_csv_does(tmp_path):
@@ -127,7 +132,7 @@ def test_the_writer_quotes_node_ids_and_placement_names_as_csv_does(tmp_path):
         store.append((1000 * i + 17, i % 3 != 0, [250 * i, 7 * i]), i % 4)
     trace = SimTrace(store, [], {})
     write_cycles_csv(trace, fabric, tmp_path / "columns.csv")
-    reference_write_cycles_csv(list(store), fabric, tmp_path / "records.csv")
+    reference_write_cycles_csv(cycle_records(store), fabric, tmp_path / "records.csv")
     written = (tmp_path / "columns.csv").read_bytes()
     assert written == (tmp_path / "records.csv").read_bytes()
     assert b'"busy_R""1_ms","busy_X,2_ms"' in written
@@ -200,12 +205,12 @@ def test_the_column_writer_matches_the_record_writer(
     )
     # each cycle's row as run_cycle computes it for its placement and index
     rows = reference_rows(dag, FABRIC, sim, controller.candidates, window, (stress,), (fault,))
-    records = list(trace.cycles)
+    records = cycle_records(trace.cycles)
     assert len(records) == horizon * window
     for i, record in enumerate(records):
         name = trace.windows[i // window].placement
         latency_us, met, busy_us = rows[name][i]
-        assert record == trace.cycles[i] == CycleRecord(
+        assert record == Cycle(
             cycle_index=i,
             e2e_latency=latency_us / 1000.0,
             deadline_met=met,
@@ -224,7 +229,7 @@ def test_the_column_writer_matches_the_record_writer(
         window_records = records[(k - 1) * window:k * window]
         assert row.metrics == reference_aggregate(window_records, duration, FABRIC, k)
     latencies = [r.e2e_latency for r in records]
-    assert trace.summary["mean_latency_ms"] == sum(latencies) / len(latencies)
+    assert trace.summary["mean_latency_ms"] == ordered_sum(latencies) / len(latencies)
     assert trace.summary["l95_latency_ms"] == percentile_nearest_rank(latencies, 0.95)
     assert trace.summary["violation_rate"] == (
         sum(1 for r in records if not r.deadline_met) / len(records)

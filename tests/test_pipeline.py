@@ -33,11 +33,13 @@ def test_candidate_names_and_assignments(dag):
     assert cands.by_name("HYB").assignment == {"T1": "R1", "T2": "E", "T3": "R2", "T4": "R2"}
 
 
-def test_back_edge_is_reported_as_cycle(fabric):
+def test_back_edge_is_reported_as_non_chain_topology(fabric):
+    # the exact-chain check rejects every edge set with a cycle
     dag = make_dag()
     looped = PipelineDag(dag.tasks, dag.edges + (DagEdge("T3", "T1"),), dag.links)
     report = validate_pipeline(looped, fabric)
-    assert any(p.startswith("cycle:") for p in report.problems)
+    assert not report.ok
+    assert any(p.startswith("non-chain topology: edges must be") for p in report.problems)
 
 
 def test_missing_service_entry_is_reported(fabric):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     NODE_PAIRS,
     controller_policy,
+    cycle_records,
     make_dag,
     make_fabric,
     reference_rows,
@@ -54,7 +55,7 @@ def test_deterministic_limit_matches_nominal_latency():
         trace = fixed_run(dag, placement.name, sim)
         expected = nominal_latency(dag, placement)
         assert trace.cycles, placement.name
-        for record in trace.cycles:
+        for record in cycle_records(trace.cycles):
             assert record.e2e_latency == expected
             assert record.deadline_met
             assert record.placement == placement.name
@@ -84,7 +85,7 @@ def test_summary_means_add_left_to_right_on_every_python():
 def test_horizon_zero_produces_empty_trace():
     trace = fixed_run(make_dag(), "LOC", SimConfig(50.0, 30.0, horizon=0))
     assert len(trace.cycles) == 0
-    assert list(trace.cycles) == []
+    assert cycle_records(trace.cycles) == []
     assert trace.windows == []
     assert trace.summary["cycles"] == 0
     assert trace.summary["violation_rate"] == 0.0
@@ -95,7 +96,7 @@ def test_same_seed_reproduces_the_trace():
     sim = SimConfig(40.0, 40.0, horizon=3, seed=77)
     a = fixed_run(dag, "SO", sim)
     b = fixed_run(dag, "SO", sim)
-    assert a.cycles == b.cycles
+    assert cycle_records(a.cycles) == cycle_records(b.cycles)
     assert [w.metrics for w in a.windows] == [w.metrics for w in b.windows]
     assert a.summary == b.summary
 
@@ -104,7 +105,7 @@ def test_different_seeds_differ():
     dag = make_dag(cv=0.3)
     a = fixed_run(dag, "SO", SimConfig(40.0, 40.0, horizon=1, seed=1))
     b = fixed_run(dag, "SO", SimConfig(40.0, 40.0, horizon=1, seed=2))
-    assert a.cycles != b.cycles
+    assert cycle_records(a.cycles) != cycle_records(b.cycles)
 
 
 def test_link_fault_override_shifts_latency():
@@ -115,7 +116,7 @@ def test_link_fault_override_shifts_latency():
     )
     sim = SimConfig(period=50.0, deadline=30.0, horizon=4, seed=11)
     trace = fixed_run(dag, "SO", sim, faults=(fault,))
-    by_window = [trace.cycles[i * 5:(i + 1) * 5] for i in range(4)]
+    by_window = [cycle_records(trace.cycles, i * 5, (i + 1) * 5) for i in range(4)]
     # 22 ms of service, 1 ms upload, then 25 ms on the faulted return link
     assert all(r.e2e_latency == 48.0 and not r.deadline_met for r in by_window[1])
     assert all(r.e2e_latency == 48.0 for r in by_window[2])
@@ -133,9 +134,9 @@ def test_cycles_outside_fault_window_are_bit_identical():
     )
     clean = fixed_run(dag, "SO", sim)
     faulted = fixed_run(dag, "SO", sim, faults=(fault,))
-    assert faulted.cycles[0:5] == clean.cycles[0:5]
-    assert faulted.cycles[15:20] == clean.cycles[15:20]
-    assert faulted.cycles[5:15] != clean.cycles[5:15]
+    for start, stop in ((0, 5), (15, 20)):
+        assert cycle_records(faulted.cycles, start, stop) == cycle_records(clean.cycles, start, stop)
+    assert cycle_records(faulted.cycles, 5, 15) != cycle_records(clean.cycles, 5, 15)
 
 
 def test_additive_fault_stacks_on_base_delay():
@@ -146,7 +147,7 @@ def test_additive_fault_stacks_on_base_delay():
     )
     sim = SimConfig(period=50.0, deadline=30.0, horizon=1, seed=3)
     trace = fixed_run(dag, "SO", sim, faults=(fault,))
-    assert all(r.e2e_latency == 49.0 for r in trace.cycles)
+    assert all(r.e2e_latency == 49.0 for r in cycle_records(trace.cycles))
 
 
 def test_unresolvable_fault_link_is_rejected():
@@ -180,8 +181,8 @@ def test_cpu_stress_multiplies_service_times():
     sim = SimConfig(period=50.0, deadline=50.0, horizon=3, seed=5)
     trace = fixed_run(dag, "LOC", sim, stresses=(stress,))
     # T1 and T2 run on R1: (2 + 10) * 3 + 8 + 2 + 1 while stressed
-    assert all(r.e2e_latency == 47.0 for r in trace.cycles[:10])
-    assert all(r.e2e_latency == 23.0 for r in trace.cycles[10:])
+    assert all(r.e2e_latency == 47.0 for r in cycle_records(trace.cycles, 0, 10))
+    assert all(r.e2e_latency == 23.0 for r in cycle_records(trace.cycles, 10))
 
 
 def test_exogenous_load_adds_busy_time_only():
@@ -190,18 +191,18 @@ def test_exogenous_load_adds_busy_time_only():
     stress = StressProfile("R1", 1, 1, slowdown=1.0, exogenous_load=0.5)
     loaded = fixed_run(dag, "LOC", sim, window_size=10, stresses=(stress,))
     baseline = fixed_run(dag, "LOC", sim, window_size=10)
-    extra = sum(r.busy_time["R1"] for r in loaded.cycles) - sum(
-        r.busy_time["R1"] for r in baseline.cycles
+    extra = sum(loaded.cycles.columns().busy_us["R1"]) - sum(
+        baseline.cycles.columns().busy_us["R1"]
     )
-    assert extra == pytest.approx(0.5 * 20.0 * 10)
-    assert [r.e2e_latency for r in loaded.cycles] == [r.e2e_latency for r in baseline.cycles]
+    assert extra == 0.5 * 20.0 * 10 * 1000
+    assert loaded.cycles.latency_us == baseline.cycles.latency_us
 
 
 def test_lost_twice_caps_latency_and_skips_downstream_stages():
     dag = make_dag(loss=0.999999999)
     sim = SimConfig(period=50.0, deadline=30.0, horizon=1, seed=13)
     trace = fixed_run(dag, "LOC", sim)
-    for record in trace.cycles:
+    for record in cycle_records(trace.cycles):
         assert record.e2e_latency == 50.0
         assert not record.deadline_met
         assert record.busy_time["R1"] == 12.0
@@ -244,7 +245,7 @@ def test_migration_applies_at_the_next_window_boundary():
     )
     migrate_windows = [d.window_index for d in trace.decisions if d.action == "migrate"]
     assert migrate_windows == [2]
-    names = [r.placement for r in trace.cycles]
+    names = [r.placement for r in cycle_records(trace.cycles)]
     w = 8
     assert set(names[:2 * w]) == {"LOC"}
     assert set(names[2 * w:]) == {"SO"}
@@ -351,8 +352,10 @@ def test_a_fault_in_one_window_leaves_every_other_window_unchanged(
     assert len(faulted.cycles) == len(clean.cycles) == horizon * window_size
     for j in range(1, horizon + 1):
         if j != k:
-            cycles = slice((j - 1) * window_size, j * window_size)
-            assert faulted.cycles[cycles] == clean.cycles[cycles], j
+            start, stop = (j - 1) * window_size, j * window_size
+            assert cycle_records(faulted.cycles, start, stop) == cycle_records(
+                clean.cycles, start, stop
+            ), j
 
 
 def test_every_fatal_cycle_is_capped_at_the_period():
@@ -470,10 +473,11 @@ def test_every_dtp_cycle_equals_the_fixed_run_cycle_of_its_placement(
         name: run_simulation(dag, FABRIC, sim, controller, fixed=name, **disturbances).cycles
         for name in {name for name, _, _ in ran}
     }
+    assert all(store.names == (name,) for name, store in fixed.items())
+    fixed_rows = {name: store_rows(store) for name, store in fixed.items()}
     assert len(ran) > horizon * window_size  # shadow cycles ran too
     for name, cycle_index, row in ran:
-        assert row == fixed[name].row(cycle_index)
-        assert fixed[name][cycle_index].placement == name
+        assert row == fixed_rows[name][cycle_index]
 
 
 def known_cycles_case(horizon=6):
@@ -516,9 +520,29 @@ def test_known_cycles_are_read_and_leave_the_trace_unchanged():
         reused = run(known)
     assert set(simulated) == {"HYB"}
     fresh = run(None)
-    assert fresh.cycles == reused.cycles
+    assert cycle_records(fresh.cycles) == cycle_records(reused.cycles)
     assert fresh.windows == reused.windows
     assert fresh.summary == reused.summary
+
+
+def test_only_a_candidate_without_a_store_builds_cycle_plans():
+    known, run = known_cycles_case()
+    dag = make_dag(cv=0.3)
+    sim = SimConfig(50.0, 30.0, horizon=3, seed=4)
+    controller = controller_policy(dag, window_size=4)
+    loc = simulate_cycles(dag, FABRIC, sim, [controller.candidates.by_name("LOC")], 4)["LOC"]
+    built = []
+    build_cycle_plan = simulation.build_cycle_plan
+
+    def counting_build_cycle_plan(dag, placement, **kwargs):
+        built.append(placement.name)
+        return build_cycle_plan(dag, placement, **kwargs)
+
+    with mock.patch.object(simulation, "build_cycle_plan", counting_build_cycle_plan):
+        run_simulation(dag, FABRIC, sim, controller, fixed="LOC", known_cycles={"LOC": loc})
+        assert built == []
+        run(known)
+    assert built == ["HYB"] * 6  # once per window
 
 
 @pytest.mark.parametrize(
@@ -526,7 +550,7 @@ def test_known_cycles_are_read_and_leave_the_trace_unchanged():
     [
         (5, lambda loc: {"LOC": loc}, "20 cycles, expected 24"),
         (7, lambda loc: {"LOC": loc}, "28 cycles, expected 24"),
-        (6, lambda loc: {"LOC": list(loc)}, "a list, not the CycleStore of a fixed run"),
+        (6, lambda loc: {"LOC": store_rows(loc)}, "a list, not the CycleStore of a fixed run"),
         (6, lambda loc: {"SO": loc}, "known cycles of 'SO': cycles of LOC"),
         (6, lambda loc: {"XYZ": loc}, "not a candidate"),
     ],
@@ -601,9 +625,9 @@ def run_engine(fixed, cv, jitter, loss, seed, resolution, load):
         lambda: reference_rows(dag, FABRIC, sim, controller.candidates, 4, (stress,))
     )
     oracle = {(parts["placement"], parts["cycle"]): parts for parts in reference}
-    for i in range(len(trace.cycles)):
+    for i, row in enumerate(store_rows(trace.cycles)):
         parts = oracle[trace.windows[i // 4].placement, i]
-        assert trace.cycles.row(i) == parts["row"]
+        assert row == parts["row"]
         cycles.append(parts)
     return cycles
 
@@ -754,7 +778,7 @@ def test_simulate_cycles_gives_each_placement_the_store_of_its_fixed_run(
     for name, store in stores.items():
         assert store_rows(store) == reference[name]
         alone = run_simulation(dag, FABRIC, sim, controller, fixed=name, **disturbances)
-        assert store == alone.cycles
+        assert cycle_records(store) == cycle_records(alone.cycles)
         adopted = run_simulation(
             dag, FABRIC, sim, controller, fixed=name, known_cycles={name: store},
             **disturbances,
@@ -868,8 +892,8 @@ def test_simulate_cycles_takes_every_branch_of_run_cycle(window):
     reference = reference_rows(dag, FABRIC, sim, placements, window, **disturbances)
     for name, store in stores.items():
         assert store_rows(store) == reference[name], name
-        assert store == run_simulation(dag, FABRIC, sim, controller, fixed=name,
-                                       **disturbances).cycles, name
+        alone = run_simulation(dag, FABRIC, sim, controller, fixed=name, **disturbances)
+        assert cycle_records(store) == cycle_records(alone.cycles), name
 
 
 def test_simulate_cycles_rejects_shared_names_and_empty_windows():
