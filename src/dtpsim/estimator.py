@@ -67,12 +67,11 @@ def predicted_node_utilization(
     fabric: Fabric,
     period: float,
 ) -> dict[str, float]:
-    """Occupancy model: sum of mean service over period plus static offsets."""
+    """Occupancy model: the mean service each node hosts over the period."""
     util = {node.id: 0.0 for node in fabric}
     for task_id, node in placement.assignment.items():
-        task = dag.task(task_id)
-        mean = task.service[node].mean
-        util[node] = util.get(node, 0.0) + mean / period + task.utilization.get(node, 0.0)
+        mean = dag.task(task_id).service[node].mean
+        util[node] = util.get(node, 0.0) + mean / period
     return {node: min(1.0, max(0.0, value)) for node, value in util.items()}
 
 

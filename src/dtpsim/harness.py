@@ -82,18 +82,16 @@ DEFAULT_CONFIG: dict = {
     },
     "dag": {
         "tasks": [
-            {"id": "T1", "feasible": ["R1"], "service": {"R1": {"mean": 2.0, "cv": 0.2}}},
+            {"id": "T1", "service": {"R1": {"mean": 2.0, "cv": 0.2}}},
             {
                 "id": "T2",
-                "feasible": ["R1", "E"],
                 "service": {"R1": {"mean": 10.0, "cv": 0.2}, "E": {"mean": 10.0, "cv": 0.2}},
             },
             {
                 "id": "T3",
-                "feasible": ["R2", "E"],
                 "service": {"R2": {"mean": 8.0, "cv": 0.2}, "E": {"mean": 8.0, "cv": 0.2}},
             },
-            {"id": "T4", "feasible": ["R2"], "service": {"R2": {"mean": 2.0, "cv": 0.2}}},
+            {"id": "T4", "service": {"R2": {"mean": 2.0, "cv": 0.2}}},
         ],
         # dense world models outweigh camera frames outweigh setpoints
         "edges": [
@@ -164,6 +162,9 @@ DEFAULT_CONFIG: dict = {
         },
     },
 }
+
+# no sim.seed key: run_scenario runs each entry of a scenario's seeds
+del DEFAULT_CONFIG["sim"]["seed"]
 
 # every scenario, shipped or added by a config, overlays this one
 SCENARIO_DEFAULT: dict = {
@@ -283,20 +284,19 @@ def _convert(hint: Any, value: Any) -> Any:
     An ``int`` takes neither a fraction (``8.5`` is not truncated) nor a
     bool (``true`` is not 1); a ``float`` takes any number but a bool and
     reads ``1`` as ``1.0``; a ``bool`` or ``str`` takes only itself; a
-    ``tuple`` or ``frozenset`` takes a YAML list, converted item by item.
-    Any other type (a mapping, a built dataclass) takes the value as given.
+    ``tuple`` takes a YAML list, converted item by item.  Any other type (a
+    mapping, a built dataclass) takes the value as given.
     """
     if hint in (int, float, bool, str):
         accepted = (int, float) if hint is float else hint
         if not isinstance(value, accepted) or isinstance(value, bool) != (hint is bool):
             raise TypeError(f"{value!r} is not {'an' if hint is int else 'a'} {hint.__name__}")
         return hint(value)
-    origin = typing.get_origin(hint)
-    if origin is not tuple and origin is not frozenset:
+    if typing.get_origin(hint) is not tuple:
         return value
     items, args = _tuple(value), typing.get_args(hint)
-    if origin is frozenset or args[-1] is Ellipsis:
-        return origin(_convert(args[0], item) for item in items)
+    if args[-1] is Ellipsis:
+        return tuple(_convert(args[0], item) for item in items)
     if len(items) != len(args):
         raise ValueError(f"{list(items)!r} must have {len(args)} entries")
     return tuple(map(_convert, args, items))
@@ -776,7 +776,7 @@ def _windowed_violation(run: RunResult, windows: Sequence[int]) -> float:
 def _evaluate_check(
     check: Check, spec: ScenarioSpec, results: Mapping[str, Sequence[RunResult]]
 ) -> ExpectationResult:
-    """One check's result; SKIP when a policy it compares did not run."""
+    """One check's result; SKIP when a policy it compares did not run or no window counts."""
     policy = check.policy
     if check.kind == "policy_violation_above":
         name, needs = f"{policy}-violation-above-{check.threshold}", (policy,)
@@ -799,7 +799,11 @@ def _evaluate_check(
             f"{policy} mean violation rate {value:.4f} (threshold {check.threshold})",
         )
     if check.kind == "post_convergence_violation_below":
-        values = [_windowed_violation(r, post_convergence_windows(r.summary)) for r in runs]
+        # a run with no window after convergence has no post-convergence rate
+        posts = [(r, w) for r in runs if (w := post_convergence_windows(r.summary))]
+        if not posts:
+            return ExpectationResult(name, None, "not evaluated: no window follows convergence")
+        values = [_windowed_violation(r, w) for r, w in posts]
         value = ordered_mean(values)
         return ExpectationResult(
             name,
@@ -807,9 +811,9 @@ def _evaluate_check(
             f"post-convergence mean violation rate {value:.4f} "
             f"(threshold {check.threshold}, worst seed {max(values):.4f})",
         )
-    windows = fault_windows(spec) if check.interval == "fault" else list(
-        range(1, spec.sim.horizon + 1)
-    )
+    windows = fault_windows(spec) if check.interval == "fault" else range(1, spec.sim.horizon + 1)
+    if not windows:
+        return ExpectationResult(name, None, f"not evaluated: empty {check.interval} interval")
     worse_value = ordered_mean([_windowed_violation(r, windows) for r in runs])
     better_value = ordered_mean([_windowed_violation(r, windows) for r in results[check.versus]])
     return ExpectationResult(

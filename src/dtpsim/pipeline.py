@@ -2,16 +2,16 @@
 
 The pipeline is a fixed chain T1 -> T2 -> T3 -> T4 (sense, perceive, plan,
 act).  T1 and T4 are anchored to the robot nodes that own the sensor and
-the actuator; T2 and T3 may also run on an edge server.  A placement maps
-every task to one node, and the end-to-end latency of a cycle is the sum
-of stage service times plus the one-way delay of every edge whose
-endpoints land on different nodes.
+the actuator; T2 and T3 may also run on an edge server: a task runs on
+the nodes its service map names.  A placement maps every task to one node,
+and the end-to-end latency of a cycle is the sum of stage service times
+plus the payload-scaled link delay of every edge between two nodes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 NodeId = str
@@ -40,22 +40,20 @@ class ComputeNode:
     """One compute resource in the fabric.
 
     utilization_target is the operating point used to normalize observed
-    utilization; utilization_cap is the hard per-node bound the placement
-    selector enforces.
+    utilization; the per-node bound a placement must keep is
+    ``cost.Constraints.util_max``.
     """
 
     id: NodeId
     kind: str = "robot"
     utilization_target: float = 0.8
-    utilization_cap: float = 0.95
 
     def __post_init__(self):
         if self.kind not in NODE_KINDS:
             raise ValueError(f"node {self.id}: unknown kind {self.kind!r}")
-        for name in ("utilization_target", "utilization_cap"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"node {self.id}: {name} must be in (0, 1], got {value}")
+        target = self.utilization_target
+        if not 0.0 < target <= 1.0:
+            raise ValueError(f"node {self.id}: utilization_target must be in (0, 1], got {target}")
 
 
 @dataclass(frozen=True)
@@ -117,15 +115,14 @@ class ServiceTimeModel:
 class LinkDelayModel:
     """One-way delay model for an ordered node pair.
 
-    Delay samples are max(0, Gaussian(base_delay, jitter_sigma)) scaled by
-    payload_scale.  loss_probability applies independently to each
-    transmission attempt.
+    Delay samples are max(0, Gaussian(base_delay, jitter_sigma)); the
+    crossing DagEdge's payload_scale scales them.  loss_probability applies
+    independently to each transmission attempt.
     """
 
     base_delay: float
     jitter_sigma: float = 0.0
     loss_probability: float = 0.0
-    payload_scale: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.base_delay < math.inf:
@@ -134,33 +131,22 @@ class LinkDelayModel:
             raise ValueError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma}")
         if not 0.0 <= self.loss_probability < 1.0:
             raise ValueError(f"loss_probability must be in [0, 1), got {self.loss_probability}")
-        if not 0.0 <= self.payload_scale < math.inf:
-            raise ValueError(f"payload_scale must be finite and >= 0, got {self.payload_scale}")
 
 
 @dataclass(frozen=True)
 class TaskStage:
-    """One stage of the chain with per-node attributes.
-
-    service and utilization must be keyed by exactly the feasible nodes.
-    utilization holds the additive per-node occupancy offset a hosted task
-    contributes beyond its service time (memory pressure, polling, ...).
-    """
+    """One stage of the chain; its feasible nodes are the keys of ``service``."""
 
     id: TaskId
-    feasible: frozenset[NodeId]
     service: Mapping[NodeId, ServiceTimeModel]
-    utilization: Mapping[NodeId, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "feasible", frozenset(self.feasible))
-        if not self.feasible:
-            raise ValueError(f"task {self.id}: feasible set is empty")
-        util = dict(self.utilization) or {n: 0.0 for n in self.feasible}
-        for node, value in util.items():
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"task {self.id}: utilization[{node}] must be in [0, 1]")
-        object.__setattr__(self, "utilization", util)
+        if not self.service:
+            raise ValueError(f"task {self.id}: service map is empty")
+
+    @property
+    def feasible(self) -> frozenset[NodeId]:
+        return frozenset(self.service)
 
 
 @dataclass(frozen=True)
@@ -280,14 +266,6 @@ def validate_pipeline(dag: PipelineDag, fabric: Fabric) -> ValidationReport:
         for node in sorted(task.feasible):
             if node not in node_ids:
                 problems.append(f"unknown node: task {task.id} lists {node}")
-        for label, mapping in (("service", task.service), ("utilization", task.utilization)):
-            have = set(mapping)
-            missing = task.feasible - have
-            extra = have - task.feasible
-            for node in sorted(missing):
-                problems.append(f"incomplete attribute map: {label} for {task.id}@{node} missing")
-            for node in sorted(extra):
-                problems.append(f"incomplete attribute map: {label} for {task.id} has extra node {node}")
 
     # sink/source anchoring: sensing and actuation cannot move off their robots
     by_id = {t.id: t for t in dag.tasks}
@@ -309,9 +287,7 @@ def validate_pipeline(dag: PipelineDag, fabric: Fabric) -> ValidationReport:
 
     for a, b in sorted(dag.links):
         if a == b:
-            model = dag.links[(a, b)]
-            if model.base_delay != 0 or model.jitter_sigma != 0:
-                problems.append(f"self-link must be zero delay: {a}->{b}")
+            problems.append(f"self-link {a}->{b}: co-located stages cross no link")
 
     for edge in dag.edges:
         if edge.src not in by_id or edge.dst not in by_id:
@@ -348,8 +324,7 @@ def nominal_latency(dag: PipelineDag, placement: Placement) -> float:
         b = placement.node_of(edge.dst)
         if a == b:
             continue
-        model = dag.link(a, b)
-        total += model.base_delay * model.payload_scale * edge.payload_scale
+        total += dag.link(a, b).base_delay * edge.payload_scale
     return total
 
 

@@ -59,11 +59,11 @@ def sample_service(
 def sample_link(model: LinkDelayModel, rng: random.Random | Draws) -> tuple[float, bool]:
     """One transmission attempt: (delay in ms, lost flag).
 
-    The delay is max(0, Gaussian(base_delay, jitter_sigma)) scaled by the
-    link payload_scale; the loss draw happens even when loss_probability
-    is zero so the draw order per attempt is fixed.
+    The delay is max(0, Gaussian(base_delay, jitter_sigma)); the loss draw
+    happens even when loss_probability is zero so the draw order per
+    attempt is fixed.
     """
-    delay = max(0.0, rng.gauss(model.base_delay, model.jitter_sigma)) * model.payload_scale
+    delay = max(0.0, rng.gauss(model.base_delay, model.jitter_sigma))
     lost = rng.random() < model.loss_probability
     return delay, lost
 
@@ -83,7 +83,7 @@ def traverse_edge(
     delay, lost = sample_link(model, rng)
     if not lost:
         return quantize_us(delay * edge_scale, resolution_us), False
-    timeout = quantize_us(4.0 * model.base_delay * model.payload_scale * edge_scale, resolution_us)
+    timeout = quantize_us(4.0 * model.base_delay * edge_scale, resolution_us)
     delay2, lost2 = sample_link(model, rng)
     if not lost2:
         return timeout + quantize_us(delay2 * edge_scale, resolution_us), False
@@ -192,7 +192,7 @@ def sample_plan_latencies(
     """
     # zero-sd stages draw nothing, so their quantized time is one constant;
     # every other stage and each crossing edge is one step of the loop:
-    # (is_link, mu, sigma, floor or loss, slowdown or payload, edge_scale, timeout_us)
+    # (is_link, mu, sigma, floor or loss, slowdown or edge scale, timeout_us)
     fixed_us = 0
     steps = []
     for stage, edge in zip(plan.stages, (*plan.edges, None)):
@@ -201,13 +201,12 @@ def sample_plan_latencies(
         if sd == 0.0:
             fixed_us += quantize_us(model.mean * stage.slowdown)
         else:
-            steps.append((False, model.mean, sd, model.floor, stage.slowdown, 0.0, 0))
+            steps.append((False, model.mean, sd, model.floor, stage.slowdown, 0))
         if edge is not None and edge.link is not None:
-            link = edge.model
-            base, payload, scale = link.base_delay, link.payload_scale, edge.edge_scale
-            timeout_us = quantize_us(4.0 * base * payload * scale)
+            link, scale = edge.model, edge.edge_scale
+            timeout_us = quantize_us(4.0 * link.base_delay * scale)
             steps.append(
-                (True, base, link.jitter_sigma, link.loss_probability, payload, scale, timeout_us)
+                (True, link.base_delay, link.jitter_sigma, link.loss_probability, scale, timeout_us)
             )
 
     random = rng.random
@@ -218,7 +217,7 @@ def sample_plan_latencies(
     violations = 0
     for _ in range(samples):
         total = fixed_us
-        for is_link, mu, sigma, bound, factor, scale, timeout_us in steps:
+        for is_link, mu, sigma, bound, factor, timeout_us in steps:
             # _normal inlined: a call per step costs about a fifth of the kernel
             if cached is None:
                 x2pi = random() * tau
@@ -234,17 +233,17 @@ def sample_plan_latencies(
                     value = bound
                 total += round(value * factor * US_PER_MS)
                 continue
-            delay = value * factor if value > 0.0 else 0.0
+            delay = value if value > 0.0 else 0.0
             if random() >= bound:
-                total += round(delay * scale * US_PER_MS)
+                total += round(delay * factor * US_PER_MS)
                 continue
             # lost: wait the timeout and retransmit once
             z, cached = _normal(random, cached)
             value = mu + z * sigma
-            delay = value * factor if value > 0.0 else 0.0
+            delay = value if value > 0.0 else 0.0
             if random() < bound:
                 break
-            total += timeout_us + round(delay * scale * US_PER_MS)
+            total += timeout_us + round(delay * factor * US_PER_MS)
         else:
             append(total)
             if total > deadline_us:

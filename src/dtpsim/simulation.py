@@ -218,14 +218,12 @@ class FaultInjection:
                 base_delay=self.mu,
                 jitter_sigma=self.sigma,
                 loss_probability=self.loss_probability,
-                payload_scale=base.payload_scale,
             )
         combined_loss = 1.0 - (1.0 - base.loss_probability) * (1.0 - self.loss_probability)
         return LinkDelayModel(
             base_delay=base.base_delay + self.mu,
             jitter_sigma=(base.jitter_sigma**2 + self.sigma**2) ** 0.5,
             loss_probability=combined_loss,
-            payload_scale=base.payload_scale,
         )
 
 
@@ -360,16 +358,13 @@ class _Engine:
             if edge.link is None:
                 continue
             link, scale = edge.model, edge.edge_scale
-            mu, sigma, payload = link.base_delay, link.jitter_sigma, link.payload_scale
+            mu, sigma = link.base_delay, link.jitter_sigma
             radius, cosine = draws.normals(edge.tag)
-            delays = [
-                (v if (v := mu + sigma * r * c) > 0.0 else 0.0) * payload
-                for r, c in zip(radius, cosine)
-            ]
+            delays = [v if (v := mu + sigma * r * c) > 0.0 else 0.0 for r, c in zip(radius, cosine)]
             us = _quantize_column(delays, scale, resolution)
             loss = link.loss_probability
             if loss > 0.0:  # a draw in [0, 1) is never below a zero loss
-                timeout_us = quantize_us(4.0 * mu * payload * scale, resolution)
+                timeout_us = quantize_us(4.0 * mu * scale, resolution)
                 keys = draws.keys(edge.tag)
                 for i, u in enumerate(draws.uniforms(edge.tag, 2)):
                     if u >= loss:

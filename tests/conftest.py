@@ -108,21 +108,11 @@ def make_dag(
     jitter=0.0,
     loss=0.0,
     edge_scales=(1.0, 1.0, 1.0),
-    link_scale=1.0,
 ):
     """Canonical 4-stage chain; every link shares one delay model."""
-    feasible = {
-        "T1": frozenset({"R1"}),
-        "T2": frozenset({"R1", "E"}),
-        "T3": frozenset({"R2", "E"}),
-        "T4": frozenset({"R2"}),
-    }
+    feasible = {"T1": ("R1",), "T2": ("R1", "E"), "T3": ("R2", "E"), "T4": ("R2",)}
     tasks = tuple(
-        TaskStage(
-            tid,
-            feasible[tid],
-            {node: ServiceTimeModel(mean, cv) for node in feasible[tid]},
-        )
+        TaskStage(tid, {node: ServiceTimeModel(mean, cv) for node in feasible[tid]})
         for tid, mean in zip(("T1", "T2", "T3", "T4"), means)
     )
     edges = (
@@ -131,7 +121,7 @@ def make_dag(
         DagEdge("T3", "T4", edge_scales[2]),
     )
     links = {
-        pair: LinkDelayModel(base, jitter, loss, link_scale) for pair in NODE_PAIRS
+        pair: LinkDelayModel(base, jitter, loss) for pair in NODE_PAIRS
     }
     return PipelineDag(tasks, edges, links)
 

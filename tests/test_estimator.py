@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import cycle_store, make_dag, make_fabric
+from conftest import controller_policy, cycle_store, make_dag, make_fabric
 from dtpsim.estimator import (
     ConservativeRatios,
     EstimatorConfig,
@@ -17,6 +17,7 @@ from dtpsim.estimator import (
 from dtpsim.harness import load_config
 from dtpsim.metrics import WindowMetrics
 from dtpsim.pipeline import canonical_candidates, nominal_latency
+from dtpsim.simulation import SimConfig, run_simulation
 from dtpsim.streams import RandomStreams
 
 FABRIC = make_fabric()
@@ -107,6 +108,24 @@ def test_predicted_node_utilization_from_means():
     assert per_node == pytest.approx({"R1": 0.3, "R2": 0.25, "E": 0.0})
     per_node = predicted_node_utilization(dag, cands.by_name("SO"), FABRIC, period=40.0)
     assert per_node == pytest.approx({"R1": 0.05, "R2": 0.05, "E": 0.45})
+
+
+def test_static_and_shadow_estimates_agree_without_randomness():
+    # one utilization model: the static occupancy is the busy time the engine books
+    dag = make_dag()
+    # LOC's 23 ms meets the deadline, SO's and HYB's 24 ms miss it
+    sim = SimConfig(period=50.0, deadline=23.5, horizon=1, seed=3)
+    for placement in canonical_candidates(dag):
+        trace = run_simulation(dag, FABRIC, sim, controller_policy(dag), fixed=placement.name)
+        shadow = update_shadow(trace.cycles, placement.name, 8, sim.period, FABRIC)
+        static = estimate_static(
+            dag, placement, FABRIC, sim.deadline, sim.period, 200, random.Random(1)
+        )
+        assert static.metrics.l95 == shadow.metrics.l95 == nominal_latency(dag, placement)
+        assert static.metrics.violation_rate == shadow.metrics.violation_rate
+        for name in ("util_robot", "util_edge"):
+            assert getattr(static.metrics, name) == pytest.approx(getattr(shadow.metrics, name))
+        assert static.per_node_utilization == pytest.approx(shadow.per_node_utilization)
 
 
 def shadow_record(i, latency, met=True, busy=None):

@@ -101,8 +101,7 @@ def test_defaults_resolve():
 def test_dataclass_sections_resolve_to_the_shipped_values():
     shipped = {
         "sim": {
-            "period": 40.0, "deadline": 40.0, "horizon": 200, "seed": 42,
-            "clock_resolution_us": 1,
+            "period": 40.0, "deadline": 40.0, "horizon": 200, "clock_resolution_us": 1,
         },
         "weights": {
             "alpha_l": 1.0, "alpha_v": 2.0, "alpha_r": 0.5, "alpha_e": 0.25, "alpha_s": 0.25,
@@ -205,9 +204,19 @@ def _task_with(**changes):
         # removed estimator settings: the engine has one estimation rule
         ({"estimator": {"mode": "static"}}, "estimator.mode"),
         ({"estimator": {"conservative_ratios": 5}}, "estimator.conservative_ratios"),
+        # removed model inputs: each repeated another input or was never read
+        (_nodes_with(utilization_cap=0.9), "fabric.nodes[0].utilization_cap"),
+        (_links_with(payload_scale=2.0), "dag.links[0].payload_scale"),
+        (_tasks_field(0, utilization={"R1": 0.1}), "dag.tasks[0].utilization"),
+        (_tasks_field(0, feasible=["R1"]), "dag.tasks[0].feasible"),
+        # run_scenario runs each seed of a scenario's seeds list
+        ({"sim": {"seed": 4.5}}, "sim.seed"),
+        ({"scenarios": {"baseline": {"sim": {"seed": 7}}}}, "scenarios.baseline.sim.seed"),
     ],
     ids=["nodes", "tasks", "service", "edges", "links", "stresses", "faults", "checks",
-         "expected", "estimator-mode", "estimator-conservative-ratios"],
+         "expected", "estimator-mode", "estimator-conservative-ratios", "utilization-cap",
+         "link-payload-scale", "task-utilization", "task-feasible", "sim-seed-fraction",
+         "scenario-sim-seed"],
 )
 def test_unknown_item_keys_are_rejected_with_their_path(tmp_path, document, where):
     path = write_config(tmp_path, document)
@@ -221,12 +230,10 @@ def test_omitted_optional_keys_resolve_to_the_documented_defaults(tmp_path):
         "fabric": {"nodes": [{"id": "R1"}, {"id": "R2"}, {"id": "E", "kind": "edge"}]},
         "dag": {
             "tasks": [
-                {"id": "T1", "feasible": ["R1"], "service": {"R1": {"mean": 2.0}}},
-                {"id": "T2", "feasible": ["R1", "E"],
-                 "service": {"R1": {"mean": 10.0}, "E": {"mean": 10.0}}},
-                {"id": "T3", "feasible": ["R2", "E"],
-                 "service": {"R2": {"mean": 8.0}, "E": {"mean": 8.0}}},
-                {"id": "T4", "feasible": ["R2"], "service": {"R2": {"mean": 2.0}}},
+                {"id": "T1", "service": {"R1": {"mean": 2.0}}},
+                {"id": "T2", "service": {"R1": {"mean": 10.0}, "E": {"mean": 10.0}}},
+                {"id": "T3", "service": {"R2": {"mean": 8.0}, "E": {"mean": 8.0}}},
+                {"id": "T4", "service": {"R2": {"mean": 2.0}}},
             ],
             "edges": [{"from": "T1", "to": "T2"}, {"from": "T2", "to": "T3"},
                       {"from": "T3", "to": "T4"}],
@@ -242,14 +249,13 @@ def test_omitted_optional_keys_resolve_to_the_documented_defaults(tmp_path):
         },
     }
     config = load_config(write_config(tmp_path, document))
-    assert config.fabric.nodes[0] == ComputeNode("R1", "robot", 0.8, 0.95)
-    assert config.fabric.nodes[2] == ComputeNode("E", "edge", 0.8, 0.95)
+    assert config.fabric.nodes[0] == ComputeNode("R1", "robot", 0.8)
+    assert config.fabric.nodes[2] == ComputeNode("E", "edge", 0.8)
     task = config.dag.task("T2")
     assert task.feasible == frozenset({"R1", "E"})
     assert task.service["E"] == ServiceTimeModel(10.0, 0.0, 0.01)
-    assert task.utilization == {"R1": 0.0, "E": 0.0}
     assert config.dag.edges[0] == DagEdge("T1", "T2", 1.0)
-    assert config.dag.link("E", "R2") == LinkDelayModel(1.0, 0.0, 0.0, 1.0)
+    assert config.dag.link("E", "R2") == LinkDelayModel(1.0, 0.0, 0.0)
     smoke = config.scenarios["smoke"]
     assert smoke.stresses == (StressProfile("R1", 1, 7, 1.0, 0.0),)
     assert smoke.faults == (
@@ -479,6 +485,33 @@ def test_nothing_evaluated_is_skip_not_pass():
     assert text.endswith("overall: SKIP")
 
 
+def _late_fault(start_window, end_window):
+    faults = copy.deepcopy(DEFAULT_CONFIG["scenarios"]["network-impairment"]["faults"])
+    faults[0].update(start_window=start_window, end_window=end_window)
+    return faults
+
+
+@pytest.mark.parametrize(
+    "scenario, changes, policies, name, why",
+    [
+        # DTP migrates at window 4, so no window follows convergence
+        ("robot-stress", {"sim": {"horizon": 4}}, ["DTP"],
+         "DTP-post-convergence-violation-below-0.05", "no window follows convergence"),
+        # the fault starts after the horizon ends
+        ("network-impairment", {"sim": {"horizon": 8}, "faults": _late_fault(20, 30)},
+         ["SO", "DTP"], "SO-violation-5.0x-DTP", "empty fault interval"),
+    ],
+    ids=["post-convergence", "fault-interval"],
+)
+def test_a_check_over_no_window_is_skip_not_pass(tmp_path, scenario, changes, policies, name,
+                                                 why):
+    config = load_config(write_config(tmp_path, {"scenarios": {scenario: changes}}))
+    report = run_scenario(config, config.scenarios[scenario], policies=policies, seeds=[1])
+    check = next(e for e in report.expectations if e.name == name)
+    assert (check.passed, check.detail) == (None, f"not evaluated: {why}")
+    assert f"[SKIP] {name}: not evaluated: {why}" in render_report(report_payload([report]))
+
+
 def test_empty_report_renders_empty():
     payload = report_payload([])
     assert payload == {"passed": False, "scenarios": []}
@@ -569,7 +602,7 @@ def test_cli_validate_bad_config(tmp_path, capsys):
     [
         _links_with(base_delay=float("nan")),
         _links_with(jitter_sigma=float("inf")),
-        _links_with(payload_scale=float("nan")),
+        _tasks_with(mean=float("nan")),
         _tasks_with(cv=float("nan")),
         _tasks_with(floor_fraction=float("inf")),
         _edges_with(payload_scale=float("inf")),
@@ -629,9 +662,10 @@ def test_cli_validate_rejects_unknown_references(tmp_path, capsys, document, nam
          "scenarios.baseline.expected.dominant"),
         ({"scenarios": {"baseline": {"seeds": "12"}}}, "scenarios.baseline.seeds"),
         ({"scenarios": {"baseline": {"policies": "LOC"}}}, "scenarios.baseline.policies"),
-        (_tasks_field(0, feasible="R1"), "dag.tasks[0].feasible"),
         (_fault_with(mu=5.0, links=["R1", "R2"]), "scenarios.network-impairment.faults[0].links"),
         (_tasks_field(1, service=5), "dag.tasks[1].service"),
+        # a task's feasible nodes are the keys of its service map
+        (_tasks_field(1, service={}), "dag.tasks[1]: task T2: service map is empty"),
         # a repeated policy or seed would run again and count twice
         ({"scenarios": {"baseline": {"policies": ["LOC", "LOC", "DTP"]}}},
          "scenarios.baseline.policies"),
@@ -639,7 +673,6 @@ def test_cli_validate_rejects_unknown_references(tmp_path, capsys, document, nam
         # a fractional seed is rejected, not truncated onto another
         ({"scenarios": {"baseline": {"seeds": [1, 1.7]}}}, "scenarios.baseline.seeds"),
         # an integer field takes neither a fraction nor a bool
-        ({"sim": {"seed": 4.5}}, "sim.seed"),
         ({"sim": {"clock_resolution_us": True}}, "sim.clock_resolution_us"),
         ({"controller": {"n_min": 2.5}}, "controller.n_min"),
         ({"scenarios": {"baseline": {"sim": {"horizon": 6.5}}}}, "scenarios.baseline.sim.horizon"),
@@ -669,9 +702,9 @@ def test_cli_validate_rejects_unknown_references(tmp_path, capsys, document, nam
     ],
     ids=[
         "seeds", "nodes", "node-kind-cloud", "task", "edge-endpoint", "check-policy",
-        "check-versus", "dominant-string", "seeds-string", "policies-string", "feasible-string",
-        "fault-links-string", "service-scalar", "policies-repeated", "seeds-repeated",
-        "seed-fraction", "sim-seed-fraction", "clock-resolution-bool", "n-min-fraction",
+        "check-versus", "dominant-string", "seeds-string", "policies-string",
+        "fault-links-string", "service-scalar", "service-empty", "policies-repeated",
+        "seeds-repeated", "seed-fraction", "clock-resolution-bool", "n-min-fraction",
         "scenario-horizon-fraction", "scenario-window-size-bool", "stress-start-fraction",
         "fault-end-bool", "deadline-bool", "delta-min-bool", "alpha-l-bool", "delta-min-string",
         "deadline-string", "l95-max-null", "scenario-latency-target-bool", "additive-string",

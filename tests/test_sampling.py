@@ -108,10 +108,10 @@ def test_traverse_edge_double_loss_is_fatal():
 
 
 def test_traverse_edge_scales_timeout_by_payload():
-    model = LinkDelayModel(base_delay=2.0, loss_probability=0.3, payload_scale=2.0)
+    model = LinkDelayModel(base_delay=2.0, loss_probability=0.3)
     rng = ScriptedRandom(uniform_values=[0.1, 0.9])
-    delay_us, _ = traverse_edge(model, 1.5, rng, 1)
-    assert delay_us == quantize_us(4.0 * 2.0 * 2.0 * 1.5) + quantize_us(2.0 * 2.0 * 1.5)
+    delay_us, _ = traverse_edge(model, 3.0, rng, 1)
+    assert delay_us == quantize_us(4.0 * 2.0 * 3.0) + quantize_us(2.0 * 3.0)
 
 
 def test_cycle_plan_skips_colocated_edges():
@@ -163,7 +163,6 @@ link_models = st.builds(
     base_delay=st.floats(0.0, 5.0),
     jitter_sigma=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
     loss_probability=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),  # 0.95: mostly fatal
-    payload_scale=st.floats(0.0, 4.0),
 )
 
 
