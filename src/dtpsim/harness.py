@@ -667,9 +667,12 @@ def run_scenario(
     Runs go seed by seed.  ``simulate_cycles`` first simulates the cycles
     of every fixed policy of the seed in one pass; each fixed run adopts
     its placement's store, and the ``DTP`` run reads the stores of the
-    placements they cover instead of simulating them again.  Only one
-    seed's fixed cycles are held at a time.  The results keep the order of
-    ``policies``.
+    placements they cover instead of simulating them again.  With an
+    ``outdir``, the seed's run directories are written once all its runs
+    are done, every ``cycles.csv`` of the seed in one ``write_cycles_csv``
+    pass, so a ``DTP`` window that equals a fixed run's window is written
+    from that run's text.  Only one seed's cycles are held at a time.  The
+    results keep the order of ``policies``.
     """
     policies, seeds = select_runs(config, spec, policies, seeds)
     controller = config.controller_config(spec.controller_overrides)
@@ -688,6 +691,7 @@ def run_scenario(
             spec.stresses,
             spec.faults,
         )
+        traces: dict[str, SimTrace] = {}
         for policy in sorted(policies, key=lambda p: p == CONTROLLER_POLICY):
             fixed = None if policy == CONTROLLER_POLICY else policy
             trace = run_simulation(
@@ -701,8 +705,7 @@ def run_scenario(
                 estimator=config.estimator,
                 known_cycles={fixed: known[fixed]} if fixed else known,
             )
-            if outdir is not None:
-                _write_run(outdir / spec.name / policy / f"seed_{seed}", trace, config, policy)
+            traces[policy] = trace
             results[policy].append(
                 RunResult(
                     policy,
@@ -711,17 +714,28 @@ def run_scenario(
                     tuple(w.metrics.violation_rate for w in trace.windows),
                 )
             )
+        if outdir is not None:
+            _write_runs(outdir / spec.name, seed, traces, config)
     expectations = evaluate_expectations(spec, results)
     return ScenarioReport(spec.name, results, expectations)
 
 
-def _write_run(rundir: Path, trace: SimTrace, config: ResolvedConfig, policy: str) -> None:
-    rundir.mkdir(parents=True, exist_ok=True)
-    write_cycles_csv(trace, config.fabric, rundir / "cycles.csv")
-    write_windows_csv(trace, rundir / "windows.csv")
-    write_summary_json(trace, rundir / "summary.json")
-    if policy == CONTROLLER_POLICY:
-        write_decisions_jsonl(trace, rundir / "decisions.jsonl")
+def _write_runs(
+    outdir: Path, seed: int, traces: Mapping[str, SimTrace], config: ResolvedConfig
+) -> None:
+    """The run directory of each policy's trace of one seed; every
+    ``cycles.csv`` of the seed is written in one ``write_cycles_csv`` pass."""
+    cycles_csv = []
+    for policy, trace in traces.items():
+        rundir = outdir / policy / f"seed_{seed}"
+        rundir.mkdir(parents=True, exist_ok=True)
+        write_windows_csv(trace, rundir / "windows.csv")
+        write_summary_json(trace, rundir / "summary.json")
+        if policy == CONTROLLER_POLICY:
+            write_decisions_jsonl(trace, rundir / "decisions.jsonl")
+        cycles_csv.append((trace, rundir / "cycles.csv"))
+    (trace, path), *others = cycles_csv
+    write_cycles_csv(trace, config.fabric, path, others=others)
 
 
 def evaluate_expectations(
@@ -731,15 +745,17 @@ def evaluate_expectations(
     controller_runs = results.get(CONTROLLER_POLICY, ())
     expected = spec.expected
 
-    if controller_runs:
+    label = "+".join(expected.dominant)
+    name = f"dominant-placement:{label}"
+    # a run with no window after convergence has no post-convergence occupancy
+    posts = [(r, w) for r in controller_runs if (w := post_convergence_windows(r.summary))]
+    if controller_runs and not posts:
+        out.append(ExpectationResult(name, None, "not evaluated: no window follows convergence"))
+    elif controller_runs:
         occupancies = []
         seed_pass = 0
-        for run in controller_runs:
-            post = post_convergence_windows(run.summary)
+        for run, post in posts:
             placements = run.window_placements
-            if not post:
-                occupancies.append(0.0)
-                continue
             share = sum(1 for k in post if placements[k - 1] in expected.dominant) / len(post)
             forbidden_share = (
                 sum(1 for k in post if placements[k - 1] in expected.forbidden) / len(post)
@@ -749,18 +765,17 @@ def evaluate_expectations(
             occupancies.append(share)
             if share >= expected.min_fraction and forbidden_share == 0.0:
                 seed_pass += 1
-        needed = max(1, math.ceil(len(controller_runs) * expected.min_seed_fraction - 1e-9))
+        needed = max(1, math.ceil(len(posts) * expected.min_seed_fraction - 1e-9))
         passed = seed_pass >= needed
-        label = "+".join(expected.dominant)
         detail = (
-            f"{seed_pass}/{len(controller_runs)} seeds reached {label} occupancy >= "
+            f"{seed_pass}/{len(posts)} seeds reached {label} occupancy >= "
             f"{expected.min_fraction:.2f} post-convergence (need {needed}; "
             f"min {min(occupancies):.3f}, mean {ordered_mean(occupancies):.3f}"
         )
         if expected.forbidden:
             detail += f"; forbidden {'+'.join(expected.forbidden)} must stay at 0"
         detail += ")"
-        out.append(ExpectationResult(f"dominant-placement:{label}", passed, detail))
+        out.append(ExpectationResult(name, passed, detail))
 
     for check in spec.checks:
         out.append(_evaluate_check(check, spec, results))
@@ -792,6 +807,10 @@ def _evaluate_check(
     runs = results[policy]
 
     if check.kind == "policy_violation_above":
+        # a run of no cycle has no violation rate
+        runs = [r for r in runs if r.summary["cycles"]]
+        if not runs:
+            return ExpectationResult(name, None, f"not evaluated: {policy} ran no cycle")
         value = ordered_mean([r.summary["violation_rate"] for r in runs])
         return ExpectationResult(
             name,

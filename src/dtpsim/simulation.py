@@ -25,26 +25,36 @@ instead of simulating them again, only ever as column slices: a window of
 active cycles, or one strided slice of shadow rows per window.  A fixed run
 adopts the store of its own placement whole.
 
-Active cycles are computed a window at a time, column by column
-(``_Engine.run_window``): all W draws of each tag, in 128-bit lanes of one
-int (``streams.WindowDraws``), then each stage's and each crossing's µs over
-the W cycles, then latency and busy time summed column by column.
+Active cycles are computed column by column (``_Engine.run_window``): all
+draws of each tag over a range of cycles, in 128-bit lanes of one int
+(``streams.WindowDraws``), then each stage's and each crossing's µs over
+those cycles, then latency and busy time summed column by column.
 ``simulate_cycles`` builds the stores of several placements at once this
-way, each tag's draws made once however many of them share it (every
-``svc:`` tag of ``LOC`` and ``SO``), and ``run_simulation`` runs each active
-window no store holds on the same kernel.  ``run_cycle`` is the same
-computation one cycle at a time; only the shadow cycles of a candidate
-without a store use it.
+way, a block of windows at a time (up to ``BLOCK_CYCLES`` cycles of one
+disturbance state), each tag's draws made once however many of them share
+it (every ``svc:`` tag of ``LOC`` and ``SO``).  ``run_simulation`` runs each
+active window no store holds on the same kernel, one window at a time,
+since the controller picks the next window's placement.  ``run_cycle`` is
+the same computation one cycle at a time; only the shadow cycles of a
+candidate without a store use it.  A cycle plan depends on the window only
+through which stresses and faults are active, so each placement's plan is
+built once per such state (``_plans_by_state``).
+
+``write_cycles_csv`` writes the ``cycles.csv`` files of a seed's runs in
+one pass, a window at a time, and formats a window only if no run before
+it had the same rows there: a ``DTP`` window under ``LOC`` or ``SO`` is the
+text of that fixed run's window.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import warnings
-from itertools import repeat
+from itertools import groupby, repeat
 from operator import add, mul, truediv
 from dataclasses import KW_ONLY, dataclass, replace
 from pathlib import Path
@@ -115,6 +125,10 @@ __all__ = [
 ]
 
 PERIOD_RANGE = (20.0, 50.0)
+# simulate_cycles runs a fixed placement's windows in blocks of at most this
+# many cycles: a block's draws are held at once, and past a few hundred
+# lanes a bigger block is no faster
+BLOCK_CYCLES = 250
 
 
 @dataclass(frozen=True)
@@ -250,6 +264,13 @@ class SimTrace:
         return [w.decision for w in self.windows if w.decision is not None]
 
 
+def _disturbance_state(
+    window_index: int, stresses: Sequence[StressProfile], faults: Sequence[FaultInjection]
+) -> tuple[bool, ...]:
+    """Which stresses and faults are active in a window, in their order."""
+    return tuple(d.active(window_index) for d in (*stresses, *faults))
+
+
 def _window_plans(
     window_index: int,
     placements: Sequence[Placement],
@@ -258,7 +279,12 @@ def _window_plans(
     dag: PipelineDag,
     sim: SimConfig,
 ) -> dict[str, CyclePlan]:
-    """Compile each placement's cycle plan under the stress and faults of one window."""
+    """Compile each placement's cycle plan under the stress and faults of one window.
+
+    The plans depend on the window only through its ``_disturbance_state``,
+    so the engine builds them on the first window of each state and reuses
+    them (``_plans_by_state``).
+    """
     slowdown: dict[NodeId, float] = {}
     exogenous: dict[NodeId, float] = {}
     for stress in stresses:
@@ -283,6 +309,26 @@ def _window_plans(
         )
         for placement in placements
     }
+
+
+def _plans_by_state(
+    placements: Sequence[Placement],
+    stresses: Sequence[StressProfile],
+    faults: Sequence[FaultInjection],
+    dag: PipelineDag,
+    sim: SimConfig,
+) -> Callable[[int], dict[str, CyclePlan]]:
+    """``_window_plans`` of a window, built once per disturbance state: a
+    window whose state came before gets the plans of the first such window."""
+    built: dict[tuple[bool, ...], dict[str, CyclePlan]] = {}
+
+    def plans(window_index: int) -> dict[str, CyclePlan]:
+        state = _disturbance_state(window_index, stresses, faults)
+        if state not in built:
+            built[state] = _window_plans(window_index, placements, stresses, faults, dag, sim)
+        return built[state]
+
+    return plans
 
 
 class _Engine:
@@ -608,23 +654,26 @@ def run_simulation(
         cycles = CycleStore(engine.node_ids, sim.period, names)
     observed: list[tuple[WindowMetrics, str]] = []
 
+    window_plans = _plans_by_state(simulated, stresses, faults, dag, sim)
+
     def environment(k: int, placement: Placement):
-        plans = _window_plans(k, simulated, stresses, faults, dag, sim)
+        plans = window_plans(k)
         active = names.index(placement.name)
         start = (k - 1) * window
         stop = start + window
         known = known_cycles.get(placement.name)
         if known is None:
-            plan = plans.pop(placement.name)  # each plan left is a shadow's
+            plan = plans[placement.name]
             cycles.append_columns(*engine.run_window(plan, WindowDraws(sim.seed, start, stop)), active)
         elif known is not cycles:
             cycles.extend(known, start, stop, active)
         for name, store in known_cycles.items():
             if name != placement.name:
                 shadow_hist[name].extend(store, start, stop, 0, shadow_stride)
+        shadows = [(name, plan) for name, plan in plans.items() if name != placement.name]
         # index-major, so simulated challengers share each step's draws
         for cycle_index in range(start, stop, shadow_stride):
-            for name, plan in plans.items():
+            for name, plan in shadows:
                 shadow_hist[name].append(engine.run_cycle(plan, cycle_index), 0)
         for hist in shadow_hist.values():
             hist.keep_last(window)
@@ -666,12 +715,17 @@ def simulate_cycles(
     Each store equals the one ``run_simulation(fixed=name)`` would build
     with the same arguments and a window of ``window`` cycles, and that
     run adopts it as its cycles when passed ``known_cycles={name: store}``.
-    Window by window, one ``WindowDraws`` makes the draws of every tag the
-    placements use, each key and column once, and ``_Engine.run_window``
-    turns them into each placement's columns; only one window of draws is
-    held at a time.  The checks are those of ``run_simulation``, but only
-    the runs that adopt the stores warn about stressed occupancy.  A
-    ValueError also rejects two placements of one name and a window under 1.
+
+    The windows run in blocks: consecutive windows of one disturbance
+    state, at most ``BLOCK_CYCLES // window`` of them (at least one).  A
+    block is one ``WindowDraws``, which makes the draws of every tag the
+    placements use, each key and column once, and one
+    ``_Engine.run_window`` per placement turns them into its columns; only
+    one block of draws is held at a time.  Each placement's plan is built
+    once per disturbance state.  The checks are those of
+    ``run_simulation``, but only the runs that adopt the stores warn about
+    stressed occupancy.  A ValueError also rejects two placements of one
+    name and a window under 1.
     """
     names = [p.name for p in placements]
     if len(set(names)) != len(names):
@@ -681,11 +735,16 @@ def simulate_cycles(
     _check_run(dag, fabric, placements, sim, stresses, faults, warn=False)
     engine = _Engine(fabric, sim, RandomStreams(sim.seed))
     stores = {name: CycleStore(engine.node_ids, sim.period, (name,)) for name in names}
-    for k in range(1, sim.horizon + 1):
-        plans = _window_plans(k, placements, stresses, faults, dag, sim)
-        draws = WindowDraws(sim.seed, (k - 1) * window, k * window)
-        for name, store in stores.items():
-            store.append_columns(*engine.run_window(plans[name], draws), 0)
+    window_plans = _plans_by_state(placements, stresses, faults, dag, sim)
+    per_block = max(1, BLOCK_CYCLES // window)
+    windows = range(1, sim.horizon + 1)
+    for _, same in groupby(windows, lambda k: _disturbance_state(k, stresses, faults)):
+        same = list(same)
+        plans = window_plans(same[0])
+        for block in (same[i : i + per_block] for i in range(0, len(same), per_block)):
+            draws = WindowDraws(sim.seed, (block[0] - 1) * window, block[-1] * window)
+            for name, store in stores.items():
+                store.append_columns(*engine.run_window(plans[name], draws), 0)
     return stores
 
 
@@ -747,43 +806,84 @@ def _csv_row(fields: Sequence[str]) -> str:
     return out.getvalue()
 
 
-def write_cycles_csv(trace: SimTrace, fabric: Fabric, path: str | Path) -> None:
-    """One row per cycle, formatted column by column from the store; a node
-    of ``fabric`` the run did not have is busy 0.
+def write_cycles_csv(
+    trace: SimTrace,
+    fabric: Fabric,
+    path: str | Path,
+    *,
+    others: Sequence[tuple[SimTrace, str | Path]] = (),
+) -> None:
+    """One row per cycle of ``trace`` into ``path``, and of each trace of
+    ``others`` into its path; a node of ``fabric`` a run did not have is
+    busy 0.
+
+    The files are written together, one window of ``trace`` at a time (all
+    rows at once for a trace without windows), so each holds one window of
+    text.  A chunk whose period, columns and placement names equal those
+    of a chunk already formatted at the same rows, as a ``DTP`` window
+    equals that window of the fixed run of its placement, is written from
+    that text; each other chunk is formatted column by column.
 
     The bytes are those of ``csv.writer``: only the header and the
     placement names can need quoting, so they go through it once and every
     row is one ``str.format`` of a template.
     """
     node_ids = fabric.ids()
-    cycles = trace.cycles
-    count = len(cycles)
-    busy = dict(zip(cycles.nodes, cycles.busy_us))
-    names = [_csv_row([name])[:-2] for name in cycles.names]
+    header = _csv_row(
+        ["cycle_index", "release_ms", "latency_ms", "deadline_met"]
+        + [f"busy_{n}_ms" for n in node_ids]
+        + ["placement_name"]
+    )
     row = ",".join(["{}", "{:.3f}", "{:.3f}", "{}", *["{:.3f}"] * len(node_ids), "{}"]) + "\r\n"
+    runs = [(trace, path), *others]
+    count = max(len(t.cycles) for t, _ in runs)
+    chunk = max(1, len(trace.cycles) // len(trace.windows) if trace.windows else count)
+    stores = []  # per run: quoted placement names, the placement column, period, columns
+    for t, _ in runs:
+        cycles = t.cycles
+        busy = dict(zip(cycles.nodes, cycles.busy_us))
+        names = [_csv_row([name])[:-2] for name in cycles.names]
+        columns = [cycles.latency_us, cycles.met, *map(busy.get, node_ids)]
+        stores.append((names, cycles.placement, cycles.period, columns))
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(p, "w", newline="")) for _, p in runs]
+        for fh in files:
+            fh.write(header)
+        for start in range(0, count, chunk):
+            cut = slice(start, start + chunk)
+            written: list[tuple[list, str]] = []  # (key, text) of this window's chunks
+            for (names, placement, period, columns), fh in zip(stores, files):
+                key = [
+                    list(map(names.__getitem__, placement[cut])),
+                    period,
+                    *(None if column is None else column[cut] for column in columns),
+                ]
+                text = next((text for seen, text in written if seen == key), None)
+                if text is None:
+                    text = _cycle_rows(row, start, *key)
+                    written.append((key, text))
+                fh.write(text)
+
+
+def _cycle_rows(row: str, start: int, names, period, latency_us, met, *busy_us) -> str:
+    """The ``cycles.csv`` rows of cycles ``start, start + 1, ...``: each a
+    ``row.format`` of its columns, a busy column of None being 0."""
+    cycles = range(start, start + len(latency_us))
 
     def ms(values_us):
-        return map(truediv, values_us, repeat(US_PER_MS))
+        return repeat(0.0) if values_us is None else map(truediv, values_us, repeat(US_PER_MS))
 
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            _csv_row(
-                ["cycle_index", "release_ms", "latency_ms", "deadline_met"]
-                + [f"busy_{n}_ms" for n in node_ids]
-                + ["placement_name"]
-            )
+    return "".join(
+        map(
+            row.format,
+            cycles,
+            map(mul, cycles, repeat(period)),
+            ms(latency_us),
+            map(("false", "true").__getitem__, met),
+            *map(ms, busy_us),
+            names,
         )
-        fh.writelines(
-            map(
-                row.format,
-                range(count),
-                map(mul, range(count), repeat(cycles.period)),
-                ms(cycles.latency_us),
-                map(("false", "true").__getitem__, cycles.met),
-                *(ms(busy.get(n, repeat(0, count))) for n in node_ids),
-                map(names.__getitem__, cycles.placement),
-            )
-        )
+    )
 
 
 def write_windows_csv(trace: SimTrace, path: str | Path) -> None:

@@ -9,6 +9,9 @@ float must come out as they give it.
 import csv
 import gc
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +27,7 @@ from conftest import (
     reference_rows,
     store_rows,
 )
+from dtpsim import simulation
 from dtpsim.estimator import EstimatorConfig
 from dtpsim.metrics import CycleStore, WindowMetrics, ordered_sum, percentile_nearest_rank
 from dtpsim.pipeline import ComputeNode, Fabric
@@ -33,8 +37,10 @@ from dtpsim.simulation import (
     SimTrace,
     StressProfile,
     run_simulation,
+    simulate_cycles,
     write_cycles_csv,
 )
+from dtpsim.streams import RandomStreams, WindowDraws
 
 FABRIC = make_fabric()
 
@@ -137,6 +143,82 @@ def test_the_writer_quotes_node_ids_and_placement_names_as_csv_does(tmp_path):
     assert written == (tmp_path / "records.csv").read_bytes()
     assert b'"busy_R""1_ms","busy_X,2_ms"' in written
     assert b'"say ""hi"""' in written
+
+
+def test_a_seeds_cycles_files_written_together_equal_each_written_alone(tmp_path):
+    # one seed as run_scenario writes it: fixed LOC and SO runs and a DTP run
+    # over LOC, HYB and SO windows, whose LOC and SO windows are written from
+    # the fixed runs' text and whose HYB windows are formatted; a LOC run of
+    # another seed has the names of the LOC run but not its columns
+    dag = make_dag(cv=0.3, jitter=0.2, loss=0.05)
+    sim = SimConfig(50.0, 30.0, horizon=10, seed=2)
+    stresses = (StressProfile("R1", 3, 10, slowdown=2.5),)
+    controller = controller_policy(dag, window_size=8)
+    fixed = [controller.candidates.by_name(name) for name in ("LOC", "SO")]
+    known = simulate_cycles(dag, FABRIC, sim, fixed, 8, stresses)
+    traces = {
+        name: run_simulation(dag, FABRIC, sim, controller, fixed=name, stresses=stresses,
+                             known_cycles={name: store})
+        for name, store in known.items()
+    }
+    traces["DTP"] = run_simulation(dag, FABRIC, sim, controller, stresses=stresses,
+                                   estimator=EstimatorConfig(static_samples=100),
+                                   known_cycles=known)
+    assert [w.placement for w in traces["DTP"].windows] == ["LOC"] * 3 + ["HYB"] * 5 + ["SO"] * 2
+    traces["LOC-seed-3"] = run_simulation(dag, FABRIC, replace(sim, seed=3), controller,
+                                          fixed="LOC", stresses=stresses)
+    formatted = Counter()  # the placement of each window formatted
+    cycle_rows = simulation._cycle_rows
+
+    def counting_cycle_rows(row, start, names, *columns):
+        formatted[names[0]] += 1
+        return cycle_rows(row, start, names, *columns)
+
+    (first, trace), *others = traces.items()
+    with mock.patch.object(simulation, "_cycle_rows", counting_cycle_rows):
+        write_cycles_csv(trace, FABRIC, tmp_path / f"{first}-together.csv",
+                         others=[(t, tmp_path / f"{name}-together.csv") for name, t in others])
+    assert formatted == {"LOC": 20, "SO": 10, "HYB": 5}
+    for name, trace in traces.items():
+        write_cycles_csv(trace, FABRIC, tmp_path / f"{name}-alone.csv")
+        together = (tmp_path / f"{name}-together.csv").read_bytes()
+        assert together == (tmp_path / f"{name}-alone.csv").read_bytes(), name
+        assert together.count(b"\r\n") == 1 + 80
+
+
+def test_simulate_cycles_holds_one_block_at_a_time():
+    """Over 2,000 cycles (8 blocks of 250), the peak of simulate_cycles above
+    the stores it returns stays within what one block holds: its draws and
+    the columns every placement computes from them."""
+    dag = make_dag(cv=0.3, jitter=0.2, loss=0.05)
+    sim = SimConfig(40.0, 40.0, horizon=40, seed=3)
+    placements = list(controller_policy(dag, window_size=50).candidates)
+    engine = simulation._Engine(FABRIC, sim, RandomStreams(sim.seed))
+    plans = simulation._window_plans(1, placements, (), (), dag, sim)
+    simulate_cycles(dag, FABRIC, sim, placements, 50)  # fills any lazy module state
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        stores = simulate_cycles(dag, FABRIC, sim, placements, 50)
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        draws = WindowDraws(sim.seed, 0, simulation.BLOCK_CYCLES)
+        columns = [engine.run_window(plan, draws) for plan in plans.values()]
+        gc.collect()
+        block = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(columns) == len(stores) == 3
+    assert {len(store) for store in stores.values()} == {2000}
+    assert held > before
+    assert peak - held < 1.5 * block
 
 
 def test_a_trace_retains_under_64_bytes_per_cycle():

@@ -500,8 +500,14 @@ def _late_fault(start_window, end_window):
         # the fault starts after the horizon ends
         ("network-impairment", {"sim": {"horizon": 8}, "faults": _late_fault(20, 30)},
          ["SO", "DTP"], "SO-violation-5.0x-DTP", "empty fault interval"),
+        # the same run as post-convergence: it has no occupancy to count
+        ("robot-stress", {"sim": {"horizon": 4}}, ["DTP"],
+         "dominant-placement:SO", "no window follows convergence"),
+        # no window, so no cycle to violate a deadline
+        ("robot-stress", {"sim": {"horizon": 0}}, ["LOC"],
+         "LOC-violation-above-0.4", "LOC ran no cycle"),
     ],
-    ids=["post-convergence", "fault-interval"],
+    ids=["post-convergence", "fault-interval", "dominant-placement", "no-cycle"],
 )
 def test_a_check_over_no_window_is_skip_not_pass(tmp_path, scenario, changes, policies, name,
                                                  why):

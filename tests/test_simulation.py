@@ -542,7 +542,69 @@ def test_only_a_candidate_without_a_store_builds_cycle_plans():
         run_simulation(dag, FABRIC, sim, controller, fixed="LOC", known_cycles={"LOC": loc})
         assert built == []
         run(known)
-    assert built == ["HYB"] * 6  # once per window
+    assert built == ["HYB"] * 2  # once per disturbance state: R1 unstressed, then stressed
+
+
+def switching_case(resolution=1, disturbed=True):
+    """W = 50 over 12 windows: a stress over windows 3-7, then an additive
+    lossy fault over windows 9-10, so the disturbance state goes off, on, off,
+    on, off and ``simulate_cycles`` ends a block at each switch.  Undisturbed,
+    its blocks are ``BLOCK_CYCLES // 50`` = 5 windows long."""
+    dag = make_dag(cv=0.3, jitter=0.2, loss=0.05)
+    stress = StressProfile("R1", 3, 7, slowdown=2.5, exogenous_load=0.1)
+    fault = FaultInjection((("R1", "E"), ("E", "R2")), 2.0, sigma=0.5, loss_probability=0.3,
+                           start_window=9, end_window=10, additive=True)
+    sim = SimConfig(50.0, 30.0, horizon=12, seed=11, clock_resolution_us=resolution)
+    disturbances = {"stresses": (stress,), "faults": (fault,)} if disturbed else {}
+    return dag, sim, controller_policy(dag, window_size=50, n_min=0), disturbances
+
+
+@pytest.mark.parametrize(
+    "resolution, disturbed, blocks",
+    [
+        (1, True, [(0, 100), (100, 350), (350, 400), (400, 500), (500, 600)]),
+        (7, True, [(0, 100), (100, 350), (350, 400), (400, 500), (500, 600)]),
+        (1, False, [(0, 250), (250, 500), (500, 600)]),
+    ],
+    ids=["switching", "switching-coarse-clock", "undisturbed"],
+)
+def test_blocks_and_state_switches_keep_every_row_of_the_oracle(resolution, disturbed, blocks):
+    dag, sim, controller, disturbances = switching_case(resolution, disturbed)
+    placements = list(controller.candidates)
+    assert simulation.BLOCK_CYCLES // 50 == 5
+    ran = []  # the cycles of every run_window call
+    run_window = simulation._Engine.run_window
+
+    def recording_run_window(engine, plan, draws):
+        ran.append((draws.steps.start, draws.steps.stop))
+        return run_window(engine, plan, draws)
+
+    with mock.patch.object(simulation._Engine, "run_window", recording_run_window):
+        stores = simulate_cycles(dag, FABRIC, sim, placements, 50, **disturbances)
+    assert ran == [block for block in blocks for _ in placements]
+    reference = reference_rows(dag, FABRIC, sim, placements, 50, **disturbances)
+    for name, store in stores.items():
+        assert store_rows(store) == reference[name], name
+    dtp = run_simulation(dag, FABRIC, sim, controller,
+                         estimator=EstimatorConfig(static_samples=100), **disturbances)
+    assert store_rows(dtp.cycles) == trace_reference_rows(dtp, reference, 50)
+    # disturbed, the DTP run migrates, so it crosses placements as well as states
+    assert (len({w.placement for w in dtp.windows}) > 1) == disturbed
+
+
+def test_simulate_cycles_builds_one_plan_per_placement_and_disturbance_state():
+    dag, sim, controller, disturbances = switching_case()
+    built = []
+    build_cycle_plan = simulation.build_cycle_plan
+
+    def counting_build_cycle_plan(dag, placement, **kwargs):
+        built.append(placement.name)
+        return build_cycle_plan(dag, placement, **kwargs)
+
+    with mock.patch.object(simulation, "build_cycle_plan", counting_build_cycle_plan):
+        simulate_cycles(dag, FABRIC, sim, list(controller.candidates), 50, **disturbances)
+    # three states over five runs of windows: none, the stress, the fault
+    assert built == ["LOC", "SO", "HYB"] * 3
 
 
 @pytest.mark.parametrize(
