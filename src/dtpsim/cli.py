@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when an expectation failed or none was
-evaluated, 2 for configuration or usage errors.
+evaluated, 2 for configuration or usage errors, an output directory that
+cannot be written included.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_validate(args)
         if args.command == "report":
             return _cmd_report(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     parser.error(f"unknown command {args.command!r}")

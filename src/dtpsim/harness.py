@@ -932,6 +932,10 @@ def load_report(outdir: Path) -> dict:
         raise ConfigError(f"no stored report under {outdir}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"stored report is corrupt: {exc}") from exc
-    if not isinstance(payload, dict) or not {"passed", "scenarios"} <= payload.keys():
-        raise ConfigError(f"stored report is corrupt: {path} lacks passed or scenarios")
+    try:
+        if not isinstance(payload["passed"], bool):
+            raise TypeError("passed is not a bool")
+        render_report(payload)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"stored report is corrupt: {path}: {exc!r}") from exc
     return payload

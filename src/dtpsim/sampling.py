@@ -101,7 +101,6 @@ class StagePlan:
 
 @dataclass(frozen=True)
 class EdgePlan:
-    src: TaskId
     link: tuple[NodeId, NodeId] | None  # None when co-located
     model: LinkDelayModel | None
     edge_scale: float
@@ -151,12 +150,12 @@ def build_cycle_plan(
     for stage, nxt in zip(stages, stages[1:]):
         edge: DagEdge = by_src[stage.task]
         if stage.node == nxt.node:
-            edges.append(EdgePlan(stage.task, None, None, edge.payload_scale))
+            edges.append(EdgePlan(None, None, edge.payload_scale))
             continue
         pair = (stage.node, nxt.node)
         model = dag.link(*pair) if delays is None else delays[pair]
         tag = f"lnk:{pair[0]}:{pair[1]}"
-        edges.append(EdgePlan(stage.task, pair, model, edge.payload_scale, tag))
+        edges.append(EdgePlan(pair, model, edge.payload_scale, tag))
     return CyclePlan(
         placement, tuple(stages), tuple(edges), tuple((exogenous_us or {}).items())
     )

@@ -332,9 +332,9 @@ def _plans_by_state(
 
 
 class _Engine:
-    def __init__(self, fabric: Fabric, sim: SimConfig, streams: RandomStreams):
+    def __init__(self, fabric: Fabric, sim: SimConfig):
         self.sim = sim
-        self.streams = streams
+        self.streams = RandomStreams(sim.seed)
         self.resolution = sim.clock_resolution_us
         self.period_us = quantize_us(sim.period, self.resolution)
         self.deadline_us = quantize_us(sim.deadline, self.resolution)
@@ -415,9 +415,7 @@ class _Engine:
                 for i, u in enumerate(draws.uniforms(edge.tag, 2)):
                     if u >= loss:
                         continue
-                    rng = Draws(keys[i])
-                    rng.n = 3
-                    delay, lost = sample_link(link, rng)
+                    delay, lost = sample_link(link, Draws(keys[i], 3))
                     if lost:
                         fatal.setdefault(i, j)
                     else:
@@ -621,8 +619,7 @@ def run_simulation(
     known_cycles = known_cycles or {}
     _check_known_cycles(known_cycles, placements, fabric.ids(), sim.horizon * window)
 
-    streams = RandomStreams(sim.seed)
-    engine = _Engine(fabric, sim, streams)
+    engine = _Engine(fabric, sim)
     names = [p.name for p in placements]
     simulated = [p for p in placements if p.name not in known_cycles]
     estimator = estimator or EstimatorConfig()
@@ -643,7 +640,7 @@ def run_simulation(
                 sim.deadline,
                 sim.period,
                 estimator.static_samples,
-                streams.fresh(f"static:{candidate.name}"),
+                engine.streams.fresh(f"static:{candidate.name}"),
             )
             static_cache[candidate.name] = cached
         return cached
@@ -671,7 +668,6 @@ def run_simulation(
             if name != placement.name:
                 shadow_hist[name].extend(store, start, stop, 0, shadow_stride)
         shadows = [(name, plan) for name, plan in plans.items() if name != placement.name]
-        # index-major, so simulated challengers share each step's draws
         for cycle_index in range(start, stop, shadow_stride):
             for name, plan in shadows:
                 shadow_hist[name].append(engine.run_cycle(plan, cycle_index), 0)
@@ -733,7 +729,7 @@ def simulate_cycles(
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     _check_run(dag, fabric, placements, sim, stresses, faults, warn=False)
-    engine = _Engine(fabric, sim, RandomStreams(sim.seed))
+    engine = _Engine(fabric, sim)
     stores = {name: CycleStore(engine.node_ids, sim.period, (name,)) for name in names}
     window_plans = _plans_by_state(placements, stresses, faults, dag, sim)
     per_block = max(1, BLOCK_CYCLES // window)

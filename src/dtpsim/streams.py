@@ -7,18 +7,13 @@ retransmits, a shadow cycle, a skipped stage) can never shift the samples
 seen by any other consumer, or by the same consumer at a later step.
 
 The generator is counter-based (Salmon et al., SC'11; Steele, Lea & Flood,
-OOPSLA'14): nothing is seeded per draw.  ``at(tag, step)`` keys a draw
-handle with ``derive_seed(master, tag, step)``, and draw n of that handle
-is the top 53 bits of ``_mix64(key ^ n * golden)`` scaled into [0, 1).
-Normals come from Box-Muller over two fresh uniforms, with no cached
-second normal, so every draw has a fixed address (tag, step, n).
-
-A tag's handle keeps the uniforms it has drawn at its current step.  Since
-a draw is a pure function of (tag, step, n), ``at(tag, step)`` with the
-step unchanged only rewinds n and replays them; a new step re-keys the
-handle and drops them.  So the shadow cycles ``run_simulation`` runs at
-one cycle index mix each key they share once (the ``svc:`` tags of their
-common tasks), and no handle ever holds more than one step's draws.
+OOPSLA'14): nothing is seeded per draw.  ``at(tag, step)`` returns a new
+draw handle keyed with ``derive_seed(master, tag, step)``, and draw n of
+that handle is the top 53 bits of ``_mix64(key ^ n * golden)`` scaled
+into [0, 1).  A handle holds only its key and n, so what one handle draws
+never depends on another.  Normals come from Box-Muller over two fresh
+uniforms, with no cached second normal, so every draw has a fixed address
+(tag, step, n).
 
 ``WindowDraws`` serves the window kernel, which computes every active
 cycle: it makes the draws of a range of steps tag by tag, column by
@@ -65,33 +60,22 @@ def derive_seed(master_seed: int, tag: str, step: int = 0) -> int:
 
 
 class Draws:
-    """Uniform and normal draws addressed by (key, draw index).
+    """Uniform and normal draws addressed by (key, draw index), from draw ``n``."""
 
-    ``drawn`` memoizes the uniforms of the current key: draw n is computed
-    once, however often ``n`` is rewound to replay it.  Whoever changes
-    ``key`` clears ``drawn``.
-    """
+    __slots__ = ("key", "n")
 
-    __slots__ = ("key", "n", "drawn")
-
-    def __init__(self, key: int = 0):
+    def __init__(self, key: int, n: int = 0):
         self.key = key
-        self.n = 0
-        self.drawn: list[float] = []
+        self.n = n
 
     def random(self) -> float:
         """Draw n in [0, 1): the top 53 bits of _mix64(key ^ n * golden)."""
         n = self.n
         self.n = n + 1
-        drawn = self.drawn
-        if n < len(drawn):
-            return drawn[n]
         x = self.key ^ ((n * _GOLDEN) & _MASK64)
         x = ((x ^ (x >> 30)) * 0xBF58476D1F4E5787) & _MASK64
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        u = ((x ^ (x >> 31)) >> 11) * 1.1102230246251565e-16  # 2**-53
-        drawn.append(u)
-        return u
+        return ((x ^ (x >> 31)) >> 11) * 1.1102230246251565e-16  # 2**-53
 
     def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         """Box-Muller normal from the next two uniforms."""
@@ -179,31 +163,21 @@ class WindowDraws:
 class RandomStreams:
     """Family of named random streams sharing one master seed.
 
-    ``at(tag, step)`` returns the tag's draw handle positioned at draw 0
-    of ``step``: re-keyed for a new step, only rewound for the step it
-    already has, whose draws it keeps.  The handle is only valid until the
-    next ``at()`` call with the same tag; callers draw what they need
-    immediately.  ``fresh(tag)`` returns an independent generator for
-    batch sampling that the caller owns.
+    ``at(tag, step)`` returns a new handle at draw 0 of ``step``; it keeps
+    no state, so handles of one tag never alias.  Only each tag's base key
+    is cached, a pure function of the tag.  ``fresh(tag)`` returns an
+    independent generator for batch sampling that the caller owns.
     """
 
     def __init__(self, master_seed: int):
         self.master_seed = int(master_seed)
-        # tag -> [tag base, current step, handle]
-        self._handles: dict[str, list] = {}
+        self._bases: dict[str, int] = {}
 
     def at(self, tag: str, step: int) -> Draws:
-        entry = self._handles.get(tag)
-        if entry is None:
-            entry = [_tag_base(self.master_seed, tag), None, Draws()]
-            self._handles[tag] = entry
-        handle = entry[2]
-        if entry[1] != step:
-            entry[1] = step
-            handle.key = _mix64(entry[0] ^ ((step * _GOLDEN) & _MASK64))
-            handle.drawn.clear()
-        handle.n = 0
-        return handle
+        base = self._bases.get(tag)
+        if base is None:
+            base = self._bases[tag] = _tag_base(self.master_seed, tag)
+        return Draws(_mix64(base ^ ((step * _GOLDEN) & _MASK64)))
 
     def fresh(self, tag: str) -> random.Random:
         return random.Random(derive_seed(self.master_seed, tag))

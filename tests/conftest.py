@@ -18,7 +18,6 @@ from dtpsim.pipeline import (
     TaskStage,
     canonical_candidates,
 )
-from dtpsim.streams import RandomStreams
 
 NODE_PAIRS = [
     ("R1", "E"), ("E", "R1"),
@@ -40,7 +39,7 @@ def reference_rows(dag, fabric, sim, placements, window, stresses=(), faults=())
     """Each placement's fixed-run rows by name, computed cycle by cycle by
     ``_Engine.run_cycle`` over each window's plans: the oracle that the
     window kernel's stores are checked against."""
-    engine = simulation._Engine(fabric, sim, RandomStreams(sim.seed))
+    engine = simulation._Engine(fabric, sim)
     rows = {p.name: [] for p in placements}
     for k in range(1, sim.horizon + 1):
         plans = simulation._window_plans(k, placements, stresses, faults, dag, sim)

@@ -40,7 +40,7 @@ from dtpsim.simulation import (
     simulate_cycles,
     write_cycles_csv,
 )
-from dtpsim.streams import RandomStreams, WindowDraws
+from dtpsim.streams import WindowDraws
 
 FABRIC = make_fabric()
 
@@ -193,7 +193,7 @@ def test_simulate_cycles_holds_one_block_at_a_time():
     dag = make_dag(cv=0.3, jitter=0.2, loss=0.05)
     sim = SimConfig(40.0, 40.0, horizon=40, seed=3)
     placements = list(controller_policy(dag, window_size=50).candidates)
-    engine = simulation._Engine(FABRIC, sim, RandomStreams(sim.seed))
+    engine = simulation._Engine(FABRIC, sim)
     plans = simulation._window_plans(1, placements, (), (), dag, sim)
     simulate_cycles(dag, FABRIC, sim, placements, 50)  # fills any lazy module state
     started = not tracemalloc.is_tracing()

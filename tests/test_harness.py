@@ -729,6 +729,46 @@ def test_cli_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, path, content",
+    [
+        ("report", "report.json", '{"passed": true, "scenarios": [{"scenario": "x"}]}'),
+        ("report", "report.json", '{"passed": true, "scenarios": "oops"}'),
+        ("report", "report.json", '{"passed": "yes", "scenarios": []}'),
+        ("run", ".", ""),
+        ("run", "baseline", ""),
+        ("run", "report.json", None),
+    ],
+    ids=[
+        "scenario-without-policies",
+        "scenarios-not-a-list",
+        "passed-not-a-bool",
+        "out-is-a-file",
+        "run-directory-is-a-file",
+        "report-is-a-directory",
+    ],
+)
+def test_cli_exits_2_on_a_corrupt_report_or_an_unwritable_out(
+    tmp_path, capsys, command, path, content
+):
+    # ``path`` under --out holds ``content``, or a directory when it is None;
+    # the error is one line on stderr with nothing on stdout, as for every config error
+    out = tmp_path / "out"
+    target = out / path
+    target.parent.mkdir(parents=True, exist_ok=True)
+    if content is None:
+        target.mkdir()
+    else:
+        target.write_text(content)
+    argv = [command, "--out", str(out)]
+    if command == "run":
+        argv += ["--scenario", "baseline", "--policies", "LOC", "--seeds", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_rejects_a_seed_that_is_not_an_integer(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path), "--seeds", "1,x"]) == 2
     assert "seeds must be integers" in capsys.readouterr().err

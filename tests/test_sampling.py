@@ -177,9 +177,9 @@ def cycle_plans(draw):
     for i in range(n - 1):
         scale = draw(st.floats(0.1, 5.0))
         if draw(st.booleans()):
-            edges.append(EdgePlan(f"T{i}", None, None, scale))
+            edges.append(EdgePlan(None, None, scale))
         else:
-            edges.append(EdgePlan(f"T{i}", ("A", "B"), draw(link_models), scale, "lnk:A:B"))
+            edges.append(EdgePlan(("A", "B"), draw(link_models), scale, "lnk:A:B"))
     return CyclePlan(None, stages, tuple(edges))
 
 

@@ -1,4 +1,4 @@
-"""Keyed random streams: stability, independence, and cache semantics."""
+"""Keyed random streams: stability, independence, and stateless handles."""
 
 import math
 import random
@@ -54,12 +54,12 @@ def test_streams_allow_random_access_order():
     assert forward == list(reversed(backward))
 
 
-def test_at_handle_is_invalidated_by_next_at():
+def test_a_new_handle_restarts_its_step_after_another_step_of_the_tag():
     streams = RandomStreams(11)
     rng = streams.at("a", 0)
     first = rng.random()
     streams.at("a", 1)
-    # the handle was re-keyed in place; a fresh lookup of (a, 0) restarts
+    # another step's handle leaves this one alone; a new handle of (a, 0) restarts
     assert streams.at("a", 0).random() == first
 
 
@@ -133,7 +133,7 @@ def test_extra_draws_leave_other_tags_and_steps_unchanged():
 
 # (tag, step, draws): one at() call, then a run of gauss (True) and random
 # (False) draws from the handle it returns
-memo_calls = st.lists(
+handle_calls = st.lists(
     st.tuples(
         st.sampled_from(["svc:T1", "svc:T2", "lnk:R1:E"]),
         st.integers(0, 3),
@@ -144,12 +144,11 @@ memo_calls = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(master=st.integers(0, 2**64 - 1), calls=memo_calls)
+@given(master=st.integers(0, 2**64 - 1), calls=handle_calls)
 def test_a_handle_replays_its_step_as_a_fresh_handle_draws_it(master, calls):
     # revisits of a step after drawing part of it, past what it drew, and
     # after another step of the tag all draw what a fresh handle of (tag, step) draws
     streams = RandomStreams(master)
-    reached = {}  # tag -> (its current step, the most draws made at it)
     for tag, step, gausses in calls:
         handle = streams.at(tag, step)
         fresh = Draws(derive_seed(master, tag, step))
@@ -158,12 +157,37 @@ def test_a_handle_replays_its_step_as_a_fresh_handle_draws_it(master, calls):
                 assert handle.gauss(1.0, 0.5) == fresh.gauss(1.0, 0.5)
             else:
                 assert handle.random() == fresh.random()
-        current, most = reached.get(tag, (step, 0))
-        most = max(most if current == step else 0, handle.n)
-        reached[tag] = (step, most)
-        # the memo is the uniforms drawn at this step, and nothing more
-        oracle = Draws(fresh.key)
-        assert handle.drawn == [oracle.random() for _ in range(most)]
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_handles_of_one_tag_at_two_steps_each_draw_their_own_step(order):
+    # both handles are taken before either draws, then drawn from in turn
+    streams = RandomStreams(11)
+    handles = {step: streams.at("svc:T1", step) for step in (0, 1)}
+    drawn = {step: [] for step in (0, 1)}
+    for step in order * 2:
+        drawn[step].append(handles[step].random())
+    for step in (0, 1):
+        oracle = Draws(derive_seed(11, "svc:T1", step))
+        assert drawn[step] == [oracle.random(), oracle.random()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=st.integers(0, 2**64 - 1),
+    n=st.integers(0, 10),
+    rewinds=st.lists(st.integers(0, 12), max_size=4),
+)
+def test_a_handle_started_at_n_draws_from_index_n(key, n, rewinds):
+    # Draws(key, n) is Draws(key) after n draws, and a rewind to any index,
+    # below n included, draws what index draws
+    whole = Draws(key)
+    expected = [whole.random() for _ in range(16)]
+    handle = Draws(key, n)
+    assert [handle.random() for _ in range(4)] == expected[n : n + 4]
+    for index in rewinds:
+        handle.n = index
+        assert [handle.random() for _ in range(4)] == expected[index : index + 4]
 
 
 @settings(max_examples=150, deadline=None)
