@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .cost import Constraints, ScoredCandidate, Weights, select_placement, total_cost
 from .estimator import EstimateReport
@@ -149,7 +149,3 @@ def on_window_end(
         )
         return new_state, decision
     return hold(REASON_BELOW_THRESHOLD, choice.cost, delta, feasible)
-
-
-def migration_count(decisions: Sequence[Decision]) -> int:
-    return sum(1 for d in decisions if d.action == ACTION_MIGRATE)

@@ -22,7 +22,7 @@ from .metrics import (
     WindowMetrics,
     aggregate_window,
     class_utilization,
-    ordered_mean,
+    fsum_mean,
     percentile_nearest_rank,
 )
 from .pipeline import Fabric, PipelineDag, Placement
@@ -105,8 +105,8 @@ def estimate_static(
         # the µs -> ms division is monotone, so the rank can be taken on the ints
         l95=percentile_nearest_rank(latencies_us, 0.95) / US_PER_MS,
         violation_rate=violations / samples,
-        util_robot=ordered_mean([per_node[n] for n in robot_ids]),
-        util_edge=ordered_mean([per_node[n] for n in edge_ids]),
+        util_robot=fsum_mean([per_node[n] for n in robot_ids]),
+        util_edge=fsum_mean([per_node[n] for n in edge_ids]),
     )
     return EstimateReport(placement.name, metrics, per_node, samples, MECHANISM_STATIC)
 

@@ -28,7 +28,7 @@ import yaml
 from .controller import ControllerConfig
 from .cost import Constraints, Weights
 from .estimator import EstimatorConfig
-from .metrics import NormalizationTargets, ordered_mean
+from .metrics import NormalizationTargets, fsum_mean
 from .pipeline import (
     CandidateSet,
     ComputeNode,
@@ -272,25 +272,35 @@ def _hints(cls) -> dict[str, Any]:
     return {f.name: eval(f.type, namespace) for f in fields(cls)}
 
 
+# the float fields that also take +inf: a delta_min of .inf never migrates
+_UNBOUNDED = ("delta_min",)
+
+
 def _converted(cls, spec: Mapping, path: str) -> dict:
     """``spec`` with each value converted by the annotation of its field in ``cls``."""
     hints = _hints(cls)
-    return {key: _build(_convert, f"{path}.{key}", hints[key], v) for key, v in spec.items()}
+    return {
+        key: _build(_convert, f"{path}.{key}", hints[key], v, key in _UNBOUNDED)
+        for key, v in spec.items()
+    }
 
 
-def _convert(hint: Any, value: Any) -> Any:
+def _convert(hint: Any, value: Any, unbounded: bool = False) -> Any:
     """A YAML value as the type ``hint`` names.
 
     An ``int`` takes neither a fraction (``8.5`` is not truncated) nor a
-    bool (``true`` is not 1); a ``float`` takes any number but a bool and
-    reads ``1`` as ``1.0``; a ``bool`` or ``str`` takes only itself; a
-    ``tuple`` takes a YAML list, converted item by item.  Any other type (a
-    mapping, a built dataclass) takes the value as given.
+    bool (``true`` is not 1); a ``float`` takes any finite number but a bool
+    (and +inf where ``unbounded``) and reads ``1`` as ``1.0``; a ``bool`` or
+    ``str`` takes only itself; a ``tuple`` takes a YAML list, converted item
+    by item.  Any other type (a mapping, a built dataclass) takes the value
+    as given.
     """
     if hint in (int, float, bool, str):
         accepted = (int, float) if hint is float else hint
         if not isinstance(value, accepted) or isinstance(value, bool) != (hint is bool):
             raise TypeError(f"{value!r} is not {'an' if hint is int else 'a'} {hint.__name__}")
+        if hint is float and not (math.isfinite(value) or unbounded and value == math.inf):
+            raise ValueError(f"{value!r} is not a finite number")
         return hint(value)
     if typing.get_origin(hint) is not tuple:
         return value
@@ -386,8 +396,8 @@ def build_targets(latency: Any, fabric: Fabric, path: str) -> NormalizationTarge
         NormalizationTargets,
         path,
         latency=_build(_convert, path, _hints(NormalizationTargets)["latency"], latency),
-        util_robot=ordered_mean([n.utilization_target for n in robots], 0.8),
-        util_edge=ordered_mean([n.utilization_target for n in edges], 0.8),
+        util_robot=fsum_mean([n.utilization_target for n in robots], 0.8),
+        util_edge=fsum_mean([n.utilization_target for n in edges], 0.8),
     )
 
 
@@ -770,7 +780,7 @@ def evaluate_expectations(
         detail = (
             f"{seed_pass}/{len(posts)} seeds reached {label} occupancy >= "
             f"{expected.min_fraction:.2f} post-convergence (need {needed}; "
-            f"min {min(occupancies):.3f}, mean {ordered_mean(occupancies):.3f}"
+            f"min {min(occupancies):.3f}, mean {fsum_mean(occupancies):.3f}"
         )
         if expected.forbidden:
             detail += f"; forbidden {'+'.join(expected.forbidden)} must stay at 0"
@@ -785,7 +795,7 @@ def evaluate_expectations(
 def _windowed_violation(run: RunResult, windows: Sequence[int]) -> float:
     rates = run.window_violations
     chosen = [rates[k - 1] for k in windows if 0 < k <= len(rates)]
-    return ordered_mean(chosen)
+    return fsum_mean(chosen)
 
 
 def _evaluate_check(
@@ -811,7 +821,7 @@ def _evaluate_check(
         runs = [r for r in runs if r.summary["cycles"]]
         if not runs:
             return ExpectationResult(name, None, f"not evaluated: {policy} ran no cycle")
-        value = ordered_mean([r.summary["violation_rate"] for r in runs])
+        value = fsum_mean([r.summary["violation_rate"] for r in runs])
         return ExpectationResult(
             name,
             value > check.threshold,
@@ -823,7 +833,7 @@ def _evaluate_check(
         if not posts:
             return ExpectationResult(name, None, "not evaluated: no window follows convergence")
         values = [_windowed_violation(r, w) for r, w in posts]
-        value = ordered_mean(values)
+        value = fsum_mean(values)
         return ExpectationResult(
             name,
             value <= check.threshold,
@@ -833,14 +843,16 @@ def _evaluate_check(
     windows = fault_windows(spec) if check.interval == "fault" else range(1, spec.sim.horizon + 1)
     if not windows:
         return ExpectationResult(name, None, f"not evaluated: empty {check.interval} interval")
-    worse_value = ordered_mean([_windowed_violation(r, windows) for r in runs])
-    better_value = ordered_mean([_windowed_violation(r, windows) for r in results[check.versus]])
-    return ExpectationResult(
-        name,
-        worse_value >= check.ratio * better_value,
+    worse_value = fsum_mean([_windowed_violation(r, windows) for r in runs])
+    better_value = fsum_mean([_windowed_violation(r, windows) for r in results[check.versus]])
+    detail = (
         f"{policy} violation {worse_value:.4f} vs {check.versus} "
-        f"{better_value:.4f} over the {check.interval} interval (need {check.ratio}x)",
+        f"{better_value:.4f} over the {check.interval} interval (need {check.ratio}x)"
     )
+    # a ratio over a policy that never violated holds vacuously, so it fails
+    if not worse_value:
+        return ExpectationResult(name, False, f"{detail}: {policy} never violated")
+    return ExpectationResult(name, worse_value >= check.ratio * better_value, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +878,7 @@ def report_payload(reports: Sequence[ScenarioReport]) -> dict:
             "policies": {
                 policy: {
                     "seeds": [r.seed for r in runs],
-                    **{k: ordered_mean([r.summary[s] for r in runs]) for k, s in _MEANS.items()},
+                    **{k: fsum_mean([r.summary[s] for r in runs]) for k, s in _MEANS.items()},
                     "per_seed": [dict(r.summary) for r in runs],
                 }
                 for policy, runs in report.results.items()

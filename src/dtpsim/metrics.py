@@ -8,19 +8,16 @@ edge node classes.
 A run keeps its cycles in a CycleStore: one stdlib ``array`` column per
 field (latency µs, deadline met, busy µs per fabric node, placement), about
 35 bytes per cycle.  A store is read only as columns: whole, or a range of
-them (``CycleStore.columns``).  The aggregates add their floats cycle by
-cycle and node by node, in the order the reports were pinned with.
+them (``CycleStore.columns``).  The aggregates sum the integer µs columns
+exactly and divide once, so no statistic depends on a summation order.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain
 from typing import Mapping, NamedTuple
 
 from .pipeline import Fabric
@@ -31,14 +28,10 @@ from .sampling import US_PER_MS
 _RANK_EPS = 1e-9
 
 
-def ordered_sum(values: Iterable[float]) -> float:
-    """``values`` added left to right from 0.0, as ``sum()`` did before Python 3.12."""
-    return reduce(operator.add, values, 0.0)
-
-
-def ordered_mean(values: Sequence[float], empty: float = 0.0) -> float:
-    """``ordered_sum(values) / len(values)``, or ``empty`` for no values."""
-    return ordered_sum(values) / len(values) if values else empty
+def fsum_mean(values: Sequence[float], empty: float = 0.0) -> float:
+    """The mean of ``values`` from their correctly rounded sum (``math.fsum``),
+    which no interpreter rounds differently; ``empty`` for no values."""
+    return math.fsum(values) / len(values) if values else empty
 
 
 def percentile_nearest_rank(samples: Sequence[float], p: float) -> float:
@@ -203,12 +196,8 @@ def class_utilization(
     """Mean busy fraction across ``nodes`` over the window, clamped to [0, 1]."""
     if not nodes:
         return 0.0
-    columns = [cycles.busy_us[n] for n in nodes if n in cycles.busy_us]
-    # cycle by cycle, node by node, each in ms: the order the reports were pinned with
-    busy = 0.0
-    for us in columns[0] if len(columns) == 1 else chain.from_iterable(zip(*columns)):
-        busy += us / US_PER_MS
-    return min(1.0, max(0.0, busy / (window_duration * len(nodes))))
+    busy_us = sum(sum(cycles.busy_us[n]) for n in nodes if n in cycles.busy_us)
+    return min(1.0, max(0.0, busy_us / (US_PER_MS * window_duration * len(nodes))))
 
 
 def aggregate_window(

@@ -10,9 +10,10 @@ configuration is checked so nominal occupancy fits inside the period.
 A cycle is an integer row (µs) appended to the run's CycleStore, a set of
 stdlib ``array`` columns; the shadow history of each candidate keeps its
 last W rows the same way.  Windows, the summary and ``cycles.csv`` are read
-from the columns, and ``SimTrace.cycles`` is the store itself.  Float sums
-add left to right (``metrics.ordered_sum``), as ``sum()`` did before Python 3.12,
-so no byte of a run depends on the interpreter.
+from the columns, and ``SimTrace.cycles`` is the store itself.  Their sums
+are exact: integer µs summed with ``sum()``, and window means through
+``math.fsum`` (``metrics.fsum_mean``), so no byte of a run depends on the
+interpreter.
 
 Randomness comes from per-purpose substreams addressed by cycle index, so
 stress windows, faults, shadow cycles, and placement changes can never
@@ -54,6 +55,7 @@ import io
 import json
 import math
 import warnings
+from collections import Counter
 from itertools import groupby, repeat
 from operator import add, mul, truediv
 from dataclasses import KW_ONLY, dataclass, replace
@@ -82,9 +84,8 @@ from .metrics import (
     WindowMetrics,
     aggregate_window,
     class_utilization,
+    fsum_mean,
     normalize,  # noqa: F401  bench/tracing.SITES wraps this name here
-    ordered_mean,
-    ordered_sum,
     percentile_nearest_rank,
 )
 from .pipeline import (
@@ -757,11 +758,7 @@ def _build_summary(
         w.decision for w in windows if w.decision and w.decision.action == ACTION_MIGRATE
     ]
     placements = [w.placement for w in windows]
-    occupancy: dict[str, float] = {}
-    for name in placements:
-        occupancy[name] = occupancy.get(name, 0.0) + 1.0
-    if placements:
-        occupancy = {n: c / len(placements) for n, c in sorted(occupancy.items())}
+    occupancy = {n: c / len(placements) for n, c in sorted(Counter(placements).items())}
     return {
         "policy": "controller" if fixed is None else "fixed",
         "initial_placement": controller.initial_placement,
@@ -771,18 +768,15 @@ def _build_summary(
         "window_size": controller.window_size,
         "windows": len(windows),
         "cycles": len(latencies),
-        # cycle by cycle in ms, as the summaries were pinned
-        "mean_latency_ms": (
-            ordered_sum(us / US_PER_MS for us in latencies) / len(latencies) if latencies else 0.0
-        ),
+        "mean_latency_ms": sum(latencies) / (US_PER_MS * len(latencies)) if latencies else 0.0,
         "l95_latency_ms": (
             percentile_nearest_rank(latencies, 0.95) / US_PER_MS if latencies else 0.0
         ),
         "violation_rate": (
             (len(latencies) - columns.met.count(1)) / len(latencies) if latencies else 0.0
         ),
-        "mean_util_robot": ordered_mean([w.metrics.util_robot for w in windows]),
-        "mean_util_edge": ordered_mean([w.metrics.util_edge for w in windows]),
+        "mean_util_robot": fsum_mean([w.metrics.util_robot for w in windows]),
+        "mean_util_edge": fsum_mean([w.metrics.util_edge for w in windows]),
         "migrations": len(migrations),
         "first_migration_window": migrations[0].window_index if migrations else None,
         "placement_occupancy": occupancy,

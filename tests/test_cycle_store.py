@@ -29,7 +29,7 @@ from conftest import (
 )
 from dtpsim import simulation
 from dtpsim.estimator import EstimatorConfig
-from dtpsim.metrics import CycleStore, WindowMetrics, ordered_sum, percentile_nearest_rank
+from dtpsim.metrics import CycleStore, WindowMetrics, percentile_nearest_rank
 from dtpsim.pipeline import ComputeNode, Fabric
 from dtpsim.simulation import (
     FaultInjection,
@@ -70,11 +70,8 @@ def reference_write_cycles_csv(records, fabric, path):
 def reference_utilization(records, window_duration, nodes):
     if not nodes:
         return 0.0
-    busy = 0.0
-    for record in records:
-        for node in nodes:
-            busy += record.busy_time.get(node, 0.0)
-    return min(1.0, max(0.0, busy / (window_duration * len(nodes))))
+    busy_us = sum(round(r.busy_time.get(n, 0.0) * 1000) for r in records for n in nodes)
+    return min(1.0, max(0.0, busy_us / (1000 * window_duration * len(nodes))))
 
 
 def reference_aggregate(records, window_duration, fabric, window_index):
@@ -311,7 +308,8 @@ def test_the_column_writer_matches_the_record_writer(
         window_records = records[(k - 1) * window:k * window]
         assert row.metrics == reference_aggregate(window_records, duration, FABRIC, k)
     latencies = [r.e2e_latency for r in records]
-    assert trace.summary["mean_latency_ms"] == ordered_sum(latencies) / len(latencies)
+    latency_us = sum(round(ms * 1000) for ms in latencies)
+    assert trace.summary["mean_latency_ms"] == latency_us / (1000 * len(latencies))
     assert trace.summary["l95_latency_ms"] == percentile_nearest_rank(latencies, 0.95)
     assert trace.summary["violation_rate"] == (
         sum(1 for r in records if not r.deadline_met) / len(records)

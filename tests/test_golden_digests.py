@@ -6,7 +6,9 @@ cycle engine that reorders draws.  These digests can.  They cover a DTP
 run that migrates under robot stress, DTP and fixed runs that enter and
 leave the network-impairment fault window, and a custom run with
 exogenous stress load, an additive fault and a coarse clock.  When a
-change alters the traces on purpose, re-pin the digests once and say why.
+change alters the traces on purpose, re-pin the digests once and say why:
+``PYTHONPATH=src python tests/test_golden_digests.py`` prints the ``GOLDEN``
+mapping the code computes, to replace the one below.
 """
 
 import hashlib
@@ -56,37 +58,37 @@ GOLDEN = {
     "robot-stress-dtp": {
         "cycles.csv": "a2d3d69fa8a01fefb44d9b5fef004749a6e124458dc8049c7b22cd9645a9dfac",
         "decisions.jsonl": "4606361a377ca175e47e12e3e978c5611af6cae9f591f49f89be1c378435bb93",
-        "summary.json": "8aba70a1216241c46686ae45809b4db8d49a82d896444af706ec42b6c34a59f4",
-        "windows.csv": "df243e239c107d634cb49422f2e64abf0d63398a300bcd25b498f67949bbefe5",
+        "summary.json": "a16c1eb67d4999b8a7b4915c38bfa5a42012280374a7f680190f9de9f88898c9",
+        "windows.csv": "a1bcac5127a2b2079d83d4af3b82093a964288536ac8bf397f8d3890ac569353",
     },
     "impairment-dtp": {
         "cycles.csv": "356e8e1e0e3f46f94a8a4c280623725d7ce08ec706f69c324b141169e42d51e9",
         "decisions.jsonl": "230d6a78be9b1b1a4c1923795c665410ead8edfaa137ebc8c8d1c2dc32c985aa",
-        "summary.json": "595f83869267ae9f55c35317dc287699aadaa63b089ecc556593e5c76b77f05b",
+        "summary.json": "a249982c416dbe01cbe759c0d2c6e9c0d10e17e6280a800f667874ea4f927630",
         "windows.csv": "09d6587cb6cc5db855ce03b359a80f6ee938266dc49db9df2239bb3bb7da53aa",
     },
     "impairment-so": {
         "cycles.csv": "e936723a0b57b1099e94ad27f5f9075507549b68361c4a82f9e8451f9ac1cdd3",
         "decisions.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "summary.json": "d70e2cacf56823431b8bc835149b54d3dee1bfb04dcfc5e6396f37ff9d81edb8",
-        "windows.csv": "d527ad6721801af75c96f2633ba713c4fd9b8161b3b21956ce4e5c70a5bdf657",
+        "summary.json": "b196a0826640f0bf34d8f51205458d3d431b28f821e24d68df08e8b4fc24523f",
+        "windows.csv": "4fc7d6cf31304f5efa4f88d9e854700cd7cbcc46dec11920f5e116edefa66d4f",
     },
     "edge-stress-dtp": {
         "cycles.csv": "d2106fc10969e46849d4d06b55ef3b18a1f67bbd12483b1d0ef6fb53d4f30701",
-        "decisions.jsonl": "f3d5e47bcff296b7674e811e6ef14a1f293bcbbd1ac05b233cea98a616b4c2a5",
-        "summary.json": "61f6251278c8f3de7c61869cd43fdd2424852df09579135aa6ea80f61429d2d3",
+        "decisions.jsonl": "17a9bef4e71aaf1837fa9cd1f0a105241a738b16a479191bf9126c6c4590206f",
+        "summary.json": "5819a18ff481e257abeff2021b979882c00b6ae86b7d339e7e0124eceba55f59",
         "windows.csv": "9e11d46aaf02947b71b915d8a6185ec467dfbd6c6f1f69e297e31ee5bfbec344",
     },
     "baseline-loc": {
         "cycles.csv": "d1671cce437c3223a035713dda5db3e79272752983639d7fd074987a2aea1f26",
         "decisions.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "summary.json": "bf56c568f2b0b3f98a0e0a163678b290c61b6e57610e98f5d5332955fb614386",
-        "windows.csv": "6aabe5cb47fa567d537d6dfe3cd6d5f52bb1d205b4b9790a1f7bd9b69ec5e685",
+        "summary.json": "03b73dc9b2db771f3022ee3fd06862e5783a85ca79e5b1403c2c7a7be0958669",
+        "windows.csv": "facb1f422844e5ee7434d8ea2c21f068fc5cb4d11625cade8222b2d74de38cb4",
     },
     "mixed-hyb": {
         "cycles.csv": "cda79a3ac1e28fd8c9574c619f338fe5bea3d2d03e8fc44f6cb4f8ce7002d922",
         "decisions.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "summary.json": "2553032838a07dae012dbdc43bdfcb39b9aa2f75934462899b98145192a00682",
+        "summary.json": "022e7086f36788537367cfa0fb23cc89134e712102780a178cafcc642e3dbf14",
         "windows.csv": "7164ff67a50fdc03a6d43a5e790ee53a1bf6c35a965a5c697debede2f3eb066f",
     },
 }
@@ -126,3 +128,20 @@ def run_digests(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_traces_match_golden_digests(name, tmp_path):
     assert run_digests(name, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+    import warnings
+    from pathlib import Path
+
+    warnings.simplefilter("ignore", UserWarning)
+    print("GOLDEN = {")
+    for name in RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = run_digests(name, Path(tmp))
+        print(f'    "{name}": {{')
+        for artifact, digest in digests.items():
+            print(f'        "{artifact}": "{digest}",')
+        print("    },")
+    print("}")

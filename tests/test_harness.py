@@ -518,6 +518,20 @@ def test_a_check_over_no_window_is_skip_not_pass(tmp_path, scenario, changes, po
     assert f"[SKIP] {name}: not evaluated: {why}" in render_report(report_payload([report]))
 
 
+def test_a_ratio_over_a_policy_that_never_violated_fails(tmp_path):
+    # a mild fault: SO meets every deadline, and 0.0 >= 5.0 x 0.0 would hold vacuously
+    fault = {"links": [["R1", "E"]], "mu": 1.0, "sigma": 0.1, "start_window": 1}
+    changes = {"network-impairment": {"faults": [fault]}}
+    config = load_config(write_config(tmp_path, {"scenarios": changes}))
+    spec = config.scenarios["network-impairment"]
+    report = run_scenario(config, spec, policies=["SO", "DTP"], seeds=[1])
+    check = next(e for e in report.expectations if e.name == "SO-violation-5.0x-DTP")
+    assert check.passed is False
+    assert check.detail == (
+        "SO violation 0.0000 vs DTP 0.0000 over the fault interval (need 5.0x): "
+        "SO never violated"
+    )
+
 def test_empty_report_renders_empty():
     payload = report_payload([])
     assert payload == {"passed": False, "scenarios": []}
@@ -623,6 +637,27 @@ def test_cli_validate_rejects_non_finite_numbers(tmp_path, capsys, document):
     assert main(["validate", "--config", path]) == 2
     assert "finite" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize(
+    "document, where",
+    [
+        ({"weights": {"alpha_l": float("nan")}}, "weights.alpha_l"),
+        ({"constraints": {"l95_max": float("nan")}}, "constraints.l95_max"),
+        ({"controller": {"latency_target": float("nan")}}, "controller.latency_target"),
+        ({"sim": {"period": float("inf")}}, "sim.period"),
+        (_check_with(kind="policy_violation_above", policy="SO", threshold=float("nan")),
+         "scenarios.baseline.checks[0].threshold"),
+    ],
+    ids=["alpha-l-nan", "l95-max-nan", "latency-target-nan", "period-inf", "threshold-nan"],
+)
+def test_cli_rejects_a_non_finite_float_at_its_path(tmp_path, capsys, document, where):
+    # NaN fails every comparison, so a NaN weight would run to a PASS
+    path = write_config(tmp_path, document)
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}") and "finite" in err
 
 @pytest.mark.parametrize(
     "document, named",

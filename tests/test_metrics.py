@@ -13,7 +13,6 @@ from dtpsim.metrics import (
     aggregate_window,
     class_utilization,
     normalize,
-    ordered_sum,
     percentile_nearest_rank,
 )
 from dtpsim.pipeline import ComputeNode, Fabric
@@ -131,11 +130,3 @@ def test_window_metrics_validates_rates():
         WindowMetrics(1, 10.0, violation_rate=1.5, util_robot=0.0, util_edge=0.0)
     with pytest.raises(ValueError):
         WindowMetrics(1, 10.0, violation_rate=0.0, util_robot=-0.1, util_edge=0.0)
-
-
-def test_ordered_sum_adds_left_to_right_where_fsum_rounds_apart():
-    # sum() of these is 1.0 from Python 3.12 on; the artifacts pin 0.1 added ten times
-    values = [0.1] * 10
-    assert math.fsum(values) == 1.0
-    assert ordered_sum(values) == 0.9999999999999999
-    assert ordered_sum([]) == 0.0

@@ -4,6 +4,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -61,25 +62,19 @@ def test_deterministic_limit_matches_nominal_latency():
             assert record.placement == placement.name
 
 
-def test_summary_means_add_left_to_right_on_every_python():
-    # from Python 3.12 on, sum() compensates float rounding; these runs have
-    # means that compensated (fsum) and plain addition round apart
+def test_summary_means_are_exact_on_every_python():
+    # the latency mean is the integer µs sum divided once, correctly rounded;
+    # the utilization means divide the correctly rounded sum of their windows
     dag = make_dag(cv=0.3, jitter=0.2)
-    rounded_apart = set()
     for seed in (2, 3):
         trace = fixed_run(dag, "SO", SimConfig(40.0, 40.0, horizon=4, seed=seed))
-        for key, values in (
-            ("mean_latency_ms", [us / 1000.0 for us in trace.cycles.columns().latency_us]),
-            ("mean_util_robot", [w.metrics.util_robot for w in trace.windows]),
-            ("mean_util_edge", [w.metrics.util_edge for w in trace.windows]),
-        ):
-            total = 0.0
-            for value in values:
-                total += value
-            assert trace.summary[key] == total / len(values)
-            if math.fsum(values) / len(values) != total / len(values):
-                rounded_apart.add(key)
-    assert rounded_apart == {"mean_latency_ms", "mean_util_robot", "mean_util_edge"}
+        latency_us = trace.cycles.columns().latency_us
+        assert trace.summary["mean_latency_ms"] == float(
+            Fraction(sum(latency_us), 1000 * len(latency_us))
+        )
+        for key in ("util_robot", "util_edge"):
+            values = [getattr(w.metrics, key) for w in trace.windows]
+            assert trace.summary[f"mean_{key}"] == math.fsum(values) / len(values)
 
 
 def test_horizon_zero_produces_empty_trace():
