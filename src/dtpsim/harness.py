@@ -444,6 +444,12 @@ class Check:
         if self.interval not in CHECK_INTERVALS:
             known = ", ".join(CHECK_INTERVALS)
             raise ValueError(f"unknown check interval {self.interval!r} (known: {known})")
+        # a violation rate lies in [0, 1], so any other bound passes or fails whatever the run does
+        if self.kind == "violation_ratio_at_least":
+            if not self.ratio > 0.0:
+                raise ValueError(f"ratio must be > 0, got {self.ratio}")
+        elif not 0.0 <= self.threshold < 1.0:
+            raise ValueError(f"threshold must be in [0, 1), got {self.threshold}")
 
 
 @dataclass(frozen=True)

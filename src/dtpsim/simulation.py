@@ -29,17 +29,20 @@ adopts the store of its own placement whole.
 Active cycles are computed column by column (``_Engine.run_window``): all
 draws of each tag over a range of cycles, in 128-bit lanes of one int
 (``streams.WindowDraws``), then each stage's and each crossing's µs over
-those cycles, then latency and busy time summed column by column.
-``simulate_cycles`` builds the stores of several placements at once this
-way, a block of windows at a time (up to ``BLOCK_CYCLES`` cycles of one
-disturbance state), each tag's draws made once however many of them share
-it (every ``svc:`` tag of ``LOC`` and ``SO``).  ``run_simulation`` runs each
-active window no store holds on the same kernel, one window at a time,
-since the controller picks the next window's placement.  ``run_cycle`` is
-the same computation one cycle at a time; only the shadow cycles of a
-candidate without a store use it.  A cycle plan depends on the window only
-through which stresses and faults are active, so each placement's plan is
-built once per such state (``_plans_by_state``).
+those cycles, one pass per column, then latency and busy time summed
+across the columns.  Both engines run the kernel a block of windows at a
+time: consecutive windows of one disturbance state, at most
+``BLOCK_CYCLES`` cycles, cut by ``_block_draws``.  ``simulate_cycles``
+builds the stores of several placements at once from each block's draws,
+each tag's made once however many placements share it (every ``svc:`` tag
+of ``LOC`` and ``SO``).  ``run_simulation`` runs the block of the active
+candidate when the controller reaches it, ahead of the decisions inside
+it: a cycle's draws are addressed by (tag, cycle), so its row is the same
+whenever it is computed, and a migration only drops the block's unread
+tail.  ``run_cycle`` is the same computation one cycle at a time; only the
+shadow cycles of a candidate without a store use it.  A cycle plan depends
+on the window only through which stresses and faults are active, so each
+placement's plan is built once per such state (``_plans_by_state``).
 
 ``write_cycles_csv`` writes the ``cycles.csv`` files of a seed's runs in
 one pass, a window at a time, and formats a window only if no run before
@@ -56,8 +59,8 @@ import json
 import math
 import warnings
 from collections import Counter
-from itertools import groupby, repeat
-from operator import add, mul, truediv
+from itertools import repeat
+from operator import mul, truediv
 from dataclasses import KW_ONLY, dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -126,9 +129,8 @@ __all__ = [
 ]
 
 PERIOD_RANGE = (20.0, 50.0)
-# simulate_cycles runs a fixed placement's windows in blocks of at most this
-# many cycles: a block's draws are held at once, and past a few hundred
-# lanes a bigger block is no faster
+# the window kernel runs blocks of at most this many cycles: a block's draws
+# are held at once, and past a few hundred lanes a bigger block is no faster
 BLOCK_CYCLES = 250
 
 
@@ -332,6 +334,24 @@ def _plans_by_state(
     return plans
 
 
+def _block_draws(
+    first: int,
+    sim: SimConfig,
+    window: int,
+    stresses: Sequence[StressProfile],
+    faults: Sequence[FaultInjection],
+) -> WindowDraws:
+    """The draws of the block of windows that starts at window ``first``: it
+    runs on while the disturbance state holds, up to ``BLOCK_CYCLES // window``
+    windows (at least one) and never past the horizon."""
+    state = _disturbance_state(first, stresses, faults)
+    last = min(sim.horizon, first + max(1, BLOCK_CYCLES // window) - 1)
+    stop = first + 1
+    while stop <= last and _disturbance_state(stop, stresses, faults) == state:
+        stop += 1
+    return WindowDraws(sim.seed, (first - 1) * window, (stop - 1) * window)
+
+
 class _Engine:
     def __init__(self, fabric: Fabric, sim: SimConfig):
         self.sim = sim
@@ -376,11 +396,12 @@ class _Engine:
         """Cycles ``draws.steps`` of a plan as columns: latency µs, met, and
         busy µs per node; row i is ``run_cycle(plan, draws.steps[i])``.
 
-        Each stage and each crossing is one µs column, computed from the
-        draw columns with the float operations of ``sample_service`` and
-        ``traverse_edge`` in their order.  Latency and busy time are then
-        summed column by column and the fatal cycles patched.  A lost
-        attempt retransmits through ``sample_link`` on draws 3-5 of its step.
+        Each stage and each crossing is one µs column, computed in one pass
+        from the normal columns with the float operations of
+        ``sample_service`` and ``traverse_edge`` in their order.  Latency
+        and busy time are then summed across the columns and the fatal
+        cycles patched.  A lost attempt retransmits through ``sample_link``
+        on draws 3-5 of its step.
         """
         resolution = self.resolution
         count = len(draws.steps)
@@ -395,33 +416,32 @@ class _Engine:
                 continue
             floor = mean * model.floor_fraction
             radius, cosine = draws.normals(stage.tag)
-            values = [
-                floor if floor > (v := mean + sd * r * c) else v for r, c in zip(radius, cosine)
-            ]
-            stage_us.append(_quantize_column(values, stage.slowdown, resolution))
-        latency = _add_columns(stage_us, count)
+            us = _clamped_us(radius, cosine, mean, sd, floor, stage.slowdown, resolution)
+            stage_us.append(us)
+        link_us = []
         fatal: dict[int, int] = {}  # cycle offset -> index of its first edge lost twice
         for j, edge in enumerate(plan.edges):
             if edge.link is None:
                 continue
             link, scale = edge.model, edge.edge_scale
-            mu, sigma = link.base_delay, link.jitter_sigma
+            mu = link.base_delay
             radius, cosine = draws.normals(edge.tag)
-            delays = [v if (v := mu + sigma * r * c) > 0.0 else 0.0 for r, c in zip(radius, cosine)]
-            us = _quantize_column(delays, scale, resolution)
+            us = _clamped_us(radius, cosine, mu, link.jitter_sigma, 0.0, scale, resolution)
             loss = link.loss_probability
             if loss > 0.0:  # a draw in [0, 1) is never below a zero loss
                 timeout_us = quantize_us(4.0 * mu * scale, resolution)
                 keys = draws.keys(edge.tag)
-                for i, u in enumerate(draws.uniforms(edge.tag, 2)):
-                    if u >= loss:
+                limit = loss * 2.0**53  # u < loss exactly when m < loss * 2**53
+                for i, m in enumerate(draws.integers(edge.tag, 2)):
+                    if m >= limit:
                         continue
                     delay, lost = sample_link(link, Draws(keys[i], 3))
                     if lost:
                         fatal.setdefault(i, j)
                     else:
                         us[i] = timeout_us + quantize_us(delay * scale, resolution)
-            latency = list(map(add, latency, us))
+            link_us.append(us)
+        latency = _add_columns([*stage_us, *link_us], count)
         exogenous = dict(plan.exogenous_us)
         busy = [
             _add_columns(
@@ -443,19 +463,36 @@ class _Engine:
         return latency, met, busy
 
 
-def _quantize_column(values_ms: Sequence[float], scale: float, resolution: int) -> list[int]:
-    """``quantize_us(value * scale, resolution)`` of each value, inlined."""
+def _clamped_us(
+    radius: Sequence[float],
+    cosine: Sequence[float],
+    mu: float,
+    sigma: float,
+    low: float,
+    scale: float,
+    resolution: int,
+) -> list[int]:
+    """``quantize_us(max(mu + sigma * r * c, low) * scale, resolution)`` of
+    each lane, in one pass: ``sample_service``'s draw with ``low`` its
+    floor, or ``traverse_edge``'s first attempt with ``low`` 0.0.  Its
+    ``max(0.0, v)`` differs from ``max(v, 0.0)`` only at v = -0.0, which
+    rounds to the same 0 µs."""
+    lanes = zip(radius, cosine)
     if resolution == 1:
-        return [round(v * scale * US_PER_MS) for v in values_ms]
-    return [round(v * scale * US_PER_MS / resolution) * resolution for v in values_ms]
+        return [
+            round((low if low > (v := mu + sigma * r * c) else v) * scale * US_PER_MS)
+            for r, c in lanes
+        ]
+    return [
+        round((low if low > (v := mu + sigma * r * c) else v) * scale * US_PER_MS / resolution)
+        * resolution
+        for r, c in lanes
+    ]
 
 
 def _add_columns(columns: Sequence[Sequence[int]], count: int, constant: int = 0) -> list[int]:
     """The element-wise sum of ``count``-long columns, plus ``constant``."""
-    total = [constant] * count
-    for column in columns:
-        total = list(map(add, total, column))
-    return total
+    return list(map(sum, zip(*columns), repeat(constant))) if columns else [constant] * count
 
 
 def check_disturbances(
@@ -589,11 +626,15 @@ def run_simulation(
 ) -> SimTrace:
     """Simulate ``sim.horizon`` windows of ``controller.window_size`` cycles.
 
-    The engine is the environment of ``run_horizon``: per window it runs
-    the active cycles, as one ``_Engine.run_window`` call, and shadow
-    cycles for the inactive candidates at every ``ceil(W / 4)``-th index,
-    one ``run_cycle`` each, and returns the estimates.  Migrations apply
-    at the next cycle release.
+    The engine is the environment of ``run_horizon``: per window it reads
+    the active cycles, runs shadow cycles for the inactive candidates at
+    every ``ceil(W / 4)``-th index, one ``run_cycle`` each, and returns the
+    estimates.  Migrations apply at the next cycle release.  The active
+    candidate's cycles are run ahead in blocks (``_block_draws``): at a
+    window no block of it covers, one ``WindowDraws`` and one
+    ``_Engine.run_window`` call compute its rows up to the end of the
+    block, and later windows read them while it stays active.  At most
+    one block is held; a migration drops its unread tail.
     ``fixed`` names a member of ``controller.candidates`` that stays active
     for the whole run: the controller then runs over that one candidate,
     so a fixed window is scored by the same code as a controlled one.
@@ -653,16 +694,29 @@ def run_simulation(
     observed: list[tuple[WindowMetrics, str]] = []
 
     window_plans = _plans_by_state(simulated, stresses, faults, dag, sim)
+    ahead: tuple[str, int, CycleStore] | None = None  # name, first cycle and rows of a block
+
+    def run_block(k: int, name: str) -> tuple[str, int, CycleStore]:
+        """The cycles of ``name`` from window k to the end of its block."""
+        draws = _block_draws(k, sim, window, stresses, faults)
+        block = CycleStore(engine.node_ids, sim.period, (name,))
+        block.append_columns(*engine.run_window(window_plans(k)[name], draws), 0)
+        return name, draws.steps.start, block
 
     def environment(k: int, placement: Placement):
+        nonlocal ahead
         plans = window_plans(k)
         active = names.index(placement.name)
         start = (k - 1) * window
         stop = start + window
+        if ahead is not None and (ahead[0] != placement.name or stop > ahead[1] + len(ahead[2])):
+            ahead = None  # a migration or the end of the block drops it before another runs
         known = known_cycles.get(placement.name)
         if known is None:
-            plan = plans[placement.name]
-            cycles.append_columns(*engine.run_window(plan, WindowDraws(sim.seed, start, stop)), active)
+            if ahead is None:
+                ahead = run_block(k, placement.name)
+            _, first, block = ahead
+            cycles.extend(block, start - first, stop - first, active)
         elif known is not cycles:
             cycles.extend(known, start, stop, active)
         for name, store in known_cycles.items():
@@ -713,12 +767,11 @@ def simulate_cycles(
     with the same arguments and a window of ``window`` cycles, and that
     run adopts it as its cycles when passed ``known_cycles={name: store}``.
 
-    The windows run in blocks: consecutive windows of one disturbance
-    state, at most ``BLOCK_CYCLES // window`` of them (at least one).  A
-    block is one ``WindowDraws``, which makes the draws of every tag the
-    placements use, each key and column once, and one
-    ``_Engine.run_window`` per placement turns them into its columns; only
-    one block of draws is held at a time.  Each placement's plan is built
+    The windows run in the blocks ``_block_draws`` cuts.  A block is one
+    ``WindowDraws``, which makes the draws of every tag the placements
+    use, each key and column once, and one ``_Engine.run_window`` per
+    placement turns them into its columns; only one block of draws is
+    held at a time.  Each placement's plan is built
     once per disturbance state.  The checks are those of
     ``run_simulation``, but only the runs that adopt the stores warn about
     stressed occupancy.  A ValueError also rejects two placements of one
@@ -733,15 +786,12 @@ def simulate_cycles(
     engine = _Engine(fabric, sim)
     stores = {name: CycleStore(engine.node_ids, sim.period, (name,)) for name in names}
     window_plans = _plans_by_state(placements, stresses, faults, dag, sim)
-    per_block = max(1, BLOCK_CYCLES // window)
-    windows = range(1, sim.horizon + 1)
-    for _, same in groupby(windows, lambda k: _disturbance_state(k, stresses, faults)):
-        same = list(same)
-        plans = window_plans(same[0])
-        for block in (same[i : i + per_block] for i in range(0, len(same), per_block)):
-            draws = WindowDraws(sim.seed, (block[0] - 1) * window, block[-1] * window)
-            for name, store in stores.items():
-                store.append_columns(*engine.run_window(plans[name], draws), 0)
+    k = 1
+    while k <= sim.horizon:
+        draws = _block_draws(k, sim, window, stresses, faults)
+        for name, store in stores.items():
+            store.append_columns(*engine.run_window(window_plans(k)[name], draws), 0)
+        k = draws.steps.stop // window + 1
     return stores
 
 

@@ -19,7 +19,11 @@ uniforms, with no cached second normal, so every draw has a fixed address
 cycle: it makes the draws of a range of steps tag by tag, column by
 column, each key and each column once however many placements read them.
 Each step is a 128-bit lane of one int, so splitmix64 mixes a column in a
-dozen big-int operations, and ``map`` chains make ``Draws``' float operations.
+dozen big-int operations.  A draw column holds the 53-bit integers m
+that ``Draws.random`` scales by 2**-53 into its uniform, and each
+Box-Muller column is one pass over such integers that makes ``Draws``'
+float operations bit for bit without building the uniforms
+(``WindowDraws.normals`` says why each step is exact).
 
 ``fresh(tag)`` still returns a Mersenne Twister ``random.Random``, seeded
 once, for batch Monte Carlo whose caller owns the whole sequence.
@@ -33,8 +37,6 @@ import sys
 import zlib
 from array import array
 from functools import lru_cache
-from itertools import repeat
-from operator import mul, sub
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -112,51 +114,74 @@ class WindowDraws:
     share a tag share its draws.
     """
 
-    __slots__ = ("master_seed", "steps", "_keys", "_columns", "_normals")
+    __slots__ = ("master_seed", "steps", "_offsets", "_keys", "_draws", "_normals")
 
     def __init__(self, master_seed: int, start: int, stop: int):
         if start < 0 or stop < start:
             raise ValueError(f"window steps [{start}, {stop}) are not a range of cycles")
         self.master_seed = int(master_seed)
         self.steps = range(start, stop)
+        ones, ramp, mask, _ = _lanes(stop - start)
+        # each step's step * golden, which every tag's key mixes in; it fits
+        # its lane: (2**64 + count) * golden < 2**128
+        self._offsets = ((start & _MASK64) * ones + ramp) * _GOLDEN & mask
         self._keys: dict[str, int] = {}
-        self._columns: dict[tuple[str, int], list[float]] = {}
+        self._draws: dict[tuple[str, int], array] = {}
         self._normals: dict[str, tuple[list[float], list[float]]] = {}
 
     def _packed_keys(self, tag: str) -> int:
         keys = self._keys.get(tag)
         if keys is None:
-            ones, ramp, mask, _ = _lanes(len(self.steps))
-            # step * golden fits its lane: (2**64 + count) * golden < 2**128
-            steps = (self.steps.start & _MASK64) * ones + ramp
+            ones, _, mask, _ = _lanes(len(self.steps))
             base = _tag_base(self.master_seed, tag) * ones
-            keys = self._keys[tag] = _mix64_lanes(base ^ (steps * _GOLDEN & mask), mask) & mask
+            keys = self._keys[tag] = _mix64_lanes(base ^ self._offsets, mask) & mask
         return keys
+
+    def _packed_draws(self, tag: str, n: int) -> int:
+        """The top 53 bits of draw ``n`` of each step, one per lane."""
+        ones, _, mask, top53 = _lanes(len(self.steps))
+        x = _mix64_lanes(self._packed_keys(tag) ^ (n * _GOLDEN & _MASK64) * ones, mask)
+        return x >> 11 & top53
 
     def keys(self, tag: str) -> list[int]:
         """``derive_seed(master_seed, tag, step)`` of each step."""
         return _unpacked(self._packed_keys(tag), len(self.steps)).tolist()
 
-    def uniforms(self, tag: str, n: int) -> list[float]:
-        """Draw ``n`` of each step: the top 53 bits of its lane, times 2**-53."""
-        column = self._columns.get((tag, n))
+    def integers(self, tag: str, n: int) -> array:
+        """Draw ``n`` of each step as the integer m below 2**53 whose
+        uniform is ``m * 2**-53``; ``u < p`` exactly when ``m < p * 2**53``."""
+        column = self._draws.get((tag, n))
         if column is None:
-            ones, _, mask, top53 = _lanes(len(self.steps))
-            x = _mix64_lanes(self._packed_keys(tag) ^ (n * _GOLDEN & _MASK64) * ones, mask)
-            column = _unpacked(x >> 11 & top53, len(self.steps))
-            column = self._columns[tag, n] = list(map(mul, column, repeat(2.0**-53)))
+            column = self._draws[tag, n] = _unpacked(self._packed_draws(tag, n), len(self.steps))
         return column
 
     def normals(self, tag: str) -> tuple[list[float], list[float]]:
         """The Box-Muller radius and cosine of draws 0 and 1 of each step, so
-        the first ``gauss(mu, sigma)`` of step i is ``mu + sigma * r[i] * c[i]``."""
+        the first ``gauss(mu, sigma)`` of step i is ``mu + sigma * r[i] * c[i]``.
+
+        Both are ``Draws.gauss``' ``sqrt(-2.0 * log(1.0 - u0))`` and
+        ``cos(_TWO_PI * u1)`` bit for bit, with no uniform column built:
+
+        * ``1.0 - u0`` is ``(2**53 - m0) * 2**-53``.  With u0 = m0 * 2**-53
+          below 1, the difference is a multiple of 2**-53 in (0, 1], which a
+          double holds exactly, so ``1.0 - u0`` rounds nothing; the lanes
+          subtract ``m0`` from 2**53 without a borrow, and the scaling by a
+          power of two is exact too.
+        * ``_TWO_PI * u1`` is ``(_TWO_PI * 2**-53) * m1``.  Scaling by 2**-53
+          is exact on both sides (m1 < 2**53 converts exactly), so both are
+          the one real product ``2π * m1 * 2**-53`` rounded once.
+        """
         normals = self._normals.get(tag)
         if normals is None:
-            # sqrt(-2.0 * log(1.0 - u0)) and cos(_TWO_PI * u1), as Draws.gauss
-            radius = map(sub, repeat(1.0), self.uniforms(tag, 0))
-            radius = list(map(math.sqrt, map(mul, repeat(-2.0), map(math.log, radius))))
-            cosine = list(map(math.cos, map(mul, repeat(_TWO_PI), self.uniforms(tag, 1))))
-            normals = self._normals[tag] = (radius, cosine)
+            count = len(self.steps)
+            ones = _lanes(count)[0]
+            complement = _unpacked((ones << 53) - self._packed_draws(tag, 0), count)
+            angles = _unpacked(self._packed_draws(tag, 1), count)
+            log, sqrt, cos, turn = math.log, math.sqrt, math.cos, _TWO_PI * 2.0**-53
+            normals = self._normals[tag] = (
+                [sqrt(-2.0 * log(k * 2.0**-53)) for k in complement],
+                [cos(turn * m) for m in angles],
+            )
         return normals
 
 

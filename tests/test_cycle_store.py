@@ -218,6 +218,48 @@ def test_simulate_cycles_holds_one_block_at_a_time():
     assert peak - held < 1.5 * block
 
 
+def test_run_simulation_holds_one_block_at_a_time():
+    """Over 2,000 cycles, a DTP run that migrates (so blocks of 250 cycles run
+    ahead and some are cut short) peaks above its trace by less than one
+    block of every simulated candidate: their draws and columns."""
+    dag = make_dag(cv=0.3, jitter=0.2, loss=0.05)
+    sim = SimConfig(40.0, 40.0, horizon=40, seed=3)
+    controller = controller_policy(dag, window_size=50, n_min=0)
+    stresses = (StressProfile("R1", 5, 40, slowdown=2.5),)
+    estimator = EstimatorConfig(static_samples=100)
+    engine = simulation._Engine(FABRIC, sim)
+    plans = simulation._window_plans(1, list(controller.candidates), (), (), dag, sim)
+
+    def run():
+        return run_simulation(dag, FABRIC, sim, controller, stresses=stresses,
+                              estimator=estimator)
+
+    run()  # fills any lazy module state
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        trace = run()
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        draws = WindowDraws(sim.seed, 0, simulation.BLOCK_CYCLES)
+        columns = [engine.run_window(plan, draws) for plan in plans.values()]
+        gc.collect()
+        block = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(columns) == len(controller.candidates) == 3
+    assert len(trace.cycles) == 2000 and trace.summary["migrations"] > 1
+    assert held > before
+    assert peak - held < 1.5 * block
+
+
 def test_a_trace_retains_under_64_bytes_per_cycle():
     """2,000 cycles of a fixed run live in columns: the trace holds under 64 B
     per cycle (a record with its busy-time dict held over 400)."""

@@ -659,12 +659,41 @@ def test_cli_rejects_a_non_finite_float_at_its_path(tmp_path, capsys, document, 
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}") and "finite" in err
 
+
+@pytest.mark.parametrize(
+    "check, where",
+    [
+        ({"kind": "policy_violation_above", "policy": "LOC", "threshold": -1.0}, "threshold"),
+        ({"kind": "policy_violation_above", "policy": "LOC", "threshold": 1.0}, "threshold"),
+        ({"kind": "post_convergence_violation_below", "threshold": 1.0}, "threshold"),
+        ({"kind": "post_convergence_violation_below", "threshold": -0.1}, "threshold"),
+        ({"kind": "violation_ratio_at_least", "policy": "SO", "versus": "DTP", "ratio": 0.0},
+         "ratio"),
+        ({"kind": "violation_ratio_at_least", "policy": "SO", "versus": "DTP", "ratio": -2.0},
+         "ratio"),
+        # an omitted ratio is 0, which every pair of runs meets
+        ({"kind": "violation_ratio_at_least", "policy": "SO", "versus": "DTP"}, "ratio"),
+    ],
+    ids=["above-negative", "above-one", "below-one", "below-negative", "ratio-zero",
+         "ratio-negative", "ratio-omitted"],
+)
+def test_cli_rejects_a_check_bound_that_decides_nothing(tmp_path, capsys, check, where):
+    # a violation rate lies in [0, 1]: threshold -1.0 printed [PASS] for any run
+    path = write_config(tmp_path, {"scenarios": {"baseline": {"checks": [check], "seeds": [1]}}})
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out"), "--scenario",
+                                   "baseline"]):
+        assert main([*command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenarios.baseline.checks[0]: {where} must be"), err
+    assert not (tmp_path / "out").exists()
+
 @pytest.mark.parametrize(
     "document, named",
     [
         (_check_with(kind="policy_violation_below"), "policy_violation_below"),
         (_check_with(kind="policy_violation_above", policy="LOCO"), "LOCO"),
-        (_check_with(kind="violation_ratio_at_least", policy="SO", versus="DPT"), "DPT"),
+        (_check_with(kind="violation_ratio_at_least", policy="SO", versus="DPT", ratio=2.0),
+         "DPT"),
         (_stress_with(slowdown=2.0, target="R9"), "R9"),
         (_fault_with(mu=5.0, links=[["R1", "R9"]]), "R1->R9"),
         # a misspelt interval is not read as "all"

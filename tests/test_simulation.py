@@ -443,18 +443,20 @@ def test_every_dtp_cycle_equals_the_fixed_run_cycle_of_its_placement(
     sim = SimConfig(period=50.0, deadline=30.0, horizon=horizon, seed=seed)
     controller = controller_policy(dag, window_size=window_size, n_min=0)
     disturbances = {"stresses": (stress,), "faults": (fault,)}
-    ran = []  # (placement, cycle, row) of every cycle the kernel or run_cycle computes
+    # (placement, cycle, row) of every cycle run_cycle (the shadows) and the
+    # kernel (the active blocks, run ahead) compute
+    shadow, active = [], []
     run_cycle = simulation._Engine.run_cycle
     run_window = simulation._Engine.run_window
 
     def recording_run_cycle(engine, plan, cycle_index):
         row = run_cycle(engine, plan, cycle_index)
-        ran.append((plan.placement.name, cycle_index, row))
+        shadow.append((plan.placement.name, cycle_index, row))
         return row
 
     def recording_run_window(engine, plan, draws):
         latency, met, busy = columns = run_window(engine, plan, draws)
-        ran.extend(
+        active.extend(
             (plan.placement.name, cycle_index, (latency[i], met[i], [c[i] for c in busy]))
             for i, cycle_index in enumerate(draws.steps)
         )
@@ -464,13 +466,15 @@ def test_every_dtp_cycle_equals_the_fixed_run_cycle_of_its_placement(
             mock.patch.object(simulation._Engine, "run_window", recording_run_window):
         run_simulation(dag, FABRIC, sim, controller,
                        estimator=EstimatorConfig(static_samples=100), **disturbances)
+    ran = shadow + active
     fixed = {
         name: run_simulation(dag, FABRIC, sim, controller, fixed=name, **disturbances).cycles
         for name in {name for name, _, _ in ran}
     }
     assert all(store.names == (name,) for name, store in fixed.items())
     fixed_rows = {name: store_rows(store) for name, store in fixed.items()}
-    assert len(ran) > horizon * window_size  # shadow cycles ran too
+    # a block run ahead can outlive a migration, so only run_cycle proves a shadow ran
+    assert shadow and len(active) >= horizon * window_size
     for name, cycle_index, row in ran:
         assert row == fixed_rows[name][cycle_index]
 
@@ -585,6 +589,46 @@ def test_blocks_and_state_switches_keep_every_row_of_the_oracle(resolution, dist
     assert store_rows(dtp.cycles) == trace_reference_rows(dtp, reference, 50)
     # disturbed, the DTP run migrates, so it crosses placements as well as states
     assert (len({w.placement for w in dtp.windows}) > 1) == disturbed
+
+
+@pytest.mark.parametrize("resolution", [1, 4])
+def test_blocks_run_ahead_keep_every_active_row_of_the_oracle(resolution):
+    """W = 7 over 80 windows, so a block may run 35 windows ahead of the
+    controller: a stress over windows 20-50 and a fault over windows 60-64
+    cut blocks short, and DTP migrates inside blocks, dropping their tails."""
+    window = 7
+    dag = make_dag(cv=0.3, jitter=0.2, loss=0.05)
+    disturbances = {
+        "stresses": (StressProfile("R1", 20, 50, slowdown=2.5, exogenous_load=0.1),),
+        "faults": (FaultInjection((("R1", "E"), ("E", "R2")), 2.0, sigma=0.5,
+                                  loss_probability=0.3, start_window=60, end_window=64,
+                                  additive=True),),
+    }
+    sim = SimConfig(50.0, 30.0, horizon=80, seed=11, clock_resolution_us=resolution)
+    controller = controller_policy(dag, window_size=window)
+    blocks = []  # (placement, first window, window after the last) of each run_window call
+    run_window = simulation._Engine.run_window
+
+    def recording_run_window(engine, plan, draws):
+        first, stop = (1 + i // window for i in (draws.steps.start, draws.steps.stop))
+        blocks.append((plan.placement.name, first, stop))
+        return run_window(engine, plan, draws)
+
+    with mock.patch.object(simulation._Engine, "run_window", recording_run_window):
+        dtp = run_simulation(dag, FABRIC, sim, controller,
+                             estimator=EstimatorConfig(static_samples=100), **disturbances)
+    reference = reference_rows(dag, FABRIC, sim, list(controller.candidates), window,
+                               **disturbances)
+    assert len(dtp.cycles) == sim.horizon * window
+    assert store_rows(dtp.cycles) == trace_reference_rows(dtp, reference, window)
+    per_block = simulation.BLOCK_CYCLES // window
+    assert per_block == 35
+    assert all(0 < stop - first <= per_block for _, first, stop in blocks)
+    migrations = {d.window_index + 1 for d in dtp.decisions if d.action == "migrate"}
+    # a migration inside a block: the next block starts before that one ends
+    assert any(b[1] < a[2] and b[1] in migrations for a, b in zip(blocks, blocks[1:]))
+    # a switch inside a block: a block ends at a switch before its 35 windows
+    assert {20, 51, 60, 65} <= {stop for _, first, stop in blocks if stop - first < per_block}
 
 
 def test_simulate_cycles_builds_one_plan_per_placement_and_disturbance_state():

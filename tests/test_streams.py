@@ -206,7 +206,9 @@ def test_window_draws_are_the_draws_of_each_step(master, start, count, tag):
     assert window.keys(tag) == keys
     draws = [[handle.random() for _ in range(6)] for handle in map(Draws, keys)]
     for n in range(6):
-        assert window.uniforms(tag, n) == [d[n] for d in draws]
+        column = window.integers(tag, n)
+        assert all(0 <= m < 2**53 for m in column)
+        assert [m * 2.0**-53 for m in column] == [d[n] for d in draws]
     radius, cosine = window.normals(tag)
     assert radius == [math.sqrt(-2.0 * math.log(1.0 - d[0])) for d in draws]
     assert cosine == [math.cos(2.0 * math.pi * d[1]) for d in draws]
