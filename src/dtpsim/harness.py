@@ -439,13 +439,19 @@ class Check:
             raise ValueError(f"unknown check kind {self.kind!r} (known: {known})")
         if self.kind != "post_convergence_violation_below" and not self.policy:
             raise ValueError(f"a {self.kind} check needs a policy")
-        if self.kind == "violation_ratio_at_least" and not self.versus:
+        ratio_kind = self.kind == "violation_ratio_at_least"
+        if ratio_kind and not self.versus:
             raise ValueError("a violation_ratio_at_least check needs a versus policy")
         if self.interval not in CHECK_INTERVALS:
             known = ", ".join(CHECK_INTERVALS)
             raise ValueError(f"unknown check interval {self.interval!r} (known: {known})")
+        # a key the kind never reads would be scored as if it were absent
+        ignored = ("threshold",) if ratio_kind else ("versus", "ratio", "interval")
+        for f in fields(self):
+            if f.name in ignored and getattr(self, f.name) != f.default:
+                raise ValueError(f"{f.name} must be left out: a {self.kind} check ignores it")
         # a violation rate lies in [0, 1], so any other bound passes or fails whatever the run does
-        if self.kind == "violation_ratio_at_least":
+        if ratio_kind:
             if not self.ratio > 0.0:
                 raise ValueError(f"ratio must be > 0, got {self.ratio}")
         elif not 0.0 <= self.threshold < 1.0:

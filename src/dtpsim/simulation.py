@@ -31,18 +31,18 @@ draws of each tag over a range of cycles, in 128-bit lanes of one int
 (``streams.WindowDraws``), then each stage's and each crossing's µs over
 those cycles, one pass per column, then latency and busy time summed
 across the columns.  Both engines run the kernel a block of windows at a
-time: consecutive windows of one disturbance state, at most
-``BLOCK_CYCLES`` cycles, cut by ``_block_draws``.  ``simulate_cycles``
-builds the stores of several placements at once from each block's draws,
-each tag's made once however many placements share it (every ``svc:`` tag
-of ``LOC`` and ``SO``).  ``run_simulation`` runs the block of the active
-candidate when the controller reaches it, ahead of the decisions inside
-it: a cycle's draws are addressed by (tag, cycle), so its row is the same
-whenever it is computed, and a migration only drops the block's unread
-tail.  ``run_cycle`` is the same computation one cycle at a time; only the
-shadow cycles of a candidate without a store use it.  A cycle plan depends
-on the window only through which stresses and faults are active, so each
-placement's plan is built once per such state (``_plans_by_state``).
+time and walk the one schedule ``_schedule`` cuts per run: runs of windows
+with the same stresses and faults active, at most ``BLOCK_CYCLES`` cycles
+each, with each placement's plan, built once per such state.
+``simulate_cycles`` builds the stores of several placements at once from
+each block's draws, each tag's made once however many placements share it
+(every ``svc:`` tag of ``LOC`` and ``SO``).  ``run_simulation`` runs the
+active candidate from the window the controller reaches to the end of its
+block, ahead of the decisions inside it: a cycle's draws are addressed by
+(tag, cycle), so its row is the same whenever it is computed, and a
+migration only drops the block's unread tail.  ``run_cycle`` is the same
+computation one cycle at a time; only the shadow cycles of a candidate
+without a store use it.
 
 ``write_cycles_csv`` writes the ``cycles.csv`` files of a seed's runs in
 one pass, a window at a time, and formats a window only if no run before
@@ -267,13 +267,6 @@ class SimTrace:
         return [w.decision for w in self.windows if w.decision is not None]
 
 
-def _disturbance_state(
-    window_index: int, stresses: Sequence[StressProfile], faults: Sequence[FaultInjection]
-) -> tuple[bool, ...]:
-    """Which stresses and faults are active in a window, in their order."""
-    return tuple(d.active(window_index) for d in (*stresses, *faults))
-
-
 def _window_plans(
     window_index: int,
     placements: Sequence[Placement],
@@ -284,9 +277,8 @@ def _window_plans(
 ) -> dict[str, CyclePlan]:
     """Compile each placement's cycle plan under the stress and faults of one window.
 
-    The plans depend on the window only through its ``_disturbance_state``,
-    so the engine builds them on the first window of each state and reuses
-    them (``_plans_by_state``).
+    They depend on the window only through which stresses and faults are
+    active in it, so ``_schedule`` builds them once per such state.
     """
     slowdown: dict[NodeId, float] = {}
     exogenous: dict[NodeId, float] = {}
@@ -314,42 +306,32 @@ def _window_plans(
     }
 
 
-def _plans_by_state(
+def _schedule(
     placements: Sequence[Placement],
     stresses: Sequence[StressProfile],
     faults: Sequence[FaultInjection],
     dag: PipelineDag,
     sim: SimConfig,
-) -> Callable[[int], dict[str, CyclePlan]]:
-    """``_window_plans`` of a window, built once per disturbance state: a
-    window whose state came before gets the plans of the first such window."""
-    built: dict[tuple[bool, ...], dict[str, CyclePlan]] = {}
-
-    def plans(window_index: int) -> dict[str, CyclePlan]:
-        state = _disturbance_state(window_index, stresses, faults)
-        if state not in built:
-            built[state] = _window_plans(window_index, placements, stresses, faults, dag, sim)
-        return built[state]
-
-    return plans
-
-
-def _block_draws(
-    first: int,
-    sim: SimConfig,
     window: int,
-    stresses: Sequence[StressProfile],
-    faults: Sequence[FaultInjection],
-) -> WindowDraws:
-    """The draws of the block of windows that starts at window ``first``: it
-    runs on while the disturbance state holds, up to ``BLOCK_CYCLES // window``
-    windows (at least one) and never past the horizon."""
-    state = _disturbance_state(first, stresses, faults)
-    last = min(sim.horizon, first + max(1, BLOCK_CYCLES // window) - 1)
-    stop = first + 1
-    while stop <= last and _disturbance_state(stop, stresses, faults) == state:
-        stop += 1
-    return WindowDraws(sim.seed, (first - 1) * window, (stop - 1) * window)
+) -> list[tuple[range, dict[str, CyclePlan]]]:
+    """The horizon's windows cut into blocks, each with every placement's plan:
+    a block is a run of consecutive windows in which the same stresses and
+    faults are active, at most ``BLOCK_CYCLES // window`` of them and at
+    least one.  The plans are built once per such state, even one that
+    comes back."""
+    built: dict[tuple[bool, ...], dict[str, CyclePlan]] = {}
+    size = max(1, BLOCK_CYCLES // window)
+    blocks: list[tuple[range, dict[str, CyclePlan]]] = []
+    for k in range(1, sim.horizon + 1):
+        state = tuple(d.active(k) for d in (*stresses, *faults))
+        if state not in built:
+            built[state] = _window_plans(k, placements, stresses, faults, dag, sim)
+        plans = built[state]
+        if blocks and blocks[-1][1] is plans and len(blocks[-1][0]) < size:
+            blocks[-1] = (range(blocks[-1][0].start, k + 1), plans)
+        else:
+            blocks.append((range(k, k + 1), plans))
+    return blocks
 
 
 class _Engine:
@@ -517,11 +499,12 @@ def _check_known_cycles(
     placements: Sequence[Placement],
     nodes: Sequence[str],
     count: int,
+    period: float,
 ) -> None:
     """Reject known cycles that cannot come from a fixed run of this shape:
     a name outside the candidates, anything but a CycleStore, a length other
     than ``count`` (horizon x window), cycles of another placement or more
-    than one, or busy columns of other nodes."""
+    than one, busy columns of other nodes, or a release period other than ``period``."""
     names = {p.name for p in placements}
     for name, store in known.items():
         if name not in names:
@@ -540,6 +523,8 @@ def _check_known_cycles(
             raise ValueError(f"known cycles of {name!r}: cycles of {', '.join(store.names)}")
         if store.nodes != tuple(nodes):
             raise ValueError(f"known cycles of {name!r}: busy columns of {store.nodes}")
+        if store.period != period:
+            raise ValueError(f"known cycles of {name!r}: a period of {store.period} ms")
 
 
 def _check_run(
@@ -629,12 +614,12 @@ def run_simulation(
     The engine is the environment of ``run_horizon``: per window it reads
     the active cycles, runs shadow cycles for the inactive candidates at
     every ``ceil(W / 4)``-th index, one ``run_cycle`` each, and returns the
-    estimates.  Migrations apply at the next cycle release.  The active
-    candidate's cycles are run ahead in blocks (``_block_draws``): at a
-    window no block of it covers, one ``WindowDraws`` and one
-    ``_Engine.run_window`` call compute its rows up to the end of the
-    block, and later windows read them while it stays active.  At most
-    one block is held; a migration drops its unread tail.
+    estimates.  Migrations apply at the next cycle release.  The windows
+    fall in the blocks of ``simulate_cycles`` (``_schedule``): at a window
+    of the active candidate that no rows cover, one ``WindowDraws`` and one
+    ``_Engine.run_window`` call compute its rows to the end of the window's
+    block, and later windows of the block read them while it stays active.
+    At most one such run is held; a migration drops its unread tail.
     ``fixed`` names a member of ``controller.candidates`` that stays active
     for the whole run: the controller then runs over that one candidate,
     so a fixed window is scored by the same code as a controlled one.
@@ -647,7 +632,7 @@ def run_simulation(
     needs no cycle plan.  A fixed run adopts the store of its placement as
     its ``cycles``.
     Only the shape is checked: a ValueError rejects anything but a store, a
-    wrong length, or cycles of another placement or node set.
+    wrong length or period, or cycles of another placement or node set.
     """
     if fixed is not None:
         controller = replace(
@@ -659,7 +644,7 @@ def run_simulation(
     placements = list(controller.candidates)
     _check_run(dag, fabric, placements, sim, stresses, faults, warn=True)
     known_cycles = known_cycles or {}
-    _check_known_cycles(known_cycles, placements, fabric.ids(), sim.horizon * window)
+    _check_known_cycles(known_cycles, placements, fabric.ids(), sim.horizon * window, sim.period)
 
     engine = _Engine(fabric, sim)
     names = [p.name for p in placements]
@@ -693,30 +678,26 @@ def run_simulation(
         cycles = CycleStore(engine.node_ids, sim.period, names)
     observed: list[tuple[WindowMetrics, str]] = []
 
-    window_plans = _plans_by_state(simulated, stresses, faults, dag, sim)
-    ahead: tuple[str, int, CycleStore] | None = None  # name, first cycle and rows of a block
-
-    def run_block(k: int, name: str) -> tuple[str, int, CycleStore]:
-        """The cycles of ``name`` from window k to the end of its block."""
-        draws = _block_draws(k, sim, window, stresses, faults)
-        block = CycleStore(engine.node_ids, sim.period, (name,))
-        block.append_columns(*engine.run_window(window_plans(k)[name], draws), 0)
-        return name, draws.steps.start, block
+    block_of = [block for block in _schedule(simulated, stresses, faults, dag, sim, window)
+                for _ in block[0]]  # window k's block and plans at k - 1
+    ahead: tuple[str, range, int, CycleStore] | None = None  # name, block, first cycle, rows
 
     def environment(k: int, placement: Placement):
         nonlocal ahead
-        plans = window_plans(k)
+        windows, plans = block_of[k - 1]
         active = names.index(placement.name)
         start = (k - 1) * window
         stop = start + window
-        if ahead is not None and (ahead[0] != placement.name or stop > ahead[1] + len(ahead[2])):
-            ahead = None  # a migration or the end of the block drops it before another runs
         known = known_cycles.get(placement.name)
         if known is None:
-            if ahead is None:
-                ahead = run_block(k, placement.name)
-            _, first, block = ahead
-            cycles.extend(block, start - first, stop - first, active)
+            if ahead is None or ahead[:2] != (placement.name, windows):
+                # window k's rows to the end of its block, read while the candidate stays active
+                draws = WindowDraws(sim.seed, start, (windows.stop - 1) * window)
+                rows = CycleStore(engine.node_ids, sim.period, (placement.name,))
+                rows.append_columns(*engine.run_window(plans[placement.name], draws), 0)
+                ahead = placement.name, windows, start, rows
+            _, _, first, rows = ahead
+            cycles.extend(rows, start - first, stop - first, active)
         elif known is not cycles:
             cycles.extend(known, start, stop, active)
         for name, store in known_cycles.items():
@@ -767,15 +748,14 @@ def simulate_cycles(
     with the same arguments and a window of ``window`` cycles, and that
     run adopts it as its cycles when passed ``known_cycles={name: store}``.
 
-    The windows run in the blocks ``_block_draws`` cuts.  A block is one
+    The windows run in the blocks ``_schedule`` cuts, each with its
+    plans, built once per disturbance state.  A block is one
     ``WindowDraws``, which makes the draws of every tag the placements
     use, each key and column once, and one ``_Engine.run_window`` per
     placement turns them into its columns; only one block of draws is
-    held at a time.  Each placement's plan is built
-    once per disturbance state.  The checks are those of
-    ``run_simulation``, but only the runs that adopt the stores warn about
-    stressed occupancy.  A ValueError also rejects two placements of one
-    name and a window under 1.
+    held at a time.  The checks are those of ``run_simulation``, but only
+    the runs that adopt the stores warn about stressed occupancy.  A
+    ValueError also rejects two placements of one name and a window under 1.
     """
     names = [p.name for p in placements]
     if len(set(names)) != len(names):
@@ -785,13 +765,10 @@ def simulate_cycles(
     _check_run(dag, fabric, placements, sim, stresses, faults, warn=False)
     engine = _Engine(fabric, sim)
     stores = {name: CycleStore(engine.node_ids, sim.period, (name,)) for name in names}
-    window_plans = _plans_by_state(placements, stresses, faults, dag, sim)
-    k = 1
-    while k <= sim.horizon:
-        draws = _block_draws(k, sim, window, stresses, faults)
+    for windows, plans in _schedule(placements, stresses, faults, dag, sim, window):
+        draws = WindowDraws(sim.seed, (windows.start - 1) * window, (windows.stop - 1) * window)
         for name, store in stores.items():
-            store.append_columns(*engine.run_window(window_plans(k)[name], draws), 0)
-        k = draws.steps.stop // window + 1
+            store.append_columns(*engine.run_window(plans[name], draws), 0)
     return stores
 
 

@@ -17,12 +17,12 @@ uniforms, with no cached second normal, so every draw has a fixed address
 
 ``WindowDraws`` serves the window kernel, which computes every active
 cycle: it makes the draws of a range of steps tag by tag, column by
-column, each key and each column once however many placements read them.
-Each step is a 128-bit lane of one int, so splitmix64 mixes a column in a
-dozen big-int operations.  A draw column holds the 53-bit integers m
-that ``Draws.random`` scales by 2**-53 into its uniform, and each
-Box-Muller column is one pass over such integers that makes ``Draws``'
-float operations bit for bit without building the uniforms
+column, each key and each tag's normals once however many placements read
+them.  Each step is a 128-bit lane of one int, so splitmix64 mixes a
+column in a dozen big-int operations.  A draw column holds the 53-bit
+integers m that ``Draws.random`` scales by 2**-53 into its uniform, and
+each Box-Muller column is one pass over such integers that makes
+``Draws``' float operations bit for bit without building the uniforms
 (``WindowDraws.normals`` says why each step is exact).
 
 ``fresh(tag)`` still returns a Mersenne Twister ``random.Random``, seeded
@@ -110,11 +110,11 @@ class WindowDraws:
 
     Element i of draw n's column is draw n of ``at(tag, start + i)``, bit for
     bit, computed over the steps' lanes by ``_mix64_lanes``.  Each key column
-    and each draw column is computed once, on first read, so readers that
-    share a tag share its draws.
+    and each tag's normals are computed once, on first read, so readers that
+    share a tag share them.
     """
 
-    __slots__ = ("master_seed", "steps", "_offsets", "_keys", "_draws", "_normals")
+    __slots__ = ("master_seed", "steps", "_offsets", "_keys", "_normals")
 
     def __init__(self, master_seed: int, start: int, stop: int):
         if start < 0 or stop < start:
@@ -126,7 +126,6 @@ class WindowDraws:
         # its lane: (2**64 + count) * golden < 2**128
         self._offsets = ((start & _MASK64) * ones + ramp) * _GOLDEN & mask
         self._keys: dict[str, int] = {}
-        self._draws: dict[tuple[str, int], array] = {}
         self._normals: dict[str, tuple[list[float], list[float]]] = {}
 
     def _packed_keys(self, tag: str) -> int:
@@ -150,10 +149,7 @@ class WindowDraws:
     def integers(self, tag: str, n: int) -> array:
         """Draw ``n`` of each step as the integer m below 2**53 whose
         uniform is ``m * 2**-53``; ``u < p`` exactly when ``m < p * 2**53``."""
-        column = self._draws.get((tag, n))
-        if column is None:
-            column = self._draws[tag, n] = _unpacked(self._packed_draws(tag, n), len(self.steps))
-        return column
+        return _unpacked(self._packed_draws(tag, n), len(self.steps))
 
     def normals(self, tag: str) -> tuple[list[float], list[float]]:
         """The Box-Muller radius and cosine of draws 0 and 1 of each step, so

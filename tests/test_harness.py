@@ -673,9 +673,19 @@ def test_cli_rejects_a_non_finite_float_at_its_path(tmp_path, capsys, document, 
          "ratio"),
         # an omitted ratio is 0, which every pair of runs meets
         ({"kind": "violation_ratio_at_least", "policy": "SO", "versus": "DTP"}, "ratio"),
+        # a key its kind ignores: an interval: fault check still scored every window
+        ({"kind": "policy_violation_above", "policy": "LOC", "threshold": 0.4,
+          "interval": "fault"}, "interval"),
+        ({"kind": "policy_violation_above", "policy": "LOC", "threshold": 0.4,
+          "versus": "SO"}, "versus"),
+        ({"kind": "post_convergence_violation_below", "threshold": 0.05, "ratio": 3.0},
+         "ratio"),
+        ({"kind": "violation_ratio_at_least", "policy": "SO", "versus": "DTP", "ratio": 5.0,
+          "threshold": 0.1}, "threshold"),
     ],
     ids=["above-negative", "above-one", "below-one", "below-negative", "ratio-zero",
-         "ratio-negative", "ratio-omitted"],
+         "ratio-negative", "ratio-omitted", "above-interval", "above-versus", "below-ratio",
+         "ratio-threshold"],
 )
 def test_cli_rejects_a_check_bound_that_decides_nothing(tmp_path, capsys, check, where):
     # a violation rate lies in [0, 1]: threshold -1.0 printed [PASS] for any run

@@ -28,6 +28,7 @@ from dtpsim.estimator import (
     EstimatorConfig,
     estimate_static,
 )
+from dtpsim.metrics import CycleStore
 from dtpsim.pipeline import canonical_candidates, nominal_latency
 from dtpsim.sampling import quantize_us
 from dtpsim.simulation import (
@@ -593,9 +594,10 @@ def test_blocks_and_state_switches_keep_every_row_of_the_oracle(resolution, dist
 
 @pytest.mark.parametrize("resolution", [1, 4])
 def test_blocks_run_ahead_keep_every_active_row_of_the_oracle(resolution):
-    """W = 7 over 80 windows, so a block may run 35 windows ahead of the
+    """W = 7 over 120 windows, so a block may run 35 windows ahead of the
     controller: a stress over windows 20-50 and a fault over windows 60-64
-    cut blocks short, and DTP migrates inside blocks, dropping their tails."""
+    cut blocks short, the 56 windows after them make two blocks, and DTP
+    migrates inside blocks, dropping their tails."""
     window = 7
     dag = make_dag(cv=0.3, jitter=0.2, loss=0.05)
     disturbances = {
@@ -604,7 +606,7 @@ def test_blocks_run_ahead_keep_every_active_row_of_the_oracle(resolution):
                                   loss_probability=0.3, start_window=60, end_window=64,
                                   additive=True),),
     }
-    sim = SimConfig(50.0, 30.0, horizon=80, seed=11, clock_resolution_us=resolution)
+    sim = SimConfig(50.0, 30.0, horizon=120, seed=11, clock_resolution_us=resolution)
     controller = controller_policy(dag, window_size=window)
     blocks = []  # (placement, first window, window after the last) of each run_window call
     run_window = simulation._Engine.run_window
@@ -615,6 +617,9 @@ def test_blocks_run_ahead_keep_every_active_row_of_the_oracle(resolution):
         return run_window(engine, plan, draws)
 
     with mock.patch.object(simulation._Engine, "run_window", recording_run_window):
+        simulate_cycles(dag, FABRIC, sim, list(controller.candidates), window, **disturbances)
+        block_ends = {stop for _, _, stop in blocks}
+        blocks.clear()
         dtp = run_simulation(dag, FABRIC, sim, controller,
                              estimator=EstimatorConfig(static_samples=100), **disturbances)
     reference = reference_rows(dag, FABRIC, sim, list(controller.candidates), window,
@@ -629,6 +634,8 @@ def test_blocks_run_ahead_keep_every_active_row_of_the_oracle(resolution):
     assert any(b[1] < a[2] and b[1] in migrations for a, b in zip(blocks, blocks[1:]))
     # a switch inside a block: a block ends at a switch before its 35 windows
     assert {20, 51, 60, 65} <= {stop for _, first, stop in blocks if stop - first < per_block}
+    # the runs ahead line up with the blocks of simulate_cycles: each ends where one ends
+    assert {stop for _, _, stop in blocks} <= block_ends
 
 
 def test_simulate_cycles_builds_one_plan_per_placement_and_disturbance_state():
@@ -646,6 +653,13 @@ def test_simulate_cycles_builds_one_plan_per_placement_and_disturbance_state():
     assert built == ["LOC", "SO", "HYB"] * 3
 
 
+def with_period(store, period):
+    """The rows of ``store`` in a store released every ``period`` ms."""
+    other = CycleStore(store.nodes, period, store.names)
+    other.extend(store, 0, len(store), 0)
+    return other
+
+
 @pytest.mark.parametrize(
     "horizon, bad, message",
     [
@@ -654,8 +668,10 @@ def test_simulate_cycles_builds_one_plan_per_placement_and_disturbance_state():
         (6, lambda loc: {"LOC": store_rows(loc)}, "a list, not the CycleStore of a fixed run"),
         (6, lambda loc: {"SO": loc}, "known cycles of 'SO': cycles of LOC"),
         (6, lambda loc: {"XYZ": loc}, "not a candidate"),
+        # its cycles.csv would write release_ms on the 30 ms grid of 50 ms windows
+        (6, lambda loc: {"LOC": with_period(loc, 30.0)}, "a period of 30.0 ms"),
     ],
-    ids=["short", "long", "list", "placement", "candidate"],
+    ids=["short", "long", "list", "placement", "candidate", "period"],
 )
 def test_known_cycles_of_another_shape_are_rejected(horizon, bad, message):
     known, _ = known_cycles_case(horizon)
