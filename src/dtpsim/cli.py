@@ -99,8 +99,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     outdir = Path(args.out if args.out is not None else _default_outdir())
 
     echo_config(config, outdir)
+    static_estimates: dict = {}  # one config: every scenario shares its dag, fabric and estimator
     payload = report_payload(
-        [run_scenario(config, spec, args.policies, args.seeds, outdir) for spec in specs]
+        [
+            run_scenario(config, spec, args.policies, args.seeds, outdir, static_estimates)
+            for spec in specs
+        ]
     )
     write_report(payload, outdir)
     return _print_report(payload, args.format)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping
 
 from .cost import Constraints, ScoredCandidate, Weights, select_placement, total_cost
@@ -89,7 +89,8 @@ class Decision:
     feasible: bool = True
 
     def to_json(self) -> str:
-        payload = asdict(self)
+        # every field is a scalar, so the instance dict is the payload asdict would copy
+        payload = {**vars(self)}
         payload["window"] = payload.pop("window_index")
         return json.dumps(payload, sort_keys=True)
 

@@ -7,6 +7,14 @@ The engine estimates a challenger one of two ways:
 * shadow: aggregate those recent shadow cycles (cycles simulated under the
   candidate in the live environment without driving actuation) after.
 
+A static estimate reads only the DAG's base models, the fabric, the
+period, the deadline, the sample count and its generator (the engine
+seeds it from the run's seed and the candidate's name), never a stress or
+a fault.  It is therefore the same in every scenario run with one seed,
+period and deadline: ``run_simulation`` reads and fills a mapping of them
+(``static_estimates``), and ``dtpsim run`` shares one such mapping per
+seed, period and deadline across all its scenarios.
+
 ``estimate_conservative`` scales an observed window by pessimistic ratios;
 the engine does not call it.
 """
@@ -21,7 +29,6 @@ from .metrics import (
     CycleStore,
     WindowMetrics,
     aggregate_window,
-    class_utilization,
     fsum_mean,
     percentile_nearest_rank,
 )
@@ -118,16 +125,14 @@ def update_shadow(
     period: float,
     fabric: Fabric,
 ) -> EstimateReport:
-    """Aggregate the most recent shadow cycles into a predicted window."""
+    """Aggregate the most recent shadow cycles into a predicted window; the
+    per-node utilization covers the nodes of ``history``'s columns."""
     if not history:
         raise ValueError("shadow history is empty")
     recent = history.columns(-window_size)
     count = len(recent.latency_us)
     duration = count * period
-    metrics = aggregate_window(recent, duration, fabric, window_index=0)
-    per_node = {
-        node.id: class_utilization(recent, duration, [node.id]) for node in fabric
-    }
+    metrics, per_node = aggregate_window(recent, duration, fabric, window_index=0)
     return EstimateReport(placement, metrics, per_node, count, MECHANISM_SHADOW)
 
 

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import typing
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, MutableMapping, Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
@@ -27,7 +27,7 @@ import yaml
 
 from .controller import ControllerConfig
 from .cost import Constraints, Weights
-from .estimator import EstimatorConfig
+from .estimator import EstimateReport, EstimatorConfig
 from .metrics import NormalizationTargets, fsum_mean
 from .pipeline import (
     CandidateSet,
@@ -523,6 +523,10 @@ def _build_scenario(name: str, raw_scenario: Mapping, sim: SimConfig) -> Scenari
     checks = tuple(
         _from_spec(Check, spec, at) for at, spec in _each(raw_scenario["checks"], f"{path}.checks")
     )
+    for i, check in enumerate(checks):
+        # with no fault, fault_windows is every window, reported as the fault interval
+        if check.interval == "fault" and not faults:
+            raise ConfigError(f"{path}.checks[{i}]: interval must be all without a fault")
     return ScenarioSpec(
         name=name,
         sim=scenario_sim,
@@ -683,6 +687,8 @@ def run_scenario(
     policies: Sequence[str] | None = None,
     seeds: Sequence[int] | None = None,
     outdir: Path | None = None,
+    static_estimates: MutableMapping[tuple[int, float, float], dict[str, EstimateReport]]
+    | None = None,
 ) -> ScenarioReport:
     """Run every (policy, seed) pair of a scenario and evaluate expectations.
 
@@ -695,10 +701,17 @@ def run_scenario(
     pass, so a ``DTP`` window that equals a fixed run's window is written
     from that run's text.  Only one seed's cycles are held at a time.  The
     results keep the order of ``policies``.
+
+    ``static_estimates`` maps (seed, period, deadline) to the
+    ``static_estimates`` of ``run_simulation``, read and filled by the runs
+    of that key, so that the scenarios of one config can share them
+    (``dtpsim run`` passes one mapping to every scenario); None shares
+    them only among the runs of one seed.
     """
     policies, seeds = select_runs(config, spec, policies, seeds)
     controller = config.controller_config(spec.controller_overrides)
     results: dict[str, list[RunResult]] = {p: [] for p in policies}
+    static_estimates = {} if static_estimates is None else static_estimates
     fixed_placements = [
         controller.candidates.by_name(p) for p in policies if p != CONTROLLER_POLICY
     ]
@@ -726,6 +739,7 @@ def run_scenario(
                 faults=spec.faults,
                 estimator=config.estimator,
                 known_cycles={fixed: known[fixed]} if fixed else known,
+                static_estimates=static_estimates.setdefault((seed, sim.period, sim.deadline), {}),
             )
             traces[policy] = trace
             results[policy].append(

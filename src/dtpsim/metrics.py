@@ -189,15 +189,17 @@ class NormalizedMetrics(NamedTuple):
 
 
 def class_utilization(
-    cycles: Columns,
+    busy_us: Mapping[str, int],
     window_duration: float,
     nodes: Sequence[str],
 ) -> float:
-    """Mean busy fraction across ``nodes`` over the window, clamped to [0, 1]."""
+    """Mean busy fraction across ``nodes`` over the window, clamped to [0, 1],
+    from each node's busy µs summed over the window (``busy_us``; 0 for a
+    node it does not name)."""
     if not nodes:
         return 0.0
-    busy_us = sum(sum(cycles.busy_us[n]) for n in nodes if n in cycles.busy_us)
-    return min(1.0, max(0.0, busy_us / (US_PER_MS * window_duration * len(nodes))))
+    total = sum([busy_us.get(n, 0) for n in nodes])
+    return min(1.0, max(0.0, total / (US_PER_MS * window_duration * len(nodes))))
 
 
 def aggregate_window(
@@ -205,27 +207,33 @@ def aggregate_window(
     window_duration: float,
     fabric: Fabric,
     window_index: int = 1,
-) -> WindowMetrics:
-    """Collapse one window of cycles into WindowMetrics.
+) -> tuple[WindowMetrics, dict[str, float]]:
+    """Collapse one window of cycles into WindowMetrics and the utilization
+    of each node of ``cycles.busy_us``, summing each busy column once.
 
     window_duration is W * P in milliseconds and is the utilization
-    denominator per node.
+    denominator per node.  A node's utilization is its busy fraction,
+    clamped to [0, 1]: the ``class_utilization`` of the node alone.
     """
     count = len(cycles.latency_us)
     if not count:
         raise ValueError("aggregate_window requires at least one cycle")
     if window_duration <= 0:
         raise ValueError("window_duration must be > 0")
+    busy_us = {node: sum(us) for node, us in cycles.busy_us.items()}
     robot_ids = [n.id for n in fabric.of_kind("robot")]
     edge_ids = [n.id for n in fabric.of_kind("edge")]
-    return WindowMetrics(
+    metrics = WindowMetrics(
         window_index=window_index,
         # the µs -> ms division is monotone, so the rank can be taken on the ints
         l95=percentile_nearest_rank(cycles.latency_us, 0.95) / US_PER_MS,
         violation_rate=(count - cycles.met.count(1)) / count,
-        util_robot=class_utilization(cycles, window_duration, robot_ids),
-        util_edge=class_utilization(cycles, window_duration, edge_ids),
+        util_robot=class_utilization(busy_us, window_duration, robot_ids),
+        util_edge=class_utilization(busy_us, window_duration, edge_ids),
     )
+    # a one-node class divides by US_PER_MS * window_duration * 1, the same float
+    scale = US_PER_MS * window_duration
+    return metrics, {node: min(1.0, max(0.0, us / scale)) for node, us in busy_us.items()}
 
 
 def normalize(metrics: WindowMetrics, targets: NormalizationTargets) -> NormalizedMetrics:

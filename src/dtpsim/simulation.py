@@ -63,7 +63,7 @@ from itertools import repeat
 from operator import mul, truediv
 from dataclasses import KW_ONLY, dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, MutableMapping, Sequence
 
 from .controller import (
     ACTION_MIGRATE,
@@ -75,6 +75,7 @@ from .controller import (
 )
 from .cost import total_cost  # noqa: F401  bench/tracing.SITES wraps this name here
 from .estimator import (
+    MECHANISM_STATIC,
     EstimateReport,
     EstimatorConfig,
     estimate_conservative,  # noqa: F401  bench/tracing.SITES wraps this name here
@@ -86,7 +87,6 @@ from .metrics import (
     Row,
     WindowMetrics,
     aggregate_window,
-    class_utilization,
     fsum_mean,
     normalize,  # noqa: F401  bench/tracing.SITES wraps this name here
     percentile_nearest_rank,
@@ -527,6 +527,24 @@ def _check_known_cycles(
             raise ValueError(f"known cycles of {name!r}: a period of {store.period} ms")
 
 
+def _check_static_estimates(reports: Mapping[str, EstimateReport], samples: int) -> None:
+    """Reject static estimates that cannot come from ``estimate_static`` in a
+    run of this shape: anything but an EstimateReport, or a report whose
+    placement is not its key, whose mechanism is not static, or whose sample
+    count is not ``samples``."""
+    for name, report in reports.items():
+        if not isinstance(report, EstimateReport):
+            raise ValueError(
+                f"static estimate of {name!r}: a {type(report).__name__}, not an EstimateReport"
+            )
+        shape = (report.placement, report.mechanism, report.sample_count)
+        if shape != (name, MECHANISM_STATIC, samples):
+            raise ValueError(
+                f"static estimate of {name!r}: placement, mechanism and samples {shape}, "
+                f"expected {(name, MECHANISM_STATIC, samples)}"
+            )
+
+
 def _check_run(
     dag: PipelineDag,
     fabric: Fabric,
@@ -608,6 +626,7 @@ def run_simulation(
     faults: Sequence[FaultInjection] = (),
     estimator: EstimatorConfig | None = None,
     known_cycles: Mapping[str, CycleStore] | None = None,
+    static_estimates: MutableMapping[str, EstimateReport] | None = None,
 ) -> SimTrace:
     """Simulate ``sim.horizon`` windows of ``controller.window_size`` cycles.
 
@@ -633,6 +652,16 @@ def run_simulation(
     its ``cycles``.
     Only the shape is checked: a ValueError rejects anything but a store, a
     wrong length or period, or cycles of another placement or node set.
+
+    ``static_estimates`` maps a candidate's name to its ``estimate_static``
+    report: the run reads a challenger's static estimate from there and
+    stores each one it makes there; None keeps them to the run.  Share one
+    mapping only between runs with the same dag, fabric, seed, period,
+    deadline and estimator, as ``known_cycles``: a static estimate reads
+    no stress or fault, so runs of different scenarios may share it.  Only
+    the shape is checked: a ValueError rejects anything but an
+    EstimateReport, a report of another placement than its key, another
+    mechanism, or another sample count than ``estimator.static_samples``.
     """
     if fixed is not None:
         controller = replace(
@@ -645,22 +674,23 @@ def run_simulation(
     _check_run(dag, fabric, placements, sim, stresses, faults, warn=True)
     known_cycles = known_cycles or {}
     _check_known_cycles(known_cycles, placements, fabric.ids(), sim.horizon * window, sim.period)
+    estimator = estimator or EstimatorConfig()
+    static = {} if static_estimates is None else static_estimates
+    _check_static_estimates(static, estimator.static_samples)
 
     engine = _Engine(fabric, sim)
     names = [p.name for p in placements]
     simulated = [p for p in placements if p.name not in known_cycles]
-    estimator = estimator or EstimatorConfig()
     duration = window * sim.period
     shadow_stride = -(-window // 4)  # ceil(W / 4)
     shadow_min = -(-window // 2)  # ceil(W / 2)
 
-    static_cache: dict[str, EstimateReport] = {}
     shadow_hist = {name: CycleStore(engine.node_ids, sim.period, (name,)) for name in names}
 
     def static_report(candidate: Placement) -> EstimateReport:
-        cached = static_cache.get(candidate.name)
-        if cached is None:
-            cached = estimate_static(
+        report = static.get(candidate.name)
+        if report is None:
+            report = static[candidate.name] = estimate_static(
                 dag,
                 candidate,
                 fabric,
@@ -669,8 +699,7 @@ def run_simulation(
                 estimator.static_samples,
                 engine.streams.fresh(f"static:{candidate.name}"),
             )
-            static_cache[candidate.name] = cached
-        return cached
+        return report
 
     # a fixed run adopts its known store as it is: it would append the same rows
     cycles = known_cycles.get(fixed)
@@ -709,10 +738,8 @@ def run_simulation(
                 shadow_hist[name].append(engine.run_cycle(plan, cycle_index), 0)
         for hist in shadow_hist.values():
             hist.keep_last(window)
-        records = cycles.columns(start, stop)
-        metrics = aggregate_window(records, duration, fabric, k)
+        metrics, observed_util = aggregate_window(cycles.columns(start, stop), duration, fabric, k)
         observed.append((metrics, placement.name))
-        observed_util = {node: class_utilization(records, duration, (node,)) for node in engine.node_ids}
         estimates: dict[str, EstimateReport] = {}
         for candidate in placements:
             if candidate.name == placement.name:

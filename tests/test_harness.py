@@ -682,10 +682,13 @@ def test_cli_rejects_a_non_finite_float_at_its_path(tmp_path, capsys, document, 
          "ratio"),
         ({"kind": "violation_ratio_at_least", "policy": "SO", "versus": "DTP", "ratio": 5.0,
           "threshold": 0.1}, "threshold"),
+        # baseline has no fault: the check scored every window as "the fault interval"
+        ({"kind": "violation_ratio_at_least", "policy": "SO", "versus": "DTP", "ratio": 5.0,
+          "interval": "fault"}, "interval"),
     ],
     ids=["above-negative", "above-one", "below-one", "below-negative", "ratio-zero",
          "ratio-negative", "ratio-omitted", "above-interval", "above-versus", "below-ratio",
-         "ratio-threshold"],
+         "ratio-threshold", "ratio-fault-without-faults"],
 )
 def test_cli_rejects_a_check_bound_that_decides_nothing(tmp_path, capsys, check, where):
     # a violation rate lies in [0, 1]: threshold -1.0 printed [PASS] for any run
@@ -696,6 +699,23 @@ def test_cli_rejects_a_check_bound_that_decides_nothing(tmp_path, capsys, check,
         err = capsys.readouterr().err
         assert err.startswith(f"error: scenarios.baseline.checks[0]: {where} must be"), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_a_run_makes_each_static_estimate_once_per_seed(tmp_path, monkeypatch):
+    # a static estimate reads no stress or fault: the four DTP runs of a
+    # seed share one per challenger, where each made its own (10 calls)
+    estimated = []
+    estimate_static = simulation.estimate_static
+
+    def recording(dag, placement, *args):
+        estimated.append(placement.name)
+        return estimate_static(dag, placement, *args)
+
+    monkeypatch.setattr(simulation, "estimate_static", recording)
+    assert main(["run", "--out", str(tmp_path), "--seeds", "1"]) == 0
+    assert sorted(estimated) == ["HYB", "LOC", "SO"]
+
 
 @pytest.mark.parametrize(
     "document, named",

@@ -1,6 +1,7 @@
 """Window aggregation: nearest-rank percentile, violations, utilization."""
 
 import math
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from conftest import cycle_store
 from dtpsim.metrics import (
+    Columns,
     NormalizationTargets,
     WindowMetrics,
     aggregate_window,
@@ -81,34 +83,67 @@ def small_fabric():
 
 def test_uniform_window_aggregates_trivially():
     records = window(*[(10.0, True, {})] * 20)
-    m = aggregate_window(records, 20 * 30.0, small_fabric())
+    m, per_node = aggregate_window(records, 20 * 30.0, small_fabric())
     assert (m.l95, m.violation_rate, m.util_robot, m.util_edge) == (10.0, 0.0, 0.0, 0.0)
+    assert per_node == {"R1": 0.0, "R2": 0.0, "E": 0.0}
 
 
 def test_one_late_cycle_in_ten():
     latencies = [5.0] * 9 + [50.0]
     records = window(*[(lat, lat <= 30.0, {}) for lat in latencies])
-    m = aggregate_window(records, 10 * 30.0, small_fabric())
+    m, _ = aggregate_window(records, 10 * 30.0, small_fabric())
     assert m.violation_rate == pytest.approx(0.1)
     assert m.l95 == 50.0
 
 
 def test_busy_time_becomes_utilization():
     records = window(*[(5.0, True, {"R1": 10.0})] * 4)
-    assert class_utilization(records, 4 * 20.0, ["R1"]) == pytest.approx(0.5)
-    m = aggregate_window(records, 4 * 20.0, small_fabric())
+    m, per_node = aggregate_window(records, 4 * 20.0, small_fabric())
+    assert per_node["R1"] == pytest.approx(0.5)
     assert m.util_robot == pytest.approx(0.5)
     assert m.util_edge == 0.0
 
 
 def test_class_utilization_averages_over_nodes():
-    records = window(*[(5.0, True, {"R1": 10.0, "R2": 0.0})] * 4)
-    assert class_utilization(records, 4 * 20.0, ["R1", "R2"]) == pytest.approx(0.25)
+    # 10 ms of each 20 ms cycle on R1, none on R2, over 4 cycles
+    assert class_utilization({"R1": 40_000, "R2": 0}, 4 * 20.0, ["R1", "R2"]) == 0.25
+    # a node without a busy sum counts as idle
+    assert class_utilization({"R1": 40_000}, 4 * 20.0, ["R1", "R2"]) == 0.25
 
 
 def test_class_utilization_clamps_overload():
     records = window(*[(5.0, True, {"R1": 30.0})] * 4)
-    assert class_utilization(records, 4 * 20.0, ["R1"]) == 1.0
+    m, per_node = aggregate_window(records, 4 * 20.0, small_fabric())
+    assert m.util_robot == per_node["R1"] == 1.0
+
+
+@given(
+    busy=st.lists(
+        st.lists(st.integers(0, 10**8), min_size=1, max_size=60), min_size=1, max_size=4
+    ),
+    duration=st.floats(0.5, 1e5),
+)
+def test_node_utilization_is_the_class_utilization_of_each_node(busy, duration):
+    # one pass of sums gives both: each node's share equals, to the last bit,
+    # a one-node class's (the same integer sum over US_PER_MS * duration * 1),
+    # overloaded (clamped) nodes included, and each class's is the class of its sums
+    count = min(map(len, busy))
+    nodes = [f"N{i}" for i in range(len(busy))]
+    columns = Columns(
+        array("q", [0] * count),
+        bytearray(count),
+        {node: array("q", us[:count]) for node, us in zip(nodes, busy)},
+    )
+    sums = {node: sum(us) for node, us in columns.busy_us.items()}
+    kinds = ["edge", "robot"] * 2
+    fabric = Fabric(tuple(map(ComputeNode, nodes, kinds)))
+    m, per_node = aggregate_window(columns, duration, fabric)
+    assert list(per_node) == nodes
+    for node in nodes:
+        assert per_node[node] == min(1.0, max(0.0, sums[node] / (1000.0 * duration * 1)))
+        assert per_node[node] == class_utilization(sums, duration, [node])
+    assert m.util_robot == class_utilization(sums, duration, nodes[1::2])
+    assert m.util_edge == class_utilization(sums, duration, nodes[::2])
 
 
 def test_aggregate_rejects_empty_window():

@@ -1,6 +1,7 @@
 """Engine behavior: determinism, stress, faults, and controller wiring."""
 
 import math
+import random
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -678,6 +679,71 @@ def test_known_cycles_of_another_shape_are_rejected(horizon, bad, message):
     _, run = known_cycles_case()
     with pytest.raises(ValueError, match=message):
         run(bad(known["LOC"]))
+
+
+def run_files(trace, directory):
+    """The bytes of the four run files ``trace`` writes into ``directory``, by name."""
+    directory.mkdir()
+    simulation.write_cycles_csv(trace, FABRIC, directory / "cycles.csv")
+    simulation.write_windows_csv(trace, directory / "windows.csv")
+    simulation.write_summary_json(trace, directory / "summary.json")
+    simulation.write_decisions_jsonl(trace, directory / "decisions.jsonl")
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def static_estimates_case():
+    dag = make_dag(cv=0.3, jitter=0.5, loss=0.05)
+    stress = StressProfile("R1", start_window=1, end_window=4, slowdown=2.5)
+    sim = SimConfig(period=50.0, deadline=30.0, horizon=4, seed=7)
+    # W = 50 and n_min = 0: every window is decided on the challengers' static
+    # estimates (4 shadow rows a window, 25 needed)
+    controller = controller_policy(dag, window_size=50, n_min=0)
+
+    def run(stresses, static_estimates):
+        return run_simulation(
+            dag, FABRIC, sim, controller, stresses=stresses,
+            estimator=EstimatorConfig(static_samples=100), static_estimates=static_estimates,
+        )
+
+    return dag, stress, run
+
+
+def test_shared_static_estimates_leave_the_run_files_unchanged(tmp_path, monkeypatch):
+    # a stressed run fills the mapping; an undisturbed run of the same seed,
+    # period and deadline reads it instead of estimating again
+    _, stress, run = static_estimates_case()
+    shared = {}
+    stressed = run((stress,), shared)
+    # it migrates off LOC, so LOC is a challenger too
+    assert stressed.summary["migrations"] and sorted(shared) == ["HYB", "LOC", "SO"]
+    filled = dict(shared)
+    monkeypatch.setattr(simulation, "estimate_static", None)  # a call would raise
+    reused = run((), shared)
+    monkeypatch.undo()
+    assert shared == filled
+    alone = run((), None)
+    assert all(d.best_alternative_cost is not None for d in reused.decisions)
+    assert run_files(reused, tmp_path / "shared") == run_files(alone, tmp_path / "alone")
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (lambda so: {"SO": so.metrics}, "'SO': a WindowMetrics, not an EstimateReport"),
+        (lambda so: {"HYB": so}, "'HYB': .* \\('SO', 'static', 100\\), expected \\('HYB', "),
+        (lambda so: {"SO": replace(so, mechanism=MECHANISM_SHADOW)}, "\\('SO', 'shadow', 100\\)"),
+        (lambda so: {"SO": replace(so, sample_count=200)}, "\\('SO', 'static', 200\\)"),
+    ],
+    ids=["type", "placement", "mechanism", "samples"],
+)
+def test_static_estimates_of_another_shape_are_rejected(bad, message):
+    dag, _, run = static_estimates_case()
+    so = estimate_static(
+        dag, canonical_candidates(dag).by_name("SO"), FABRIC, 30.0, 50.0, 100, random.Random(1)
+    )
+    run((), {"SO": so})  # the report itself passes
+    with pytest.raises(ValueError, match=message):
+        run((), bad(so))
 
 
 def record_cycle_parts(run):
