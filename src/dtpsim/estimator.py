@@ -12,8 +12,8 @@ period, the deadline, the sample count and its generator (the engine
 seeds it from the run's seed and the candidate's name), never a stress or
 a fault.  It is therefore the same in every scenario run with one seed,
 period and deadline: ``run_simulation`` reads and fills a mapping of them
-(``static_estimates``), and ``dtpsim run`` shares one such mapping per
-seed, period and deadline across all its scenarios.
+(``static_estimates``) keyed by candidate name, seed, period, deadline and
+sample count, and ``dtpsim run`` shares one across all its scenarios.
 
 ``estimate_conservative`` scales an observed window by pessimistic ratios;
 the engine does not call it.

@@ -687,8 +687,7 @@ def run_scenario(
     policies: Sequence[str] | None = None,
     seeds: Sequence[int] | None = None,
     outdir: Path | None = None,
-    static_estimates: MutableMapping[tuple[int, float, float], dict[str, EstimateReport]]
-    | None = None,
+    static_estimates: MutableMapping[tuple, EstimateReport] | None = None,
 ) -> ScenarioReport:
     """Run every (policy, seed) pair of a scenario and evaluate expectations.
 
@@ -702,11 +701,10 @@ def run_scenario(
     from that run's text.  Only one seed's cycles are held at a time.  The
     results keep the order of ``policies``.
 
-    ``static_estimates`` maps (seed, period, deadline) to the
-    ``static_estimates`` of ``run_simulation``, read and filled by the runs
-    of that key, so that the scenarios of one config can share them
-    (``dtpsim run`` passes one mapping to every scenario); None shares
-    them only among the runs of one seed.
+    ``static_estimates`` is passed to every run (see ``run_simulation``),
+    so that the scenarios of one config can share it (``dtpsim run``
+    passes one mapping to every scenario); None shares it only among the
+    runs of one call.
     """
     policies, seeds = select_runs(config, spec, policies, seeds)
     controller = config.controller_config(spec.controller_overrides)
@@ -739,7 +737,7 @@ def run_scenario(
                 faults=spec.faults,
                 estimator=config.estimator,
                 known_cycles={fixed: known[fixed]} if fixed else known,
-                static_estimates=static_estimates.setdefault((seed, sim.period, sim.deadline), {}),
+                static_estimates=static_estimates,
             )
             traces[policy] = trace
             results[policy].append(

@@ -6,9 +6,11 @@ the deadline violation rate, and the mean utilization of the robot and
 edge node classes.
 
 A run keeps its cycles in a CycleStore: one stdlib ``array`` column per
-field (latency µs, deadline met, busy µs per fabric node, placement), about
-35 bytes per cycle.  A store is read only as columns: whole, or a range of
-them (``CycleStore.columns``).  The aggregates sum the integer µs columns
+field (latency µs, deadline met, busy µs per fabric node), about 33 bytes
+per cycle; a run's windows say which placement ran each cycle.  A fixed
+run's store records the inputs it was simulated from (``source``).  A
+store is read only as columns: whole, or a range of them
+(``CycleStore.columns``).  The aggregates sum the integer µs columns
 exactly and divide once, so no statistic depends on a summation order.
 """
 
@@ -64,67 +66,51 @@ class Columns(NamedTuple):
 class CycleStore:
     """The cycles of a run as columns, read-only to everyone but the engine.
 
-    Row i is cycle i, released at ``i * period`` ms.  ``placement`` holds an
-    index into ``names``, a byte, so a store names at most 256 placements.
+    Row i is cycle i, released at ``i * period`` ms.  ``source`` is None, or
+    the inputs a fixed run's store was simulated from, set by the engine:
+    ``(placement, dag, fabric, sim, window, stresses, faults)``.
     """
 
-    __slots__ = ("nodes", "period", "names", "latency_us", "met", "busy_us", "placement")
+    __slots__ = ("nodes", "period", "source", "latency_us", "met", "busy_us")
 
-    def __init__(self, nodes: Sequence[str], period: float, names: Sequence[str]):
-        self.names = tuple(names)
-        if len(self.names) > 256:
-            raise ValueError(
-                f"a CycleStore names at most 256 placements, got {len(self.names)}"
-            )
+    def __init__(self, nodes: Sequence[str], period: float):
         self.nodes = tuple(nodes)
         self.period = period
+        self.source: tuple | None = None
         self.latency_us = array("q")
         self.met = bytearray()
         self.busy_us = tuple(array("q") for _ in self.nodes)
-        self.placement = bytearray()
 
-    def append(self, row: Row, placement: int) -> None:
-        """Add a cycle run under ``names[placement]``."""
+    def append(self, row: Row) -> None:
+        """Add one cycle."""
         latency_us, met, busy_us = row
         self.latency_us.append(latency_us)
         self.met.append(met)
         for column, us in zip(self.busy_us, busy_us):
             column.append(us)
-        self.placement.append(placement)
 
     def append_columns(
-        self,
-        latency_us: Sequence[int],
-        met: Sequence[int],
-        busy_us: Sequence[Sequence[int]],
-        placement: int,
+        self, latency_us: Sequence[int], met: Sequence[int], busy_us: Sequence[Sequence[int]]
     ) -> None:
-        """Add cycles given column by column, ``busy_us`` in node order, all
-        run under ``names[placement]``."""
+        """Add cycles given column by column, ``busy_us`` in node order."""
         self.latency_us.extend(latency_us)
         self.met.extend(met)
         for column, us in zip(self.busy_us, busy_us):
             column.extend(us)
-        self.placement.extend(bytes((placement,)) * len(latency_us))
 
-    def extend(
-        self, source: "CycleStore", start: int, stop: int, placement: int, step: int = 1
-    ) -> None:
-        """Add cycles ``[start:stop:step]`` of ``source``, a store over the same
-        nodes, as run under ``names[placement]``: one slice per column."""
+    def extend(self, other: "CycleStore", start: int, stop: int, step: int = 1) -> None:
+        """Add cycles ``[start:stop:step]`` of ``other``, a store over the same
+        nodes: one slice per column."""
         cut = slice(start, stop, step)
         self.append_columns(
-            source.latency_us[cut],
-            source.met[cut],
-            [column[cut] for column in source.busy_us],
-            placement,
+            other.latency_us[cut], other.met[cut], [column[cut] for column in other.busy_us]
         )
 
     def keep_last(self, count: int) -> None:
         """Drop all but the last ``count`` cycles.  The positions then no longer
         match cycle indices; only the columns of such a store are read."""
         drop = slice(0, max(0, len(self) - count))
-        for column in (self.latency_us, self.met, *self.busy_us, self.placement):
+        for column in (self.latency_us, self.met, *self.busy_us):
             del column[drop]
 
     def columns(self, start: int = 0, stop: int | None = None) -> Columns:

@@ -23,8 +23,9 @@ same record in every run of one scenario and seed, whichever placement is
 active.  ``run_simulation`` can therefore read the cycles of a ``DTP``
 run's candidates from the stores of their fixed runs (``known_cycles``)
 instead of simulating them again, only ever as column slices: a window of
-active cycles, or one strided slice of shadow rows per window.  A fixed run
-adopts the store of its own placement whole.
+active cycles, or one strided slice of shadow rows per window, and only
+from a store simulated from its own inputs (``CycleStore.source``).  A
+fixed run adopts the store of its own placement whole.
 
 Active cycles are computed column by column (``_Engine.run_window``): all
 draws of each tag over a range of cycles, in 128-bit lanes of one int
@@ -495,52 +496,42 @@ def check_disturbances(
 
 
 def _check_known_cycles(
-    known: Mapping[str, CycleStore],
-    placements: Sequence[Placement],
-    nodes: Sequence[str],
-    count: int,
-    period: float,
+    known: Mapping[str, CycleStore], placements: Sequence[Placement], inputs: tuple
 ) -> None:
-    """Reject known cycles that cannot come from a fixed run of this shape:
-    a name outside the candidates, anything but a CycleStore, a length other
-    than ``count`` (horizon x window), cycles of another placement or more
-    than one, busy columns of other nodes, or a release period other than ``period``."""
-    names = {p.name for p in placements}
+    """Reject known cycles that are not a fixed run's of a candidate with
+    this run's ``inputs``: a name outside the candidates, anything but a
+    CycleStore, or a store whose ``source`` is not ``(candidate, *inputs)``."""
+    candidates = {p.name: p for p in placements}
     for name, store in known.items():
-        if name not in names:
+        if name not in candidates:
             raise ValueError(f"known cycles of {name!r}: not a candidate")
         if not isinstance(store, CycleStore):
             raise ValueError(
                 f"known cycles of {name!r}: a {type(store).__name__}, not the CycleStore "
                 "of a fixed run"
             )
-        if len(store) != count:
+        if store.source != (candidates[name], *inputs):
             raise ValueError(
-                f"known cycles of {name!r}: {len(store)} cycles, expected {count} "
-                "(horizon x window)"
+                f"known cycles of {name!r}: not simulated from this run's candidate, dag, "
+                "fabric, sim, window, stresses and faults"
             )
-        if store.names != (name,):
-            raise ValueError(f"known cycles of {name!r}: cycles of {', '.join(store.names)}")
-        if store.nodes != tuple(nodes):
-            raise ValueError(f"known cycles of {name!r}: busy columns of {store.nodes}")
-        if store.period != period:
-            raise ValueError(f"known cycles of {name!r}: a period of {store.period} ms")
 
 
-def _check_static_estimates(reports: Mapping[str, EstimateReport], samples: int) -> None:
-    """Reject static estimates that cannot come from ``estimate_static`` in a
-    run of this shape: anything but an EstimateReport, or a report whose
-    placement is not its key, whose mechanism is not static, or whose sample
-    count is not ``samples``."""
-    for name, report in reports.items():
+def _check_static_estimates(reports: Mapping[tuple, EstimateReport]) -> None:
+    """Reject static estimates that cannot come from ``estimate_static`` under
+    their key, (candidate name, seed, period, deadline, samples): anything
+    but an EstimateReport, or a report of another placement, mechanism or
+    sample count than its key's."""
+    for key, report in reports.items():
         if not isinstance(report, EstimateReport):
             raise ValueError(
-                f"static estimate of {name!r}: a {type(report).__name__}, not an EstimateReport"
+                f"static estimate of {key!r}: a {type(report).__name__}, not an EstimateReport"
             )
+        name, *_, samples = key
         shape = (report.placement, report.mechanism, report.sample_count)
         if shape != (name, MECHANISM_STATIC, samples):
             raise ValueError(
-                f"static estimate of {name!r}: placement, mechanism and samples {shape}, "
+                f"static estimate of {key!r}: placement, mechanism and samples {shape}, "
                 f"expected {(name, MECHANISM_STATIC, samples)}"
             )
 
@@ -639,58 +630,60 @@ def run_simulation(
     ``_Engine.run_window`` call compute its rows to the end of the window's
     block, and later windows of the block read them while it stays active.
     At most one such run is held; a migration drops its unread tail.
-    ``fixed`` names a member of ``controller.candidates`` that stays active
-    for the whole run: the controller then runs over that one candidate,
-    so a fixed window is scored by the same code as a controlled one.
+    ``fixed`` names a member of ``controller.candidates`` (else ValueError)
+    that stays active for the whole run: the controller then runs over that
+    one candidate behind a dwell gate that never opens, so a fixed window
+    is scored by the same code as a controlled one and none is selected.
 
     ``known_cycles`` maps a candidate's name to the ``cycles`` store of a
-    fixed run of it with the same dag, fabric, sim (seed included), window,
-    stresses and faults (``simulate_cycles`` builds them).  Its active
-    windows and its shadow rows (one strided slice per window) are read
-    from there, not simulated, and the trace is the same; such a candidate
-    needs no cycle plan.  A fixed run adopts the store of its placement as
-    its ``cycles``.
-    Only the shape is checked: a ValueError rejects anything but a store, a
-    wrong length or period, or cycles of another placement or node set.
+    fixed run of it (``simulate_cycles`` builds them).  Its active windows
+    and its shadow rows (one strided slice per window) are read from
+    there, not simulated, and the trace is the same; such a candidate needs
+    no cycle plan.  A fixed run adopts the store of its placement as its
+    ``cycles``.  A ValueError rejects anything but a store whose
+    ``source`` is this run's candidate, dag, fabric, sim, window, stresses
+    and faults.
 
-    ``static_estimates`` maps a candidate's name to its ``estimate_static``
-    report: the run reads a challenger's static estimate from there and
-    stores each one it makes there; None keeps them to the run.  Share one
-    mapping only between runs with the same dag, fabric, seed, period,
-    deadline and estimator, as ``known_cycles``: a static estimate reads
-    no stress or fault, so runs of different scenarios may share it.  Only
-    the shape is checked: a ValueError rejects anything but an
-    EstimateReport, a report of another placement than its key, another
-    mechanism, or another sample count than ``estimator.static_samples``.
+    ``static_estimates`` maps (candidate name, seed, period, deadline,
+    ``estimator.static_samples``) to an ``estimate_static`` report, read
+    and filled by the run; None keeps them to the run.  The key holds
+    every input but the dag and fabric (an estimate reads no stress or
+    fault), so share one mapping per dag, fabric and candidate set.  A
+    ValueError rejects anything but an EstimateReport, or a report of
+    another placement, mechanism or sample count than its key's.
     """
     if fixed is not None:
+        if fixed not in (names := controller.candidates.names()):
+            raise ValueError(f"fixed placement {fixed!r} is not a candidate: {', '.join(names)}")
         controller = replace(
             controller,
             candidates=CandidateSet((controller.candidates.by_name(fixed),)),
             initial_placement=fixed,
+            n_min=sim.horizon,
         )
     window = controller.window_size
     placements = list(controller.candidates)
     _check_run(dag, fabric, placements, sim, stresses, faults, warn=True)
     known_cycles = known_cycles or {}
-    _check_known_cycles(known_cycles, placements, fabric.ids(), sim.horizon * window, sim.period)
+    inputs = (dag, fabric, sim, window, tuple(stresses), tuple(faults))
+    _check_known_cycles(known_cycles, placements, inputs)
     estimator = estimator or EstimatorConfig()
     static = {} if static_estimates is None else static_estimates
-    _check_static_estimates(static, estimator.static_samples)
+    _check_static_estimates(static)
 
     engine = _Engine(fabric, sim)
-    names = [p.name for p in placements]
     simulated = [p for p in placements if p.name not in known_cycles]
     duration = window * sim.period
     shadow_stride = -(-window // 4)  # ceil(W / 4)
     shadow_min = -(-window // 2)  # ceil(W / 2)
 
-    shadow_hist = {name: CycleStore(engine.node_ids, sim.period, (name,)) for name in names}
+    shadow_hist = {p.name: CycleStore(engine.node_ids, sim.period) for p in placements}
 
     def static_report(candidate: Placement) -> EstimateReport:
-        report = static.get(candidate.name)
+        key = (candidate.name, sim.seed, sim.period, sim.deadline, estimator.static_samples)
+        report = static.get(key)
         if report is None:
-            report = static[candidate.name] = estimate_static(
+            report = static[key] = estimate_static(
                 dag,
                 candidate,
                 fabric,
@@ -704,7 +697,8 @@ def run_simulation(
     # a fixed run adopts its known store as it is: it would append the same rows
     cycles = known_cycles.get(fixed)
     if cycles is None:
-        cycles = CycleStore(engine.node_ids, sim.period, names)
+        cycles = CycleStore(engine.node_ids, sim.period)
+        cycles.source = None if fixed is None else (placements[0], *inputs)
     observed: list[tuple[WindowMetrics, str]] = []
 
     block_of = [block for block in _schedule(simulated, stresses, faults, dag, sim, window)
@@ -714,7 +708,6 @@ def run_simulation(
     def environment(k: int, placement: Placement):
         nonlocal ahead
         windows, plans = block_of[k - 1]
-        active = names.index(placement.name)
         start = (k - 1) * window
         stop = start + window
         known = known_cycles.get(placement.name)
@@ -722,20 +715,20 @@ def run_simulation(
             if ahead is None or ahead[:2] != (placement.name, windows):
                 # window k's rows to the end of its block, read while the candidate stays active
                 draws = WindowDraws(sim.seed, start, (windows.stop - 1) * window)
-                rows = CycleStore(engine.node_ids, sim.period, (placement.name,))
-                rows.append_columns(*engine.run_window(plans[placement.name], draws), 0)
+                rows = CycleStore(engine.node_ids, sim.period)
+                rows.append_columns(*engine.run_window(plans[placement.name], draws))
                 ahead = placement.name, windows, start, rows
             _, _, first, rows = ahead
-            cycles.extend(rows, start - first, stop - first, active)
+            cycles.extend(rows, start - first, stop - first)
         elif known is not cycles:
-            cycles.extend(known, start, stop, active)
+            cycles.extend(known, start, stop)
         for name, store in known_cycles.items():
             if name != placement.name:
-                shadow_hist[name].extend(store, start, stop, 0, shadow_stride)
+                shadow_hist[name].extend(store, start, stop, shadow_stride)
         shadows = [(name, plan) for name, plan in plans.items() if name != placement.name]
         for cycle_index in range(start, stop, shadow_stride):
             for name, plan in shadows:
-                shadow_hist[name].append(engine.run_cycle(plan, cycle_index), 0)
+                shadow_hist[name].append(engine.run_cycle(plan, cycle_index))
         for hist in shadow_hist.values():
             hist.keep_last(window)
         metrics, observed_util = aggregate_window(cycles.columns(start, stop), duration, fabric, k)
@@ -791,11 +784,14 @@ def simulate_cycles(
         raise ValueError(f"window must be >= 1, got {window}")
     _check_run(dag, fabric, placements, sim, stresses, faults, warn=False)
     engine = _Engine(fabric, sim)
-    stores = {name: CycleStore(engine.node_ids, sim.period, (name,)) for name in names}
+    inputs = (dag, fabric, sim, window, tuple(stresses), tuple(faults))
+    stores = {p.name: CycleStore(engine.node_ids, sim.period) for p in placements}
+    for placement in placements:
+        stores[placement.name].source = (placement, *inputs)
     for windows, plans in _schedule(placements, stresses, faults, dag, sim, window):
         draws = WindowDraws(sim.seed, (windows.start - 1) * window, (windows.stop - 1) * window)
         for name, store in stores.items():
-            store.append_columns(*engine.run_window(plans[name], draws), 0)
+            store.append_columns(*engine.run_window(plans[name], draws))
     return stores
 
 
@@ -859,18 +855,19 @@ def write_cycles_csv(
 ) -> None:
     """One row per cycle of ``trace`` into ``path``, and of each trace of
     ``others`` into its path; a node of ``fabric`` a run did not have is
-    busy 0.
+    busy 0, and a cycle's placement is that of its window.  A ValueError
+    rejects a trace whose cycles do not fill its windows evenly.
 
-    The files are written together, one window of ``trace`` at a time (all
-    rows at once for a trace without windows), so each holds one window of
-    text.  A chunk whose period, columns and placement names equal those
-    of a chunk already formatted at the same rows, as a ``DTP`` window
-    equals that window of the fixed run of its placement, is written from
-    that text; each other chunk is formatted column by column.
+    The files are written together, one window of ``trace`` at a time, so
+    each holds one window of text.  A chunk whose period, columns and
+    placement names equal those of a chunk already formatted at the same
+    rows, as a ``DTP`` window equals that window of the fixed run of its
+    placement, is written from that text; each other chunk is formatted
+    column by column.
 
     The bytes are those of ``csv.writer``: only the header and the
-    placement names can need quoting, so they go through it once and every
-    row is one ``str.format`` of a template.
+    placement names can need quoting, so they go through it once, each
+    distinct name once, and every row is one ``str.format`` of a template.
     """
     node_ids = fabric.ids()
     header = _csv_row(
@@ -881,14 +878,19 @@ def write_cycles_csv(
     row = ",".join(["{}", "{:.3f}", "{:.3f}", "{}", *["{:.3f}"] * len(node_ids), "{}"]) + "\r\n"
     runs = [(trace, path), *others]
     count = max(len(t.cycles) for t, _ in runs)
-    chunk = max(1, len(trace.cycles) // len(trace.windows) if trace.windows else count)
-    stores = []  # per run: quoted placement names, the placement column, period, columns
+    placements = {w.placement for t, _ in runs for w in t.windows}
+    quoted = {name: _csv_row([name])[:-2] for name in placements}
+    stores = []  # per run: its rows, window size, quoted name per window, period, columns
     for t, _ in runs:
         cycles = t.cycles
+        size, rest = divmod(len(cycles), len(t.windows)) if t.windows else (0, len(cycles))
+        if rest:
+            raise ValueError(f"{len(cycles)} cycles do not fill {len(t.windows)} windows evenly")
         busy = dict(zip(cycles.nodes, cycles.busy_us))
-        names = [_csv_row([name])[:-2] for name in cycles.names]
         columns = [cycles.latency_us, cycles.met, *map(busy.get, node_ids)]
-        stores.append((names, cycles.placement, cycles.period, columns))
+        names = [quoted[w.placement] for w in t.windows]
+        stores.append((range(len(cycles)), size, names, cycles.period, columns))
+    chunk = max(1, stores[0][1])
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(p, "w", newline="")) for _, p in runs]
         for fh in files:
@@ -896,9 +898,9 @@ def write_cycles_csv(
         for start in range(0, count, chunk):
             cut = slice(start, start + chunk)
             written: list[tuple[list, str]] = []  # (key, text) of this window's chunks
-            for (names, placement, period, columns), fh in zip(stores, files):
+            for (rows, size, names, period, columns), fh in zip(stores, files):
                 key = [
-                    list(map(names.__getitem__, placement[cut])),
+                    [names[i // size] for i in rows[cut]],
                     period,
                     *(None if column is None else column[cut] for column in columns),
                 ]

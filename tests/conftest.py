@@ -27,11 +27,11 @@ NODE_PAIRS = [
 
 
 def cycle_store(records, nodes=("R1", "R2", "E"), period=30.0):
-    """A one-placement store of (latency ms, met, {node: busy ms}) cycles."""
-    store = CycleStore(nodes, period, ("LOC",))
+    """A store of (latency ms, met, {node: busy ms}) cycles."""
+    store = CycleStore(nodes, period)
     for latency, met, busy in records:
         us = [round(busy.get(n, 0.0) * 1000) for n in nodes]
-        store.append((round(latency * 1000), met, us), 0)
+        store.append((round(latency * 1000), met, us))
     return store
 
 
@@ -69,8 +69,11 @@ class Cycle(NamedTuple):
     placement: str
 
 
-def cycle_records(store, start=0, stop=None):
-    """Cycles ``[start:stop]`` of a CycleStore as Cycles, read from its columns."""
+def cycle_records(trace, start=0, stop=None):
+    """Cycles ``[start:stop]`` of a SimTrace as Cycles, read from the columns
+    of its store, each under the placement of its window."""
+    store = trace.cycles
+    window = len(store) // len(trace.windows) if trace.windows else None
     return [
         Cycle(
             i,
@@ -78,7 +81,7 @@ def cycle_records(store, start=0, stop=None):
             bool(store.met[i]),
             {node: column[i] / 1000.0 for node, column in zip(store.nodes, store.busy_us)},
             i * store.period,
-            store.names[store.placement[i]],
+            trace.windows[i // window].placement,
         )
         for i in range(len(store))[start:stop]
     ]

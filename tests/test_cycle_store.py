@@ -36,6 +36,7 @@ from dtpsim.simulation import (
     SimConfig,
     SimTrace,
     StressProfile,
+    WindowRow,
     run_simulation,
     simulate_cycles,
     write_cycles_csv,
@@ -65,6 +66,11 @@ def reference_write_cycles_csv(records, fabric, path):
                 + [f"{c.busy_time.get(n, 0.0):.3f}" for n in node_ids]
                 + [c.placement]
             )
+
+
+def window_row(k, placement):
+    """A window row of ``placement`` with placeholder metrics."""
+    return WindowRow(k, WindowMetrics(k, 1.0, 0.0, 0.0, 0.0), placement, 0.0, None)
 
 
 def reference_utilization(records, window_duration, nodes):
@@ -97,32 +103,23 @@ def test_a_store_is_read_only_as_columns():
     assert (second.latency_us.tolist(), list(second.met)) == ([50000], [0])
     assert {n: c.tolist() for n, c in second.busy_us.items()} == {"R1": [0], "R2": [125], "E": [0]}
     assert len(store.columns(5).latency_us) == 0
-    assert cycle_records(store) == [
+    assert cycle_records(SimTrace(store, [window_row(1, "LOC")], {})) == [
         Cycle(0, 12.5, True, {"R1": 2.0, "R2": 0.0, "E": 10.5}, 0.0, "LOC"),
         Cycle(1, 50.0, False, {"R1": 0.0, "R2": 0.125, "E": 0.0}, 40.0, "LOC"),
     ]
+    assert store.source is None
     with pytest.raises(TypeError):
         store[0]
-
-
-def test_a_store_names_at_most_256_placements():
-    names = [f"P{i}" for i in range(257)]
-    with pytest.raises(ValueError, match="at most 256 placements, got 257"):
-        CycleStore(("R1",), 40.0, names)
-    store = CycleStore(("R1",), 40.0, names[:256])
-    store.append((1000, True, [500]), 255)
-    assert store.names[store.placement[0]] == "P255"
 
 
 def test_extend_copies_a_range_of_another_store_under_one_placement():
     source = cycle_store([(float(i), i % 2 == 0, {"E": i / 4}) for i in range(10)])
     rows = store_rows(source)
-    store = CycleStore(source.nodes, source.period, ("SO", "LOC"))
-    store.append(rows[0], 0)
-    store.extend(source, 1, 4, 1)
-    store.extend(source, 4, 9, 0, 3)  # a strided range, as shadow rows are read
+    store = CycleStore(source.nodes, source.period)
+    store.append(rows[0])
+    store.extend(source, 1, 4)
+    store.extend(source, 4, 9, 3)  # a strided range, as shadow rows are read
     assert store_rows(store) == rows[:4] + [rows[4], rows[7]]
-    assert [r.placement for r in cycle_records(store)] == ["SO", "LOC", "LOC", "LOC", "SO", "SO"]
 
 
 def test_the_writer_quotes_node_ids_and_placement_names_as_csv_does(tmp_path):
@@ -130,16 +127,31 @@ def test_the_writer_quotes_node_ids_and_placement_names_as_csv_does(tmp_path):
     # node "X,2", whose busy time is written as 0
     fabric = Fabric((ComputeNode('R"1', "robot"), ComputeNode("X,2", "robot"),
                      ComputeNode("E", "edge")))
-    store = CycleStore(('R"1', "E"), 30.0, ("LOC", "a,b", 'say "hi"', "two\nlines"))
+    store = CycleStore(('R"1', "E"), 30.0)
     for i in range(8):
-        store.append((1000 * i + 17, i % 3 != 0, [250 * i, 7 * i]), i % 4)
-    trace = SimTrace(store, [], {})
+        store.append((1000 * i + 17, i % 3 != 0, [250 * i, 7 * i]))
+    names = ["LOC", "a,b", 'say "hi"', "two\nlines"]
+    trace = SimTrace(store, [window_row(k, names[k % 4]) for k in range(1, 5)], {})
     write_cycles_csv(trace, fabric, tmp_path / "columns.csv")
-    reference_write_cycles_csv(cycle_records(store), fabric, tmp_path / "records.csv")
+    reference_write_cycles_csv(cycle_records(trace), fabric, tmp_path / "records.csv")
     written = (tmp_path / "columns.csv").read_bytes()
     assert written == (tmp_path / "records.csv").read_bytes()
     assert b'"busy_R""1_ms","busy_X,2_ms"' in written
-    assert b'"say ""hi"""' in written
+    assert b'"say ""hi"""' in written and b'"two\nlines"' in written and b'"a,b"' in written
+
+
+@pytest.mark.parametrize("windows, message", [(0, "3 cycles do not fill 0 windows evenly"),
+                                              (2, "3 cycles do not fill 2 windows evenly")],
+                         ids=["no-windows", "uneven"])
+def test_the_writer_rejects_cycles_that_do_not_fill_their_windows(tmp_path, windows, message):
+    store = cycle_store([(1.0, True, {})] * 3)
+    trace = SimTrace(store, [window_row(k, "LOC") for k in range(1, windows + 1)], {})
+    with pytest.raises(ValueError, match=message):
+        write_cycles_csv(trace, FABRIC, tmp_path / "cycles.csv")
+    with pytest.raises(ValueError, match=message):
+        write_cycles_csv(SimTrace(store, [window_row(1, "LOC")], {}), FABRIC,
+                         tmp_path / "first.csv", others=[(trace, tmp_path / "cycles.csv")])
+    assert not (tmp_path / "cycles.csv").exists()
 
 
 def test_a_seeds_cycles_files_written_together_equal_each_written_alone(tmp_path):
@@ -326,7 +338,7 @@ def test_the_column_writer_matches_the_record_writer(
     )
     # each cycle's row as run_cycle computes it for its placement and index
     rows = reference_rows(dag, FABRIC, sim, controller.candidates, window, (stress,), (fault,))
-    records = cycle_records(trace.cycles)
+    records = cycle_records(trace)
     assert len(records) == horizon * window
     for i, record in enumerate(records):
         name = trace.windows[i // window].placement

@@ -21,7 +21,7 @@ from conftest import (
     store_rows,
     trace_reference_rows,
 )
-from dtpsim import sampling, simulation, streams
+from dtpsim import controller as controller_module, sampling, simulation, streams
 from dtpsim.controller import on_window_end
 from dtpsim.estimator import (
     MECHANISM_SHADOW,
@@ -29,7 +29,6 @@ from dtpsim.estimator import (
     EstimatorConfig,
     estimate_static,
 )
-from dtpsim.metrics import CycleStore
 from dtpsim.pipeline import canonical_candidates, nominal_latency
 from dtpsim.sampling import quantize_us
 from dtpsim.simulation import (
@@ -39,6 +38,7 @@ from dtpsim.simulation import (
     run_simulation,
     simulate_cycles,
 )
+from dtpsim.harness import load_config
 from dtpsim.streams import derive_seed
 
 FABRIC = make_fabric()
@@ -58,7 +58,7 @@ def test_deterministic_limit_matches_nominal_latency():
         trace = fixed_run(dag, placement.name, sim)
         expected = nominal_latency(dag, placement)
         assert trace.cycles, placement.name
-        for record in cycle_records(trace.cycles):
+        for record in cycle_records(trace):
             assert record.e2e_latency == expected
             assert record.deadline_met
             assert record.placement == placement.name
@@ -82,7 +82,7 @@ def test_summary_means_are_exact_on_every_python():
 def test_horizon_zero_produces_empty_trace():
     trace = fixed_run(make_dag(), "LOC", SimConfig(50.0, 30.0, horizon=0))
     assert len(trace.cycles) == 0
-    assert cycle_records(trace.cycles) == []
+    assert cycle_records(trace) == []
     assert trace.windows == []
     assert trace.summary["cycles"] == 0
     assert trace.summary["violation_rate"] == 0.0
@@ -93,7 +93,7 @@ def test_same_seed_reproduces_the_trace():
     sim = SimConfig(40.0, 40.0, horizon=3, seed=77)
     a = fixed_run(dag, "SO", sim)
     b = fixed_run(dag, "SO", sim)
-    assert cycle_records(a.cycles) == cycle_records(b.cycles)
+    assert cycle_records(a) == cycle_records(b)
     assert [w.metrics for w in a.windows] == [w.metrics for w in b.windows]
     assert a.summary == b.summary
 
@@ -102,7 +102,7 @@ def test_different_seeds_differ():
     dag = make_dag(cv=0.3)
     a = fixed_run(dag, "SO", SimConfig(40.0, 40.0, horizon=1, seed=1))
     b = fixed_run(dag, "SO", SimConfig(40.0, 40.0, horizon=1, seed=2))
-    assert cycle_records(a.cycles) != cycle_records(b.cycles)
+    assert cycle_records(a) != cycle_records(b)
 
 
 def test_link_fault_override_shifts_latency():
@@ -113,7 +113,7 @@ def test_link_fault_override_shifts_latency():
     )
     sim = SimConfig(period=50.0, deadline=30.0, horizon=4, seed=11)
     trace = fixed_run(dag, "SO", sim, faults=(fault,))
-    by_window = [cycle_records(trace.cycles, i * 5, (i + 1) * 5) for i in range(4)]
+    by_window = [cycle_records(trace, i * 5, (i + 1) * 5) for i in range(4)]
     # 22 ms of service, 1 ms upload, then 25 ms on the faulted return link
     assert all(r.e2e_latency == 48.0 and not r.deadline_met for r in by_window[1])
     assert all(r.e2e_latency == 48.0 for r in by_window[2])
@@ -132,8 +132,8 @@ def test_cycles_outside_fault_window_are_bit_identical():
     clean = fixed_run(dag, "SO", sim)
     faulted = fixed_run(dag, "SO", sim, faults=(fault,))
     for start, stop in ((0, 5), (15, 20)):
-        assert cycle_records(faulted.cycles, start, stop) == cycle_records(clean.cycles, start, stop)
-    assert cycle_records(faulted.cycles, 5, 15) != cycle_records(clean.cycles, 5, 15)
+        assert cycle_records(faulted, start, stop) == cycle_records(clean, start, stop)
+    assert cycle_records(faulted, 5, 15) != cycle_records(clean, 5, 15)
 
 
 def test_additive_fault_stacks_on_base_delay():
@@ -144,7 +144,7 @@ def test_additive_fault_stacks_on_base_delay():
     )
     sim = SimConfig(period=50.0, deadline=30.0, horizon=1, seed=3)
     trace = fixed_run(dag, "SO", sim, faults=(fault,))
-    assert all(r.e2e_latency == 49.0 for r in cycle_records(trace.cycles))
+    assert all(r.e2e_latency == 49.0 for r in cycle_records(trace))
 
 
 def test_unresolvable_fault_link_is_rejected():
@@ -178,8 +178,8 @@ def test_cpu_stress_multiplies_service_times():
     sim = SimConfig(period=50.0, deadline=50.0, horizon=3, seed=5)
     trace = fixed_run(dag, "LOC", sim, stresses=(stress,))
     # T1 and T2 run on R1: (2 + 10) * 3 + 8 + 2 + 1 while stressed
-    assert all(r.e2e_latency == 47.0 for r in cycle_records(trace.cycles, 0, 10))
-    assert all(r.e2e_latency == 23.0 for r in cycle_records(trace.cycles, 10))
+    assert all(r.e2e_latency == 47.0 for r in cycle_records(trace, 0, 10))
+    assert all(r.e2e_latency == 23.0 for r in cycle_records(trace, 10))
 
 
 def test_exogenous_load_adds_busy_time_only():
@@ -199,7 +199,7 @@ def test_lost_twice_caps_latency_and_skips_downstream_stages():
     dag = make_dag(loss=0.999999999)
     sim = SimConfig(period=50.0, deadline=30.0, horizon=1, seed=13)
     trace = fixed_run(dag, "LOC", sim)
-    for record in cycle_records(trace.cycles):
+    for record in cycle_records(trace):
         assert record.e2e_latency == 50.0
         assert not record.deadline_met
         assert record.busy_time["R1"] == 12.0
@@ -242,7 +242,7 @@ def test_migration_applies_at_the_next_window_boundary():
     )
     migrate_windows = [d.window_index for d in trace.decisions if d.action == "migrate"]
     assert migrate_windows == [2]
-    names = [r.placement for r in cycle_records(trace.cycles)]
+    names = [r.placement for r in cycle_records(trace)]
     w = 8
     assert set(names[:2 * w]) == {"LOC"}
     assert set(names[2 * w:]) == {"SO"}
@@ -350,9 +350,7 @@ def test_a_fault_in_one_window_leaves_every_other_window_unchanged(
     for j in range(1, horizon + 1):
         if j != k:
             start, stop = (j - 1) * window_size, j * window_size
-            assert cycle_records(faulted.cycles, start, stop) == cycle_records(
-                clean.cycles, start, stop
-            ), j
+            assert cycle_records(faulted, start, stop) == cycle_records(clean, start, stop), j
 
 
 def test_every_fatal_cycle_is_capped_at_the_period():
@@ -473,7 +471,7 @@ def test_every_dtp_cycle_equals_the_fixed_run_cycle_of_its_placement(
         name: run_simulation(dag, FABRIC, sim, controller, fixed=name, **disturbances).cycles
         for name in {name for name, _, _ in ran}
     }
-    assert all(store.names == (name,) for name, store in fixed.items())
+    assert all(store.source[0].name == name for name, store in fixed.items())
     fixed_rows = {name: store_rows(store) for name, store in fixed.items()}
     # a block run ahead can outlive a migration, so only run_cycle proves a shadow ran
     assert shadow and len(active) >= horizon * window_size
@@ -521,7 +519,7 @@ def test_known_cycles_are_read_and_leave_the_trace_unchanged():
         reused = run(known)
     assert set(simulated) == {"HYB"}
     fresh = run(None)
-    assert cycle_records(fresh.cycles) == cycle_records(reused.cycles)
+    assert cycle_records(fresh) == cycle_records(reused)
     assert fresh.windows == reused.windows
     assert fresh.summary == reused.summary
 
@@ -654,31 +652,101 @@ def test_simulate_cycles_builds_one_plan_per_placement_and_disturbance_state():
     assert built == ["LOC", "SO", "HYB"] * 3
 
 
-def with_period(store, period):
-    """The rows of ``store`` in a store released every ``period`` ms."""
-    other = CycleStore(store.nodes, period, store.names)
-    other.extend(store, 0, len(store), 0)
-    return other
+KNOWN_INPUTS = {
+    "sim": SimConfig(period=50.0, deadline=30.0, horizon=6, seed=7),
+    "window": 4,
+    "stresses": (StressProfile("R1", start_window=2, end_window=6, slowdown=2.5),),
+    "faults": (FaultInjection((("R1", "E"),), 3.0, sigma=0.5, start_window=3, end_window=4),),
+}
+
+
+def known_store(dag, placement="LOC", **changes):
+    """The store of a fixed run of ``placement`` (a candidate's name or a
+    Placement) over ``KNOWN_INPUTS`` with ``changes`` made."""
+    inputs = {**KNOWN_INPUTS, **changes}
+    if isinstance(placement, str):
+        placement = canonical_candidates(dag).by_name(placement)
+    stores = simulate_cycles(dag, FABRIC, inputs["sim"], [placement], inputs["window"],
+                             inputs["stresses"], inputs["faults"])
+    return stores[placement.name]
+
+
+def run_on_known_inputs(dag, known_cycles):
+    """A DTP run over ``KNOWN_INPUTS``."""
+    return run_simulation(
+        dag, FABRIC, KNOWN_INPUTS["sim"], controller_policy(dag, window_size=4, n_min=0),
+        stresses=KNOWN_INPUTS["stresses"], faults=KNOWN_INPUTS["faults"],
+        estimator=EstimatorConfig(static_samples=100), known_cycles=known_cycles,
+    )
+
+
+STALE = "not simulated from this run's candidate, dag, fabric, sim, window, stresses and faults"
+SIM = KNOWN_INPUTS["sim"]
 
 
 @pytest.mark.parametrize(
-    "horizon, bad, message",
+    "bad, message",
     [
-        (5, lambda loc: {"LOC": loc}, "20 cycles, expected 24"),
-        (7, lambda loc: {"LOC": loc}, "28 cycles, expected 24"),
-        (6, lambda loc: {"LOC": store_rows(loc)}, "a list, not the CycleStore of a fixed run"),
-        (6, lambda loc: {"SO": loc}, "known cycles of 'SO': cycles of LOC"),
-        (6, lambda loc: {"XYZ": loc}, "not a candidate"),
-        # its cycles.csv would write release_ms on the 30 ms grid of 50 ms windows
-        (6, lambda loc: {"LOC": with_period(loc, 30.0)}, "a period of 30.0 ms"),
+        (lambda dag: {"LOC": known_store(dag, sim=replace(SIM, horizon=5))}, STALE),
+        (lambda dag: {"LOC": known_store(dag, sim=replace(SIM, horizon=7))}, STALE),
+        (lambda dag: {"LOC": store_rows(known_store(dag))},
+         "a list, not the CycleStore of a fixed run"),
+        (lambda dag: {"SO": known_store(dag)}, "known cycles of 'SO': " + STALE),
+        (lambda dag: {"XYZ": known_store(dag)}, "not a candidate"),
+        # its cycles.csv would write release_ms on the 40 ms grid of 50 ms windows
+        (lambda dag: {"LOC": known_store(dag, sim=replace(SIM, period=40.0))}, STALE),
+        (lambda dag: {"LOC": known_store(dag, sim=replace(SIM, seed=8))}, STALE),
+        (lambda dag: {"LOC": known_store(dag, stresses=())}, STALE),
+        (lambda dag: {"LOC": known_store(
+            dag, faults=(replace(KNOWN_INPUTS["faults"][0], start_window=4, end_window=5),))},
+         STALE),
+        # 24 cycles either way
+        (lambda dag: {"LOC": known_store(dag, window=3, sim=replace(SIM, horizon=8))}, STALE),
+        (lambda dag: {"LOC": known_store(
+            dag, replace(canonical_candidates(dag).by_name("SO"), name="LOC"))}, STALE),
+        # a DTP run's store records no inputs
+        (lambda dag: {"LOC": run_on_known_inputs(dag, None).cycles}, STALE),
     ],
-    ids=["short", "long", "list", "placement", "candidate", "period"],
+    ids=["short", "long", "list", "placement", "candidate", "period", "seed", "unstressed",
+         "fault-window", "window", "assignment", "dtp"],
 )
-def test_known_cycles_of_another_shape_are_rejected(horizon, bad, message):
-    known, _ = known_cycles_case(horizon)
-    _, run = known_cycles_case()
+def test_known_cycles_of_another_shape_are_rejected(bad, message):
+    dag = make_dag(cv=0.3, jitter=0.5, loss=0.05)
+    run_on_known_inputs(dag, {"LOC": known_store(dag), "SO": known_store(dag, "SO")})
     with pytest.raises(ValueError, match=message):
-        run(bad(known["LOC"]))
+        run_on_known_inputs(dag, bad(dag))
+
+
+def test_a_fixed_runs_own_cycles_are_accepted_as_known():
+    # stresses as a list in one call and a tuple in the other: the same inputs
+    dag = make_dag(cv=0.3, jitter=0.5, loss=0.05)
+    stresses, faults = KNOWN_INPUTS["stresses"], KNOWN_INPUTS["faults"]
+    controller = controller_policy(dag, window_size=4, n_min=0)
+    loc = run_simulation(dag, FABRIC, SIM, controller, fixed="LOC", stresses=list(stresses),
+                         faults=faults)
+    assert loc.cycles.source == (
+        controller.candidates.by_name("LOC"), dag, FABRIC, SIM, 4, stresses, faults
+    )
+    reused = run_on_known_inputs(dag, {"LOC": loc.cycles})
+    fresh = run_on_known_inputs(dag, None)
+    assert (reused.windows, reused.summary) == (fresh.windows, fresh.summary)
+    assert store_rows(reused.cycles) == store_rows(fresh.cycles)
+
+
+def test_another_seeds_stores_are_rejected_in_a_shipped_scenario():
+    # robot-stress seed 1: handed seed 2's stores, or stores made without
+    # its stress, a DTP run would decide on cycles it never ran
+    config = load_config()
+    spec = config.scenarios["robot-stress"]
+    controller = config.controller_config(spec.controller_overrides)
+    sim = replace(spec.sim, seed=1, horizon=20)
+    fixed = [controller.candidates.by_name(name) for name in ("LOC", "SO")]
+    for stale_sim, stresses in ((replace(sim, seed=2), spec.stresses), (sim, ())):
+        stale = simulate_cycles(config.dag, config.fabric, stale_sim, fixed,
+                                controller.window_size, stresses, spec.faults)
+        with pytest.raises(ValueError, match=STALE):
+            run_simulation(config.dag, config.fabric, sim, controller, stresses=spec.stresses,
+                           faults=spec.faults, estimator=config.estimator, known_cycles=stale)
 
 
 def run_files(trace, directory):
@@ -699,9 +767,9 @@ def static_estimates_case():
     # estimates (4 shadow rows a window, 25 needed)
     controller = controller_policy(dag, window_size=50, n_min=0)
 
-    def run(stresses, static_estimates):
+    def run(stresses, static_estimates, seed=7):
         return run_simulation(
-            dag, FABRIC, sim, controller, stresses=stresses,
+            dag, FABRIC, replace(sim, seed=seed), controller, stresses=stresses,
             estimator=EstimatorConfig(static_samples=100), static_estimates=static_estimates,
         )
 
@@ -715,7 +783,9 @@ def test_shared_static_estimates_leave_the_run_files_unchanged(tmp_path, monkeyp
     shared = {}
     stressed = run((stress,), shared)
     # it migrates off LOC, so LOC is a challenger too
-    assert stressed.summary["migrations"] and sorted(shared) == ["HYB", "LOC", "SO"]
+    assert stressed.summary["migrations"] and sorted(shared) == [
+        ("HYB", 7, 50.0, 30.0, 100), ("LOC", 7, 50.0, 30.0, 100), ("SO", 7, 50.0, 30.0, 100)
+    ]
     filled = dict(shared)
     monkeypatch.setattr(simulation, "estimate_static", None)  # a call would raise
     reused = run((), shared)
@@ -726,24 +796,72 @@ def test_shared_static_estimates_leave_the_run_files_unchanged(tmp_path, monkeyp
     assert run_files(reused, tmp_path / "shared") == run_files(alone, tmp_path / "alone")
 
 
+def test_one_static_map_shared_by_two_seeds_and_two_scenarios_leaves_the_run_files_unchanged(
+    tmp_path,
+):
+    dag, stress, run = static_estimates_case()
+    shared = {}
+    for seed in (7, 8):
+        for stresses in ((stress,), ()):
+            name = f"{seed}-{len(stresses)}"
+            files = run_files(run(stresses, shared, seed), tmp_path / f"shared-{name}")
+            assert files == run_files(run(stresses, None, seed), tmp_path / f"alone-{name}"), name
+    assert sorted({key[1:] for key in shared}) == [(7, 50.0, 30.0, 100), (8, 50.0, 30.0, 100)]
+
+
+SO_KEY = ("SO", 7, 50.0, 30.0, 100)
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
-        (lambda so: {"SO": so.metrics}, "'SO': a WindowMetrics, not an EstimateReport"),
-        (lambda so: {"HYB": so}, "'HYB': .* \\('SO', 'static', 100\\), expected \\('HYB', "),
-        (lambda so: {"SO": replace(so, mechanism=MECHANISM_SHADOW)}, "\\('SO', 'shadow', 100\\)"),
-        (lambda so: {"SO": replace(so, sample_count=200)}, "\\('SO', 'static', 200\\)"),
+        (lambda so: {SO_KEY: so.metrics}, "'SO', .*: a WindowMetrics, not an EstimateReport"),
+        (lambda so: {("HYB", *SO_KEY[1:]): so},
+         "\\('HYB', .* \\('SO', 'static', 100\\), expected \\('HYB', "),
+        (lambda so: {SO_KEY: replace(so, mechanism=MECHANISM_SHADOW)},
+         "\\('SO', 'shadow', 100\\)"),
+        (lambda so: {SO_KEY: replace(so, sample_count=200)}, "\\('SO', 'static', 200\\)"),
+        # a key of the candidate's name alone
+        (lambda so: {"SO": so},
+         "'SO': .* \\('SO', 'static', 100\\), expected \\('S', 'static', 'O'\\)"),
     ],
-    ids=["type", "placement", "mechanism", "samples"],
+    ids=["type", "placement", "mechanism", "samples", "name-key"],
 )
 def test_static_estimates_of_another_shape_are_rejected(bad, message):
     dag, _, run = static_estimates_case()
     so = estimate_static(
         dag, canonical_candidates(dag).by_name("SO"), FABRIC, 30.0, 50.0, 100, random.Random(1)
     )
-    run((), {"SO": so})  # the report itself passes
+    run((), {SO_KEY: so})  # the report itself passes
     with pytest.raises(ValueError, match=message):
         run((), bad(so))
+
+
+def test_a_fixed_run_selects_no_placement():
+    # its one candidate is never scored against another: the dwell gate holds
+    # every window, and cost_j is the observed cost computed before the gate
+    dag = make_dag(cv=0.3)
+    sim = SimConfig(50.0, 30.0, horizon=10, seed=3)
+    controller = controller_policy(dag, window_size=4, n_min=1)
+    selected = []
+    select_placement = controller_module.select_placement
+
+    def counting_select_placement(*args):
+        selected.append(args)
+        return select_placement(*args)
+
+    with mock.patch.object(controller_module, "select_placement", counting_select_placement):
+        trace = run_simulation(dag, FABRIC, sim, controller, fixed="SO")
+        assert selected == [] and len(trace.windows) == 10
+        run_simulation(dag, FABRIC, sim, controller, estimator=EstimatorConfig(static_samples=100))
+    assert len(selected) == 9  # DTP selects past its one-window dwell gate
+
+
+def test_a_fixed_placement_outside_the_candidates_is_rejected():
+    dag = make_dag()
+    with pytest.raises(ValueError, match="'XYZ' is not a candidate: LOC, SO, HYB"):
+        run_simulation(dag, FABRIC, SimConfig(50.0, 30.0, horizon=1), controller_policy(dag),
+                       fixed="XYZ")
 
 
 def record_cycle_parts(run):
@@ -961,7 +1079,7 @@ def test_simulate_cycles_gives_each_placement_the_store_of_its_fixed_run(
     for name, store in stores.items():
         assert store_rows(store) == reference[name]
         alone = run_simulation(dag, FABRIC, sim, controller, fixed=name, **disturbances)
-        assert cycle_records(store) == cycle_records(alone.cycles)
+        assert (store_rows(store), store.source) == (store_rows(alone.cycles), alone.cycles.source)
         adopted = run_simulation(
             dag, FABRIC, sim, controller, fixed=name, known_cycles={name: store},
             **disturbances,
@@ -1076,7 +1194,9 @@ def test_simulate_cycles_takes_every_branch_of_run_cycle(window):
     for name, store in stores.items():
         assert store_rows(store) == reference[name], name
         alone = run_simulation(dag, FABRIC, sim, controller, fixed=name, **disturbances)
-        assert cycle_records(store) == cycle_records(alone.cycles), name
+        assert (store_rows(store), store.source) == (
+            store_rows(alone.cycles), alone.cycles.source
+        ), name
 
 
 def test_simulate_cycles_rejects_shared_names_and_empty_windows():
