@@ -2,10 +2,11 @@
 
 The engine estimates a challenger one of two ways:
 
-* static: Monte Carlo over the DAG's own service-time and link-delay
-  models, until the challenger has half a window of shadow cycles,
-* shadow: aggregate those recent shadow cycles (cycles simulated under the
-  candidate in the live environment without driving actuation) after.
+* static: Monte Carlo over the DAG's own models, with each node's
+  ``sampling.nominal_node_occupancy`` over the period as its utilization,
+  until the challenger has half a window of shadow cycles,
+* shadow: ``aggregate_window`` over its last W shadow cycles (simulated
+  under the candidate in the live environment, not actuated) after.
 
 A static estimate reads only the DAG's base models, the fabric, the
 period, the deadline, the sample count and its generator (the engine
@@ -33,7 +34,13 @@ from .metrics import (
     percentile_nearest_rank,
 )
 from .pipeline import Fabric, PipelineDag, Placement
-from .sampling import US_PER_MS, build_cycle_plan, quantize_us, sample_plan_latencies
+from .sampling import (
+    US_PER_MS,
+    build_cycle_plan,
+    nominal_node_occupancy,
+    quantize_us,
+    sample_plan_latencies,
+)
 
 MIN_STATIC_SAMPLES = 100
 
@@ -68,20 +75,6 @@ class ConservativeRatios:
                 raise ValueError(f"conservative ratio {name} must be >= 1")
 
 
-def predicted_node_utilization(
-    dag: PipelineDag,
-    placement: Placement,
-    fabric: Fabric,
-    period: float,
-) -> dict[str, float]:
-    """Occupancy model: the mean service each node hosts over the period."""
-    util = {node.id: 0.0 for node in fabric}
-    for task_id, node in placement.assignment.items():
-        mean = dag.task(task_id).service[node].mean
-        util[node] = util.get(node, 0.0) + mean / period
-    return {node: min(1.0, max(0.0, value)) for node, value in util.items()}
-
-
 def estimate_static(
     dag: PipelineDag,
     placement: Placement,
@@ -104,11 +97,11 @@ def estimate_static(
     latencies_us, violations = sample_plan_latencies(
         build_cycle_plan(dag, placement), rng, samples, quantize_us(deadline), quantize_us(period)
     )
-    per_node = predicted_node_utilization(dag, placement, fabric, period)
+    occupancy = nominal_node_occupancy(dag, placement)
+    per_node = {n: min(1.0, max(0.0, occupancy.get(n, 0.0) / period)) for n in fabric.ids()}
     robot_ids = [n.id for n in fabric.of_kind("robot")]
     edge_ids = [n.id for n in fabric.of_kind("edge")]
     metrics = WindowMetrics(
-        window_index=0,
         # the µs -> ms division is monotone, so the rank can be taken on the ints
         l95=percentile_nearest_rank(latencies_us, 0.95) / US_PER_MS,
         violation_rate=violations / samples,
@@ -132,7 +125,7 @@ def update_shadow(
     recent = history.columns(-window_size)
     count = len(recent.latency_us)
     duration = count * period
-    metrics, per_node = aggregate_window(recent, duration, fabric, window_index=0)
+    metrics, per_node = aggregate_window(recent, duration, fabric)
     return EstimateReport(placement, metrics, per_node, count, MECHANISM_SHADOW)
 
 
@@ -152,7 +145,6 @@ def estimate_conservative(
             for node in fabric
         }
     metrics = WindowMetrics(
-        window_index=0,
         l95=observed.l95 * ratios.latency,
         violation_rate=min(1.0, observed.violation_rate * ratios.violation),
         util_robot=min(1.0, observed.util_robot * ratios.util_robot),

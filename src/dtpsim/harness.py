@@ -413,6 +413,10 @@ class Expectation:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if self.min_fraction > 0 and not self.dominant:
+            raise ValueError("min_fraction > 0 needs a dominant placement, or every seed fails")
+        if self.min_fraction == 0 and not self.forbidden:
+            raise ValueError("min_fraction 0 needs a forbidden placement, or every seed passes")
 
 
 CHECK_KINDS = (

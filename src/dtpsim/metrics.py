@@ -106,13 +106,6 @@ class CycleStore:
             other.latency_us[cut], other.met[cut], [column[cut] for column in other.busy_us]
         )
 
-    def keep_last(self, count: int) -> None:
-        """Drop all but the last ``count`` cycles.  The positions then no longer
-        match cycle indices; only the columns of such a store are read."""
-        drop = slice(0, max(0, len(self) - count))
-        for column in (self.latency_us, self.met, *self.busy_us):
-            del column[drop]
-
     def columns(self, start: int = 0, stop: int | None = None) -> Columns:
         """Cycles ``[start:stop]`` as columns (slice semantics).  The whole
         store comes back uncopied, so the caller must only read it."""
@@ -131,17 +124,14 @@ class CycleStore:
 
 @dataclass(frozen=True)
 class WindowMetrics:
-    """Aggregated QoS of one window (window_index 0 marks a prediction)."""
+    """Aggregated QoS of one window."""
 
-    window_index: int
     l95: float
     violation_rate: float
     util_robot: float
     util_edge: float
 
     def __post_init__(self):
-        if self.window_index < 0:
-            raise ValueError("window_index must be >= 0")
         if self.l95 < 0:
             raise ValueError("l95 must be >= 0")
         for name in ("violation_rate", "util_robot", "util_edge"):
@@ -192,7 +182,6 @@ def aggregate_window(
     cycles: Columns,
     window_duration: float,
     fabric: Fabric,
-    window_index: int = 1,
 ) -> tuple[WindowMetrics, dict[str, float]]:
     """Collapse one window of cycles into WindowMetrics and the utilization
     of each node of ``cycles.busy_us``, summing each busy column once.
@@ -210,7 +199,6 @@ def aggregate_window(
     robot_ids = [n.id for n in fabric.of_kind("robot")]
     edge_ids = [n.id for n in fabric.of_kind("edge")]
     metrics = WindowMetrics(
-        window_index=window_index,
         # the µs -> ms division is monotone, so the rank can be taken on the ints
         l95=percentile_nearest_rank(cycles.latency_us, 0.95) / US_PER_MS,
         violation_rate=(count - cycles.met.count(1)) / count,

@@ -9,11 +9,11 @@ configuration is checked so nominal occupancy fits inside the period.
 
 A cycle is an integer row (µs) appended to the run's CycleStore, a set of
 stdlib ``array`` columns; the shadow history of each candidate keeps its
-last W rows the same way.  Windows, the summary and ``cycles.csv`` are read
-from the columns, and ``SimTrace.cycles`` is the store itself.  Their sums
-are exact: integer µs summed with ``sum()``, and window means through
-``math.fsum`` (``metrics.fsum_mean``), so no byte of a run depends on the
-interpreter.
+rows the same way, and a shadow estimate reads its last W.  Windows, the
+summary and ``cycles.csv`` are read from the columns, and
+``SimTrace.cycles`` is the store itself.  Their sums are exact: integer
+µs summed with ``sum()``, and window means through ``math.fsum``
+(``metrics.fsum_mean``), so no byte of a run depends on the interpreter.
 
 Randomness comes from per-purpose substreams addressed by cycle index, so
 stress windows, faults, shadow cycles, and placement changes can never
@@ -729,9 +729,7 @@ def run_simulation(
         for cycle_index in range(start, stop, shadow_stride):
             for name, plan in shadows:
                 shadow_hist[name].append(engine.run_cycle(plan, cycle_index))
-        for hist in shadow_hist.values():
-            hist.keep_last(window)
-        metrics, observed_util = aggregate_window(cycles.columns(start, stop), duration, fabric, k)
+        metrics, observed_util = aggregate_window(cycles.columns(start, stop), duration, fabric)
         observed.append((metrics, placement.name))
         estimates: dict[str, EstimateReport] = {}
         for candidate in placements:

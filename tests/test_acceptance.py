@@ -177,7 +177,6 @@ def random_environment(rng, names, horizon):
         row = {}
         for name in names:
             metrics = WindowMetrics(
-                window_index=k,
                 l95=rng.uniform(10.0, 60.0),
                 violation_rate=rng.uniform(0.0, 0.4),
                 util_robot=rng.uniform(0.0, 0.9),
@@ -292,7 +291,7 @@ def test_criterion_06_selection_matches_brute_force(shipped):
             scored.append(
                 ScoredCandidate(
                     placement=placements[name],
-                    metrics=WindowMetrics(1, rng.choice(l95_menu), 0.0, 0.0, 0.0),
+                    metrics=WindowMetrics(rng.choice(l95_menu), 0.0, 0.0, 0.0),
                     per_node_utilization={
                         node: rng.choice(util_menu) for node in ("R1", "R2", "E")
                     },

@@ -45,12 +45,12 @@ def config(n_min=3, delta_min=0.1, initial="LOC", window_size=50):
     )
 
 
-def window(l95, index=1):
-    return WindowMetrics(index, l95, 0.0, 0.0, 0.0)
+def window(l95):
+    return WindowMetrics(l95, 0.0, 0.0, 0.0)
 
 
 def estimate(name, l95):
-    return EstimateReport(name, window(l95, index=0), {}, 100, "static")
+    return EstimateReport(name, window(l95), {}, 100, "static")
 
 
 def flat_estimates(loc=40.0, so=40.0, hyb=40.0):
@@ -148,8 +148,8 @@ def test_never_migrates_to_itself():
 def environment_from_table(table):
     def env(window_index, current):
         loc, so, hyb = table(window_index)
-        return window(loc if current.name == "LOC" else so if current.name == "SO" else hyb,
-                      index=window_index), UTIL, flat_estimates(loc, so, hyb)
+        active = loc if current.name == "LOC" else so if current.name == "SO" else hyb
+        return window(active), UTIL, flat_estimates(loc, so, hyb)
     return env
 
 
@@ -185,7 +185,7 @@ def test_environment_failure_carries_window_index():
     def broken(window_index, current):
         if window_index == 5:
             raise RuntimeError("sensor went away")
-        return window(40.0, index=window_index), UTIL, flat_estimates()
+        return window(40.0), UTIL, flat_estimates()
 
     with pytest.raises(EnvironmentFailure) as err:
         run_horizon(cfg, broken, 10)

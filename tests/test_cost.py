@@ -23,7 +23,7 @@ HYB = CANDS.by_name("HYB")
 
 
 def metrics(l95=20.0, vr=0.0, ur=0.0, ue=0.0):
-    return WindowMetrics(1, l95, vr, ur, ue)
+    return WindowMetrics(l95, vr, ur, ue)
 
 
 def scored(placement, cost, l95=20.0, per_node=None):

@@ -70,7 +70,7 @@ def reference_write_cycles_csv(records, fabric, path):
 
 def window_row(k, placement):
     """A window row of ``placement`` with placeholder metrics."""
-    return WindowRow(k, WindowMetrics(k, 1.0, 0.0, 0.0, 0.0), placement, 0.0, None)
+    return WindowRow(k, WindowMetrics(1.0, 0.0, 0.0, 0.0), placement, 0.0, None)
 
 
 def reference_utilization(records, window_duration, nodes):
@@ -80,11 +80,10 @@ def reference_utilization(records, window_duration, nodes):
     return min(1.0, max(0.0, busy_us / (1000 * window_duration * len(nodes))))
 
 
-def reference_aggregate(records, window_duration, fabric, window_index):
+def reference_aggregate(records, window_duration, fabric):
     robot_ids = [n.id for n in fabric.of_kind("robot")]
     edge_ids = [n.id for n in fabric.of_kind("edge")]
     return WindowMetrics(
-        window_index=window_index,
         l95=percentile_nearest_rank([r.e2e_latency for r in records], 0.95),
         violation_rate=sum(1 for r in records if not r.deadline_met) / len(records),
         util_robot=reference_utilization(records, window_duration, robot_ids),
@@ -360,7 +359,7 @@ def test_the_column_writer_matches_the_record_writer(
     duration = window * sim.period
     for k, row in enumerate(trace.windows, 1):
         window_records = records[(k - 1) * window:k * window]
-        assert row.metrics == reference_aggregate(window_records, duration, FABRIC, k)
+        assert row.metrics == reference_aggregate(window_records, duration, FABRIC)
     latencies = [r.e2e_latency for r in records]
     latency_us = sum(round(ms * 1000) for ms in latencies)
     assert trace.summary["mean_latency_ms"] == latency_us / (1000 * len(latencies))

@@ -4,6 +4,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import controller_policy, cycle_store, make_dag, make_fabric
 from dtpsim.estimator import (
@@ -11,12 +12,12 @@ from dtpsim.estimator import (
     EstimatorConfig,
     estimate_conservative,
     estimate_static,
-    predicted_node_utilization,
     update_shadow,
 )
 from dtpsim.harness import load_config
 from dtpsim.metrics import WindowMetrics
 from dtpsim.pipeline import canonical_candidates, nominal_latency
+from dtpsim.sampling import nominal_node_occupancy
 from dtpsim.simulation import SimConfig, run_simulation
 from dtpsim.streams import RandomStreams
 
@@ -101,13 +102,22 @@ def test_static_estimate_pins_the_shipped_dag(deadline, lossy):
         assert report.sample_count == samples == 2000
 
 
-def test_predicted_node_utilization_from_means():
-    dag = make_dag()
-    cands = canonical_candidates(dag)
-    per_node = predicted_node_utilization(dag, cands.by_name("LOC"), FABRIC, period=40.0)
-    assert per_node == pytest.approx({"R1": 0.3, "R2": 0.25, "E": 0.0})
-    per_node = predicted_node_utilization(dag, cands.by_name("SO"), FABRIC, period=40.0)
-    assert per_node == pytest.approx({"R1": 0.05, "R2": 0.05, "E": 0.45})
+@settings(deadline=None)
+@example(means=(2.0, 10.0, 8.0, 2.0), period=40.0)  # LOC R1 0.3, R2 0.25; SO E 0.45
+@given(
+    means=st.tuples(*[st.floats(0.0, 50.0) for _ in range(4)]),
+    period=st.floats(1.0, 100.0),
+)
+def test_static_utilization_is_the_engines_nominal_occupancy(means, period):
+    # one occupancy rule: a node's summed mean service, divided once by the
+    # period; dividing each task's mean first can differ in the last bit
+    dag = make_dag(means=means)
+    for placement in canonical_candidates(dag):
+        report = estimate_static(dag, placement, FABRIC, period, period, 100, random.Random(1))
+        occupancy = nominal_node_occupancy(dag, placement)
+        assert report.per_node_utilization == {
+            n: min(1.0, max(0.0, occupancy.get(n, 0.0) / period)) for n in FABRIC.ids()
+        }
 
 
 def test_static_and_shadow_estimates_agree_without_randomness():
@@ -170,7 +180,7 @@ def test_shadow_rejects_empty_history():
         update_shadow(cycle_store([]), "SO", window_size=10, period=30.0, fabric=FABRIC)
 
 
-OBSERVED = WindowMetrics(3, l95=20.0, violation_rate=0.1, util_robot=0.4, util_edge=0.3)
+OBSERVED = WindowMetrics(l95=20.0, violation_rate=0.1, util_robot=0.4, util_edge=0.3)
 
 
 def test_conservative_scales_latency():
@@ -189,7 +199,7 @@ def test_conservative_identity_ratios():
 
 
 def test_conservative_clamps_rates_and_utils():
-    high = WindowMetrics(3, l95=20.0, violation_rate=0.8, util_robot=0.9, util_edge=0.9)
+    high = WindowMetrics(l95=20.0, violation_rate=0.8, util_robot=0.9, util_edge=0.9)
     report = estimate_conservative(high, "SO", ConservativeRatios(violation=2.0))
     assert report.metrics.violation_rate == 1.0
     assert report.metrics.util_robot == 1.0

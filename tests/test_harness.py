@@ -701,6 +701,34 @@ def test_cli_rejects_a_check_bound_that_decides_nothing(tmp_path, capsys, check,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "expected, where",
+    [
+        # printed [PASS] dominant-placement:HYB ... (min 0.000) for any run
+        ({"dominant": ["HYB"], "min_fraction": 0.0, "forbidden": []}, "min_fraction 0"),
+        # printed [FAIL] dominant-placement:: ... for any run
+        ({"dominant": [], "forbidden": []}, "min_fraction > 0"),
+    ],
+    ids=["always-passes", "always-fails"],
+)
+def test_cli_rejects_an_expectation_that_decides_nothing(tmp_path, capsys, expected, where):
+    path = write_config(tmp_path, {"scenarios": {"baseline": {"expected": expected, "seeds": [1]}}})
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out"), "--scenario",
+                                   "baseline"]):
+        assert main([*command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenarios.baseline.expected: {where} needs"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_forbidden_only_expectation_is_legal(tmp_path, capsys):
+    # min_fraction 0 with a forbidden placement still fails a run that uses it
+    expected = {"dominant": [], "min_fraction": 0.0, "forbidden": ["SO"]}
+    path = write_config(tmp_path, {"scenarios": {"baseline": {"expected": expected}}})
+    assert main(["validate", "--config", path]) == 0
+    assert "config ok" in capsys.readouterr().out
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_a_run_makes_each_static_estimate_once_per_seed(tmp_path, monkeypatch):
     # a static estimate reads no stress or fault: the four DTP runs of a

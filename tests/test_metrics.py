@@ -152,7 +152,7 @@ def test_aggregate_rejects_empty_window():
 
 
 def test_normalize_divides_by_targets():
-    m = WindowMetrics(1, l95=30.0, violation_rate=0.25, util_robot=0.8, util_edge=0.4)
+    m = WindowMetrics(l95=30.0, violation_rate=0.25, util_robot=0.8, util_edge=0.4)
     n = normalize(m, NormalizationTargets(latency=40.0, util_robot=0.8, util_edge=0.8))
     assert n.l95 == pytest.approx(0.75)
     assert n.violation_rate == 0.25
@@ -162,6 +162,6 @@ def test_normalize_divides_by_targets():
 
 def test_window_metrics_validates_rates():
     with pytest.raises(ValueError):
-        WindowMetrics(1, 10.0, violation_rate=1.5, util_robot=0.0, util_edge=0.0)
+        WindowMetrics(10.0, violation_rate=1.5, util_robot=0.0, util_edge=0.0)
     with pytest.raises(ValueError):
-        WindowMetrics(1, 10.0, violation_rate=0.0, util_robot=-0.1, util_edge=0.0)
+        WindowMetrics(10.0, violation_rate=0.0, util_robot=-0.1, util_edge=0.0)
