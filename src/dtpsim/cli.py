@@ -15,7 +15,10 @@ from pathlib import Path
 from .harness import (
     ConfigError,
     ResolvedConfig,
+    ScenarioReport,
+    ScenarioSpec,
     echo_config,
+    evaluate_expectations,
     load_config,
     load_report,
     render_report,
@@ -92,22 +95,44 @@ def _select_scenarios(config: ResolvedConfig, name: str) -> list[str]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    """Run the selected scenarios seed by seed, each seed's runs of every
+    scenario on one mapping of normals, and report each scenario's seeds in
+    its own order."""
     config = load_config(args.config)
     specs = [config.scenarios[name] for name in _select_scenarios(config, args.scenario)]
-    for spec in specs:  # reject a bad subset before anything is written
-        select_runs(config, spec, args.policies, args.seeds)
+    # reject a bad subset before anything is written
+    seeds = [select_runs(config, spec, args.policies, args.seeds)[1] for spec in specs]
     outdir = Path(args.out if args.out is not None else _default_outdir())
 
     echo_config(config, outdir)
     static_estimates: dict = {}  # one config: every scenario shares its dag, fabric and candidates
+    reports: list[dict[int, ScenarioReport]] = [{} for _ in specs]
+    for seed in dict.fromkeys(seed for selected in seeds for seed in selected):
+        # a seed's draws are the same in every scenario; one seed's columns are held at a time
+        normals: dict = {}
+        for spec, selected, by_seed in zip(specs, seeds, reports):
+            if seed in selected:
+                by_seed[seed] = run_scenario(
+                    config, spec, args.policies, [seed], outdir, static_estimates, normals
+                )
     payload = report_payload(
         [
-            run_scenario(config, spec, args.policies, args.seeds, outdir, static_estimates)
-            for spec in specs
+            _merged(spec, [by_seed[seed] for seed in selected])
+            for spec, selected, by_seed in zip(specs, seeds, reports)
         ]
     )
     write_report(payload, outdir)
     return _print_report(payload, args.format)
+
+
+def _merged(spec: ScenarioSpec, reports: list[ScenarioReport]) -> ScenarioReport:
+    """One report of a scenario's one-seed reports, in their order, its
+    expectations evaluated over all of their seeds."""
+    results = {
+        policy: [run for report in reports for run in report.results[policy]]
+        for policy in reports[0].results
+    }
+    return ScenarioReport(spec.name, results, evaluate_expectations(spec, results))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -99,14 +99,12 @@ def estimate_static(
     )
     occupancy = nominal_node_occupancy(dag, placement)
     per_node = {n: min(1.0, max(0.0, occupancy.get(n, 0.0) / period)) for n in fabric.ids()}
-    robot_ids = [n.id for n in fabric.of_kind("robot")]
-    edge_ids = [n.id for n in fabric.of_kind("edge")]
     metrics = WindowMetrics(
         # the µs -> ms division is monotone, so the rank can be taken on the ints
         l95=percentile_nearest_rank(latencies_us, 0.95) / US_PER_MS,
         violation_rate=violations / samples,
-        util_robot=fsum_mean([per_node[n] for n in robot_ids]),
-        util_edge=fsum_mean([per_node[n] for n in edge_ids]),
+        util_robot=fsum_mean([per_node[n] for n in fabric.robot_ids]),
+        util_edge=fsum_mean([per_node[n] for n in fabric.edge_ids]),
     )
     return EstimateReport(placement.name, metrics, per_node, samples, MECHANISM_STATIC)
 

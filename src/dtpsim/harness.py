@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import typing
+from array import array
 from collections.abc import Iterator, Mapping, MutableMapping, Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -692,6 +693,7 @@ def run_scenario(
     seeds: Sequence[int] | None = None,
     outdir: Path | None = None,
     static_estimates: MutableMapping[tuple, EstimateReport] | None = None,
+    normals: MutableMapping[tuple[int, str], array] | None = None,
 ) -> ScenarioReport:
     """Run every (policy, seed) pair of a scenario and evaluate expectations.
 
@@ -708,7 +710,10 @@ def run_scenario(
     ``static_estimates`` is passed to every run (see ``run_simulation``),
     so that the scenarios of one config can share it (``dtpsim run``
     passes one mapping to every scenario); None shares it only among the
-    runs of one call.
+    runs of one call.  ``normals`` is passed to every run and every
+    ``simulate_cycles`` call the same way; it is keyed by seed, and
+    ``dtpsim run`` passes each seed's runs of every scenario one mapping of
+    their own.  None keeps each block's normals to its block.
     """
     policies, seeds = select_runs(config, spec, policies, seeds)
     controller = config.controller_config(spec.controller_overrides)
@@ -727,6 +732,7 @@ def run_scenario(
             controller.window_size,
             spec.stresses,
             spec.faults,
+            normals,
         )
         traces: dict[str, SimTrace] = {}
         for policy in sorted(policies, key=lambda p: p == CONTROLLER_POLICY):
@@ -742,6 +748,7 @@ def run_scenario(
                 estimator=config.estimator,
                 known_cycles={fixed: known[fixed]} if fixed else known,
                 static_estimates=static_estimates,
+                normals=normals,
             )
             traces[policy] = trace
             results[policy].append(
@@ -783,8 +790,10 @@ def evaluate_expectations(
     controller_runs = results.get(CONTROLLER_POLICY, ())
     expected = spec.expected
 
-    label = "+".join(expected.dominant)
-    name = f"dominant-placement:{label}"
+    label, forbidden = "+".join(expected.dominant), "+".join(expected.forbidden)
+    # with min_fraction 0 every seed reaches the dominant share: only the forbidden part decides
+    forbidden_only = not expected.min_fraction
+    name = f"forbidden-placement:{forbidden}" if forbidden_only else f"dominant-placement:{label}"
     # a run with no window after convergence has no post-convergence occupancy
     posts = [(r, w) for r in controller_runs if (w := post_convergence_windows(r.summary))]
     if controller_runs and not posts:
@@ -805,14 +814,20 @@ def evaluate_expectations(
                 seed_pass += 1
         needed = max(1, math.ceil(len(posts) * expected.min_seed_fraction - 1e-9))
         passed = seed_pass >= needed
-        detail = (
-            f"{seed_pass}/{len(posts)} seeds reached {label} occupancy >= "
-            f"{expected.min_fraction:.2f} post-convergence (need {needed}; "
-            f"min {min(occupancies):.3f}, mean {fsum_mean(occupancies):.3f}"
-        )
-        if expected.forbidden:
-            detail += f"; forbidden {'+'.join(expected.forbidden)} must stay at 0"
-        detail += ")"
+        if forbidden_only:
+            detail = (
+                f"{seed_pass}/{len(posts)} seeds kept {forbidden} at 0 post-convergence "
+                f"(need {needed})"
+            )
+        else:
+            detail = (
+                f"{seed_pass}/{len(posts)} seeds reached {label} occupancy >= "
+                f"{expected.min_fraction:.2f} post-convergence (need {needed}; "
+                f"min {min(occupancies):.3f}, mean {fsum_mean(occupancies):.3f}"
+            )
+            if expected.forbidden:
+                detail += f"; forbidden {forbidden} must stay at 0"
+            detail += ")"
         out.append(ExpectationResult(name, passed, detail))
 
     for check in spec.checks:

@@ -196,14 +196,12 @@ def aggregate_window(
     if window_duration <= 0:
         raise ValueError("window_duration must be > 0")
     busy_us = {node: sum(us) for node, us in cycles.busy_us.items()}
-    robot_ids = [n.id for n in fabric.of_kind("robot")]
-    edge_ids = [n.id for n in fabric.of_kind("edge")]
     metrics = WindowMetrics(
         # the µs -> ms division is monotone, so the rank can be taken on the ints
         l95=percentile_nearest_rank(cycles.latency_us, 0.95) / US_PER_MS,
         violation_rate=(count - cycles.met.count(1)) / count,
-        util_robot=class_utilization(busy_us, window_duration, robot_ids),
-        util_edge=class_utilization(busy_us, window_duration, edge_ids),
+        util_robot=class_utilization(busy_us, window_duration, fabric.robot_ids),
+        util_edge=class_utilization(busy_us, window_duration, fabric.edge_ids),
     )
     # a one-node class divides by US_PER_MS * window_duration * 1, the same float
     scale = US_PER_MS * window_duration

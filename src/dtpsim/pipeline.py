@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
 
 NodeId = str
@@ -78,6 +79,16 @@ class Fabric:
 
     def of_kind(self, kind: str) -> tuple[ComputeNode, ...]:
         return tuple(n for n in self.nodes if n.kind == kind)
+
+    @cached_property
+    def robot_ids(self) -> tuple[NodeId, ...]:
+        """The ids of the robot nodes, in fabric order, built once."""
+        return tuple(n.id for n in self.of_kind("robot"))
+
+    @cached_property
+    def edge_ids(self) -> tuple[NodeId, ...]:
+        """The ids of the edge nodes, in fabric order, built once."""
+        return tuple(n.id for n in self.of_kind("edge"))
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,7 @@ import io
 import json
 import math
 import warnings
+from array import array
 from collections import Counter
 from itertools import repeat
 from operator import mul, truediv
@@ -398,8 +399,7 @@ class _Engine:
                 stage_us.append([quantize_us(mean * stage.slowdown, resolution)] * count)
                 continue
             floor = mean * model.floor_fraction
-            radius, cosine = draws.normals(stage.tag)
-            us = _clamped_us(radius, cosine, mean, sd, floor, stage.slowdown, resolution)
+            us = _clamped_us(draws.normals(stage.tag), mean, sd, floor, stage.slowdown, resolution)
             stage_us.append(us)
         link_us = []
         fatal: dict[int, int] = {}  # cycle offset -> index of its first edge lost twice
@@ -408,8 +408,8 @@ class _Engine:
                 continue
             link, scale = edge.model, edge.edge_scale
             mu = link.base_delay
-            radius, cosine = draws.normals(edge.tag)
-            us = _clamped_us(radius, cosine, mu, link.jitter_sigma, 0.0, scale, resolution)
+            normals = draws.normals(edge.tag)
+            us = _clamped_us(normals, mu, link.jitter_sigma, 0.0, scale, resolution)
             loss = link.loss_probability
             if loss > 0.0:  # a draw in [0, 1) is never below a zero loss
                 timeout_us = quantize_us(4.0 * mu * scale, resolution)
@@ -447,29 +447,27 @@ class _Engine:
 
 
 def _clamped_us(
-    radius: Sequence[float],
-    cosine: Sequence[float],
+    normals: Sequence[float],
     mu: float,
     sigma: float,
     low: float,
     scale: float,
     resolution: int,
 ) -> list[int]:
-    """``quantize_us(max(mu + sigma * r * c, low) * scale, resolution)`` of
-    each lane, in one pass: ``sample_service``'s draw with ``low`` its
-    floor, or ``traverse_edge``'s first attempt with ``low`` 0.0.  Its
-    ``max(0.0, v)`` differs from ``max(v, 0.0)`` only at v = -0.0, which
-    rounds to the same 0 µs."""
-    lanes = zip(radius, cosine)
+    """``quantize_us(max(mu + sigma * z, low) * scale, resolution)`` of each
+    lane's standard normal z, in one pass: ``sample_service``'s draw with
+    ``low`` its floor, or ``traverse_edge``'s first attempt with ``low``
+    0.0.  Its ``max(0.0, v)`` differs from ``max(v, 0.0)`` only at v = -0.0,
+    which rounds to the same 0 µs."""
     if resolution == 1:
         return [
-            round((low if low > (v := mu + sigma * r * c) else v) * scale * US_PER_MS)
-            for r, c in lanes
+            round((low if low > (v := mu + sigma * z) else v) * scale * US_PER_MS)
+            for z in normals
         ]
     return [
-        round((low if low > (v := mu + sigma * r * c) else v) * scale * US_PER_MS / resolution)
+        round((low if low > (v := mu + sigma * z) else v) * scale * US_PER_MS / resolution)
         * resolution
-        for r, c in lanes
+        for z in normals
     ]
 
 
@@ -618,6 +616,7 @@ def run_simulation(
     estimator: EstimatorConfig | None = None,
     known_cycles: Mapping[str, CycleStore] | None = None,
     static_estimates: MutableMapping[str, EstimateReport] | None = None,
+    normals: MutableMapping[tuple[int, str], array] | None = None,
 ) -> SimTrace:
     """Simulate ``sim.horizon`` windows of ``controller.window_size`` cycles.
 
@@ -651,6 +650,12 @@ def run_simulation(
     fault), so share one mapping per dag, fabric and candidate set.  A
     ValueError rejects anything but an EstimateReport, or a report of
     another placement, mechanism or sample count than its key's.
+
+    ``normals`` maps (seed, tag) to the tag's standard normals from cycle 0,
+    read and filled by every ``WindowDraws`` of the run (see
+    ``streams.WindowDraws``); None keeps each block's to its block.  The
+    key holds every input of a draw, so share one mapping among the runs
+    of a seed, whatever their scenario.
     """
     if fixed is not None:
         if fixed not in (names := controller.candidates.names()):
@@ -714,7 +719,7 @@ def run_simulation(
         if known is None:
             if ahead is None or ahead[:2] != (placement.name, windows):
                 # window k's rows to the end of its block, read while the candidate stays active
-                draws = WindowDraws(sim.seed, start, (windows.stop - 1) * window)
+                draws = WindowDraws(sim.seed, start, (windows.stop - 1) * window, normals)
                 rows = CycleStore(engine.node_ids, sim.period)
                 rows.append_columns(*engine.run_window(plans[placement.name], draws))
                 ahead = placement.name, windows, start, rows
@@ -759,6 +764,7 @@ def simulate_cycles(
     window: int,
     stresses: Sequence[StressProfile] = (),
     faults: Sequence[FaultInjection] = (),
+    normals: MutableMapping[tuple[int, str], array] | None = None,
 ) -> dict[str, CycleStore]:
     """The ``cycles`` store of a fixed run of each placement, by name.
 
@@ -771,8 +777,9 @@ def simulate_cycles(
     ``WindowDraws``, which makes the draws of every tag the placements
     use, each key and column once, and one ``_Engine.run_window`` per
     placement turns them into its columns; only one block of draws is
-    held at a time.  The checks are those of ``run_simulation``, but only
-    the runs that adopt the stores warn about stressed occupancy.  A
+    held at a time.  ``normals`` is passed to each ``WindowDraws`` (see
+    ``run_simulation``).  The checks are those of ``run_simulation``, but
+    only the runs that adopt the stores warn about stressed occupancy.  A
     ValueError also rejects two placements of one name and a window under 1.
     """
     names = [p.name for p in placements]
@@ -787,7 +794,8 @@ def simulate_cycles(
     for placement in placements:
         stores[placement.name].source = (placement, *inputs)
     for windows, plans in _schedule(placements, stresses, faults, dag, sim, window):
-        draws = WindowDraws(sim.seed, (windows.start - 1) * window, (windows.stop - 1) * window)
+        start, stop = (windows.start - 1) * window, (windows.stop - 1) * window
+        draws = WindowDraws(sim.seed, start, stop, normals)
         for name, store in stores.items():
             store.append_columns(*engine.run_window(plans[name], draws))
     return stores
@@ -865,7 +873,7 @@ def write_cycles_csv(
 
     The bytes are those of ``csv.writer``: only the header and the
     placement names can need quoting, so they go through it once, each
-    distinct name once, and every row is one ``str.format`` of a template.
+    distinct name once, and every row is one ``%`` of a template.
     """
     node_ids = fabric.ids()
     header = _csv_row(
@@ -873,7 +881,7 @@ def write_cycles_csv(
         + [f"busy_{n}_ms" for n in node_ids]
         + ["placement_name"]
     )
-    row = ",".join(["{}", "{:.3f}", "{:.3f}", "{}", *["{:.3f}"] * len(node_ids), "{}"]) + "\r\n"
+    row = ",".join(["%d", "%.3f", "%.3f", "%s", *["%.3f"] * len(node_ids), "%s"]) + "\r\n"
     runs = [(trace, path), *others]
     count = max(len(t.cycles) for t, _ in runs)
     placements = {w.placement for t, _ in runs for w in t.windows}
@@ -910,8 +918,8 @@ def write_cycles_csv(
 
 
 def _cycle_rows(row: str, start: int, names, period, latency_us, met, *busy_us) -> str:
-    """The ``cycles.csv`` rows of cycles ``start, start + 1, ...``: each a
-    ``row.format`` of its columns, a busy column of None being 0."""
+    """The ``cycles.csv`` rows of cycles ``start, start + 1, ...``: each
+    ``row % fields`` of its columns, a busy column of None being 0."""
     cycles = range(start, start + len(latency_us))
 
     def ms(values_us):
@@ -919,13 +927,15 @@ def _cycle_rows(row: str, start: int, names, period, latency_us, met, *busy_us) 
 
     return "".join(
         map(
-            row.format,
-            cycles,
-            map(mul, cycles, repeat(period)),
-            ms(latency_us),
-            map(("false", "true").__getitem__, met),
-            *map(ms, busy_us),
-            names,
+            row.__mod__,
+            zip(
+                cycles,
+                map(mul, cycles, repeat(period)),
+                ms(latency_us),
+                map(("false", "true").__getitem__, met),
+                *map(ms, busy_us),
+                names,
+            ),
         )
     )
 

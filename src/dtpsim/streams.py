@@ -20,10 +20,16 @@ cycle: it makes the draws of a range of steps tag by tag, column by
 column, each key and each tag's normals once however many placements read
 them.  Each step is a 128-bit lane of one int, so splitmix64 mixes a
 column in a dozen big-int operations.  A draw column holds the 53-bit
-integers m that ``Draws.random`` scales by 2**-53 into its uniform, and
-each Box-Muller column is one pass over such integers that makes
-``Draws``' float operations bit for bit without building the uniforms
-(``WindowDraws.normals`` says why each step is exact).
+integers m that ``Draws.random`` scales by 2**-53 into its uniform, and a
+tag's normals are one column of standard normals z, one pass over two
+such integer columns that makes ``Draws.gauss``' float operations bit for
+bit without building the uniforms (``WindowDraws.normals`` says why each
+step is exact); ``gauss(mu, sigma)`` of a step is ``mu + sigma * z``.
+
+Draws are keyed by (seed, tag, step) and never by the run that reads them,
+so the runs of one seed can share the normal columns: ``WindowDraws`` takes
+a mapping of ``(seed, tag)`` to an ``array('d')`` of the tag's normals from
+step 0, reads its steps from there and fills the columns it reads past.
 
 ``fresh(tag)`` still returns a Mersenne Twister ``random.Random``, seeded
 once, for batch Monte Carlo whose caller owns the whole sequence.
@@ -37,10 +43,13 @@ import sys
 import zlib
 from array import array
 from functools import lru_cache
+from typing import MutableMapping, Sequence
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
+# the most steps a shared normal column is filled by at once outside a window's own
+_FILL_LANES = 256
 
 
 def _mix64(x: int) -> int:
@@ -80,9 +89,9 @@ class Draws:
         return ((x ^ (x >> 31)) >> 11) * 1.1102230246251565e-16  # 2**-53
 
     def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """Box-Muller normal from the next two uniforms."""
+        """``mu + sigma * z``, z the Box-Muller normal of the next two uniforms."""
         radius = math.sqrt(-2.0 * math.log(1.0 - self.random()))
-        return mu + sigma * radius * math.cos(_TWO_PI * self.random())
+        return mu + sigma * (radius * math.cos(_TWO_PI * self.random()))
 
 
 @lru_cache(maxsize=16)
@@ -111,12 +120,21 @@ class WindowDraws:
     Element i of draw n's column is draw n of ``at(tag, start + i)``, bit for
     bit, computed over the steps' lanes by ``_mix64_lanes``.  Each key column
     and each tag's normals are computed once, on first read, so readers that
-    share a tag share them.
+    share a tag share them.  With ``normals``, a mapping of ``(master_seed,
+    tag)`` to the tag's normals from step 0, each tag's normals are read
+    from there and their column is filled up to ``stop`` first, so the
+    windows of every run that shares the mapping compute each step once.
     """
 
-    __slots__ = ("master_seed", "steps", "_offsets", "_keys", "_normals")
+    __slots__ = ("master_seed", "steps", "_offsets", "_keys", "_normals", "_columns")
 
-    def __init__(self, master_seed: int, start: int, stop: int):
+    def __init__(
+        self,
+        master_seed: int,
+        start: int,
+        stop: int,
+        normals: MutableMapping[tuple[int, str], array] | None = None,
+    ):
         if start < 0 or stop < start:
             raise ValueError(f"window steps [{start}, {stop}) are not a range of cycles")
         self.master_seed = int(master_seed)
@@ -126,7 +144,8 @@ class WindowDraws:
         # its lane: (2**64 + count) * golden < 2**128
         self._offsets = ((start & _MASK64) * ones + ramp) * _GOLDEN & mask
         self._keys: dict[str, int] = {}
-        self._normals: dict[str, tuple[list[float], list[float]]] = {}
+        self._normals: dict[str, Sequence[float]] = {}
+        self._columns = normals
 
     def _packed_keys(self, tag: str) -> int:
         keys = self._keys.get(tag)
@@ -151,12 +170,12 @@ class WindowDraws:
         uniform is ``m * 2**-53``; ``u < p`` exactly when ``m < p * 2**53``."""
         return _unpacked(self._packed_draws(tag, n), len(self.steps))
 
-    def normals(self, tag: str) -> tuple[list[float], list[float]]:
-        """The Box-Muller radius and cosine of draws 0 and 1 of each step, so
-        the first ``gauss(mu, sigma)`` of step i is ``mu + sigma * r[i] * c[i]``.
+    def normals(self, tag: str) -> Sequence[float]:
+        """The standard normal z of draws 0 and 1 of each step, so the first
+        ``gauss(mu, sigma)`` of step i is ``mu + sigma * z[i]``.
 
-        Both are ``Draws.gauss``' ``sqrt(-2.0 * log(1.0 - u0))`` and
-        ``cos(_TWO_PI * u1)`` bit for bit, with no uniform column built:
+        z is ``Draws.gauss``' ``sqrt(-2.0 * log(1.0 - u0)) * cos(_TWO_PI *
+        u1)`` bit for bit, with no uniform column built:
 
         * ``1.0 - u0`` is ``(2**53 - m0) * 2**-53``.  With u0 = m0 * 2**-53
           below 1, the difference is a multiple of 2**-53 in (0, 1], which a
@@ -166,19 +185,41 @@ class WindowDraws:
         * ``_TWO_PI * u1`` is ``(_TWO_PI * 2**-53) * m1``.  Scaling by 2**-53
           is exact on both sides (m1 < 2**53 converts exactly), so both are
           the one real product ``2π * m1 * 2**-53`` rounded once.
+
+        Without a ``normals`` mapping the column is this window's own list.
+        With one, it is a copy of the steps' slice of the mapping's column,
+        whose missing steps ``[len(column), stop)`` are computed first: this
+        window's own steps in one pass, any others ``_FILL_LANES`` at a time.
         """
         normals = self._normals.get(tag)
         if normals is None:
-            count = len(self.steps)
-            ones = _lanes(count)[0]
-            complement = _unpacked((ones << 53) - self._packed_draws(tag, 0), count)
-            angles = _unpacked(self._packed_draws(tag, 1), count)
-            log, sqrt, cos, turn = math.log, math.sqrt, math.cos, _TWO_PI * 2.0**-53
-            normals = self._normals[tag] = (
-                [sqrt(-2.0 * log(k * 2.0**-53)) for k in complement],
-                [cos(turn * m) for m in angles],
-            )
+            columns = self._columns
+            if columns is None:
+                normals = self._standard_normals(tag)
+            else:
+                column = columns.setdefault((self.master_seed, tag), array("d"))
+                start, stop = self.steps.start, self.steps.stop
+                while (filled := len(column)) < stop:
+                    # steps outside this window go _FILL_LANES at a time, so that
+                    # _lanes memoises no constants wider than a block's
+                    filler = self if filled == start else WindowDraws(
+                        self.master_seed, filled, min(stop, filled + _FILL_LANES)
+                    )
+                    column.extend(filler._standard_normals(tag))
+                normals = column[start:stop]
+            self._normals[tag] = normals
         return normals
+
+    def _standard_normals(self, tag: str) -> list[float]:
+        """The standard normal of each step (``normals`` says why it is exact)."""
+        count = len(self.steps)
+        ones = _lanes(count)[0]
+        complement = _unpacked((ones << 53) - self._packed_draws(tag, 0), count)
+        angles = _unpacked(self._packed_draws(tag, 1), count)
+        log, sqrt, cos, turn = math.log, math.sqrt, math.cos, _TWO_PI * 2.0**-53
+        return [
+            sqrt(-2.0 * log(k * 2.0**-53)) * cos(turn * m) for k, m in zip(complement, angles)
+        ]
 
 
 class RandomStreams:

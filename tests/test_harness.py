@@ -2,14 +2,17 @@
 
 import copy
 import dataclasses
+import gc
 import json
 import re
+import weakref
+from collections import Counter
 from unittest import mock
 
 import pytest
 import yaml
 
-from dtpsim import simulation
+from dtpsim import cli, simulation, streams
 from dtpsim.cli import main
 from dtpsim.harness import (
     DEFAULT_CONFIG,
@@ -727,6 +730,99 @@ def test_a_forbidden_only_expectation_is_legal(tmp_path, capsys):
     path = write_config(tmp_path, {"scenarios": {"baseline": {"expected": expected}}})
     assert main(["validate", "--config", path]) == 0
     assert "config ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "forbidden, status, kept",
+    [("SO", "PASS", 1), ("LOC", "FAIL", 0)],
+)
+def test_a_forbidden_only_expectation_is_named_and_scored_by_its_placement(
+    tmp_path, capsys, forbidden, status, kept
+):
+    # it printed "[PASS] dominant-placement:: 1/1 seeds reached  occupancy >= 0.00 ..."
+    expected = {"dominant": [], "min_fraction": 0.0, "forbidden": [forbidden]}
+    scenario = {"expected": expected, "sim": {"horizon": 10}, "seeds": [1]}
+    path = write_config(tmp_path, {"scenarios": {"baseline": scenario}})
+    code = main(["run", "--config", path, "--out", str(tmp_path / "out"), "--scenario",
+                 "baseline"])
+    assert code == (0 if status == "PASS" else 1)
+    assert (
+        f"  [{status}] forbidden-placement:{forbidden}: {kept}/1 seeds kept {forbidden} at 0 "
+        "post-convergence (need 1)\n"
+    ) in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_a_run_fills_each_seeds_normal_columns_once_and_holds_one_seed(
+    tmp_path, monkeypatch, capsys
+):
+    # every scenario of a seed reads one mapping of normal columns: each
+    # (seed, tag, cycle) normal is computed once in the whole run, and the
+    # previous seed's columns are gone when the next seed starts
+    computed = []
+    standard_normals = streams.WindowDraws._standard_normals
+
+    def recording_normals(draws, tag):
+        computed.extend((draws.master_seed, tag, step) for step in draws.steps)
+        return standard_normals(draws, tag)
+
+    calls = []  # (seed, id of its mapping, tags it holds after the call) of each run_scenario
+    columns: list = []  # weak references to every column, so the test holds none of them
+    run = cli.run_scenario
+
+    def recording_run(config, spec, policies, seeds, outdir, static_estimates, normals):
+        (seed,) = seeds
+        if calls and calls[-1][0] != seed:
+            gc.collect()
+            assert columns and all(ref() is None for ref in columns)
+        report = run(config, spec, policies, seeds, outdir, static_estimates, normals)
+        assert {key[0] for key in normals} == {seed}
+        calls.append((seed, id(normals), set(normals)))
+        columns.extend(weakref.ref(column) for column in normals.values())
+        return report
+
+    monkeypatch.setattr(streams.WindowDraws, "_standard_normals", recording_normals)
+    monkeypatch.setattr(cli, "run_scenario", recording_run)
+    path = write_config(tmp_path, {"sim": {"horizon": 6}})
+    code = main(["run", "--config", path, "--out", str(tmp_path / "out"), "--seeds", "1,2"])
+    assert code in (0, 1)  # a 6-window horizon may fail an expectation
+    capsys.readouterr()
+    assert [seed for seed, _, _ in calls] == [1] * 4 + [2] * 4
+    assert len({mapping for _, mapping, _ in calls[:4]}) == 1
+    assert len({mapping for _, mapping, _ in calls[4:]}) == 1
+    assert computed and max(Counter(computed).values()) == 1
+    assert {(seed, tag) for seed, tag, _ in computed} == calls[3][2] | calls[7][2]
+    # every tag's column was filled over the horizon, 6 windows of 50 cycles
+    assert Counter((seed, tag) for seed, tag, _ in computed) == dict.fromkeys(
+        calls[3][2] | calls[7][2], 300
+    )
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_scenarios_that_order_their_seeds_differently_report_as_each_run_alone(
+    tmp_path, capsys
+):
+    scenarios = {
+        "baseline": {"seeds": [1, 2], "sim": {"horizon": 6}},
+        "robot-stress": {"seeds": [2, 1], "sim": {"horizon": 6}},
+    }
+    path = write_config(tmp_path, {"scenarios": scenarios})
+    out = {}
+    for scenario in ("all", "baseline", "robot-stress"):
+        out[scenario] = tmp_path / scenario
+        main(["run", "--config", path, "--out", str(out[scenario]), "--scenario", scenario])
+    capsys.readouterr()
+    together = json.loads((out["all"] / "report.json").read_text())
+    both = [s for s in together["scenarios"] if s["scenario"] in scenarios]
+    assert [s["scenario"] for s in both] == ["baseline", "robot-stress"]
+    assert both[1]["policies"]["DTP"]["seeds"] == [2, 1]
+    for name, entry in zip(scenarios, both):
+        alone = json.loads((out[name] / "report.json").read_text())
+        assert alone["scenarios"] == [entry]
+        files = sorted(p.relative_to(out[name]) for p in (out[name] / name).rglob("*.*"))
+        assert len(files) == 2 * (3 + 3 + 4)  # two seeds of LOC, SO and DTP
+        for relative in files:
+            assert (out["all"] / relative).read_bytes() == (out[name] / relative).read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 from conftest import NODE_PAIRS, make_dag, make_fabric
 from dtpsim.pipeline import (
     CandidateSet,
+    ComputeNode,
     DagEdge,
+    Fabric,
     InfeasiblePlacementError,
     LinkDelayModel,
     PipelineDag,
@@ -23,6 +25,15 @@ from dtpsim.pipeline import (
 def test_canonical_pipeline_is_valid(fabric):
     report = validate_pipeline(make_dag(), fabric)
     assert report.ok, report.problems
+
+
+def test_fabric_ids_of_each_kind_keep_the_fabric_order():
+    fabric = Fabric((ComputeNode("E2", "edge"), ComputeNode("R1", "robot"),
+                     ComputeNode("E1", "edge"), ComputeNode("R2", "robot")))
+    assert fabric.robot_ids == ("R1", "R2")
+    assert fabric.edge_ids == ("E2", "E1")
+    assert fabric.robot_ids is fabric.robot_ids  # built once per fabric
+    assert fabric == Fabric(fabric.nodes)
 
 
 def test_candidate_names_and_assignments(dag):

@@ -1,6 +1,5 @@
 """Keyed random streams: stability, independence, and stateless handles."""
 
-import math
 import random
 import statistics
 
@@ -209,12 +208,34 @@ def test_window_draws_are_the_draws_of_each_step(master, start, count, tag):
         column = window.integers(tag, n)
         assert all(0 <= m < 2**53 for m in column)
         assert [m * 2.0**-53 for m in column] == [d[n] for d in draws]
-    radius, cosine = window.normals(tag)
-    assert radius == [math.sqrt(-2.0 * math.log(1.0 - d[0])) for d in draws]
-    assert cosine == [math.cos(2.0 * math.pi * d[1]) for d in draws]
-    assert [1.5 + 0.25 * r * c for r, c in zip(radius, cosine)] == [
-        Draws(key).gauss(1.5, 0.25) for key in keys
+    normals = window.normals(tag)
+    assert normals == [
+        Draws(derive_seed(master, tag, step)).gauss(0.0, 1.0) for step in window.steps
     ]
+    assert [1.5 + 0.25 * z for z in normals] == [Draws(key).gauss(1.5, 0.25) for key in keys]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    master=st.integers(0, 2**64),
+    windows=st.lists(
+        st.tuples(st.integers(0, 300), st.integers(0, 80)), min_size=1, max_size=6
+    ),
+)
+def test_window_draws_read_and_fill_a_shared_normal_column(master, windows):
+    # windows read in any order, overlapping or past the filled end, read
+    # what a window of their own computes, and the column holds the normals
+    # of every step from 0
+    tag = "svc:T2"
+    shared: dict = {}
+    for start, count in windows:
+        window = WindowDraws(master, start, start + count, shared)
+        assert list(window.normals(tag)) == WindowDraws(master, start, start + count).normals(tag)
+    filled = max(start + count for start, count in windows)
+    column = shared[(master, tag)]
+    assert column.typecode == "d"
+    assert list(column) == WindowDraws(master, 0, filled).normals(tag)
+    assert list(shared) == [(master, tag)]
 
 
 @pytest.mark.parametrize("start, stop", [(-1, 4), (5, 4), (-3, -1)])
