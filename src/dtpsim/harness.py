@@ -49,7 +49,6 @@ from .simulation import (
     StressProfile,
     check_disturbances,
     run_simulation,
-    simulate_cycles,
     write_cycles_csv,
     write_decisions_jsonl,
     write_summary_json,
@@ -321,8 +320,10 @@ def _tuple(value: Any) -> tuple:
 
 
 def _distinct(value: Any) -> tuple:
-    """A YAML list of entries that each appear once, as a tuple."""
+    """A non-empty YAML list of entries that each appear once, as a tuple."""
     items = _tuple(value)
+    if not items:
+        raise ValueError("an empty subset selects nothing")
     for i, item in enumerate(items):
         if item in items[:i]:
             raise ValueError(f"{item!r} is repeated")
@@ -675,9 +676,6 @@ def select_runs(
 ) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """The policies and seeds a run of ``spec`` covers: the scenario's own
     lists for None, else the given subsets, each non-empty and checked."""
-    for path, subset in (("policies", policies), ("seeds", seeds)):
-        if subset is not None and not subset:
-            raise ConfigError(f"{path}: an empty subset selects nothing")
     policies = spec.policies if policies is None else _build(_distinct, "policies", policies)
     seeds = spec.seeds if seeds is None else _build(_seeds, "seeds", seeds)
     for policy in policies:
@@ -697,9 +695,8 @@ def run_scenario(
 ) -> ScenarioReport:
     """Run every (policy, seed) pair of a scenario and evaluate expectations.
 
-    Runs go seed by seed.  ``simulate_cycles`` first simulates the cycles
-    of every fixed policy of the seed in one pass; each fixed run adopts
-    its placement's store, and the ``DTP`` run reads the stores of the
+    Runs go seed by seed.  The seed's fixed policies run first, each
+    computing its own cycles, and the ``DTP`` run reads the stores of the
     placements they cover instead of simulating them again.  With an
     ``outdir``, the seed's run directories are written once all its runs
     are done, every ``cycles.csv`` of the seed in one ``write_cycles_csv``
@@ -710,30 +707,18 @@ def run_scenario(
     ``static_estimates`` is passed to every run (see ``run_simulation``),
     so that the scenarios of one config can share it (``dtpsim run``
     passes one mapping to every scenario); None shares it only among the
-    runs of one call.  ``normals`` is passed to every run and every
-    ``simulate_cycles`` call the same way; it is keyed by seed, and
-    ``dtpsim run`` passes each seed's runs of every scenario one mapping of
-    their own.  None keeps each block's normals to its block.
+    runs of one call.  ``normals`` is passed to every run the same way; it
+    is keyed by seed, and ``dtpsim run`` passes each seed's runs of every
+    scenario one mapping of their own.  None gives each seed's runs of this
+    call one mapping.
     """
     policies, seeds = select_runs(config, spec, policies, seeds)
     controller = config.controller_config(spec.controller_overrides)
     results: dict[str, list[RunResult]] = {p: [] for p in policies}
     static_estimates = {} if static_estimates is None else static_estimates
-    fixed_placements = [
-        controller.candidates.by_name(p) for p in policies if p != CONTROLLER_POLICY
-    ]
     for seed in seeds:
         sim = replace(spec.sim, seed=seed)
-        known = simulate_cycles(
-            config.dag,
-            config.fabric,
-            sim,
-            fixed_placements,
-            controller.window_size,
-            spec.stresses,
-            spec.faults,
-            normals,
-        )
+        seed_normals = {} if normals is None else normals
         traces: dict[str, SimTrace] = {}
         for policy in sorted(policies, key=lambda p: p == CONTROLLER_POLICY):
             fixed = None if policy == CONTROLLER_POLICY else policy
@@ -746,9 +731,10 @@ def run_scenario(
                 stresses=spec.stresses,
                 faults=spec.faults,
                 estimator=config.estimator,
-                known_cycles={fixed: known[fixed]} if fixed else known,
+                # the fixed runs come first: DTP reads their stores
+                known_cycles=None if fixed else {p: t.cycles for p, t in traces.items()},
                 static_estimates=static_estimates,
-                normals=normals,
+                normals=seed_normals,
             )
             traces[policy] = trace
             results[policy].append(

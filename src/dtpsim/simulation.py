@@ -20,28 +20,26 @@ stress windows, faults, shadow cycles, and placement changes can never
 shift the samples of unrelated draws.  A stream's tag names a task or a
 link, never a placement, so the cycle of a placement at index i is the
 same record in every run of one scenario and seed, whichever placement is
-active.  ``run_simulation`` can therefore read the cycles of a ``DTP``
-run's candidates from the stores of their fixed runs (``known_cycles``)
-instead of simulating them again, only ever as column slices: a window of
-active cycles, or one strided slice of shadow rows per window, and only
-from a store simulated from its own inputs (``CycleStore.source``).  A
-fixed run adopts the store of its own placement whole.
+active.  A fixed run records the inputs it simulated its cycles from
+(``CycleStore.source``), and ``run_simulation`` reads the cycles of a
+``DTP`` run's candidates from those stores (``known_cycles``) instead of
+simulating them again, only ever as column slices: a window of active
+cycles, or one strided slice of shadow rows per window, and only from a
+store simulated from its own inputs.
 
 Active cycles are computed column by column (``_Engine.run_window``): all
 draws of each tag over a range of cycles, in 128-bit lanes of one int
 (``streams.WindowDraws``), then each stage's and each crossing's µs over
 those cycles, one pass per column, then latency and busy time summed
-across the columns.  Both engines run the kernel a block of windows at a
-time and walk the one schedule ``_schedule`` cuts per run: runs of windows
-with the same stresses and faults active, at most ``BLOCK_CYCLES`` cycles
-each, with each placement's plan, built once per such state.
-``simulate_cycles`` builds the stores of several placements at once from
-each block's draws, each tag's made once however many placements share it
-(every ``svc:`` tag of ``LOC`` and ``SO``).  ``run_simulation`` runs the
-active candidate from the window the controller reaches to the end of its
-block, ahead of the decisions inside it: a cycle's draws are addressed by
-(tag, cycle), so its row is the same whenever it is computed, and a
-migration only drops the block's unread tail.  ``run_cycle`` is the same
+across the columns.  ``run_simulation`` walks the one schedule
+``_schedule`` cuts per run: runs of windows with the same stresses and
+faults active, at most ``BLOCK_CYCLES`` cycles each, with each
+placement's plan, built once per such state.  It runs the active
+candidate from the window the controller reaches to the end of its block,
+ahead of the decisions inside it: a cycle's draws are addressed by (tag,
+cycle), so its row is the same whenever it is computed, and a migration
+only drops the block's unread tail.  A fixed run never migrates, so it
+appends each block to its cycles at once.  ``run_cycle`` is the same
 computation one cycle at a time; only the shadow cycles of a candidate
 without a store use it.
 
@@ -123,7 +121,6 @@ __all__ = [
     "check_disturbances",
     "run_horizon",
     "run_simulation",
-    "simulate_cycles",
     "write_cycles_csv",
     "write_windows_csv",
     "write_summary_json",
@@ -541,15 +538,13 @@ def _check_run(
     sim: SimConfig,
     stresses: Sequence[StressProfile],
     faults: Sequence[FaultInjection],
-    warn: bool,
 ) -> None:
     """Reject an invalid pipeline, a disturbance outside it, or a config whose
     unstressed pipeline cannot fit in the period.
 
     Stress is allowed to push a node past the period (that saturation is
     exactly what the controller must react to), but it is worth a warning
-    because latency stays a pure sum with no queueing behind it.  ``warn``
-    is False where a run that adopts the cycles warns instead.
+    because latency stays a pure sum with no queueing behind it.
     """
     report = validate_pipeline(dag, fabric)
     if not report.ok:
@@ -568,7 +563,7 @@ def _check_run(
                     "cycles would queue"
                 )
             stressed = busy * max_slowdown.get(node, 1.0)
-            if warn and stressed > sim.period:
+            if stressed > sim.period:
                 warnings.warn(
                     f"stressed occupancy of node {node} under {placement.name} "
                     f"({stressed:.1f} ms) exceeds the period; utilization will saturate",
@@ -624,8 +619,8 @@ def run_simulation(
     the active cycles, runs shadow cycles for the inactive candidates at
     every ``ceil(W / 4)``-th index, one ``run_cycle`` each, and returns the
     estimates.  Migrations apply at the next cycle release.  The windows
-    fall in the blocks of ``simulate_cycles`` (``_schedule``): at a window
-    of the active candidate that no rows cover, one ``WindowDraws`` and one
+    fall in the blocks ``_schedule`` cuts: at a window of the active
+    candidate that no rows cover, one ``WindowDraws`` and one
     ``_Engine.run_window`` call compute its rows to the end of the window's
     block, and later windows of the block read them while it stays active.
     At most one such run is held; a migration drops its unread tail.
@@ -633,15 +628,16 @@ def run_simulation(
     that stays active for the whole run: the controller then runs over that
     one candidate behind a dwell gate that never opens, so a fixed window
     is scored by the same code as a controlled one and none is selected.
+    A fixed run appends each block straight to its ``cycles``, whose
+    ``source`` records the run's placement, dag, fabric, sim, window,
+    stresses and faults.
 
     ``known_cycles`` maps a candidate's name to the ``cycles`` store of a
-    fixed run of it (``simulate_cycles`` builds them).  Its active windows
-    and its shadow rows (one strided slice per window) are read from
-    there, not simulated, and the trace is the same; such a candidate needs
-    no cycle plan.  A fixed run adopts the store of its placement as its
-    ``cycles``.  A ValueError rejects anything but a store whose
-    ``source`` is this run's candidate, dag, fabric, sim, window, stresses
-    and faults.
+    fixed run of it.  Its active windows and its shadow rows (one strided
+    slice per window) are read from there, not simulated, and the trace is
+    the same; such a candidate needs no cycle plan.  A ValueError rejects
+    anything but a store whose ``source`` is this run's candidate, dag,
+    fabric, sim, window, stresses and faults.
 
     ``static_estimates`` maps (candidate name, seed, period, deadline,
     ``estimator.static_samples``) to an ``estimate_static`` report, read
@@ -668,7 +664,7 @@ def run_simulation(
         )
     window = controller.window_size
     placements = list(controller.candidates)
-    _check_run(dag, fabric, placements, sim, stresses, faults, warn=True)
+    _check_run(dag, fabric, placements, sim, stresses, faults)
     known_cycles = known_cycles or {}
     inputs = (dag, fabric, sim, window, tuple(stresses), tuple(faults))
     _check_known_cycles(known_cycles, placements, inputs)
@@ -699,11 +695,8 @@ def run_simulation(
             )
         return report
 
-    # a fixed run adopts its known store as it is: it would append the same rows
-    cycles = known_cycles.get(fixed)
-    if cycles is None:
-        cycles = CycleStore(engine.node_ids, sim.period)
-        cycles.source = None if fixed is None else (placements[0], *inputs)
+    cycles = CycleStore(engine.node_ids, sim.period)
+    cycles.source = None if fixed is None else (placements[0], *inputs)
     observed: list[tuple[WindowMetrics, str]] = []
 
     block_of = [block for block in _schedule(simulated, stresses, faults, dag, sim, window)
@@ -718,14 +711,16 @@ def run_simulation(
         known = known_cycles.get(placement.name)
         if known is None:
             if ahead is None or ahead[:2] != (placement.name, windows):
-                # window k's rows to the end of its block, read while the candidate stays active
+                # window k's rows to the end of its block, read while the candidate
+                # stays active; a fixed run never migrates, so they are its cycles
                 draws = WindowDraws(sim.seed, start, (windows.stop - 1) * window, normals)
-                rows = CycleStore(engine.node_ids, sim.period)
+                rows = cycles if fixed else CycleStore(engine.node_ids, sim.period)
                 rows.append_columns(*engine.run_window(plans[placement.name], draws))
                 ahead = placement.name, windows, start, rows
             _, _, first, rows = ahead
-            cycles.extend(rows, start - first, stop - first)
-        elif known is not cycles:
+            if rows is not cycles:
+                cycles.extend(rows, start - first, stop - first)
+        else:
             cycles.extend(known, start, stop)
         for name, store in known_cycles.items():
             if name != placement.name:
@@ -754,51 +749,6 @@ def run_simulation(
         for k, ((metrics, name), decision) in enumerate(zip(observed, decisions), 1)
     ]
     return SimTrace(cycles, windows, _build_summary(sim, controller, fixed, cycles, windows))
-
-
-def simulate_cycles(
-    dag: PipelineDag,
-    fabric: Fabric,
-    sim: SimConfig,
-    placements: Sequence[Placement],
-    window: int,
-    stresses: Sequence[StressProfile] = (),
-    faults: Sequence[FaultInjection] = (),
-    normals: MutableMapping[tuple[int, str], array] | None = None,
-) -> dict[str, CycleStore]:
-    """The ``cycles`` store of a fixed run of each placement, by name.
-
-    Each store equals the one ``run_simulation(fixed=name)`` would build
-    with the same arguments and a window of ``window`` cycles, and that
-    run adopts it as its cycles when passed ``known_cycles={name: store}``.
-
-    The windows run in the blocks ``_schedule`` cuts, each with its
-    plans, built once per disturbance state.  A block is one
-    ``WindowDraws``, which makes the draws of every tag the placements
-    use, each key and column once, and one ``_Engine.run_window`` per
-    placement turns them into its columns; only one block of draws is
-    held at a time.  ``normals`` is passed to each ``WindowDraws`` (see
-    ``run_simulation``).  The checks are those of ``run_simulation``, but
-    only the runs that adopt the stores warn about stressed occupancy.  A
-    ValueError also rejects two placements of one name and a window under 1.
-    """
-    names = [p.name for p in placements]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate placement names: {names}")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    _check_run(dag, fabric, placements, sim, stresses, faults, warn=False)
-    engine = _Engine(fabric, sim)
-    inputs = (dag, fabric, sim, window, tuple(stresses), tuple(faults))
-    stores = {p.name: CycleStore(engine.node_ids, sim.period) for p in placements}
-    for placement in placements:
-        stores[placement.name].source = (placement, *inputs)
-    for windows, plans in _schedule(placements, stresses, faults, dag, sim, window):
-        start, stop = (windows.start - 1) * window, (windows.stop - 1) * window
-        draws = WindowDraws(sim.seed, start, stop, normals)
-        for name, store in stores.items():
-            store.append_columns(*engine.run_window(plans[name], draws))
-    return stores
 
 
 def _build_summary(

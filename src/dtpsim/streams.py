@@ -17,9 +17,9 @@ uniforms, with no cached second normal, so every draw has a fixed address
 
 ``WindowDraws`` serves the window kernel, which computes every active
 cycle: it makes the draws of a range of steps tag by tag, column by
-column, each key and each tag's normals once however many placements read
-them.  Each step is a 128-bit lane of one int, so splitmix64 mixes a
-column in a dozen big-int operations.  A draw column holds the 53-bit
+column, each tag's keys once however many columns read them.  Each step
+is a 128-bit lane of one int, so splitmix64 mixes a column in a dozen
+big-int operations.  A draw column holds the 53-bit
 integers m that ``Draws.random`` scales by 2**-53 into its uniform, and a
 tag's normals are one column of standard normals z, one pass over two
 such integer columns that makes ``Draws.gauss``' float operations bit for
@@ -118,15 +118,15 @@ class WindowDraws:
     """The draws of steps ``[start, stop)`` of every tag, one column per draw.
 
     Element i of draw n's column is draw n of ``at(tag, start + i)``, bit for
-    bit, computed over the steps' lanes by ``_mix64_lanes``.  Each key column
-    and each tag's normals are computed once, on first read, so readers that
-    share a tag share them.  With ``normals``, a mapping of ``(master_seed,
-    tag)`` to the tag's normals from step 0, each tag's normals are read
-    from there and their column is filled up to ``stop`` first, so the
-    windows of every run that shares the mapping compute each step once.
+    bit, computed over the steps' lanes by ``_mix64_lanes``.  Each tag's key
+    column is computed once, on first read.  With ``normals``, a mapping of
+    ``(master_seed, tag)`` to the tag's normals from step 0, each tag's
+    normals are read from there and their column is filled up to ``stop``
+    first, so the windows of every run that shares the mapping compute each
+    step once.
     """
 
-    __slots__ = ("master_seed", "steps", "_offsets", "_keys", "_normals", "_columns")
+    __slots__ = ("master_seed", "steps", "_offsets", "_keys", "_columns")
 
     def __init__(
         self,
@@ -144,7 +144,6 @@ class WindowDraws:
         # its lane: (2**64 + count) * golden < 2**128
         self._offsets = ((start & _MASK64) * ones + ramp) * _GOLDEN & mask
         self._keys: dict[str, int] = {}
-        self._normals: dict[str, Sequence[float]] = {}
         self._columns = normals
 
     def _packed_keys(self, tag: str) -> int:
@@ -186,29 +185,23 @@ class WindowDraws:
           is exact on both sides (m1 < 2**53 converts exactly), so both are
           the one real product ``2π * m1 * 2**-53`` rounded once.
 
-        Without a ``normals`` mapping the column is this window's own list.
+        Without a ``normals`` mapping the column is computed on each call.
         With one, it is a copy of the steps' slice of the mapping's column,
         whose missing steps ``[len(column), stop)`` are computed first: this
         window's own steps in one pass, any others ``_FILL_LANES`` at a time.
         """
-        normals = self._normals.get(tag)
-        if normals is None:
-            columns = self._columns
-            if columns is None:
-                normals = self._standard_normals(tag)
-            else:
-                column = columns.setdefault((self.master_seed, tag), array("d"))
-                start, stop = self.steps.start, self.steps.stop
-                while (filled := len(column)) < stop:
-                    # steps outside this window go _FILL_LANES at a time, so that
-                    # _lanes memoises no constants wider than a block's
-                    filler = self if filled == start else WindowDraws(
-                        self.master_seed, filled, min(stop, filled + _FILL_LANES)
-                    )
-                    column.extend(filler._standard_normals(tag))
-                normals = column[start:stop]
-            self._normals[tag] = normals
-        return normals
+        if self._columns is None:
+            return self._standard_normals(tag)
+        column = self._columns.setdefault((self.master_seed, tag), array("d"))
+        start, stop = self.steps.start, self.steps.stop
+        while (filled := len(column)) < stop:
+            # steps outside this window go _FILL_LANES at a time, so that
+            # _lanes memoises no constants wider than a block's
+            filler = self if filled == start else WindowDraws(
+                self.master_seed, filled, min(stop, filled + _FILL_LANES)
+            )
+            column.extend(filler._standard_normals(tag))
+        return column[start:stop]
 
     def _standard_normals(self, tag: str) -> list[float]:
         """The standard normal of each step (``normals`` says why it is exact)."""

@@ -1,5 +1,6 @@
 """Shared builders for the canonical two-robot/one-edge pipeline."""
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import pytest
@@ -9,6 +10,7 @@ from dtpsim.controller import ControllerConfig
 from dtpsim.cost import Constraints, Weights
 from dtpsim.metrics import CycleStore, NormalizationTargets
 from dtpsim.pipeline import (
+    CandidateSet,
     ComputeNode,
     DagEdge,
     Fabric,
@@ -47,6 +49,22 @@ def reference_rows(dag, fabric, sim, placements, window, stresses=(), faults=())
         for name, out in rows.items():
             out.extend(engine.run_cycle(plans[name], i) for i in cycles)
     return rows
+
+
+def fixed_stores(dag, fabric, sim, placements, window, stresses=(), faults=()):
+    """Each placement's fixed-run store by name: the ``cycles`` of
+    ``run_simulation(fixed=name)`` with windows of ``window`` cycles."""
+    controller = replace(
+        controller_policy(dag, window),
+        candidates=CandidateSet(tuple(placements)),
+        initial_placement=placements[0].name,
+    )
+    return {
+        p.name: simulation.run_simulation(
+            dag, fabric, sim, controller, fixed=p.name, stresses=stresses, faults=faults
+        ).cycles
+        for p in placements
+    }
 
 
 def store_rows(store):

@@ -38,7 +38,6 @@ from dtpsim.simulation import (
     StressProfile,
     WindowRow,
     run_simulation,
-    simulate_cycles,
     write_cycles_csv,
 )
 from dtpsim.streams import WindowDraws
@@ -162,16 +161,13 @@ def test_a_seeds_cycles_files_written_together_equal_each_written_alone(tmp_path
     sim = SimConfig(50.0, 30.0, horizon=10, seed=2)
     stresses = (StressProfile("R1", 3, 10, slowdown=2.5),)
     controller = controller_policy(dag, window_size=8)
-    fixed = [controller.candidates.by_name(name) for name in ("LOC", "SO")]
-    known = simulate_cycles(dag, FABRIC, sim, fixed, 8, stresses)
     traces = {
-        name: run_simulation(dag, FABRIC, sim, controller, fixed=name, stresses=stresses,
-                             known_cycles={name: store})
-        for name, store in known.items()
+        name: run_simulation(dag, FABRIC, sim, controller, fixed=name, stresses=stresses)
+        for name in ("LOC", "SO")
     }
     traces["DTP"] = run_simulation(dag, FABRIC, sim, controller, stresses=stresses,
                                    estimator=EstimatorConfig(static_samples=100),
-                                   known_cycles=known)
+                                   known_cycles={name: t.cycles for name, t in traces.items()})
     assert [w.placement for w in traces["DTP"].windows] == ["LOC"] * 3 + ["HYB"] * 5 + ["SO"] * 2
     traces["LOC-seed-3"] = run_simulation(dag, FABRIC, replace(sim, seed=3), controller,
                                           fixed="LOC", stresses=stresses)
@@ -194,16 +190,16 @@ def test_a_seeds_cycles_files_written_together_equal_each_written_alone(tmp_path
         assert together.count(b"\r\n") == 1 + 80
 
 
-def test_simulate_cycles_holds_one_block_at_a_time():
-    """Over 2,000 cycles (8 blocks of 250), the peak of simulate_cycles above
-    the stores it returns stays within what one block holds: its draws and
-    the columns every placement computes from them."""
+def test_a_fixed_run_holds_one_block_at_a_time():
+    """Over 2,000 cycles (8 blocks of 250), the peak of a fixed ``SO`` run above the
+    trace it returns stays within the peak of computing one block: its draws
+    and the columns its placement computes from them."""
     dag = make_dag(cv=0.3, jitter=0.2, loss=0.05)
     sim = SimConfig(40.0, 40.0, horizon=40, seed=3)
-    placements = list(controller_policy(dag, window_size=50).candidates)
+    controller = controller_policy(dag, window_size=50)
     engine = simulation._Engine(FABRIC, sim)
-    plans = simulation._window_plans(1, placements, (), (), dag, sim)
-    simulate_cycles(dag, FABRIC, sim, placements, 50)  # fills any lazy module state
+    plan = simulation._window_plans(1, list(controller.candidates), (), (), dag, sim)["SO"]
+    run_simulation(dag, FABRIC, sim, controller, fixed="SO")  # fills any lazy module state
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -211,20 +207,20 @@ def test_simulate_cycles_holds_one_block_at_a_time():
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        stores = simulate_cycles(dag, FABRIC, sim, placements, 50)
+        trace = run_simulation(dag, FABRIC, sim, controller, fixed="SO")
         gc.collect()
         held, peak = tracemalloc.get_traced_memory()
         gc.collect()
         start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         draws = WindowDraws(sim.seed, 0, simulation.BLOCK_CYCLES)
-        columns = [engine.run_window(plan, draws) for plan in plans.values()]
-        gc.collect()
-        block = tracemalloc.get_traced_memory()[0] - start
+        columns = engine.run_window(plan, draws)
+        block = tracemalloc.get_traced_memory()[1] - start
     finally:
         if started:
             tracemalloc.stop()
-    assert len(columns) == len(stores) == 3
-    assert {len(store) for store in stores.values()} == {2000}
+    assert len(columns[0]) == simulation.BLOCK_CYCLES
+    assert len(trace.cycles) == 2000
     assert held > before
     assert peak - held < 1.5 * block
 

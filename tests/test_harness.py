@@ -724,6 +724,56 @@ def test_cli_rejects_an_expectation_that_decides_nothing(tmp_path, capsys, expec
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["seeds", "policies"])
+def test_cli_rejects_an_empty_scenario_list(tmp_path, capsys, key):
+    # seeds: [] raised IndexError in run, policies: [] ValueError, and validate said ok
+    path = write_config(tmp_path, {"scenarios": {"baseline": {key: []}}})
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out"), "--scenario",
+                                   "baseline"]):
+        assert main([*command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenarios.baseline.{key}: an empty subset"), err
+    assert not (tmp_path / "out").exists()
+
+
+LATE_FAULT = {"links": [["R1", "E"]], "mu": 5.0, "start_window": 20, "end_window": 30}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "overlay",
+    [
+        {"sim": {"horizon": 0}},
+        {"sim": {"horizon": 1}},
+        {"policies": ["DTP"]},
+        {"policies": ["SO"]},
+        {"policies": ["DTP", "SO"]},
+        {"seeds": [3, 1]},
+        {"controller": {"window_size": 1}},
+        # disturbance windows that outlast the run, or start after it
+        {"stresses": [{"target": "R1", "start_window": 2, "end_window": 100, "slowdown": 2.0}],
+         "faults": [LATE_FAULT]},
+        {"seeds": []},
+        {"policies": []},
+    ],
+    ids=["horizon-0", "horizon-1", "dtp", "so", "dtp-so", "seeds-3-1", "window-1",
+         "windows-past-the-run", "no-seeds", "no-policies"],
+)
+def test_cli_run_exits_with_a_report_or_an_error_on_every_scenario_overlay(
+    tmp_path, capsys, overlay
+):
+    horizon = {"sim": {"horizon": 6}}
+    scenarios = {name: {**horizon, **overlay} for name in DEFAULT_CONFIG["scenarios"]}
+    path = write_config(tmp_path, {"scenarios": scenarios})
+    code = main(["run", "--config", path, "--out", str(tmp_path / "out"), "--seeds", "1"])
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert err.startswith("error: ")
+    else:
+        assert code in (0, 1)
+        assert out.rstrip().splitlines()[-1].startswith("overall: ")
+
+
 def test_a_forbidden_only_expectation_is_legal(tmp_path, capsys):
     # min_fraction 0 with a forbidden placement still fails a run that uses it
     expected = {"dominant": [], "min_fraction": 0.0, "forbidden": ["SO"]}
@@ -796,6 +846,28 @@ def test_a_run_fills_each_seeds_normal_columns_once_and_holds_one_seed(
     assert Counter((seed, tag) for seed, tag, _ in computed) == dict.fromkeys(
         calls[3][2] | calls[7][2], 300
     )
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_run_scenario_alone_computes_each_normal_once(monkeypatch):
+    # without a mapping, each seed's runs share one of their own: the DTP
+    # run's windows under SO, which no fixed run covers, read the columns the
+    # LOC run filled, and the second seed's columns are its own
+    computed = []
+    standard_normals = streams.WindowDraws._standard_normals
+
+    def recording_normals(draws, tag):
+        computed.extend((draws.master_seed, tag, step) for step in draws.steps)
+        return standard_normals(draws, tag)
+
+    monkeypatch.setattr(streams.WindowDraws, "_standard_normals", recording_normals)
+    config = load_config(None)
+    spec = config.scenarios["robot-stress"]
+    spec = dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, horizon=8))
+    report = run_scenario(config, spec, policies=["LOC", "DTP"], seeds=[1, 2])
+    assert [r.summary["window_placements"][-1] for r in report.results["DTP"]] == ["SO"] * 2
+    assert computed and max(Counter(computed).values()) == 1
+    assert {seed for seed, _, _ in computed} == {1, 2}
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

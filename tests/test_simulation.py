@@ -15,13 +15,14 @@ from conftest import (
     NODE_PAIRS,
     controller_policy,
     cycle_records,
+    fixed_stores,
     make_dag,
     make_fabric,
     reference_rows,
     store_rows,
     trace_reference_rows,
 )
-from dtpsim import controller as controller_module, sampling, simulation, streams
+from dtpsim import controller as controller_module, sampling, simulation
 from dtpsim.controller import on_window_end
 from dtpsim.estimator import (
     MECHANISM_SHADOW,
@@ -36,10 +37,8 @@ from dtpsim.simulation import (
     SimConfig,
     StressProfile,
     run_simulation,
-    simulate_cycles,
 )
 from dtpsim.harness import load_config
-from dtpsim.streams import derive_seed
 
 FABRIC = make_fabric()
 
@@ -529,7 +528,7 @@ def test_only_a_candidate_without_a_store_builds_cycle_plans():
     dag = make_dag(cv=0.3)
     sim = SimConfig(50.0, 30.0, horizon=3, seed=4)
     controller = controller_policy(dag, window_size=4)
-    loc = simulate_cycles(dag, FABRIC, sim, [controller.candidates.by_name("LOC")], 4)["LOC"]
+    loc = fixed_stores(dag, FABRIC, sim, [controller.candidates.by_name("LOC")], 4)["LOC"]
     built = []
     build_cycle_plan = simulation.build_cycle_plan
 
@@ -547,7 +546,7 @@ def test_only_a_candidate_without_a_store_builds_cycle_plans():
 def switching_case(resolution=1, disturbed=True):
     """W = 50 over 12 windows: a stress over windows 3-7, then an additive
     lossy fault over windows 9-10, so the disturbance state goes off, on, off,
-    on, off and ``simulate_cycles`` ends a block at each switch.  Undisturbed,
+    on, off and a fixed run ends a block at each switch.  Undisturbed,
     its blocks are ``BLOCK_CYCLES // 50`` = 5 windows long."""
     dag = make_dag(cv=0.3, jitter=0.2, loss=0.05)
     stress = StressProfile("R1", 3, 7, slowdown=2.5, exogenous_load=0.1)
@@ -571,19 +570,32 @@ def test_blocks_and_state_switches_keep_every_row_of_the_oracle(resolution, dist
     dag, sim, controller, disturbances = switching_case(resolution, disturbed)
     placements = list(controller.candidates)
     assert simulation.BLOCK_CYCLES // 50 == 5
-    ran = []  # the cycles of every run_window call
+    ran = []  # the placement and cycles of every run_window call
     run_window = simulation._Engine.run_window
 
     def recording_run_window(engine, plan, draws):
-        ran.append((draws.steps.start, draws.steps.stop))
+        ran.append((plan.placement.name, draws.steps.start, draws.steps.stop))
         return run_window(engine, plan, draws)
 
-    with mock.patch.object(simulation._Engine, "run_window", recording_run_window):
-        stores = simulate_cycles(dag, FABRIC, sim, placements, 50, **disturbances)
-    assert ran == [block for block in blocks for _ in placements]
+    built = []  # the placement of every plan built
+    build_cycle_plan = simulation.build_cycle_plan
+
+    def counting_build_cycle_plan(dag, placement, **kwargs):
+        built.append(placement.name)
+        return build_cycle_plan(dag, placement, **kwargs)
+
     reference = reference_rows(dag, FABRIC, sim, placements, 50, **disturbances)
-    for name, store in stores.items():
-        assert store_rows(store) == reference[name], name
+    for placement in placements:
+        ran.clear()
+        built.clear()
+        with mock.patch.object(simulation._Engine, "run_window", recording_run_window), \
+                mock.patch.object(simulation, "build_cycle_plan", counting_build_cycle_plan):
+            store = run_simulation(dag, FABRIC, sim, controller, fixed=placement.name,
+                                   **disturbances).cycles
+        assert ran == [(placement.name, *block) for block in blocks], placement.name
+        # one plan per disturbance state, even one that comes back: none, the stress, the fault
+        assert built == [placement.name] * (3 if disturbed else 1)
+        assert store_rows(store) == reference[placement.name], placement.name
     dtp = run_simulation(dag, FABRIC, sim, controller,
                          estimator=EstimatorConfig(static_samples=100), **disturbances)
     assert store_rows(dtp.cycles) == trace_reference_rows(dtp, reference, 50)
@@ -616,7 +628,7 @@ def test_blocks_run_ahead_keep_every_active_row_of_the_oracle(resolution):
         return run_window(engine, plan, draws)
 
     with mock.patch.object(simulation._Engine, "run_window", recording_run_window):
-        simulate_cycles(dag, FABRIC, sim, list(controller.candidates), window, **disturbances)
+        fixed_stores(dag, FABRIC, sim, list(controller.candidates), window, **disturbances)
         block_ends = {stop for _, _, stop in blocks}
         blocks.clear()
         dtp = run_simulation(dag, FABRIC, sim, controller,
@@ -633,23 +645,8 @@ def test_blocks_run_ahead_keep_every_active_row_of_the_oracle(resolution):
     assert any(b[1] < a[2] and b[1] in migrations for a, b in zip(blocks, blocks[1:]))
     # a switch inside a block: a block ends at a switch before its 35 windows
     assert {20, 51, 60, 65} <= {stop for _, first, stop in blocks if stop - first < per_block}
-    # the runs ahead line up with the blocks of simulate_cycles: each ends where one ends
+    # the runs ahead line up with the blocks of the fixed runs: each ends where one ends
     assert {stop for _, _, stop in blocks} <= block_ends
-
-
-def test_simulate_cycles_builds_one_plan_per_placement_and_disturbance_state():
-    dag, sim, controller, disturbances = switching_case()
-    built = []
-    build_cycle_plan = simulation.build_cycle_plan
-
-    def counting_build_cycle_plan(dag, placement, **kwargs):
-        built.append(placement.name)
-        return build_cycle_plan(dag, placement, **kwargs)
-
-    with mock.patch.object(simulation, "build_cycle_plan", counting_build_cycle_plan):
-        simulate_cycles(dag, FABRIC, sim, list(controller.candidates), 50, **disturbances)
-    # three states over five runs of windows: none, the stress, the fault
-    assert built == ["LOC", "SO", "HYB"] * 3
 
 
 KNOWN_INPUTS = {
@@ -666,8 +663,8 @@ def known_store(dag, placement="LOC", **changes):
     inputs = {**KNOWN_INPUTS, **changes}
     if isinstance(placement, str):
         placement = canonical_candidates(dag).by_name(placement)
-    stores = simulate_cycles(dag, FABRIC, inputs["sim"], [placement], inputs["window"],
-                             inputs["stresses"], inputs["faults"])
+    stores = fixed_stores(dag, FABRIC, inputs["sim"], [placement], inputs["window"],
+                          inputs["stresses"], inputs["faults"])
     return stores[placement.name]
 
 
@@ -742,8 +739,8 @@ def test_another_seeds_stores_are_rejected_in_a_shipped_scenario():
     sim = replace(spec.sim, seed=1, horizon=20)
     fixed = [controller.candidates.by_name(name) for name in ("LOC", "SO")]
     for stale_sim, stresses in ((replace(sim, seed=2), spec.stresses), (sim, ())):
-        stale = simulate_cycles(config.dag, config.fabric, stale_sim, fixed,
-                                controller.window_size, stresses, spec.faults)
+        stale = fixed_stores(config.dag, config.fabric, stale_sim, fixed,
+                             controller.window_size, stresses, spec.faults)
         with pytest.raises(ValueError, match=STALE):
             run_simulation(config.dag, config.fabric, sim, controller, stresses=spec.stresses,
                            faults=spec.faults, estimator=config.estimator, known_cycles=stale)
@@ -976,8 +973,8 @@ def with_constant_stage(dag, task):
 
 
 def test_every_kernel_cycle_is_the_run_cycle_row_of_its_placement():
-    # the window kernel (simulate_cycles, and every active window of
-    # run_simulation) against the per-cycle oracle, over stresses, both fault
+    # the window kernel (every fixed run, and every active window of a DTP
+    # run) against the per-cycle oracle, over stresses, both fault
     # modes, coarse clocks, a zero-cv stage and losses that retransmit
     crossings = Counter()  # (attempts, fatal) of every crossing the oracle makes
     attempts = [0]
@@ -1028,9 +1025,7 @@ def test_every_kernel_cycle_is_the_run_cycle_row_of_its_placement():
         with mock.patch.object(simulation, "traverse_edge", recording_traverse), \
                 mock.patch.object(sampling, "sample_link", counting_sample_link):
             reference = reference_rows(dag, FABRIC, sim, placements, window, **disturbances)
-        stores = simulate_cycles(dag, FABRIC, sim, placements, window, **disturbances)
         for name, rows in reference.items():
-            assert store_rows(stores[name]) == rows, name
             alone = run_simulation(dag, FABRIC, sim, controller, fixed=name, **disturbances)
             assert store_rows(alone.cycles) == rows, name
         dtp = run_simulation(dag, FABRIC, sim, controller,
@@ -1043,126 +1038,8 @@ def test_every_kernel_cycle_is_the_run_cycle_row_of_its_placement():
     assert any(moved)  # some DTP run computed windows of more than one placement
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    cv=st.floats(0.0, 0.4),
-    jitter=st.floats(0.0, 0.5),
-    loss=st.floats(0.0, 0.3),
-    seed=st.integers(0, 2**31),
-    resolution=st.sampled_from([1, 7, 100]),
-    slowdown=st.floats(1.0, 2.5),
-    stressed=st.sampled_from(["R1", "R2", "E"]),
-    data=st.data(),
-)
-def test_simulate_cycles_gives_each_placement_the_store_of_its_fixed_run(
-    cv, jitter, loss, seed, resolution, slowdown, stressed, data
-):
-    dag = make_dag(cv=cv, jitter=jitter, loss=loss)
-    horizon, window = 4, 5
-    stress = StressProfile(
-        stressed,
-        start_window=data.draw(st.integers(1, horizon), label="stress start"),
-        end_window=horizon,
-        slowdown=slowdown,
-        exogenous_load=data.draw(st.floats(0.0, 0.4), label="exogenous load"),
-    )
-    disturbances = {
-        "stresses": (stress,),
-        "faults": (draw_fault(data, horizon, False), draw_fault(data, horizon, True)),
-    }
-    sim = SimConfig(50.0, 30.0, horizon=horizon, seed=seed, clock_resolution_us=resolution)
-    controller = controller_policy(dag, window_size=window)
-    placements = list(controller.candidates)
-    stores = simulate_cycles(dag, FABRIC, sim, placements, window, **disturbances)
-    assert list(stores) == ["LOC", "SO", "HYB"]
-    reference = reference_rows(dag, FABRIC, sim, placements, window, **disturbances)
-    for name, store in stores.items():
-        assert store_rows(store) == reference[name]
-        alone = run_simulation(dag, FABRIC, sim, controller, fixed=name, **disturbances)
-        assert (store_rows(store), store.source) == (store_rows(alone.cycles), alone.cycles.source)
-        adopted = run_simulation(
-            dag, FABRIC, sim, controller, fixed=name, known_cycles={name: store},
-            **disturbances,
-        )
-        assert adopted.cycles is store
-        assert (adopted.windows, adopted.summary) == (alone.windows, alone.summary)
-
-
-def mixed_values(run) -> Counter:
-    """How often ``run()`` mixes each value: one per ``_mix64`` call and one
-    per lane of each ``_mix64_lanes`` call, where the window kernel derives
-    the keys of a (tag, window) column together."""
-    mixed = Counter()
-    mix64, mix64_lanes = streams._mix64, streams._mix64_lanes
-
-    def counting_mix64(x):
-        mixed[mix64(x)] += 1
-        return mix64(x)
-
-    def counting_mix64_lanes(x, lane_mask):
-        lanes = mix64_lanes(x, lane_mask)
-        for shift in range(0, lane_mask.bit_length(), 128):
-            mixed[lanes >> shift & streams._MASK64] += 1
-        return lanes
-
-    with mock.patch.object(streams, "_mix64", counting_mix64), mock.patch.object(
-        streams, "_mix64_lanes", counting_mix64_lanes
-    ):
-        run()
-    return mixed
-
-
-def test_simulate_cycles_derives_each_shared_service_key_once():
-    dag = make_dag(cv=0.3, jitter=0.2, loss=0.1)
-    sim = SimConfig(50.0, 30.0, horizon=3, seed=5)
-    window = 4
-    controller = controller_policy(dag, window_size=window)
-    placements = [controller.candidates.by_name(name) for name in ("LOC", "SO")]
-    service_keys = {
-        derive_seed(sim.seed, f"svc:{task}", cycle)
-        for task in ("T1", "T2", "T3", "T4")
-        for cycle in range(sim.horizon * window)
-    }
-
-    together = mixed_values(lambda: simulate_cycles(dag, FABRIC, sim, placements, window))
-    assert {together[key] for key in service_keys} == {1}
-    apart = mixed_values(lambda: [
-        run_simulation(dag, FABRIC, sim, controller, fixed=p.name) for p in placements
-    ])
-    assert {apart[key] for key in service_keys} == {2}
-
-
-def test_simulate_cycles_derives_each_shared_link_key_once():
-    # SO and HYB both cross R1->E and E->R2, on different dag edges
-    dag = make_dag(cv=0.3, jitter=0.2, loss=0.2, edge_scales=(3.0, 4.0, 0.5))
-    sim = SimConfig(50.0, 30.0, horizon=3, seed=5)
-    window = 4
-    controller = controller_policy(dag, window_size=window)
-    placements = list(controller.candidates)
-    assert [p.name for p in placements] == ["LOC", "SO", "HYB"]
-    cycles = range(sim.horizon * window)
-    service_keys = {
-        derive_seed(sim.seed, f"svc:{task}", cycle)
-        for task in ("T1", "T2", "T3", "T4")
-        for cycle in cycles
-    }
-    link_keys = {
-        derive_seed(sim.seed, f"lnk:{src}:{dst}", cycle)
-        for src, dst in (("R1", "E"), ("E", "R2"))
-        for cycle in cycles
-    }
-
-    mixed = mixed_values(lambda: simulate_cycles(dag, FABRIC, sim, placements, window))
-    assert {mixed[key] for key in service_keys} == {mixed[key] for key in link_keys} == {1}
-    mixed = mixed_values(lambda: [
-        run_simulation(dag, FABRIC, sim, controller, fixed=p.name) for p in placements
-    ])
-    assert {mixed[key] for key in service_keys} == {3}
-    assert {mixed[key] for key in link_keys} == {2}
-
-
 @pytest.mark.parametrize("window", [1, 7])
-def test_simulate_cycles_takes_every_branch_of_run_cycle(window):
+def test_fixed_runs_take_every_branch_of_run_cycle(window):
     # zero jitter, a zero-cv stage, a loss of 0.6 on every link, exogenous load
     # and a coarse clock: both loss outcomes and the constant stage all occur
     dag = make_dag(cv=0.3, jitter=0.0, edge_scales=(3.0, 4.0, 0.5))
@@ -1184,7 +1061,7 @@ def test_simulate_cycles_takes_every_branch_of_run_cycle(window):
         return delay, lost
 
     with mock.patch.object(simulation, "sample_link", recording_sample_link):
-        stores = simulate_cycles(dag, FABRIC, sim, placements, window, **disturbances)
+        stores = fixed_stores(dag, FABRIC, sim, placements, window, **disturbances)
     assert False in retransmits and True in retransmits  # delivered and fatal
     period_us = quantize_us(sim.period, sim.clock_resolution_us)
     fatal = [(s, i) for s in stores.values() for i, us in enumerate(s.latency_us)
@@ -1193,48 +1070,35 @@ def test_simulate_cycles_takes_every_branch_of_run_cycle(window):
     reference = reference_rows(dag, FABRIC, sim, placements, window, **disturbances)
     for name, store in stores.items():
         assert store_rows(store) == reference[name], name
-        alone = run_simulation(dag, FABRIC, sim, controller, fixed=name, **disturbances)
-        assert (store_rows(store), store.source) == (
-            store_rows(alone.cycles), alone.cycles.source
-        ), name
 
 
-def test_simulate_cycles_rejects_shared_names_and_empty_windows():
-    dag = make_dag()
-    sim = SimConfig(50.0, 30.0, horizon=2, seed=1)
-    loc, so, _ = controller_policy(dag).candidates
-    with pytest.raises(ValueError, match="duplicate placement names"):
-        simulate_cycles(dag, FABRIC, sim, [loc, replace(so, name="LOC")], 5)
-    with pytest.raises(ValueError, match="window must be >= 1"):
-        simulate_cycles(dag, FABRIC, sim, [loc, so], 0)
-
-
-def test_stressed_occupancy_warns_once_per_run_that_adopts_the_cycles():
+def test_stressed_occupancy_warns_once_per_fixed_run():
     dag = make_dag(cv=0.2)
     sim = SimConfig(40.0, 40.0, horizon=2, seed=2)
     stresses = (StressProfile("R1", 1, 1, slowdown=4.0),)
     controller = controller_policy(dag, window_size=5)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        stores = simulate_cycles(
-            dag, FABRIC, sim, list(controller.candidates), 5, stresses=stresses
-        )
-        assert caught == []
-        for name, store in stores.items():
-            run_simulation(dag, FABRIC, sim, controller, fixed=name, stresses=stresses,
-                           known_cycles={name: store})
-    assert [str(w.message) for w in caught] == [
-        "stressed occupancy of node R1 under LOC (48.0 ms) exceeds the period; "
-        "utilization will saturate"
-    ]
+    caught = {}
+    for name in ("LOC", "SO", "HYB"):
+        with warnings.catch_warnings(record=True) as caught[name]:
+            warnings.simplefilter("always")
+            run_simulation(dag, FABRIC, sim, controller, fixed=name, stresses=stresses)
+    assert {name: [str(w.message) for w in ws] for name, ws in caught.items()} == {
+        "LOC": [
+            "stressed occupancy of node R1 under LOC (48.0 ms) exceeds the period; "
+            "utilization will saturate"
+        ],
+        "SO": [],
+        "HYB": [],
+    }
 
 
-def test_simulate_cycles_rejects_what_run_simulation_rejects():
+def test_a_fixed_run_rejects_a_queueing_config_and_a_fault_outside_the_dag():
     dag = make_dag(means=(2.0, 45.0, 8.0, 2.0))
     sim = SimConfig(40.0, 40.0, horizon=1, seed=1)
-    placements = list(controller_policy(dag).candidates)
-    with pytest.raises(ValueError, match="cycles would queue"):
-        simulate_cycles(dag, FABRIC, sim, placements, 4)
+    controller = controller_policy(dag, window_size=4)
     fault = FaultInjection((("R1", "R3"),), 1.0, start_window=1, end_window=1)
-    with pytest.raises(ValueError, match="not in dag.links"):
-        simulate_cycles(make_dag(), FABRIC, sim, placements, 4, faults=(fault,))
+    for fixed in controller.candidates.names():
+        with pytest.raises(ValueError, match="cycles would queue"):
+            run_simulation(dag, FABRIC, sim, controller, fixed=fixed)
+        with pytest.raises(ValueError, match="not in dag.links"):
+            run_simulation(make_dag(), FABRIC, sim, controller, fixed=fixed, faults=(fault,))
