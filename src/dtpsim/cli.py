@@ -25,6 +25,7 @@ from .harness import (
     report_payload,
     run_scenario,
     select_runs,
+    shared_fixed_runs,
     write_report,
 )
 
@@ -97,7 +98,14 @@ def _select_scenarios(config: ResolvedConfig, name: str) -> list[str]:
 def _cmd_run(args: argparse.Namespace) -> int:
     """Run the selected scenarios seed by seed, each seed's runs of every
     scenario on one mapping of normals, and report each scenario's seeds in
-    its own order."""
+    its own order.
+
+    A fixed run that several scenarios of a seed make (equal keys: the same
+    controller, sim, fabric, window and per-window plans) is made once:
+    before the seed starts, ``shared_fixed_runs`` finds them, and each one's
+    trace and ``cycles.csv`` text are held until the last scenario that
+    reads them is done.
+    """
     config = load_config(args.config)
     specs = [config.scenarios[name] for name in _select_scenarios(config, args.scenario)]
     # reject a bad subset before anything is written
@@ -110,11 +118,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for seed in dict.fromkeys(seed for selected in seeds for seed in selected):
         # a seed's draws are the same in every scenario; one seed's columns are held at a time
         normals: dict = {}
-        for spec, selected, by_seed in zip(specs, seeds, reports):
-            if seed in selected:
-                by_seed[seed] = run_scenario(
-                    config, spec, args.policies, [seed], outdir, static_estimates, normals
-                )
+        runs = [(spec, by_seed) for spec, selected, by_seed in zip(specs, seeds, reports)
+                if seed in selected]
+        shared = shared_fixed_runs(config, [spec for spec, _ in runs], args.policies, seed)
+        for i, (spec, by_seed) in enumerate(runs):
+            by_seed[seed] = run_scenario(
+                config, spec, args.policies, [seed], outdir, static_estimates, normals, shared
+            )
+            shared = [run for run in shared if run.last > i]
     payload = report_payload(
         [
             _merged(spec, [by_seed[seed] for seed in selected])

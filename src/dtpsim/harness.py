@@ -48,6 +48,7 @@ from .simulation import (
     SimTrace,
     StressProfile,
     check_disturbances,
+    fixed_run_key,
     run_simulation,
     write_cycles_csv,
     write_decisions_jsonl,
@@ -684,6 +685,53 @@ def select_runs(
     return policies, seeds
 
 
+@dataclass
+class SharedRun:
+    """A fixed run that several scenarios of one seed make, by key
+    (``simulation.fixed_run_key``): ``last`` is the index of the last of
+    those scenarios, and the first one to make the run fills in its
+    ``trace`` and, when it writes it, its ``cycles.csv`` text chunk by chunk
+    (see ``write_cycles_csv``)."""
+
+    key: tuple
+    last: int
+    trace: SimTrace | None = None
+    texts: list[str] = field(default_factory=list)
+
+
+def fixed_run_keys(
+    config: ResolvedConfig, spec: ScenarioSpec, policies: Sequence[str], seed: int
+) -> dict[str, tuple]:
+    """The ``fixed_run_key`` of each fixed policy of ``policies`` in ``spec``
+    at ``seed``."""
+    controller = config.controller_config(spec.controller_overrides)
+    sim = replace(spec.sim, seed=seed)
+    return {
+        policy: fixed_run_key(
+            config.dag, config.fabric, sim, controller, policy, spec.stresses, spec.faults
+        )
+        for policy in policies
+        if policy != CONTROLLER_POLICY
+    }
+
+
+def shared_fixed_runs(
+    config: ResolvedConfig, specs: Sequence[ScenarioSpec], policies: Sequence | None, seed: int
+) -> list[SharedRun]:
+    """The fixed runs of ``seed`` that more than one of ``specs`` makes, run
+    in that order over ``policies`` (None: each scenario's own)."""
+    runs: list[tuple[SharedRun, int]] = []  # each distinct run and its first scenario
+    for i, spec in enumerate(specs):
+        selected = select_runs(config, spec, policies)[0]
+        for key in fixed_run_keys(config, spec, selected, seed).values():
+            run = next((run for run, _ in runs if run.key == key), None)
+            if run is None:
+                runs.append((SharedRun(key, i), i))
+            else:
+                run.last = i
+    return [run for run, first in runs if run.last > first]
+
+
 def run_scenario(
     config: ResolvedConfig,
     spec: ScenarioSpec,
@@ -692,6 +740,7 @@ def run_scenario(
     outdir: Path | None = None,
     static_estimates: MutableMapping[tuple, EstimateReport] | None = None,
     normals: MutableMapping[tuple[int, str], array] | None = None,
+    shared_runs: Sequence[SharedRun] = (),
 ) -> ScenarioReport:
     """Run every (policy, seed) pair of a scenario and evaluate expectations.
 
@@ -711,6 +760,12 @@ def run_scenario(
     is keyed by seed, and ``dtpsim run`` passes each seed's runs of every
     scenario one mapping of their own.  None gives each seed's runs of this
     call one mapping.
+
+    ``shared_runs`` holds fixed runs that other scenarios make too (see
+    ``shared_fixed_runs``).  A fixed run whose key one of them holds is
+    made only if no scenario made it before: otherwise its trace, and its
+    ``cycles.csv`` text, are the earlier scenario's, and the ``DTP`` run
+    reads that store, whose per-window plans equal its candidate's.
     """
     policies, seeds = select_runs(config, spec, policies, seeds)
     controller = config.controller_config(spec.controller_overrides)
@@ -719,23 +774,32 @@ def run_scenario(
     for seed in seeds:
         sim = replace(spec.sim, seed=seed)
         seed_normals = {} if normals is None else normals
+        keys = fixed_run_keys(config, spec, policies, seed) if shared_runs else {}
         traces: dict[str, SimTrace] = {}
+        texts: dict[str, list[str]] = {}  # the cycles.csv chunks of each shared run
         for policy in sorted(policies, key=lambda p: p == CONTROLLER_POLICY):
             fixed = None if policy == CONTROLLER_POLICY else policy
-            trace = run_simulation(
-                config.dag,
-                config.fabric,
-                sim,
-                controller,
-                fixed=fixed,
-                stresses=spec.stresses,
-                faults=spec.faults,
-                estimator=config.estimator,
-                # the fixed runs come first: DTP reads their stores
-                known_cycles=None if fixed else {p: t.cycles for p, t in traces.items()},
-                static_estimates=static_estimates,
-                normals=seed_normals,
-            )
+            shared = next((run for run in shared_runs if run.key == keys.get(policy)), None)
+            if shared is not None and shared.trace is not None:
+                trace = shared.trace
+            else:
+                trace = run_simulation(
+                    config.dag,
+                    config.fabric,
+                    sim,
+                    controller,
+                    fixed=fixed,
+                    stresses=spec.stresses,
+                    faults=spec.faults,
+                    estimator=config.estimator,
+                    # the fixed runs come first: DTP reads their stores
+                    known_cycles=None if fixed else {p: t.cycles for p, t in traces.items()},
+                    static_estimates=static_estimates,
+                    normals=seed_normals,
+                )
+            if shared is not None:
+                shared.trace = trace
+                texts[policy] = shared.texts
             traces[policy] = trace
             results[policy].append(
                 RunResult(
@@ -746,16 +810,17 @@ def run_scenario(
                 )
             )
         if outdir is not None:
-            _write_runs(outdir / spec.name, seed, traces, config)
+            _write_runs(outdir / spec.name, seed, traces, texts, config)
     expectations = evaluate_expectations(spec, results)
     return ScenarioReport(spec.name, results, expectations)
 
 
 def _write_runs(
-    outdir: Path, seed: int, traces: Mapping[str, SimTrace], config: ResolvedConfig
+    outdir: Path, seed: int, traces: Mapping[str, SimTrace], texts: Mapping, config: ResolvedConfig
 ) -> None:
     """The run directory of each policy's trace of one seed; every
-    ``cycles.csv`` of the seed is written in one ``write_cycles_csv`` pass."""
+    ``cycles.csv`` of the seed is written in one ``write_cycles_csv`` pass,
+    a policy's from (or into) its list of ``texts``."""
     cycles_csv = []
     for policy, trace in traces.items():
         rundir = outdir / policy / f"seed_{seed}"
@@ -766,7 +831,7 @@ def _write_runs(
             write_decisions_jsonl(trace, rundir / "decisions.jsonl")
         cycles_csv.append((trace, rundir / "cycles.csv"))
     (trace, path), *others = cycles_csv
-    write_cycles_csv(trace, config.fabric, path, others=others)
+    write_cycles_csv(trace, config.fabric, path, others=others, texts=[*map(texts.get, traces)])
 
 
 def evaluate_expectations(

@@ -8,7 +8,7 @@ edge node classes.
 A run keeps its cycles in a CycleStore: one stdlib ``array`` column per
 field (latency µs, deadline met, busy µs per fabric node), about 33 bytes
 per cycle; a run's windows say which placement ran each cycle.  A fixed
-run's store records the inputs it was simulated from (``source``).  A
+run's store records what it was simulated from (``source``).  A
 store is read only as columns: whole, or a range of them
 (``CycleStore.columns``).  The aggregates sum the integer µs columns
 exactly and divide once, so no statistic depends on a summation order.
@@ -67,8 +67,11 @@ class CycleStore:
     """The cycles of a run as columns, read-only to everyone but the engine.
 
     Row i is cycle i, released at ``i * period`` ms.  ``source`` is None, or
-    the inputs a fixed run's store was simulated from, set by the engine:
-    ``(placement, dag, fabric, sim, window, stresses, faults)``.
+    what a fixed run's store was simulated from, set by the engine:
+    ``(sim, fabric, window, runs)``, ``runs`` being each window's plan of the
+    placement run-length encoded as (windows, plan) pairs.  Stores with
+    equal sources hold equal rows, whichever scenario made them, so a run
+    whose candidate has equal per-window plans may read one.
     """
 
     __slots__ = ("nodes", "period", "source", "latency_us", "met", "busy_us")

@@ -19,13 +19,14 @@ Randomness comes from per-purpose substreams addressed by cycle index, so
 stress windows, faults, shadow cycles, and placement changes can never
 shift the samples of unrelated draws.  A stream's tag names a task or a
 link, never a placement, so the cycle of a placement at index i is the
-same record in every run of one scenario and seed, whichever placement is
-active.  A fixed run records the inputs it simulated its cycles from
-(``CycleStore.source``), and ``run_simulation`` reads the cycles of a
-``DTP`` run's candidates from those stores (``known_cycles``) instead of
-simulating them again, only ever as column slices: a window of active
-cycles, or one strided slice of shadow rows per window, and only from a
-store simulated from its own inputs.
+same record in every run of one seed with an equal plan for its window,
+whichever placement is active and whatever the scenario.  A fixed run
+records what it simulated its cycles from (``CycleStore.source``): the
+sim, fabric, window size and per-window plans.  ``run_simulation`` reads
+the cycles of a ``DTP`` run's candidates from such stores
+(``known_cycles``) instead of simulating them again, only ever as column
+slices (a window of active cycles, or one strided slice of shadow rows per
+window), and only from a store with the candidate's plans in this run.
 
 Active cycles are computed column by column (``_Engine.run_window``): all
 draws of each tag over a range of cycles, in 128-bit lanes of one int
@@ -46,7 +47,9 @@ without a store use it.
 ``write_cycles_csv`` writes the ``cycles.csv`` files of a seed's runs in
 one pass, a window at a time, and formats a window only if no run before
 it had the same rows there: a ``DTP`` window under ``LOC`` or ``SO`` is the
-text of that fixed run's window.
+text of that fixed run's window.  A run can also be written from the text
+an earlier pass kept of it, as ``dtpsim run`` does for a fixed run that
+several scenarios share.
 """
 
 from __future__ import annotations
@@ -119,6 +122,7 @@ __all__ = [
     "WindowRow",
     "SimTrace",
     "check_disturbances",
+    "fixed_run_key",
     "run_horizon",
     "run_simulation",
     "write_cycles_csv",
@@ -317,19 +321,20 @@ def _schedule(
     a block is a run of consecutive windows in which the same stresses and
     faults are active, at most ``BLOCK_CYCLES // window`` of them and at
     least one.  The plans are built once per such state, even one that
-    comes back."""
+    comes back.  A state can only change where a disturbance starts or
+    ends, so only those windows are looked at."""
     built: dict[tuple[bool, ...], dict[str, CyclePlan]] = {}
     size = max(1, BLOCK_CYCLES // window)
+    disturbances = (*stresses, *faults)
+    ends = {1, *(d.start_window for d in disturbances), *(d.end_window + 1 for d in disturbances)}
+    cuts = sorted(k for k in ends if k <= sim.horizon) + [sim.horizon + 1]
     blocks: list[tuple[range, dict[str, CyclePlan]]] = []
-    for k in range(1, sim.horizon + 1):
-        state = tuple(d.active(k) for d in (*stresses, *faults))
+    for first, stop in zip(cuts, cuts[1:]):
+        state = tuple(d.active(first) for d in disturbances)
         if state not in built:
-            built[state] = _window_plans(k, placements, stresses, faults, dag, sim)
+            built[state] = _window_plans(first, placements, stresses, faults, dag, sim)
         plans = built[state]
-        if blocks and blocks[-1][1] is plans and len(blocks[-1][0]) < size:
-            blocks[-1] = (range(blocks[-1][0].start, k + 1), plans)
-        else:
-            blocks.append((range(k, k + 1), plans))
+        blocks.extend((range(k, min(k + size, stop)), plans) for k in range(first, stop, size))
     return blocks
 
 
@@ -491,25 +496,77 @@ def check_disturbances(
 
 
 def _check_known_cycles(
-    known: Mapping[str, CycleStore], placements: Sequence[Placement], inputs: tuple
+    known: Mapping[str, CycleStore], placements: Sequence[Placement], source: Callable
 ) -> None:
     """Reject known cycles that are not a fixed run's of a candidate with
-    this run's ``inputs``: a name outside the candidates, anything but a
-    CycleStore, or a store whose ``source`` is not ``(candidate, *inputs)``."""
-    candidates = {p.name: p for p in placements}
+    this run's plans: a name outside the candidates, anything but a
+    CycleStore, or a store whose ``source`` is not ``source(name)``, the
+    candidate's sim, fabric, window and per-window plans in this run."""
+    names = {p.name for p in placements}
     for name, store in known.items():
-        if name not in candidates:
+        if name not in names:
             raise ValueError(f"known cycles of {name!r}: not a candidate")
         if not isinstance(store, CycleStore):
             raise ValueError(
                 f"known cycles of {name!r}: a {type(store).__name__}, not the CycleStore "
                 "of a fixed run"
             )
-        if store.source != (candidates[name], *inputs):
+        if store.source != source(name):
             raise ValueError(
-                f"known cycles of {name!r}: not simulated from this run's candidate, dag, "
-                "fabric, sim, window, stresses and faults"
+                f"known cycles of {name!r}: not simulated with this run's sim, fabric, "
+                "window and per-window plans of the candidate"
             )
+
+
+def _source(fabric: Fabric, sim: SimConfig, window: int, schedule: list, name: str) -> tuple:
+    """What the cycles of candidate ``name`` over ``schedule`` are simulated
+    from: ``(sim, fabric, window, runs)``, where ``runs`` holds each
+    window's plan of ``name`` run-length encoded as (windows, plan) pairs,
+    equal neighbours merged.  The block cuts do not show: they move with
+    disturbances the candidate may never meet."""
+    runs: list[list] = []
+    for windows, plans in schedule:
+        plan = plans[name]
+        if runs and runs[-1][1] == plan:
+            runs[-1][0] += len(windows)
+        else:
+            runs.append([len(windows), plan])
+    return sim, fabric, window, tuple(map(tuple, runs))
+
+
+def _one_candidate(controller: ControllerConfig, fixed: str, sim: SimConfig) -> ControllerConfig:
+    """The controller of a fixed run of ``fixed``: that one candidate behind
+    a dwell gate that never opens.  A ValueError rejects a non-candidate."""
+    if fixed not in (names := controller.candidates.names()):
+        raise ValueError(f"fixed placement {fixed!r} is not a candidate: {', '.join(names)}")
+    return replace(
+        controller,
+        candidates=CandidateSet((controller.candidates.by_name(fixed),)),
+        initial_placement=fixed,
+        n_min=sim.horizon,
+    )
+
+
+def fixed_run_key(
+    dag: PipelineDag,
+    fabric: Fabric,
+    sim: SimConfig,
+    controller: ControllerConfig,
+    fixed: str,
+    stresses: Sequence[StressProfile] = (),
+    faults: Sequence[FaultInjection] = (),
+) -> tuple:
+    """What ``run_simulation(fixed=fixed)`` depends on: ``(controller,
+    source)``, the one-candidate controller the run builds and the
+    ``CycleStore.source`` of its cycles.  Two fixed runs with equal keys
+    have equal traces, whatever their stresses and faults: those enter only
+    through the per-window plans.  A ValueError rejects a non-candidate or
+    a disturbance outside the pipeline; unlike the run, it warns of nothing."""
+    controller = _one_candidate(controller, fixed, sim)
+    check_disturbances(dag, fabric, stresses, faults)
+    window = controller.window_size
+    schedule = _schedule(list(controller.candidates), stresses, faults, dag, sim, window)
+    return controller, _source(fabric, sim, window, schedule, fixed)
 
 
 def _check_static_estimates(reports: Mapping[tuple, EstimateReport]) -> None:
@@ -629,15 +686,16 @@ def run_simulation(
     one candidate behind a dwell gate that never opens, so a fixed window
     is scored by the same code as a controlled one and none is selected.
     A fixed run appends each block straight to its ``cycles``, whose
-    ``source`` records the run's placement, dag, fabric, sim, window,
-    stresses and faults.
+    ``source`` records the run's sim, fabric, window and per-window plans
+    (see ``fixed_run_key``).
 
     ``known_cycles`` maps a candidate's name to the ``cycles`` store of a
-    fixed run of it.  Its active windows and its shadow rows (one strided
-    slice per window) are read from there, not simulated, and the trace is
-    the same; such a candidate needs no cycle plan.  A ValueError rejects
-    anything but a store whose ``source`` is this run's candidate, dag,
-    fabric, sim, window, stresses and faults.
+    fixed run of it, of this scenario or of any other with equal
+    per-window plans of the candidate.  Its active windows and its shadow
+    rows (one strided slice per window) are read from there, not
+    simulated, and the trace is the same.  A ValueError rejects anything
+    but a store whose ``source`` is the candidate's sim, fabric, window and
+    per-window plans in this run.
 
     ``static_estimates`` maps (candidate name, seed, period, deadline,
     ``estimator.static_samples``) to an ``estimate_static`` report, read
@@ -654,26 +712,20 @@ def run_simulation(
     of a seed, whatever their scenario.
     """
     if fixed is not None:
-        if fixed not in (names := controller.candidates.names()):
-            raise ValueError(f"fixed placement {fixed!r} is not a candidate: {', '.join(names)}")
-        controller = replace(
-            controller,
-            candidates=CandidateSet((controller.candidates.by_name(fixed),)),
-            initial_placement=fixed,
-            n_min=sim.horizon,
-        )
+        controller = _one_candidate(controller, fixed, sim)
     window = controller.window_size
     placements = list(controller.candidates)
     _check_run(dag, fabric, placements, sim, stresses, faults)
     known_cycles = known_cycles or {}
-    inputs = (dag, fabric, sim, window, tuple(stresses), tuple(faults))
-    _check_known_cycles(known_cycles, placements, inputs)
+    schedule = _schedule(placements, stresses, faults, dag, sim, window)
+    _check_known_cycles(
+        known_cycles, placements, lambda name: _source(fabric, sim, window, schedule, name)
+    )
     estimator = estimator or EstimatorConfig()
     static = {} if static_estimates is None else static_estimates
     _check_static_estimates(static)
 
     engine = _Engine(fabric, sim)
-    simulated = [p for p in placements if p.name not in known_cycles]
     duration = window * sim.period
     shadow_stride = -(-window // 4)  # ceil(W / 4)
     shadow_min = -(-window // 2)  # ceil(W / 2)
@@ -696,11 +748,10 @@ def run_simulation(
         return report
 
     cycles = CycleStore(engine.node_ids, sim.period)
-    cycles.source = None if fixed is None else (placements[0], *inputs)
+    cycles.source = None if fixed is None else _source(fabric, sim, window, schedule, fixed)
     observed: list[tuple[WindowMetrics, str]] = []
 
-    block_of = [block for block in _schedule(simulated, stresses, faults, dag, sim, window)
-                for _ in block[0]]  # window k's block and plans at k - 1
+    block_of = [block for block in schedule for _ in block[0]]  # window k's at k - 1
     ahead: tuple[str, range, int, CycleStore] | None = None  # name, block, first cycle, rows
 
     def environment(k: int, placement: Placement):
@@ -725,7 +776,11 @@ def run_simulation(
         for name, store in known_cycles.items():
             if name != placement.name:
                 shadow_hist[name].extend(store, start, stop, shadow_stride)
-        shadows = [(name, plan) for name, plan in plans.items() if name != placement.name]
+        shadows = [
+            (name, plan)
+            for name, plan in plans.items()
+            if name != placement.name and name not in known_cycles
+        ]
         for cycle_index in range(start, stop, shadow_stride):
             for name, plan in shadows:
                 shadow_hist[name].append(engine.run_cycle(plan, cycle_index))
@@ -808,6 +863,7 @@ def write_cycles_csv(
     path: str | Path,
     *,
     others: Sequence[tuple[SimTrace, str | Path]] = (),
+    texts: Sequence[list[str] | None] = (),
 ) -> None:
     """One row per cycle of ``trace`` into ``path``, and of each trace of
     ``others`` into its path; a node of ``fabric`` a run did not have is
@@ -819,7 +875,11 @@ def write_cycles_csv(
     placement names equal those of a chunk already formatted at the same
     rows, as a ``DTP`` window equals that window of the fixed run of its
     placement, is written from that text; each other chunk is formatted
-    column by column.
+    column by column.  ``texts`` holds a list or None per run of
+    ``(trace, *others)``: a run whose list is empty appends each chunk it
+    writes to it, and a run whose list holds text, written by an earlier
+    call with the same rows and window size, is written from it instead of
+    being formatted again.
 
     The bytes are those of ``csv.writer``: only the header and the
     placement names can need quoting, so they go through it once, each
@@ -847,14 +907,17 @@ def write_cycles_csv(
         names = [quoted[w.placement] for w in t.windows]
         stores.append((range(len(cycles)), size, names, cycles.period, columns))
     chunk = max(1, stores[0][1])
+    texts = list(texts) or [None] * len(runs)
+    fills = [known is not None and not known for known in texts]
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(p, "w", newline="")) for _, p in runs]
         for fh in files:
             fh.write(header)
-        for start in range(0, count, chunk):
+        for index, start in enumerate(range(0, count, chunk)):
             cut = slice(start, start + chunk)
             written: list[tuple[list, str]] = []  # (key, text) of this window's chunks
-            for (rows, size, names, period, columns), fh in zip(stores, files):
+            for store, fh, known, fill in zip(stores, files, texts, fills):
+                rows, size, names, period, columns = store
                 key = [
                     [names[i // size] for i in rows[cut]],
                     period,
@@ -862,8 +925,10 @@ def write_cycles_csv(
                 ]
                 text = next((text for seen, text in written if seen == key), None)
                 if text is None:
-                    text = _cycle_rows(row, start, *key)
+                    text = _cycle_rows(row, start, *key) if fill or not known else known[index]
                     written.append((key, text))
+                if fill:
+                    known.append(text)
                 fh.write(text)
 
 

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 import yaml
 
-from dtpsim import cli, simulation, streams
+from dtpsim import cli, harness, simulation, streams
 from dtpsim.cli import main
 from dtpsim.harness import (
     DEFAULT_CONFIG,
@@ -443,6 +443,85 @@ def test_run_scenario_simulates_each_placement_cycle_once_per_seed():
     assert [r.seed for r in report.results["DTP"]] == [1, 2]
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_a_run_makes_each_fixed_run_once_per_seed_and_writes_each_scenario_as_alone(
+    tmp_path, capsys
+):
+    # LOC meets no disturbance of baseline, edge-stress or network-impairment,
+    # so its rows are computed once per seed for the three, and once more for
+    # robot-stress, whose stress on R1 it meets; every SO run differs
+    horizon, window = 6, 50
+    path = write_config(tmp_path, {"sim": {"horizon": horizon}})
+    simulated = []  # (seed, placement) of every row the window kernel computes
+    run_window = simulation._Engine.run_window
+
+    def recording_run_window(engine, plan, draws):
+        simulated.extend((engine.sim.seed, plan.placement.name) for _ in draws.steps)
+        return run_window(engine, plan, draws)
+
+    with mock.patch.object(simulation._Engine, "run_window", recording_run_window):
+        code = main(["run", "--config", path, "--out", str(tmp_path / "all"), "--seeds", "1,2"])
+    assert code in (0, 1)  # a 6-window horizon may fail an expectation
+    capsys.readouterr()
+    count = Counter(simulated)
+    for seed in (1, 2):
+        assert count[seed, "LOC"] == 2 * horizon * window
+        assert count[seed, "SO"] == 4 * horizon * window
+    config = load_config(path)
+    alone = tmp_path / "alone"
+    for spec in config.scenarios.values():
+        run_scenario(config, spec, seeds=[1, 2], outdir=alone)
+    files = sorted(p.relative_to(alone) for p in alone.rglob("*") if p.is_file())
+    assert len(files) == 4 * 2 * (3 + 3 + 4)  # four scenarios, two seeds of LOC, SO and DTP
+    for relative in files:
+        assert (tmp_path / "all" / relative).read_bytes() == (alone / relative).read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_a_shared_fixed_run_is_held_only_until_its_last_scenario(
+    tmp_path, monkeypatch, capsys
+):
+    # baseline's SO run serves no other scenario, so nothing holds it once
+    # baseline is done; baseline's LOC run serves edge-stress and
+    # network-impairment, and nothing holds it once the seed is done
+    refs = {}  # (seed, scenario, fixed policy) -> weak reference to its trace
+    running = []  # (seed, scenario) of each run_scenario call
+    alive = []  # (seed, scenario, the fixed runs alive as it starts)
+    run_simulation = harness.run_simulation
+    run = cli.run_scenario
+
+    def recording_run_simulation(*args, fixed=None, **kwargs):
+        trace = run_simulation(*args, fixed=fixed, **kwargs)
+        if fixed is not None:
+            refs[(*running[-1], fixed)] = weakref.ref(trace)
+        return trace
+
+    def live():
+        gc.collect()
+        return sorted(key for key, ref in refs.items() if ref() is not None)
+
+    def recording_run(config, spec, policies, seeds, *rest):
+        alive.append((seeds[0], spec.name, live()))
+        running.append((seeds[0], spec.name))
+        return run(config, spec, policies, seeds, *rest)
+
+    monkeypatch.setattr(harness, "run_simulation", recording_run_simulation)
+    monkeypatch.setattr(cli, "run_scenario", recording_run)
+    path = write_config(tmp_path, {"sim": {"horizon": 4}})
+    code = main(["run", "--config", path, "--out", str(tmp_path / "out"), "--seeds", "1,2"])
+    assert code in (0, 1)  # a 4-window horizon may fail an expectation
+    capsys.readouterr()
+    assert live() == []
+    scenarios = ["baseline", "robot-stress", "edge-stress", "network-impairment"]
+    for seed in (1, 2):
+        held = [(seed, "baseline", "LOC")]
+        assert [entry for entry in alive if entry[0] == seed] == [
+            (seed, name, held if name in scenarios[1:] else []) for name in scenarios
+        ]
+        made = {(scenario, policy) for s, scenario, policy in refs if s == seed}
+        assert ("edge-stress", "LOC") not in made and ("baseline", "SO") in made
+
+
 def test_failing_expectation_is_reported(tmp_path):
     config = load_config(None)
     spec = tiny_baseline(config, horizon=6)
@@ -820,12 +899,12 @@ def test_a_run_fills_each_seeds_normal_columns_once_and_holds_one_seed(
     columns: list = []  # weak references to every column, so the test holds none of them
     run = cli.run_scenario
 
-    def recording_run(config, spec, policies, seeds, outdir, static_estimates, normals):
+    def recording_run(config, spec, policies, seeds, outdir, static_estimates, normals, *rest):
         (seed,) = seeds
         if calls and calls[-1][0] != seed:
             gc.collect()
             assert columns and all(ref() is None for ref in columns)
-        report = run(config, spec, policies, seeds, outdir, static_estimates, normals)
+        report = run(config, spec, policies, seeds, outdir, static_estimates, normals, *rest)
         assert {key[0] for key in normals} == {seed}
         calls.append((seed, id(normals), set(normals)))
         columns.extend(weakref.ref(column) for column in normals.values())

@@ -31,7 +31,7 @@ from dtpsim.estimator import (
     estimate_static,
 )
 from dtpsim.pipeline import canonical_candidates, nominal_latency
-from dtpsim.sampling import quantize_us
+from dtpsim.sampling import build_cycle_plan, quantize_us
 from dtpsim.simulation import (
     FaultInjection,
     SimConfig,
@@ -470,7 +470,8 @@ def test_every_dtp_cycle_equals_the_fixed_run_cycle_of_its_placement(
         name: run_simulation(dag, FABRIC, sim, controller, fixed=name, **disturbances).cycles
         for name in {name for name, _, _ in ran}
     }
-    assert all(store.source[0].name == name for name, store in fixed.items())
+    assert all(plan.placement.name == name
+               for name, store in fixed.items() for _, plan in store.source[-1])
     fixed_rows = {name: store_rows(store) for name, store in fixed.items()}
     # a block run ahead can outlive a migration, so only run_cycle proves a shadow ran
     assert shadow and len(active) >= horizon * window_size
@@ -523,7 +524,9 @@ def test_known_cycles_are_read_and_leave_the_trace_unchanged():
     assert fresh.summary == reused.summary
 
 
-def test_only_a_candidate_without_a_store_builds_cycle_plans():
+def test_every_candidate_builds_its_plans_once_per_disturbance_state():
+    # a known store is checked against its candidate's plans in this run, so
+    # a candidate with a store builds them too, but only once per state
     known, run = known_cycles_case()
     dag = make_dag(cv=0.3)
     sim = SimConfig(50.0, 30.0, horizon=3, seed=4)
@@ -538,9 +541,11 @@ def test_only_a_candidate_without_a_store_builds_cycle_plans():
 
     with mock.patch.object(simulation, "build_cycle_plan", counting_build_cycle_plan):
         run_simulation(dag, FABRIC, sim, controller, fixed="LOC", known_cycles={"LOC": loc})
-        assert built == []
+        assert built == ["LOC"]
+        built.clear()
         run(known)
-    assert built == ["HYB"] * 2  # once per disturbance state: R1 unstressed, then stressed
+    # once per disturbance state: R1 unstressed, then stressed
+    assert Counter(built) == dict.fromkeys(["LOC", "SO", "HYB"], 2)
 
 
 def switching_case(resolution=1, disturbed=True):
@@ -601,6 +606,39 @@ def test_blocks_and_state_switches_keep_every_row_of_the_oracle(resolution, dist
     assert store_rows(dtp.cycles) == trace_reference_rows(dtp, reference, 50)
     # disturbed, the DTP run migrates, so it crosses placements as well as states
     assert (len({w.placement for w in dtp.windows}) > 1) == disturbed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    horizon=st.integers(0, 30),
+    window=st.sampled_from([10, 50, 100, 300]),
+    intervals=st.lists(st.tuples(st.integers(1, 35), st.integers(0, 12)), max_size=4),
+)
+def test_the_schedule_cuts_a_block_only_at_a_state_switch_or_its_size(horizon, window, intervals):
+    # the definition, window by window: a block grows while the stresses and
+    # faults active stay the same, up to BLOCK_CYCLES // window windows
+    dag = make_dag()
+    placements = list(canonical_candidates(dag))
+    stresses = tuple(StressProfile("R1", a, a + n, slowdown=2.0) for a, n in intervals[::2])
+    faults = tuple(FaultInjection((("R1", "E"),), 3.0, start_window=a, end_window=a + n)
+                   for a, n in intervals[1::2])
+    sim = SimConfig(50.0, 30.0, horizon=horizon)
+    blocks = simulation._schedule(placements, stresses, faults, dag, sim, window)
+
+    def state(k):
+        return tuple(d.active(k) for d in (*stresses, *faults))
+
+    size = max(1, simulation.BLOCK_CYCLES // window)
+    assert [k for windows, _ in blocks for k in windows] == list(range(1, horizon + 1))
+    built = {}  # state -> its plans: built once, even for a state that comes back
+    for (windows, plans), after in zip(blocks, [*blocks[1:], None]):
+        assert 0 < len(windows) <= size
+        assert {state(k) for k in windows} == {state(windows[0])}
+        assert built.setdefault(state(windows[0]), plans) is plans
+        assert plans == simulation._window_plans(windows[0], placements, stresses, faults, dag,
+                                                 sim)
+        if after is not None and len(windows) < size:
+            assert state(after[0][0]) != state(windows[-1])
 
 
 @pytest.mark.parametrize("resolution", [1, 4])
@@ -677,7 +715,7 @@ def run_on_known_inputs(dag, known_cycles):
     )
 
 
-STALE = "not simulated from this run's candidate, dag, fabric, sim, window, stresses and faults"
+STALE = "not simulated with this run's sim, fabric, window and per-window plans of the candidate"
 SIM = KNOWN_INPUTS["sim"]
 
 
@@ -694,8 +732,9 @@ SIM = KNOWN_INPUTS["sim"]
         (lambda dag: {"LOC": known_store(dag, sim=replace(SIM, period=40.0))}, STALE),
         (lambda dag: {"LOC": known_store(dag, sim=replace(SIM, seed=8))}, STALE),
         (lambda dag: {"LOC": known_store(dag, stresses=())}, STALE),
+        # a fault on R1->R2, a link LOC crosses: its windows 3 and 4 differ
         (lambda dag: {"LOC": known_store(
-            dag, faults=(replace(KNOWN_INPUTS["faults"][0], start_window=4, end_window=5),))},
+            dag, faults=(replace(KNOWN_INPUTS["faults"][0], links=(("R1", "R2"),)),))},
          STALE),
         # 24 cycles either way
         (lambda dag: {"LOC": known_store(dag, window=3, sim=replace(SIM, horizon=8))}, STALE),
@@ -721,13 +760,57 @@ def test_a_fixed_runs_own_cycles_are_accepted_as_known():
     controller = controller_policy(dag, window_size=4, n_min=0)
     loc = run_simulation(dag, FABRIC, SIM, controller, fixed="LOC", stresses=list(stresses),
                          faults=faults)
-    assert loc.cycles.source == (
-        controller.candidates.by_name("LOC"), dag, FABRIC, SIM, 4, stresses, faults
-    )
+    # R1 is stressed from window 2 on; the fault on R1->E (windows 3-4) and
+    # the block cuts it makes do not show, since LOC never crosses R1->E
+    placement = controller.candidates.by_name("LOC")
+    assert loc.cycles.source == (SIM, FABRIC, 4, (
+        (1, build_cycle_plan(dag, placement)),
+        (5, build_cycle_plan(dag, placement, slowdown={"R1": 2.5})),
+    ))
     reused = run_on_known_inputs(dag, {"LOC": loc.cycles})
     fresh = run_on_known_inputs(dag, None)
     assert (reused.windows, reused.summary) == (fresh.windows, fresh.summary)
     assert store_rows(reused.cycles) == store_rows(fresh.cycles)
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [(replace(KNOWN_INPUTS["faults"][0], start_window=4, end_window=5),), ()],
+    ids=["fault-window", "unfaulted"],
+)
+def test_known_cycles_with_equal_plans_are_accepted(faults):
+    # LOC never crosses R1->E, so a store made with the fault there at other
+    # windows, or with no fault, holds the rows this run would compute
+    dag = make_dag(cv=0.3, jitter=0.5, loss=0.05)
+    store = known_store(dag, faults=faults)
+    assert store.source == known_store(dag).source
+    reused = run_on_known_inputs(dag, {"LOC": store})
+    fresh = run_on_known_inputs(dag, None)
+    assert (reused.windows, reused.summary) == (fresh.windows, fresh.summary)
+    assert store_rows(reused.cycles) == store_rows(fresh.cycles)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_a_shipped_scenarios_store_is_accepted_where_its_plans_are_equal():
+    # baseline's LOC store serves edge-stress, whose stress is on E, which LOC
+    # never uses; robot-stress stresses R1, so LOC's plans there differ
+    config = load_config()
+
+    def run(name, **kwargs):
+        spec = config.scenarios[name]
+        return run_simulation(
+            config.dag, config.fabric, replace(spec.sim, seed=1, horizon=12),
+            config.controller_config(spec.controller_overrides), stresses=spec.stresses,
+            faults=spec.faults, estimator=config.estimator, **kwargs,
+        )
+
+    loc = run("baseline", fixed="LOC").cycles
+    reused, fresh = run("edge-stress", known_cycles={"LOC": loc}), run("edge-stress")
+    assert (reused.windows, reused.summary) == (fresh.windows, fresh.summary)
+    assert store_rows(reused.cycles) == store_rows(fresh.cycles)
+    assert run("edge-stress", fixed="LOC").cycles.source == loc.source
+    with pytest.raises(ValueError, match="known cycles of 'LOC': " + STALE):
+        run("robot-stress", known_cycles={"LOC": loc})
 
 
 def test_another_seeds_stores_are_rejected_in_a_shipped_scenario():
