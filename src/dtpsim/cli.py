@@ -15,17 +15,12 @@ from pathlib import Path
 from .harness import (
     ConfigError,
     ResolvedConfig,
-    ScenarioReport,
-    ScenarioSpec,
     echo_config,
-    evaluate_expectations,
     load_config,
     load_report,
     render_report,
     report_payload,
     run_scenario,
-    select_runs,
-    shared_fixed_runs,
     write_report,
 )
 
@@ -96,54 +91,16 @@ def _select_scenarios(config: ResolvedConfig, name: str) -> list[str]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    """Run the selected scenarios seed by seed, each seed's runs of every
-    scenario on one mapping of normals, and report each scenario's seeds in
-    its own order.
-
-    A fixed run that several scenarios of a seed make (equal keys: the same
-    controller, sim, fabric, window and per-window plans) is made once:
-    before the seed starts, ``shared_fixed_runs`` finds them, and each one's
-    trace and ``cycles.csv`` text are held until the last scenario that
-    reads them is done.
-    """
+    """Run the selected scenarios (see ``run_scenario``), then echo the
+    config and write the report: a rejected subset writes nothing."""
     config = load_config(args.config)
     specs = [config.scenarios[name] for name in _select_scenarios(config, args.scenario)]
-    # reject a bad subset before anything is written
-    seeds = [select_runs(config, spec, args.policies, args.seeds)[1] for spec in specs]
     outdir = Path(args.out if args.out is not None else _default_outdir())
-
+    reports = run_scenario(config, specs, args.policies, args.seeds, outdir)
     echo_config(config, outdir)
-    static_estimates: dict = {}  # one config: every scenario shares its dag, fabric and candidates
-    reports: list[dict[int, ScenarioReport]] = [{} for _ in specs]
-    for seed in dict.fromkeys(seed for selected in seeds for seed in selected):
-        # a seed's draws are the same in every scenario; one seed's columns are held at a time
-        normals: dict = {}
-        runs = [(spec, by_seed) for spec, selected, by_seed in zip(specs, seeds, reports)
-                if seed in selected]
-        shared = shared_fixed_runs(config, [spec for spec, _ in runs], args.policies, seed)
-        for i, (spec, by_seed) in enumerate(runs):
-            by_seed[seed] = run_scenario(
-                config, spec, args.policies, [seed], outdir, static_estimates, normals, shared
-            )
-            shared = [run for run in shared if run.last > i]
-    payload = report_payload(
-        [
-            _merged(spec, [by_seed[seed] for seed in selected])
-            for spec, selected, by_seed in zip(specs, seeds, reports)
-        ]
-    )
+    payload = report_payload(reports)
     write_report(payload, outdir)
     return _print_report(payload, args.format)
-
-
-def _merged(spec: ScenarioSpec, reports: list[ScenarioReport]) -> ScenarioReport:
-    """One report of a scenario's one-seed reports, in their order, its
-    expectations evaluated over all of their seeds."""
-    results = {
-        policy: [run for report in reports for run in report.results[policy]]
-        for policy in reports[0].results
-    }
-    return ScenarioReport(spec.name, results, evaluate_expectations(spec, results))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

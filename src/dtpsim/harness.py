@@ -18,8 +18,7 @@ import json
 import math
 import sys
 import typing
-from array import array
-from collections.abc import Iterator, Mapping, MutableMapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
@@ -28,7 +27,7 @@ import yaml
 
 from .controller import ControllerConfig
 from .cost import Constraints, Weights
-from .estimator import EstimateReport, EstimatorConfig
+from .estimator import EstimatorConfig
 from .metrics import NormalizationTargets, fsum_mean
 from .pipeline import (
     CandidateSet,
@@ -685,20 +684,6 @@ def select_runs(
     return policies, seeds
 
 
-@dataclass
-class SharedRun:
-    """A fixed run that several scenarios of one seed make, by key
-    (``simulation.fixed_run_key``): ``last`` is the index of the last of
-    those scenarios, and the first one to make the run fills in its
-    ``trace`` and, when it writes it, its ``cycles.csv`` text chunk by chunk
-    (see ``write_cycles_csv``)."""
-
-    key: tuple
-    last: int
-    trace: SimTrace | None = None
-    texts: list[str] = field(default_factory=list)
-
-
 def fixed_run_keys(
     config: ResolvedConfig, spec: ScenarioSpec, policies: Sequence[str], seed: int
 ) -> dict[str, tuple]:
@@ -715,104 +700,85 @@ def fixed_run_keys(
     }
 
 
-def shared_fixed_runs(
-    config: ResolvedConfig, specs: Sequence[ScenarioSpec], policies: Sequence | None, seed: int
-) -> list[SharedRun]:
-    """The fixed runs of ``seed`` that more than one of ``specs`` makes, run
-    in that order over ``policies`` (None: each scenario's own)."""
-    runs: list[tuple[SharedRun, int]] = []  # each distinct run and its first scenario
-    for i, spec in enumerate(specs):
-        selected = select_runs(config, spec, policies)[0]
-        for key in fixed_run_keys(config, spec, selected, seed).values():
-            run = next((run for run, _ in runs if run.key == key), None)
-            if run is None:
-                runs.append((SharedRun(key, i), i))
-            else:
-                run.last = i
-    return [run for run, first in runs if run.last > first]
-
-
 def run_scenario(
     config: ResolvedConfig,
-    spec: ScenarioSpec,
+    specs: Sequence[ScenarioSpec],
     policies: Sequence[str] | None = None,
     seeds: Sequence[int] | None = None,
     outdir: Path | None = None,
-    static_estimates: MutableMapping[tuple, EstimateReport] | None = None,
-    normals: MutableMapping[tuple[int, str], array] | None = None,
-    shared_runs: Sequence[SharedRun] = (),
-) -> ScenarioReport:
-    """Run every (policy, seed) pair of a scenario and evaluate expectations.
+) -> list[ScenarioReport]:
+    """Run every (policy, seed) pair of each scenario of ``specs`` and
+    evaluate its expectations over its seeds, in their order.
 
-    Runs go seed by seed.  The seed's fixed policies run first, each
-    computing its own cycles, and the ``DTP`` run reads the stores of the
-    placements they cover instead of simulating them again.  With an
-    ``outdir``, the seed's run directories are written once all its runs
-    are done, every ``cycles.csv`` of the seed in one ``write_cycles_csv``
-    pass, so a ``DTP`` window that equals a fixed run's window is written
-    from that run's text.  Only one seed's cycles are held at a time.  The
-    results keep the order of ``policies``.
+    Every subset is checked before anything runs.  Runs go seed by seed,
+    over the seeds in the order they first appear, and within a seed
+    scenario by scenario.  A scenario's fixed policies run first, each
+    computing its own cycles, and its ``DTP`` run reads the stores of the
+    placements they cover instead of simulating them again.  A fixed run
+    that a later scenario of the seed makes too (an equal
+    ``fixed_run_key``) is made once: its trace and ``cycles.csv`` text are
+    held until the last scenario that reads them is done.  Each seed's runs
+    share one mapping of normals and all runs one map of static estimates
+    (see ``run_simulation``), so only one seed's cycles are held at a time.
 
-    ``static_estimates`` is passed to every run (see ``run_simulation``),
-    so that the scenarios of one config can share it (``dtpsim run``
-    passes one mapping to every scenario); None shares it only among the
-    runs of one call.  ``normals`` is passed to every run the same way; it
-    is keyed by seed, and ``dtpsim run`` passes each seed's runs of every
-    scenario one mapping of their own.  None gives each seed's runs of this
-    call one mapping.
-
-    ``shared_runs`` holds fixed runs that other scenarios make too (see
-    ``shared_fixed_runs``).  A fixed run whose key one of them holds is
-    made only if no scenario made it before: otherwise its trace, and its
-    ``cycles.csv`` text, are the earlier scenario's, and the ``DTP`` run
-    reads that store, whose per-window plans equal its candidate's.
+    With an ``outdir``, a scenario's run directories of a seed are written
+    once its runs are done, every ``cycles.csv`` in one
+    ``write_cycles_csv`` pass, so a ``DTP`` window that equals a fixed
+    run's window is written from that run's text.  The results keep the
+    order of ``policies``.
     """
-    policies, seeds = select_runs(config, spec, policies, seeds)
-    controller = config.controller_config(spec.controller_overrides)
-    results: dict[str, list[RunResult]] = {p: [] for p in policies}
-    static_estimates = {} if static_estimates is None else static_estimates
-    for seed in seeds:
-        sim = replace(spec.sim, seed=seed)
-        seed_normals = {} if normals is None else normals
-        keys = fixed_run_keys(config, spec, policies, seed) if shared_runs else {}
-        traces: dict[str, SimTrace] = {}
-        texts: dict[str, list[str]] = {}  # the cycles.csv chunks of each shared run
-        for policy in sorted(policies, key=lambda p: p == CONTROLLER_POLICY):
-            fixed = None if policy == CONTROLLER_POLICY else policy
-            shared = next((run for run in shared_runs if run.key == keys.get(policy)), None)
-            if shared is not None and shared.trace is not None:
-                trace = shared.trace
-            else:
-                trace = run_simulation(
-                    config.dag,
-                    config.fabric,
-                    sim,
-                    controller,
-                    fixed=fixed,
-                    stresses=spec.stresses,
-                    faults=spec.faults,
-                    estimator=config.estimator,
-                    # the fixed runs come first: DTP reads their stores
-                    known_cycles=None if fixed else {p: t.cycles for p, t in traces.items()},
-                    static_estimates=static_estimates,
-                    normals=seed_normals,
-                )
-            if shared is not None:
-                shared.trace = trace
-                texts[policy] = shared.texts
-            traces[policy] = trace
-            results[policy].append(
-                RunResult(
+    selected = [select_runs(config, spec, policies, seeds) for spec in specs]
+    static_estimates: dict = {}  # one config: every scenario shares its dag, fabric and candidates
+    runs: list[dict[tuple[int, str], RunResult]] = [{} for _ in specs]  # by (seed, policy)
+    for seed in dict.fromkeys(seed for _, order in selected for seed in order):
+        normals: dict = {}  # a seed's draws are the same in every scenario
+        scenarios = [(spec, chosen, by_run) for spec, (chosen, order), by_run
+                     in zip(specs, selected, runs) if seed in order]
+        keys = [fixed_run_keys(config, spec, chosen, seed) for spec, chosen, _ in scenarios]
+        held: list[tuple] = []  # (key, last reader, trace, cycles.csv chunks) of each made run
+        for i, (spec, chosen, by_run) in enumerate(scenarios):
+            sim = replace(spec.sim, seed=seed)
+            controller = config.controller_config(spec.controller_overrides)
+            traces: dict[str, SimTrace] = {}
+            texts: dict[str, list[str] | None] = {}
+            for policy in sorted(chosen, key=lambda p: p == CONTROLLER_POLICY):
+                fixed = None if policy == CONTROLLER_POLICY else policy
+                key = keys[i].get(policy)
+                run = next((run for run in held if run[0] == key), None)
+                if run is None:
+                    last = max((j for j, later in enumerate(keys) if key in later.values()),
+                               default=i)
+                    run = (key, last, run_simulation(
+                        config.dag,
+                        config.fabric,
+                        sim,
+                        controller,
+                        fixed=fixed,
+                        stresses=spec.stresses,
+                        faults=spec.faults,
+                        estimator=config.estimator,
+                        # the fixed runs come first: DTP reads their stores
+                        known_cycles=None if fixed else {p: t.cycles for p, t in traces.items()},
+                        static_estimates=static_estimates,
+                        normals=normals,
+                    ), [] if last > i else None)
+                    if last > i:
+                        held.append(run)
+                traces[policy], texts[policy] = run[2:]
+                by_run[seed, policy] = RunResult(
                     policy,
                     seed,
-                    trace.summary,
-                    tuple(w.metrics.violation_rate for w in trace.windows),
+                    run[2].summary,
+                    tuple(w.metrics.violation_rate for w in run[2].windows),
                 )
-            )
-        if outdir is not None:
-            _write_runs(outdir / spec.name, seed, traces, texts, config)
-    expectations = evaluate_expectations(spec, results)
-    return ScenarioReport(spec.name, results, expectations)
+            if outdir is not None:
+                _write_runs(outdir / spec.name, seed, traces, texts, config)
+            held = [run for run in held if run[1] > i]
+    reports = []
+    for spec, (chosen, order), by_run in zip(specs, selected, runs):
+        results = {policy: [by_run[seed, policy] for seed in order] for policy in chosen}
+        reports.append(ScenarioReport(spec.name, results, evaluate_expectations(spec, results)))
+    return reports
 
 
 def _write_runs(

@@ -45,7 +45,7 @@ def scenario_data(shipped):
     data = {}
     for name, spec in shipped.scenarios.items():
         start = time.perf_counter()
-        report = run_scenario(shipped, spec)
+        [report] = run_scenario(shipped, [spec])
         data[name] = SimpleNamespace(
             spec=spec, report=report, elapsed=time.perf_counter() - start
         )
@@ -357,7 +357,7 @@ def test_criterion_09_reruns_are_byte_identical(shipped, tmp_path):
     # the shipped policy set, so the DTP run reads its cycles from the fixed runs
     spec = shipped.scenarios["baseline"]
     for sub in ("a", "b"):
-        run_scenario(shipped, spec, seeds=[1], outdir=tmp_path / sub)
+        run_scenario(shipped, [spec], seeds=[1], outdir=tmp_path / sub)
 
     def files(sub):
         root = tmp_path / sub

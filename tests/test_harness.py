@@ -335,7 +335,7 @@ def test_echo_config_round_trips(tmp_path):
 
 def test_tiny_baseline_run_passes_and_reports(tmp_path):
     config = load_config(None)
-    report = run_scenario(config, tiny_baseline(config), policies=["DTP"], seeds=[1])
+    [report] = run_scenario(config, [tiny_baseline(config)], policies=["DTP"], seeds=[1])
     assert report.passed
     assert report.results["DTP"][0].summary["migrations"] == 0
     names = [e.name for e in report.expectations]
@@ -352,22 +352,22 @@ def test_tiny_baseline_run_passes_and_reports(tmp_path):
 def test_run_scenario_rejects_unknown_policy():
     config = load_config(None)
     with pytest.raises(ConfigError, match="LOCO"):
-        run_scenario(config, tiny_baseline(config), policies=["LOCO"], seeds=[1])
+        run_scenario(config, [tiny_baseline(config)], policies=["LOCO"], seeds=[1])
 
 
 def test_run_scenario_rejects_an_empty_subset():
     # only None selects the scenario's own list; an empty one selects nothing
     config = load_config(None)
     with pytest.raises(ConfigError, match="policies: an empty subset"):
-        run_scenario(config, tiny_baseline(config), policies=[], seeds=[1])
+        run_scenario(config, [tiny_baseline(config)], policies=[], seeds=[1])
     with pytest.raises(ConfigError, match="seeds: an empty subset"):
-        run_scenario(config, tiny_baseline(config), policies=["DTP"], seeds=[])
+        run_scenario(config, [tiny_baseline(config)], policies=["DTP"], seeds=[])
 
 
 def test_run_artifacts_are_written_per_policy_and_seed(tmp_path):
     config = load_config(None)
     spec = tiny_baseline(config, horizon=4)
-    run_scenario(config, spec, policies=["DTP", "LOC"], seeds=[2], outdir=tmp_path)
+    run_scenario(config, [spec], policies=["DTP", "LOC"], seeds=[2], outdir=tmp_path)
     dtp = tmp_path / "baseline" / "DTP" / "seed_2"
     loc = tmp_path / "baseline" / "LOC" / "seed_2"
     for rundir in (dtp, loc):
@@ -384,7 +384,7 @@ def test_reruns_are_byte_identical(tmp_path):
     config = load_config(None)
     spec = tiny_baseline(config, horizon=4)
     for sub in ("a", "b"):
-        run_scenario(config, spec, policies=["DTP"], seeds=[3], outdir=tmp_path / sub)
+        run_scenario(config, [spec], policies=["DTP"], seeds=[3], outdir=tmp_path / sub)
     for name in ("cycles.csv", "windows.csv", "summary.json", "decisions.jsonl"):
         first = (tmp_path / "a" / "baseline" / "DTP" / "seed_3" / name).read_bytes()
         second = (tmp_path / "b" / "baseline" / "DTP" / "seed_3" / name).read_bytes()
@@ -403,7 +403,7 @@ def test_dtp_run_is_the_same_alone_or_after_fixed_runs(tmp_path, scenario):
     spec = short_scenario(config, scenario)
     orders = (["DTP"], ["LOC", "SO", "DTP"], ["DTP", "SO"])
     for i, policies in enumerate(orders):
-        run_scenario(config, spec, policies=policies, seeds=[1, 2], outdir=tmp_path / str(i))
+        run_scenario(config, [spec], policies=policies, seeds=[1, 2], outdir=tmp_path / str(i))
     for seed in (1, 2):
         alone = tmp_path / "0" / scenario / "DTP" / f"seed_{seed}"
         assert json.loads((alone / "summary.json").read_text())["migrations"] >= 1
@@ -434,7 +434,7 @@ def test_run_scenario_simulates_each_placement_cycle_once_per_seed():
 
     with mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle), \
             mock.patch.object(simulation._Engine, "run_window", recording_run_window):
-        report = run_scenario(config, spec, seeds=[1, 2])
+        [report] = run_scenario(config, [spec], seeds=[1, 2])
     assert len(set(simulated)) == len(simulated)
     for policy in ("LOC", "SO"):
         for seed in (1, 2):
@@ -470,7 +470,7 @@ def test_a_run_makes_each_fixed_run_once_per_seed_and_writes_each_scenario_as_al
     config = load_config(path)
     alone = tmp_path / "alone"
     for spec in config.scenarios.values():
-        run_scenario(config, spec, seeds=[1, 2], outdir=alone)
+        run_scenario(config, [spec], seeds=[1, 2], outdir=alone)
     files = sorted(p.relative_to(alone) for p in alone.rglob("*") if p.is_file())
     assert len(files) == 4 * 2 * (3 + 3 + 4)  # four scenarios, two seeds of LOC, SO and DTP
     for relative in files:
@@ -484,35 +484,40 @@ def test_a_shared_fixed_run_is_held_only_until_its_last_scenario(
     # baseline's SO run serves no other scenario, so nothing holds it once
     # baseline is done; baseline's LOC run serves edge-stress and
     # network-impairment, and nothing holds it once the seed is done
+    scenarios = ["baseline", "robot-stress", "edge-stress", "network-impairment"]
+    order = [(seed, name) for seed in (1, 2) for name in scenarios]
     refs = {}  # (seed, scenario, fixed policy) -> weak reference to its trace
-    running = []  # (seed, scenario) of each run_scenario call
-    alive = []  # (seed, scenario, the fixed runs alive as it starts)
+    written = []  # (seed, scenario) of each _write_runs call
+    alive = []  # (seed, scenario, the fixed runs alive as its first run starts)
     run_simulation = harness.run_simulation
-    run = cli.run_scenario
-
-    def recording_run_simulation(*args, fixed=None, **kwargs):
-        trace = run_simulation(*args, fixed=fixed, **kwargs)
-        if fixed is not None:
-            refs[(*running[-1], fixed)] = weakref.ref(trace)
-        return trace
+    write_runs = harness._write_runs
 
     def live():
         gc.collect()
         return sorted(key for key, ref in refs.items() if ref() is not None)
 
-    def recording_run(config, spec, policies, seeds, *rest):
-        alive.append((seeds[0], spec.name, live()))
-        running.append((seeds[0], spec.name))
-        return run(config, spec, policies, seeds, *rest)
+    def recording_run_simulation(*args, fixed=None, **kwargs):
+        # a scenario's runs of a seed all come before its _write_runs call
+        running = order[len(written)]
+        if len(alive) == len(written):
+            alive.append((*running, live()))
+        trace = run_simulation(*args, fixed=fixed, **kwargs)
+        if fixed is not None:
+            refs[(*running, fixed)] = weakref.ref(trace)
+        return trace
+
+    def recording_write_runs(outdir, seed, *args):
+        written.append((seed, outdir.name))
+        return write_runs(outdir, seed, *args)
 
     monkeypatch.setattr(harness, "run_simulation", recording_run_simulation)
-    monkeypatch.setattr(cli, "run_scenario", recording_run)
+    monkeypatch.setattr(harness, "_write_runs", recording_write_runs)
     path = write_config(tmp_path, {"sim": {"horizon": 4}})
     code = main(["run", "--config", path, "--out", str(tmp_path / "out"), "--seeds", "1,2"])
     assert code in (0, 1)  # a 4-window horizon may fail an expectation
     capsys.readouterr()
     assert live() == []
-    scenarios = ["baseline", "robot-stress", "edge-stress", "network-impairment"]
+    assert written == order
     for seed in (1, 2):
         held = [(seed, "baseline", "LOC")]
         assert [entry for entry in alive if entry[0] == seed] == [
@@ -522,6 +527,31 @@ def test_a_shared_fixed_run_is_held_only_until_its_last_scenario(
         assert ("edge-stress", "LOC") not in made and ("baseline", "SO") in made
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_a_run_computes_each_fixed_run_key_once(tmp_path, monkeypatch, capsys):
+    # one key per (scenario, fixed policy, seed), read both to find a made
+    # run and to find the last scenario that reads it
+    computed = []  # (seed, policy, stresses, faults) of each fixed_run_key call
+    fixed_run_key = harness.fixed_run_key
+
+    def recording(dag, fabric, sim, controller, fixed, stresses, faults):
+        computed.append((sim.seed, fixed, stresses, faults))
+        return fixed_run_key(dag, fabric, sim, controller, fixed, stresses, faults)
+
+    monkeypatch.setattr(harness, "fixed_run_key", recording)
+    path = write_config(tmp_path, {"sim": {"horizon": 2}})
+    code = main(["run", "--config", path, "--out", str(tmp_path / "out"), "--seeds", "1,2"])
+    assert code in (0, 1)  # a 2-window horizon may fail an expectation
+    capsys.readouterr()
+    scenarios = load_config(path).scenarios.values()
+    assert Counter(computed) == {
+        (seed, policy, spec.stresses, spec.faults): 1
+        for seed in (1, 2)
+        for spec in scenarios
+        for policy in ("LOC", "SO")
+    }
+
+
 def test_failing_expectation_is_reported(tmp_path):
     config = load_config(None)
     spec = tiny_baseline(config, horizon=6)
@@ -529,7 +559,7 @@ def test_failing_expectation_is_reported(tmp_path):
         spec,
         expected=Expectation(dominant=("SO",), min_fraction=0.9, min_seed_fraction=1.0),
     )
-    report = run_scenario(config, spec, policies=["DTP"], seeds=[1])
+    [report] = run_scenario(config, [spec], policies=["DTP"], seeds=[1])
     assert not report.passed
     assert "[FAIL]" in render_report(report_payload([report]))
 
@@ -541,7 +571,7 @@ def test_check_referencing_missing_policy_reports_skip():
         spec,
         checks=(Check(kind="policy_violation_above", policy="SO", threshold=0.1),),
     )
-    report = run_scenario(config, spec, policies=["DTP"], seeds=[1])
+    [report] = run_scenario(config, [spec], policies=["DTP"], seeds=[1])
     skipped = report.expectations[-1]
     assert (skipped.name, skipped.passed) == ("SO-violation-above-0.1", None)
     assert "SO did not run" in skipped.detail
@@ -557,7 +587,7 @@ def test_nothing_evaluated_is_skip_not_pass():
         tiny_baseline(config, horizon=4),
         checks=(Check(kind="policy_violation_above", policy="SO", threshold=0.1),),
     )
-    report = run_scenario(config, spec, policies=["LOC"], seeds=[1])
+    [report] = run_scenario(config, [spec], policies=["LOC"], seeds=[1])
     assert [e.passed for e in report.expectations] == [None]
     assert not report.passed
     payload = report_payload([report])
@@ -594,7 +624,7 @@ def _late_fault(start_window, end_window):
 def test_a_check_over_no_window_is_skip_not_pass(tmp_path, scenario, changes, policies, name,
                                                  why):
     config = load_config(write_config(tmp_path, {"scenarios": {scenario: changes}}))
-    report = run_scenario(config, config.scenarios[scenario], policies=policies, seeds=[1])
+    [report] = run_scenario(config, [config.scenarios[scenario]], policies=policies, seeds=[1])
     check = next(e for e in report.expectations if e.name == name)
     assert (check.passed, check.detail) == (None, f"not evaluated: {why}")
     assert f"[SKIP] {name}: not evaluated: {why}" in render_report(report_payload([report]))
@@ -606,7 +636,7 @@ def test_a_ratio_over_a_policy_that_never_violated_fails(tmp_path):
     changes = {"network-impairment": {"faults": [fault]}}
     config = load_config(write_config(tmp_path, {"scenarios": changes}))
     spec = config.scenarios["network-impairment"]
-    report = run_scenario(config, spec, policies=["SO", "DTP"], seeds=[1])
+    [report] = run_scenario(config, [spec], policies=["SO", "DTP"], seeds=[1])
     check = next(e for e in report.expectations if e.name == "SO-violation-5.0x-DTP")
     assert check.passed is False
     assert check.detail == (
@@ -627,7 +657,7 @@ def test_unknown_report_format_is_rejected():
 
 def test_stored_report_round_trip(tmp_path):
     config = load_config(None)
-    report = run_scenario(config, tiny_baseline(config, 4), policies=["DTP"], seeds=[1])
+    [report] = run_scenario(config, [tiny_baseline(config, 4)], policies=["DTP"], seeds=[1])
     fresh = report_payload([report])
     path = write_report(fresh, tmp_path)
     payload = load_report(tmp_path)
@@ -895,43 +925,44 @@ def test_a_run_fills_each_seeds_normal_columns_once_and_holds_one_seed(
         computed.extend((draws.master_seed, tag, step) for step in draws.steps)
         return standard_normals(draws, tag)
 
-    calls = []  # (seed, id of its mapping, tags it holds after the call) of each run_scenario
+    calls = []  # (seed, id of its mapping, tags it holds after the call) of each run
     columns: list = []  # weak references to every column, so the test holds none of them
-    run = cli.run_scenario
+    run_simulation = harness.run_simulation
 
-    def recording_run(config, spec, policies, seeds, outdir, static_estimates, normals, *rest):
-        (seed,) = seeds
+    def recording_run_simulation(dag, fabric, sim, *args, normals, **kwargs):
+        seed = sim.seed
         if calls and calls[-1][0] != seed:
             gc.collect()
             assert columns and all(ref() is None for ref in columns)
-        report = run(config, spec, policies, seeds, outdir, static_estimates, normals, *rest)
+        trace = run_simulation(dag, fabric, sim, *args, normals=normals, **kwargs)
         assert {key[0] for key in normals} == {seed}
         calls.append((seed, id(normals), set(normals)))
         columns.extend(weakref.ref(column) for column in normals.values())
-        return report
+        return trace
 
     monkeypatch.setattr(streams.WindowDraws, "_standard_normals", recording_normals)
-    monkeypatch.setattr(cli, "run_scenario", recording_run)
+    monkeypatch.setattr(harness, "run_simulation", recording_run_simulation)
     path = write_config(tmp_path, {"sim": {"horizon": 6}})
     code = main(["run", "--config", path, "--out", str(tmp_path / "out"), "--seeds", "1,2"])
     assert code in (0, 1)  # a 6-window horizon may fail an expectation
     capsys.readouterr()
-    assert [seed for seed, _, _ in calls] == [1] * 4 + [2] * 4
-    assert len({mapping for _, mapping, _ in calls[:4]}) == 1
-    assert len({mapping for _, mapping, _ in calls[4:]}) == 1
+    seeds = [seed for seed, _, _ in calls]
+    assert seeds == sorted(seeds) and set(seeds) == {1, 2}
+    first, second = ([call for call in calls if call[0] == seed] for seed in (1, 2))
+    assert len({mapping for _, mapping, _ in first}) == 1
+    assert len({mapping for _, mapping, _ in second}) == 1
+    tags = first[-1][2] | second[-1][2]
     assert computed and max(Counter(computed).values()) == 1
-    assert {(seed, tag) for seed, tag, _ in computed} == calls[3][2] | calls[7][2]
+    assert {(seed, tag) for seed, tag, _ in computed} == tags
     # every tag's column was filled over the horizon, 6 windows of 50 cycles
-    assert Counter((seed, tag) for seed, tag, _ in computed) == dict.fromkeys(
-        calls[3][2] | calls[7][2], 300
-    )
+    assert Counter((seed, tag) for seed, tag, _ in computed) == dict.fromkeys(tags, 300)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_run_scenario_alone_computes_each_normal_once(monkeypatch):
-    # without a mapping, each seed's runs share one of their own: the DTP
-    # run's windows under SO, which no fixed run covers, read the columns the
-    # LOC run filled, and the second seed's columns are its own
+    # each seed's runs share one mapping: the DTP run's windows under SO,
+    # which no fixed run covers, read the columns the LOC run filled, and the
+    # second seed's columns are its own
     computed = []
     standard_normals = streams.WindowDraws._standard_normals
 
@@ -943,7 +974,7 @@ def test_run_scenario_alone_computes_each_normal_once(monkeypatch):
     config = load_config(None)
     spec = config.scenarios["robot-stress"]
     spec = dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, horizon=8))
-    report = run_scenario(config, spec, policies=["LOC", "DTP"], seeds=[1, 2])
+    [report] = run_scenario(config, [spec], policies=["LOC", "DTP"], seeds=[1, 2])
     assert [r.summary["window_placements"][-1] for r in report.results["DTP"]] == ["SO"] * 2
     assert computed and max(Counter(computed).values()) == 1
     assert {seed for seed, _, _ in computed} == {1, 2}
