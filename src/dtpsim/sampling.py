@@ -35,11 +35,9 @@ from .streams import Draws
 US_PER_MS = 1000.0
 
 
-def quantize_us(value_ms: float, resolution_us: int = 1) -> int:
-    """Round a millisecond value onto the clock grid, in microseconds."""
-    if resolution_us == 1:
-        return round(value_ms * US_PER_MS)
-    return round(value_ms * US_PER_MS / resolution_us) * resolution_us
+def quantize_us(value_ms: float) -> int:
+    """Round a millisecond value to whole microseconds."""
+    return round(value_ms * US_PER_MS)
 
 
 def sample_service(
@@ -72,7 +70,6 @@ def traverse_edge(
     model: LinkDelayModel,
     edge_scale: float,
     rng: random.Random | Draws,
-    resolution_us: int,
 ) -> tuple[int, bool]:
     """Edge crossing with the single-retransmit rule.
 
@@ -82,11 +79,11 @@ def traverse_edge(
     """
     delay, lost = sample_link(model, rng)
     if not lost:
-        return quantize_us(delay * edge_scale, resolution_us), False
-    timeout = quantize_us(4.0 * model.base_delay * edge_scale, resolution_us)
+        return quantize_us(delay * edge_scale), False
+    timeout = quantize_us(4.0 * model.base_delay * edge_scale)
     delay2, lost2 = sample_link(model, rng)
     if not lost2:
-        return timeout + quantize_us(delay2 * edge_scale, resolution_us), False
+        return timeout + quantize_us(delay2 * edge_scale), False
     return 0, True
 
 

@@ -141,15 +141,13 @@ BLOCK_CYCLES = 250
 class SimConfig:
     """Global timing parameters.
 
-    period and deadline are milliseconds; horizon counts windows; the
-    clock resolution is integer microseconds.
+    period and deadline are milliseconds; horizon counts windows.
     """
 
     period: float
     deadline: float
     horizon: int
     seed: int = 42
-    clock_resolution_us: int = 1
 
     def __post_init__(self):
         if self.period <= 0:
@@ -161,8 +159,6 @@ class SimConfig:
             )
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
-        if self.clock_resolution_us < 1:
-            raise ValueError("clock_resolution_us must be >= 1")
         if not PERIOD_RANGE[0] <= self.period <= PERIOD_RANGE[1]:
             warnings.warn(
                 f"period {self.period} ms is outside the validated range "
@@ -291,10 +287,7 @@ def _window_plans(
         slowdown[stress.target] = stress.slowdown * slowdown.get(stress.target, 1.0)
         if stress.exogenous_load:
             exogenous[stress.target] = exogenous.get(stress.target, 0.0) + stress.exogenous_load
-    exogenous_us = {
-        node: quantize_us(load * sim.period, sim.clock_resolution_us)
-        for node, load in exogenous.items()
-    }
+    exogenous_us = {node: quantize_us(load * sim.period) for node, load in exogenous.items()}
     links = dict(dag.links)
     for fault in faults:
         if not fault.active(window_index):
@@ -342,21 +335,19 @@ class _Engine:
     def __init__(self, fabric: Fabric, sim: SimConfig):
         self.sim = sim
         self.streams = RandomStreams(sim.seed)
-        self.resolution = sim.clock_resolution_us
-        self.period_us = quantize_us(sim.period, self.resolution)
-        self.deadline_us = quantize_us(sim.deadline, self.resolution)
+        self.period_us = quantize_us(sim.period)
+        self.deadline_us = quantize_us(sim.deadline)
         self.node_ids = fabric.ids()
 
     def run_cycle(self, plan: CyclePlan, cycle_index: int) -> Row:
         streams = self.streams
-        resolution = self.resolution
         busy_us = dict.fromkeys(self.node_ids, 0)
         latency_us = 0
         fatal = False
         edges = plan.edges
         for i, stage in enumerate(plan.stages):
             rng = streams.at(stage.tag, cycle_index)
-            us = quantize_us(sample_service(stage.model, rng, stage.slowdown), resolution)
+            us = quantize_us(sample_service(stage.model, rng, stage.slowdown))
             busy_us[stage.node] += us
             latency_us += us
             if i == len(edges):
@@ -365,7 +356,7 @@ class _Engine:
             if edge.link is None:
                 continue
             rng = streams.at(edge.tag, cycle_index)
-            delay_us, fatal = traverse_edge(edge.model, edge.edge_scale, rng, resolution)
+            delay_us, fatal = traverse_edge(edge.model, edge.edge_scale, rng)
             if fatal:
                 break
             latency_us += delay_us
@@ -389,7 +380,6 @@ class _Engine:
         cycles patched.  A lost attempt retransmits through ``sample_link``
         on draws 3-5 of its step.
         """
-        resolution = self.resolution
         count = len(draws.steps)
         stages = plan.stages
         stage_us = []
@@ -398,10 +388,10 @@ class _Engine:
             mean = model.mean
             sd = mean * model.cv
             if sd == 0.0:
-                stage_us.append([quantize_us(mean * stage.slowdown, resolution)] * count)
+                stage_us.append([quantize_us(mean * stage.slowdown)] * count)
                 continue
             floor = mean * model.floor_fraction
-            us = _clamped_us(draws.normals(stage.tag), mean, sd, floor, stage.slowdown, resolution)
+            us = _clamped_us(draws.normals(stage.tag), mean, sd, floor, stage.slowdown)
             stage_us.append(us)
         link_us = []
         fatal: dict[int, int] = {}  # cycle offset -> index of its first edge lost twice
@@ -411,10 +401,10 @@ class _Engine:
             link, scale = edge.model, edge.edge_scale
             mu = link.base_delay
             normals = draws.normals(edge.tag)
-            us = _clamped_us(normals, mu, link.jitter_sigma, 0.0, scale, resolution)
+            us = _clamped_us(normals, mu, link.jitter_sigma, 0.0, scale)
             loss = link.loss_probability
             if loss > 0.0:  # a draw in [0, 1) is never below a zero loss
-                timeout_us = quantize_us(4.0 * mu * scale, resolution)
+                timeout_us = quantize_us(4.0 * mu * scale)
                 keys = draws.keys(edge.tag)
                 limit = loss * 2.0**53  # u < loss exactly when m < loss * 2**53
                 for i, m in enumerate(draws.integers(edge.tag, 2)):
@@ -424,7 +414,7 @@ class _Engine:
                     if lost:
                         fatal.setdefault(i, j)
                     else:
-                        us[i] = timeout_us + quantize_us(delay * scale, resolution)
+                        us[i] = timeout_us + quantize_us(delay * scale)
             link_us.append(us)
         latency = _add_columns([*stage_us, *link_us], count)
         exogenous = dict(plan.exogenous_us)
@@ -454,21 +444,14 @@ def _clamped_us(
     sigma: float,
     low: float,
     scale: float,
-    resolution: int,
 ) -> list[int]:
-    """``quantize_us(max(mu + sigma * z, low) * scale, resolution)`` of each
-    lane's standard normal z, in one pass: ``sample_service``'s draw with
-    ``low`` its floor, or ``traverse_edge``'s first attempt with ``low``
-    0.0.  Its ``max(0.0, v)`` differs from ``max(v, 0.0)`` only at v = -0.0,
-    which rounds to the same 0 µs."""
-    if resolution == 1:
-        return [
-            round((low if low > (v := mu + sigma * z) else v) * scale * US_PER_MS)
-            for z in normals
-        ]
+    """``quantize_us(max(mu + sigma * z, low) * scale)`` of each lane's
+    standard normal z, in one pass: ``sample_service``'s draw with ``low``
+    its floor, or ``traverse_edge``'s first attempt with ``low`` 0.0.  Its
+    ``max(0.0, v)`` differs from ``max(v, 0.0)`` only at v = -0.0, which
+    rounds to the same 0 µs."""
     return [
-        round((low if low > (v := mu + sigma * z) else v) * scale * US_PER_MS / resolution)
-        * resolution
+        round((low if low > (v := mu + sigma * z) else v) * scale * US_PER_MS)
         for z in normals
     ]
 

@@ -293,13 +293,14 @@ def test_a_trace_retains_under_64_bytes_per_cycle():
     assert retained / cycles < 64
 
 
-@settings(max_examples=30, deadline=None)
+# derandomized: a draw may stress a node past the period, and the warning
+# it raises should come up in the same runs every time
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     fixed=st.sampled_from([None, "LOC", "SO", "HYB"]),
     cv=st.floats(0.0, 0.4),
     jitter=st.floats(0.0, 0.5),
     seed=st.integers(0, 2**31),
-    resolution=st.sampled_from([1, 7, 100]),
     stressed=st.sampled_from(["R1", "R2", "E"]),
     slowdown=st.floats(1.0, 3.0),
     load=st.floats(0.0, 0.4),
@@ -307,8 +308,7 @@ def test_a_trace_retains_under_64_bytes_per_cycle():
     data=st.data(),
 )
 def test_the_column_writer_matches_the_record_writer(
-    tmp_path_factory, fixed, cv, jitter, seed, resolution, stressed, slowdown, load, fatal_loss,
-    data,
+    tmp_path_factory, fixed, cv, jitter, seed, stressed, slowdown, load, fatal_loss, data,
 ):
     horizon, window = 3, 10
     dag = make_dag(cv=cv, jitter=jitter, loss=0.02)
@@ -325,7 +325,7 @@ def test_the_column_writer_matches_the_record_writer(
         end_window=horizon,
         additive=data.draw(st.booleans(), label="additive"),
     )
-    sim = SimConfig(50.0, 50.0, horizon=horizon, seed=seed, clock_resolution_us=resolution)
+    sim = SimConfig(50.0, 50.0, horizon=horizon, seed=seed)
     controller = controller_policy(dag, window_size=window, n_min=0)
     trace = run_simulation(
         dag, FABRIC, sim, controller, fixed=fixed,

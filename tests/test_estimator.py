@@ -121,21 +121,30 @@ def test_static_utilization_is_the_engines_nominal_occupancy(means, period):
 
 
 def test_static_and_shadow_estimates_agree_without_randomness():
-    # one utilization model: the static occupancy is the busy time the engine books
-    dag = make_dag()
-    # LOC's 23 ms meets the deadline, SO's and HYB's 24 ms miss it
+    # one clock and one utilization model: the static estimate rounds as the
+    # engine does, and its occupancy is the busy time the engine books
     sim = SimConfig(period=50.0, deadline=23.5, horizon=1, seed=3)
-    for placement in canonical_candidates(dag):
-        trace = run_simulation(dag, FABRIC, sim, controller_policy(dag), fixed=placement.name)
-        shadow = update_shadow(trace.cycles, placement.name, 8, sim.period, FABRIC)
-        static = estimate_static(
-            dag, placement, FABRIC, sim.deadline, sim.period, 200, random.Random(1)
-        )
-        assert static.metrics.l95 == shadow.metrics.l95 == nominal_latency(dag, placement)
-        assert static.metrics.violation_rate == shadow.metrics.violation_rate
-        for name in ("util_robot", "util_edge"):
-            assert getattr(static.metrics, name) == pytest.approx(getattr(shadow.metrics, name))
-        assert static.per_node_utilization == pytest.approx(shadow.per_node_utilization)
+    inputs = [
+        # LOC's 23 ms meets the deadline, SO's and HYB's 24 ms miss it
+        (make_dag(), (23.0, 24.0, 24.0)),
+        # sub-millisecond stage and link means: every candidate misses
+        (make_dag(means=(2.4, 10.4, 8.4, 2.4), base=1.4), (25.0, 26.4, 26.4)),
+    ]
+    for dag, l95s in inputs:
+        for placement, l95 in zip(canonical_candidates(dag), l95s, strict=True):
+            trace = run_simulation(dag, FABRIC, sim, controller_policy(dag), fixed=placement.name)
+            shadow = update_shadow(trace.cycles, placement.name, 8, sim.period, FABRIC)
+            static = estimate_static(
+                dag, placement, FABRIC, sim.deadline, sim.period, 200, random.Random(1)
+            )
+            assert static.metrics.l95 == shadow.metrics.l95 == nominal_latency(dag, placement)
+            assert static.metrics.l95 == l95
+            assert static.metrics.violation_rate == shadow.metrics.violation_rate
+            for name in ("util_robot", "util_edge"):
+                assert getattr(static.metrics, name) == pytest.approx(
+                    getattr(shadow.metrics, name)
+                )
+            assert static.per_node_utilization == pytest.approx(shadow.per_node_utilization)
 
 
 def shadow_record(i, latency, met=True, busy=None):

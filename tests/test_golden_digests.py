@@ -5,8 +5,8 @@ the same way, such as a different random generator or a refactor of the
 cycle engine that reorders draws.  These digests can.  They cover a DTP
 run that migrates under robot stress, DTP and fixed runs that enter and
 leave the network-impairment fault window, and a custom run with
-exogenous stress load, an additive fault and a coarse clock.  When a
-change alters the traces on purpose, re-pin the digests once and say why:
+exogenous stress load and an additive fault.  When a change alters the
+traces on purpose, re-pin the digests once and say why:
 ``PYTHONPATH=src python tests/test_golden_digests.py`` prints the ``GOLDEN``
 mapping the code computes, to replace the one below.
 """
@@ -49,7 +49,6 @@ RUNS = {
                     start_window=2, end_window=3, additive=True,
                 ),
             ),
-            "clock_resolution_us": 10,
         },
     ),
 }
@@ -86,10 +85,10 @@ GOLDEN = {
         "windows.csv": "facb1f422844e5ee7434d8ea2c21f068fc5cb4d11625cade8222b2d74de38cb4",
     },
     "mixed-hyb": {
-        "cycles.csv": "cda79a3ac1e28fd8c9574c619f338fe5bea3d2d03e8fc44f6cb4f8ce7002d922",
+        "cycles.csv": "d30af2400ff2f71ba8b5c242e28372e8d761b51d87454625f279bdcefa45e8c8",
         "decisions.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "summary.json": "022e7086f36788537367cfa0fb23cc89134e712102780a178cafcc642e3dbf14",
-        "windows.csv": "7164ff67a50fdc03a6d43a5e790ee53a1bf6c35a965a5c697debede2f3eb066f",
+        "summary.json": "8a8fbff9df42a5bd14209dfb0a06323699e199e919eb1656b6ea5a8682fff4d9",
+        "windows.csv": "6745c071392d92f8ee8b63a2602281e67e4b0c4caf7b5bd44c6fdab90d5314f6",
     },
 }
 
@@ -97,12 +96,7 @@ GOLDEN = {
 def run_digests(name, tmp_path):
     scenario, policy, seed, horizon, changes = RUNS[name]
     spec = CONFIG.scenarios[scenario]
-    sim = replace(
-        spec.sim,
-        seed=seed,
-        horizon=horizon,
-        clock_resolution_us=changes.get("clock_resolution_us", spec.sim.clock_resolution_us),
-    )
+    sim = replace(spec.sim, seed=seed, horizon=horizon)
     faults = changes.get("faults", spec.faults)
     if "fault_window" in changes:
         start, end = changes["fault_window"]

@@ -103,9 +103,7 @@ def test_defaults_resolve():
 
 def test_dataclass_sections_resolve_to_the_shipped_values():
     shipped = {
-        "sim": {
-            "period": 40.0, "deadline": 40.0, "horizon": 200, "clock_resolution_us": 1,
-        },
+        "sim": {"period": 40.0, "deadline": 40.0, "horizon": 200},
         "weights": {
             "alpha_l": 1.0, "alpha_v": 2.0, "alpha_r": 0.5, "alpha_e": 0.25, "alpha_s": 0.25,
         },
@@ -270,7 +268,7 @@ def test_omitted_optional_keys_resolve_to_the_documented_defaults(tmp_path):
     assert smoke.policies == ("LOC", "SO", "DTP")
     assert smoke.seeds == tuple(range(1, 11))
     assert smoke.controller_overrides == {}
-    assert smoke.sim == SimConfig(40.0, 40.0, 7, 42, 1)
+    assert smoke.sim == SimConfig(40.0, 40.0, 7, 42)
 
 
 def test_unknown_scenario_policy_is_rejected(tmp_path):
@@ -1078,8 +1076,11 @@ def test_cli_validate_rejects_unknown_references(tmp_path, capsys, document, nam
         ({"scenarios": {"baseline": {"seeds": [1, 2, 1]}}}, "scenarios.baseline.seeds"),
         # a fractional seed is rejected, not truncated onto another
         ({"scenarios": {"baseline": {"seeds": [1, 1.7]}}}, "scenarios.baseline.seeds"),
+        # the engine has one 1 µs clock: naming a resolution, even 1, is an error
+        ({"sim": {"clock_resolution_us": 1}}, "unknown key: sim.clock_resolution_us"),
+        ({"scenarios": {"baseline": {"sim": {"clock_resolution_us": 10}}}},
+         "unknown key: scenarios.baseline.sim.clock_resolution_us"),
         # an integer field takes neither a fraction nor a bool
-        ({"sim": {"clock_resolution_us": True}}, "sim.clock_resolution_us"),
         ({"controller": {"n_min": 2.5}}, "controller.n_min"),
         ({"scenarios": {"baseline": {"sim": {"horizon": 6.5}}}}, "scenarios.baseline.sim.horizon"),
         ({"scenarios": {"baseline": {"controller": {"window_size": False}}}},
@@ -1110,11 +1111,12 @@ def test_cli_validate_rejects_unknown_references(tmp_path, capsys, document, nam
         "seeds", "nodes", "node-kind-cloud", "task", "edge-endpoint", "check-policy",
         "check-versus", "dominant-string", "seeds-string", "policies-string",
         "fault-links-string", "service-scalar", "service-empty", "policies-repeated",
-        "seeds-repeated", "seed-fraction", "clock-resolution-bool", "n-min-fraction",
-        "scenario-horizon-fraction", "scenario-window-size-bool", "stress-start-fraction",
-        "fault-end-bool", "deadline-bool", "delta-min-bool", "alpha-l-bool", "delta-min-string",
-        "deadline-string", "l95-max-null", "scenario-latency-target-bool", "additive-string",
-        "dominant-integer", "min-fraction-above-1", "min-seed-fraction-below-0",
+        "seeds-repeated", "seed-fraction", "clock-resolution", "scenario-clock-resolution",
+        "n-min-fraction", "scenario-horizon-fraction", "scenario-window-size-bool",
+        "stress-start-fraction", "fault-end-bool", "deadline-bool", "delta-min-bool",
+        "alpha-l-bool", "delta-min-string", "deadline-string", "l95-max-null",
+        "scenario-latency-target-bool", "additive-string", "dominant-integer",
+        "min-fraction-above-1", "min-seed-fraction-below-0",
     ],
 )
 def test_cli_validate_rejects_malformed_entries(tmp_path, capsys, document, where):

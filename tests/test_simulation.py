@@ -382,11 +382,10 @@ def test_every_fatal_cycle_is_capped_at_the_period():
         loss=st.floats(0.3, 0.9),
         seed=st.integers(0, 2**31),
         period=st.sampled_from([40.0, 50.0]),
-        resolution=st.sampled_from([1, 10]),
     )
-    def check(fixed, cv, jitter, loss, seed, period, resolution):
+    def check(fixed, cv, jitter, loss, seed, period):
         dag = make_dag(cv=cv, jitter=jitter, loss=loss)
-        sim = SimConfig(period, period, horizon=3, seed=seed, clock_resolution_us=resolution)
+        sim = SimConfig(period, period, horizon=3, seed=seed)
         controller = controller_policy(dag, window_size=4, n_min=0)
         cycles.clear()
         with mock.patch.object(simulation, "traverse_edge", recording_traverse), \
@@ -548,7 +547,7 @@ def test_every_candidate_builds_its_plans_once_per_disturbance_state():
     assert Counter(built) == dict.fromkeys(["LOC", "SO", "HYB"], 2)
 
 
-def switching_case(resolution=1, disturbed=True):
+def switching_case(disturbed=True):
     """W = 50 over 12 windows: a stress over windows 3-7, then an additive
     lossy fault over windows 9-10, so the disturbance state goes off, on, off,
     on, off and a fixed run ends a block at each switch.  Undisturbed,
@@ -557,22 +556,21 @@ def switching_case(resolution=1, disturbed=True):
     stress = StressProfile("R1", 3, 7, slowdown=2.5, exogenous_load=0.1)
     fault = FaultInjection((("R1", "E"), ("E", "R2")), 2.0, sigma=0.5, loss_probability=0.3,
                            start_window=9, end_window=10, additive=True)
-    sim = SimConfig(50.0, 30.0, horizon=12, seed=11, clock_resolution_us=resolution)
+    sim = SimConfig(50.0, 30.0, horizon=12, seed=11)
     disturbances = {"stresses": (stress,), "faults": (fault,)} if disturbed else {}
     return dag, sim, controller_policy(dag, window_size=50, n_min=0), disturbances
 
 
 @pytest.mark.parametrize(
-    "resolution, disturbed, blocks",
+    "disturbed, blocks",
     [
-        (1, True, [(0, 100), (100, 350), (350, 400), (400, 500), (500, 600)]),
-        (7, True, [(0, 100), (100, 350), (350, 400), (400, 500), (500, 600)]),
-        (1, False, [(0, 250), (250, 500), (500, 600)]),
+        (True, [(0, 100), (100, 350), (350, 400), (400, 500), (500, 600)]),
+        (False, [(0, 250), (250, 500), (500, 600)]),
     ],
-    ids=["switching", "switching-coarse-clock", "undisturbed"],
+    ids=["switching", "undisturbed"],
 )
-def test_blocks_and_state_switches_keep_every_row_of_the_oracle(resolution, disturbed, blocks):
-    dag, sim, controller, disturbances = switching_case(resolution, disturbed)
+def test_blocks_and_state_switches_keep_every_row_of_the_oracle(disturbed, blocks):
+    dag, sim, controller, disturbances = switching_case(disturbed)
     placements = list(controller.candidates)
     assert simulation.BLOCK_CYCLES // 50 == 5
     ran = []  # the placement and cycles of every run_window call
@@ -641,8 +639,7 @@ def test_the_schedule_cuts_a_block_only_at_a_state_switch_or_its_size(horizon, w
             assert state(after[0][0]) != state(windows[-1])
 
 
-@pytest.mark.parametrize("resolution", [1, 4])
-def test_blocks_run_ahead_keep_every_active_row_of_the_oracle(resolution):
+def test_blocks_run_ahead_keep_every_active_row_of_the_oracle():
     """W = 7 over 120 windows, so a block may run 35 windows ahead of the
     controller: a stress over windows 20-50 and a fault over windows 60-64
     cut blocks short, the 56 windows after them make two blocks, and DTP
@@ -655,7 +652,7 @@ def test_blocks_run_ahead_keep_every_active_row_of_the_oracle(resolution):
                                   loss_probability=0.3, start_window=60, end_window=64,
                                   additive=True),),
     }
-    sim = SimConfig(50.0, 30.0, horizon=120, seed=11, clock_resolution_us=resolution)
+    sim = SimConfig(50.0, 30.0, horizon=120, seed=11)
     controller = controller_policy(dag, window_size=window)
     blocks = []  # (placement, first window, window after the last) of each run_window call
     run_window = simulation._Engine.run_window
@@ -956,7 +953,7 @@ def record_cycle_parts(run):
 
     def recording_sample_service(model, rng, slowdown=1.0):
         ms = sample_service(model, rng, slowdown)
-        cycles[-1]["service_us"].append(quantize_us(ms, cycles[-1]["resolution"]))
+        cycles[-1]["service_us"].append(quantize_us(ms))
         return ms
 
     def recording_traverse(*args):
@@ -965,9 +962,8 @@ def record_cycle_parts(run):
         return crossing
 
     def recording_run_cycle(engine, plan, cycle_index):
-        parts = {"placement": plan.placement.name, "cycle": cycle_index,
-                 "resolution": engine.resolution, "service_us": [], "edges": [],
-                 "exogenous_us": sum(us for _, us in plan.exogenous_us)}
+        parts = {"placement": plan.placement.name, "cycle": cycle_index, "service_us": [],
+                 "edges": [], "exogenous_us": sum(us for _, us in plan.exogenous_us)}
         cycles.append(parts)
         parts["row"] = run_cycle(engine, plan, cycle_index)
         return parts["row"]
@@ -985,17 +981,16 @@ engine_runs = st.fixed_dictionaries({
     "jitter": st.floats(0.0, 0.5),
     "loss": st.floats(0.0, 0.6),
     "seed": st.integers(0, 2**31),
-    "resolution": st.sampled_from([1, 7, 100]),
     "load": st.floats(0.0, 0.5),
 })
 
 
-def run_engine(fixed, cv, jitter, loss, seed, resolution, load):
+def run_engine(fixed, cv, jitter, loss, seed, load):
     """The parts of every shadow cycle of one run and, for each of its active
     cycles (which the window kernel computes), of the ``run_cycle`` oracle
     cycle that its row must equal."""
     dag = make_dag(cv=cv, jitter=jitter, loss=loss)
-    sim = SimConfig(50.0, 50.0, horizon=3, seed=seed, clock_resolution_us=resolution)
+    sim = SimConfig(50.0, 50.0, horizon=3, seed=seed)
     stress = StressProfile("E", 2, 3, slowdown=2.0, exogenous_load=load)
     controller = controller_policy(dag, window_size=4, n_min=0)
     trace, cycles = record_cycle_parts(lambda: run_simulation(
@@ -1058,7 +1053,7 @@ def with_constant_stage(dag, task):
 def test_every_kernel_cycle_is_the_run_cycle_row_of_its_placement():
     # the window kernel (every fixed run, and every active window of a DTP
     # run) against the per-cycle oracle, over stresses, both fault
-    # modes, coarse clocks, a zero-cv stage and losses that retransmit
+    # modes, a zero-cv stage and losses that retransmit
     crossings = Counter()  # (attempts, fatal) of every crossing the oracle makes
     attempts = [0]
     sample_link = sampling.sample_link
@@ -1081,14 +1076,13 @@ def test_every_kernel_cycle_is_the_run_cycle_row_of_its_placement():
         jitter=st.floats(0.0, 0.5),
         loss=st.floats(0.0, 0.9),
         seed=st.integers(0, 2**31),
-        resolution=st.sampled_from([1, 7, 100]),
         constant=st.sampled_from([None, "T1", "T2", "T3", "T4"]),
         slowdown=st.floats(1.0, 2.5),
         stressed=st.sampled_from(["R1", "R2", "E"]),
         window=st.integers(1, 6),
         data=st.data(),
     )
-    def check(cv, jitter, loss, seed, resolution, constant, slowdown, stressed, window, data):
+    def check(cv, jitter, loss, seed, constant, slowdown, stressed, window, data):
         dag = with_constant_stage(make_dag(cv=cv, jitter=jitter, loss=loss), constant)
         horizon = 4
         stress = StressProfile(
@@ -1102,7 +1096,7 @@ def test_every_kernel_cycle_is_the_run_cycle_row_of_its_placement():
             "stresses": (stress,),
             "faults": (draw_fault(data, horizon, False), draw_fault(data, horizon, True)),
         }
-        sim = SimConfig(50.0, 30.0, horizon=horizon, seed=seed, clock_resolution_us=resolution)
+        sim = SimConfig(50.0, 30.0, horizon=horizon, seed=seed)
         controller = controller_policy(dag, window_size=window, n_min=0)
         placements = list(controller.candidates)
         with mock.patch.object(simulation, "traverse_edge", recording_traverse), \
@@ -1123,8 +1117,8 @@ def test_every_kernel_cycle_is_the_run_cycle_row_of_its_placement():
 
 @pytest.mark.parametrize("window", [1, 7])
 def test_fixed_runs_take_every_branch_of_run_cycle(window):
-    # zero jitter, a zero-cv stage, a loss of 0.6 on every link, exogenous load
-    # and a coarse clock: both loss outcomes and the constant stage all occur
+    # zero jitter, a zero-cv stage, a loss of 0.6 on every link and exogenous
+    # load: both loss outcomes and the constant stage all occur
     dag = make_dag(cv=0.3, jitter=0.0, edge_scales=(3.0, 4.0, 0.5))
     dag = with_constant_stage(dag, "T2")  # T2 runs on E, the stressed node, under SO and HYB
     horizon = 28 // window
@@ -1132,7 +1126,7 @@ def test_fixed_runs_take_every_branch_of_run_cycle(window):
                            end_window=horizon)
     stress = StressProfile("E", 1, horizon, slowdown=1.5, exogenous_load=0.2)
     disturbances = {"stresses": (stress,), "faults": (fault,)}
-    sim = SimConfig(50.0, 30.0, horizon=horizon, seed=3, clock_resolution_us=7)
+    sim = SimConfig(50.0, 30.0, horizon=horizon, seed=3)
     controller = controller_policy(dag, window_size=window)
     placements = list(controller.candidates)
     retransmits = []
@@ -1146,7 +1140,7 @@ def test_fixed_runs_take_every_branch_of_run_cycle(window):
     with mock.patch.object(simulation, "sample_link", recording_sample_link):
         stores = fixed_stores(dag, FABRIC, sim, placements, window, **disturbances)
     assert False in retransmits and True in retransmits  # delivered and fatal
-    period_us = quantize_us(sim.period, sim.clock_resolution_us)
+    period_us = quantize_us(sim.period)
     fatal = [(s, i) for s in stores.values() for i, us in enumerate(s.latency_us)
              if us == period_us]
     assert fatal and not any(s.met[i] for s, i in fatal)
