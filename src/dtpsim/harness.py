@@ -619,10 +619,6 @@ class RunResult:
     summary: Mapping[str, Any]
     window_violations: tuple[float, ...]
 
-    @property
-    def window_placements(self) -> Sequence[str]:
-        return self.summary["window_placements"]
-
 
 @dataclass
 class ExpectationResult:
@@ -684,22 +680,6 @@ def select_runs(
     return policies, seeds
 
 
-def fixed_run_keys(
-    config: ResolvedConfig, spec: ScenarioSpec, policies: Sequence[str], seed: int
-) -> dict[str, tuple]:
-    """The ``fixed_run_key`` of each fixed policy of ``policies`` in ``spec``
-    at ``seed``."""
-    controller = config.controller_config(spec.controller_overrides)
-    sim = replace(spec.sim, seed=seed)
-    return {
-        policy: fixed_run_key(
-            config.dag, config.fabric, sim, controller, policy, spec.stresses, spec.faults
-        )
-        for policy in policies
-        if policy != CONTROLLER_POLICY
-    }
-
-
 def run_scenario(
     config: ResolvedConfig,
     specs: Sequence[ScenarioSpec],
@@ -728,17 +708,20 @@ def run_scenario(
     order of ``policies``.
     """
     selected = [select_runs(config, spec, policies, seeds) for spec in specs]
+    controllers = [config.controller_config(spec.controller_overrides) for spec in specs]
     static_estimates: dict = {}  # one config: every scenario shares its dag, fabric and candidates
     runs: list[dict[tuple[int, str], RunResult]] = [{} for _ in specs]  # by (seed, policy)
     for seed in dict.fromkeys(seed for _, order in selected for seed in order):
         normals: dict = {}  # a seed's draws are the same in every scenario
-        scenarios = [(spec, chosen, by_run) for spec, (chosen, order), by_run
-                     in zip(specs, selected, runs) if seed in order]
-        keys = [fixed_run_keys(config, spec, chosen, seed) for spec, chosen, _ in scenarios]
+        scenarios = [(spec, chosen, controller, replace(spec.sim, seed=seed), by_run)
+                     for spec, (chosen, order), controller, by_run
+                     in zip(specs, selected, controllers, runs) if seed in order]
+        keys = [{policy: fixed_run_key(config.dag, config.fabric, sim, controller, policy,
+                                       spec.stresses, spec.faults)
+                 for policy in chosen if policy != CONTROLLER_POLICY}
+                for spec, chosen, controller, sim, _ in scenarios]
         held: list[tuple] = []  # (key, last reader, trace, cycles.csv chunks) of each made run
-        for i, (spec, chosen, by_run) in enumerate(scenarios):
-            sim = replace(spec.sim, seed=seed)
-            controller = config.controller_config(spec.controller_overrides)
+        for i, (spec, chosen, controller, sim, by_run) in enumerate(scenarios):
             traces: dict[str, SimTrace] = {}
             texts: dict[str, list[str] | None] = {}
             for policy in sorted(chosen, key=lambda p: p == CONTROLLER_POLICY):
@@ -819,7 +802,7 @@ def evaluate_expectations(
         occupancies = []
         seed_pass = 0
         for run, post in posts:
-            placements = run.window_placements
+            placements = run.summary["window_placements"]
             share = sum(1 for k in post if placements[k - 1] in expected.dominant) / len(post)
             forbidden_share = (
                 sum(1 for k in post if placements[k - 1] in expected.forbidden) / len(post)

@@ -113,7 +113,7 @@ from .sampling import (
     sample_service,
     traverse_edge,
 )
-from .streams import Draws, RandomStreams, WindowDraws
+from .streams import Draws, RandomStreams, WindowDraws, derive_seed
 
 __all__ = [
     "SimConfig",
@@ -405,12 +405,12 @@ class _Engine:
             loss = link.loss_probability
             if loss > 0.0:  # a draw in [0, 1) is never below a zero loss
                 timeout_us = quantize_us(4.0 * mu * scale)
-                keys = draws.keys(edge.tag)
                 limit = loss * 2.0**53  # u < loss exactly when m < loss * 2**53
                 for i, m in enumerate(draws.integers(edge.tag, 2)):
                     if m >= limit:
                         continue
-                    delay, lost = sample_link(link, Draws(keys[i], 3))
+                    key = derive_seed(draws.master_seed, edge.tag, draws.steps[i])
+                    delay, lost = sample_link(link, Draws(key, 3))
                     if lost:
                         fatal.setdefault(i, j)
                     else:
@@ -590,9 +590,13 @@ def _check_run(
     if not report.ok:
         raise ValueError("invalid pipeline: " + "; ".join(report.problems))
     check_disturbances(dag, fabric, stresses, faults)
+    # stresses active together multiply (_window_plans); every set of them is
+    # active at the window where its latest stress starts
     max_slowdown: dict[NodeId, float] = {}
     for stress in stresses:
-        max_slowdown[stress.target] = max(max_slowdown.get(stress.target, 1.0), stress.slowdown)
+        product = math.prod(s.slowdown for s in stresses
+                            if s.target == stress.target and s.active(stress.start_window))
+        max_slowdown[stress.target] = max(max_slowdown.get(stress.target, 1.0), product)
     for placement in placements:
         occupancy = nominal_node_occupancy(dag, placement)
         for node, busy in occupancy.items():
@@ -849,20 +853,21 @@ def write_cycles_csv(
     texts: Sequence[list[str] | None] = (),
 ) -> None:
     """One row per cycle of ``trace`` into ``path``, and of each trace of
-    ``others`` into its path; a node of ``fabric`` a run did not have is
-    busy 0, and a cycle's placement is that of its window.  A ValueError
-    rejects a trace whose cycles do not fill its windows evenly.
+    ``others`` into its path; a cycle's placement is that of its window.
+    The runs share one window grid (window count and size), and each store
+    holds every node of ``fabric``.  A ValueError rejects a trace whose
+    cycles do not fill its windows evenly, a grid other than the first
+    run's, or a store that lacks a fabric node, before any file is opened.
 
-    The files are written together, one window of ``trace`` at a time, so
-    each holds one window of text.  A chunk whose period, columns and
-    placement names equal those of a chunk already formatted at the same
-    rows, as a ``DTP`` window equals that window of the fixed run of its
-    placement, is written from that text; each other chunk is formatted
-    column by column.  ``texts`` holds a list or None per run of
-    ``(trace, *others)``: a run whose list is empty appends each chunk it
-    writes to it, and a run whose list holds text, written by an earlier
-    call with the same rows and window size, is written from it instead of
-    being formatted again.
+    The files are written together, one window at a time, so each holds
+    one window of text.  A window whose placement name, period and columns
+    equal those of a window already formatted in this pass, as a ``DTP``
+    window equals that window of the fixed run of its placement, is written
+    from that text; each other window is formatted column by column.
+    ``texts`` holds a list or None per run of ``(trace, *others)``: a run
+    whose list is empty appends each window's text it writes to it, and a
+    run whose list holds text, written by an earlier call with the same
+    grid, is written from it instead of being formatted again.
 
     The bytes are those of ``csv.writer``: only the header and the
     placement names can need quoting, so they go through it once, each
@@ -876,36 +881,36 @@ def write_cycles_csv(
     )
     row = ",".join(["%d", "%.3f", "%.3f", "%s", *["%.3f"] * len(node_ids), "%s"]) + "\r\n"
     runs = [(trace, path), *others]
-    count = max(len(t.cycles) for t, _ in runs)
     placements = {w.placement for t, _ in runs for w in t.windows}
     quoted = {name: _csv_row([name])[:-2] for name in placements}
-    stores = []  # per run: its rows, window size, quoted name per window, period, columns
+    grid = None
+    stores = []  # per run: quoted name per window, period, columns
     for t, _ in runs:
         cycles = t.cycles
         size, rest = divmod(len(cycles), len(t.windows)) if t.windows else (0, len(cycles))
         if rest:
             raise ValueError(f"{len(cycles)} cycles do not fill {len(t.windows)} windows evenly")
+        grid = grid or (len(t.windows), size)
+        if (len(t.windows), size) != grid:
+            raise ValueError(f"window grid {len(t.windows)}x{size} differs from the "
+                             f"pass's {grid[0]}x{grid[1]} (windows x cycles)")
         busy = dict(zip(cycles.nodes, cycles.busy_us))
+        if missing := [n for n in node_ids if n not in busy]:
+            raise ValueError(f"the cycles lack fabric nodes {', '.join(missing)}")
         columns = [cycles.latency_us, cycles.met, *map(busy.get, node_ids)]
-        names = [quoted[w.placement] for w in t.windows]
-        stores.append((range(len(cycles)), size, names, cycles.period, columns))
-    chunk = max(1, stores[0][1])
+        stores.append(([quoted[w.placement] for w in t.windows], cycles.period, columns))
+    size = max(1, grid[1])
     texts = list(texts) or [None] * len(runs)
     fills = [known is not None and not known for known in texts]
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(p, "w", newline="")) for _, p in runs]
         for fh in files:
             fh.write(header)
-        for index, start in enumerate(range(0, count, chunk)):
-            cut = slice(start, start + chunk)
-            written: list[tuple[list, str]] = []  # (key, text) of this window's chunks
-            for store, fh, known, fill in zip(stores, files, texts, fills):
-                rows, size, names, period, columns = store
-                key = [
-                    [names[i // size] for i in rows[cut]],
-                    period,
-                    *(None if column is None else column[cut] for column in columns),
-                ]
+        for index, start in enumerate(range(0, len(trace.cycles), size)):
+            cut = slice(start, start + size)
+            written: list[tuple[list, str]] = []  # (key, text) of this window's runs
+            for (names, period, columns), fh, known, fill in zip(stores, files, texts, fills):
+                key = [names[index], period, *(column[cut] for column in columns)]
                 text = next((text for seen, text in written if seen == key), None)
                 if text is None:
                     text = _cycle_rows(row, start, *key) if fill or not known else known[index]
@@ -915,13 +920,13 @@ def write_cycles_csv(
                 fh.write(text)
 
 
-def _cycle_rows(row: str, start: int, names, period, latency_us, met, *busy_us) -> str:
-    """The ``cycles.csv`` rows of cycles ``start, start + 1, ...``: each
-    ``row % fields`` of its columns, a busy column of None being 0."""
+def _cycle_rows(row: str, start: int, name, period, latency_us, met, *busy_us) -> str:
+    """The ``cycles.csv`` rows of one window's cycles ``start, start + 1,
+    ...``, placement ``name`` (quoted): each ``row % fields`` of its columns."""
     cycles = range(start, start + len(latency_us))
 
     def ms(values_us):
-        return repeat(0.0) if values_us is None else map(truediv, values_us, repeat(US_PER_MS))
+        return map(truediv, values_us, repeat(US_PER_MS))
 
     return "".join(
         map(
@@ -932,7 +937,7 @@ def _cycle_rows(row: str, start: int, names, period, latency_us, met, *busy_us) 
                 ms(latency_us),
                 map(("false", "true").__getitem__, met),
                 *map(ms, busy_us),
-                names,
+                repeat(name),
             ),
         )
     )

@@ -118,8 +118,9 @@ class WindowDraws:
     """The draws of steps ``[start, stop)`` of every tag, one column per draw.
 
     Element i of draw n's column is draw n of ``at(tag, start + i)``, bit for
-    bit, computed over the steps' lanes by ``_mix64_lanes``.  Each tag's key
-    column is computed once, on first read.  With ``normals``, a mapping of
+    bit, computed over the steps' lanes by ``_mix64_lanes``.  Each tag's keys
+    are computed once, on first read, packed; one step's key is
+    ``derive_seed(master_seed, tag, step)``.  With ``normals``, a mapping of
     ``(master_seed, tag)`` to the tag's normals from step 0, each tag's
     normals are read from there and their column is filled up to ``stop``
     first, so the windows of every run that shares the mapping compute each
@@ -159,10 +160,6 @@ class WindowDraws:
         ones, _, mask, top53 = _lanes(len(self.steps))
         x = _mix64_lanes(self._packed_keys(tag) ^ (n * _GOLDEN & _MASK64) * ones, mask)
         return x >> 11 & top53
-
-    def keys(self, tag: str) -> list[int]:
-        """``derive_seed(master_seed, tag, step)`` of each step."""
-        return _unpacked(self._packed_keys(tag), len(self.steps)).tolist()
 
     def integers(self, tag: str, n: int) -> array:
         """Draw ``n`` of each step as the integer m below 2**53 whose

@@ -56,7 +56,7 @@ def occupancy_share(run, names):
     windows = post_convergence_windows(run.summary)
     if not windows:
         return 0.0
-    placements = run.window_placements
+    placements = run.summary["window_placements"]
     return sum(1 for k in windows if placements[k - 1] in names) / len(windows)
 
 
@@ -139,14 +139,11 @@ def test_criterion_03_baseline_holds_and_never_chatters(scenario_data, shipped):
     bound_ok = True
     for name, scenario in scenario_data.items():
         for run in scenario.report.results["DTP"]:
-            horizon = len(run.window_placements)
+            placements = run.summary["window_placements"]
+            horizon = len(placements)
             bound = math.ceil(horizon / (n_min + 1))
             migrations = run.summary["migrations"]
-            changes = sum(
-                1
-                for a, b in zip(run.window_placements, run.window_placements[1:])
-                if a != b
-            )
+            changes = sum(1 for a, b in zip(placements, placements[1:]) if a != b)
             if migrations != changes or migrations > bound:
                 bound_ok = False
             worst.append(migrations)

@@ -121,13 +121,12 @@ def test_extend_copies_a_range_of_another_store_under_one_placement():
 
 
 def test_the_writer_quotes_node_ids_and_placement_names_as_csv_does(tmp_path):
-    # a comma, a quote and a line break each need quoting; the store lacks
-    # node "X,2", whose busy time is written as 0
+    # a comma, a quote and a line break each need quoting
     fabric = Fabric((ComputeNode('R"1', "robot"), ComputeNode("X,2", "robot"),
                      ComputeNode("E", "edge")))
-    store = CycleStore(('R"1', "E"), 30.0)
+    store = CycleStore(fabric.ids(), 30.0)
     for i in range(8):
-        store.append((1000 * i + 17, i % 3 != 0, [250 * i, 7 * i]))
+        store.append((1000 * i + 17, i % 3 != 0, [250 * i, 3 * i, 7 * i]))
     names = ["LOC", "a,b", 'say "hi"', "two\nlines"]
     trace = SimTrace(store, [window_row(k, names[k % 4]) for k in range(1, 5)], {})
     write_cycles_csv(trace, fabric, tmp_path / "columns.csv")
@@ -138,18 +137,25 @@ def test_the_writer_quotes_node_ids_and_placement_names_as_csv_does(tmp_path):
     assert b'"say ""hi"""' in written and b'"two\nlines"' in written and b'"a,b"' in written
 
 
-@pytest.mark.parametrize("windows, message", [(0, "3 cycles do not fill 0 windows evenly"),
-                                              (2, "3 cycles do not fill 2 windows evenly")],
-                         ids=["no-windows", "uneven"])
-def test_the_writer_rejects_cycles_that_do_not_fill_their_windows(tmp_path, windows, message):
-    store = cycle_store([(1.0, True, {})] * 3)
+@pytest.mark.parametrize("windows, nodes, message", [
+    (0, FABRIC.ids(), "3 cycles do not fill 0 windows evenly"),
+    (2, FABRIC.ids(), "3 cycles do not fill 2 windows evenly"),
+    # one pass writes the runs of one window grid, each with every fabric node
+    (3, FABRIC.ids(), "window grid 3x1 differs from the pass's 1x3"),
+    (1, ("R1", "E"), "the cycles lack fabric nodes R2"),
+], ids=["no-windows", "uneven", "another-grid", "missing-node"])
+def test_the_writer_rejects_cycles_that_do_not_fill_their_windows(
+    tmp_path, windows, nodes, message
+):
+    store = cycle_store([(1.0, True, {})] * 3, nodes=nodes)
     trace = SimTrace(store, [window_row(k, "LOC") for k in range(1, windows + 1)], {})
+    if windows != 3:  # alone, three windows of one cycle are a grid
+        with pytest.raises(ValueError, match=message):
+            write_cycles_csv(trace, FABRIC, tmp_path / "cycles.csv")
     with pytest.raises(ValueError, match=message):
-        write_cycles_csv(trace, FABRIC, tmp_path / "cycles.csv")
-    with pytest.raises(ValueError, match=message):
-        write_cycles_csv(SimTrace(store, [window_row(1, "LOC")], {}), FABRIC,
-                         tmp_path / "first.csv", others=[(trace, tmp_path / "cycles.csv")])
-    assert not (tmp_path / "cycles.csv").exists()
+        write_cycles_csv(SimTrace(cycle_store([(1.0, True, {})] * 3), [window_row(1, "LOC")], {}),
+                         FABRIC, tmp_path / "first.csv", others=[(trace, tmp_path / "cycles.csv")])
+    assert not (tmp_path / "cycles.csv").exists() and not (tmp_path / "first.csv").exists()
 
 
 def test_a_seeds_cycles_files_written_together_equal_each_written_alone(tmp_path):
@@ -174,9 +180,9 @@ def test_a_seeds_cycles_files_written_together_equal_each_written_alone(tmp_path
     formatted = Counter()  # the placement of each window formatted
     cycle_rows = simulation._cycle_rows
 
-    def counting_cycle_rows(row, start, names, *columns):
-        formatted[names[0]] += 1
-        return cycle_rows(row, start, names, *columns)
+    def counting_cycle_rows(row, start, name, *columns):
+        formatted[name] += 1
+        return cycle_rows(row, start, name, *columns)
 
     (first, trace), *others = traces.items()
     with mock.patch.object(simulation, "_cycle_rows", counting_cycle_rows):

@@ -1152,21 +1152,33 @@ def test_fixed_runs_take_every_branch_of_run_cycle(window):
 def test_stressed_occupancy_warns_once_per_fixed_run():
     dag = make_dag(cv=0.2)
     sim = SimConfig(40.0, 40.0, horizon=2, seed=2)
-    stresses = (StressProfile("R1", 1, 1, slowdown=4.0),)
     controller = controller_policy(dag, window_size=5)
-    caught = {}
-    for name in ("LOC", "SO", "HYB"):
-        with warnings.catch_warnings(record=True) as caught[name]:
-            warnings.simplefilter("always")
-            run_simulation(dag, FABRIC, sim, controller, fixed=name, stresses=stresses)
-    assert {name: [str(w.message) for w in ws] for name, ws in caught.items()} == {
-        "LOC": [
-            "stressed occupancy of node R1 under LOC (48.0 ms) exceeds the period; "
-            "utilization will saturate"
-        ],
-        "SO": [],
-        "HYB": [],
+    warning = ("stressed occupancy of node R1 under LOC (48.0 ms) exceeds the period; "
+               "utilization will saturate")
+    cases = {
+        "one 4x": ((StressProfile("R1", 1, 1, slowdown=4.0),), [warning]),
+        # overlapping stresses multiply: two 2x stresses slow R1 4x in windows 1-4
+        "overlapping 2x": (
+            (StressProfile("R1", 1, 4, slowdown=2.0), StressProfile("R1", 1, 4, slowdown=2.0)),
+            [warning],
+        ),
+        # back to back, no window holds both
+        "back-to-back 2x": (
+            (StressProfile("R1", 1, 1, slowdown=2.0), StressProfile("R1", 2, 2, slowdown=2.0)),
+            [],
+        ),
     }
+    for case, (stresses, warned) in cases.items():
+        caught = {}
+        for name in ("LOC", "SO", "HYB"):
+            with warnings.catch_warnings(record=True) as caught[name]:
+                warnings.simplefilter("always")
+                run_simulation(dag, FABRIC, sim, controller, fixed=name, stresses=stresses)
+        assert {name: [str(w.message) for w in ws] for name, ws in caught.items()} == {
+            "LOC": warned,
+            "SO": [],
+            "HYB": [],
+        }, case
 
 
 def test_a_fixed_run_rejects_a_queueing_config_and_a_fault_outside_the_dag():

@@ -202,7 +202,6 @@ def test_window_draws_are_the_draws_of_each_step(master, start, count, tag):
     window = WindowDraws(master, start, start + count)
     streams = RandomStreams(master)
     keys = [streams.at(tag, step).key for step in range(start, start + count)]
-    assert window.keys(tag) == keys
     draws = [[handle.random() for _ in range(6)] for handle in map(Draws, keys)]
     for n in range(6):
         column = window.integers(tag, n)
