@@ -84,14 +84,6 @@ class CycleStore:
         self.met = bytearray()
         self.busy_us = tuple(array("q") for _ in self.nodes)
 
-    def append(self, row: Row) -> None:
-        """Add one cycle."""
-        latency_us, met, busy_us = row
-        self.latency_us.append(latency_us)
-        self.met.append(met)
-        for column, us in zip(self.busy_us, busy_us):
-            column.append(us)
-
     def append_columns(
         self, latency_us: Sequence[int], met: Sequence[int], busy_us: Sequence[Sequence[int]]
     ) -> None:

@@ -1,9 +1,10 @@
 """Stochastic primitives of the engine and the static estimator's batch kernel.
 
-The engine draws each cycle through ``sample_service`` and
-``traverse_edge`` from its counter-based streams; its window kernel
-(``simulation._Engine.run_window``) computes the same values a column at a
-time with the same float operations.  The static estimator
+The engine's window kernel (``simulation._Engine.run_window``) computes
+a cycle's service times and delivered first attempts a column at a time,
+with the float operations of ``sample_service`` and ``traverse_edge``; a
+cycle that loses a first attempt goes through those primitives, one
+cycle at a time (``_Engine.run_cycle``).  The static estimator
 draws a whole estimate at once through ``sample_plan_latencies``, one loop
 over a Mersenne Twister that takes exactly the draws those primitives
 would take from it, in the same order and with the same float operations.

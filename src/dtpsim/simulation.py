@@ -28,21 +28,24 @@ the cycles of a ``DTP`` run's candidates from such stores
 slices (a window of active cycles, or one strided slice of shadow rows per
 window), and only from a store with the candidate's plans in this run.
 
-Active cycles are computed column by column (``_Engine.run_window``): all
-draws of each tag over a range of cycles, in 128-bit lanes of one int
-(``streams.WindowDraws``), then each stage's and each crossing's µs over
-those cycles, one pass per column, then latency and busy time summed
-across the columns.  ``run_simulation`` walks the one schedule
-``_schedule`` cuts per run: runs of windows with the same stresses and
-faults active, at most ``BLOCK_CYCLES`` cycles each, with each
-placement's plan, built once per such state.  It runs the active
+Active and shadow cycles are computed column by column
+(``_Engine.run_window``): all draws of each tag over a list of cycles, in
+128-bit lanes of one int (``streams.WindowDraws``), then each stage's and
+each crossing's µs over those cycles, one pass per column, then latency
+and busy time summed across the columns.  ``run_simulation`` walks the one
+schedule ``_schedule`` cuts per run: runs of windows with the same
+stresses and faults active, at most ``BLOCK_CYCLES`` cycles each, with
+each placement's plan, built once per such state.  It runs the active
 candidate from the window the controller reaches to the end of its block,
 ahead of the decisions inside it: a cycle's draws are addressed by (tag,
 cycle), so its row is the same whenever it is computed, and a migration
 only drops the block's unread tail.  A fixed run never migrates, so it
-appends each block to its cycles at once.  ``run_cycle`` is the same
-computation one cycle at a time; only the shadow cycles of a candidate
-without a store use it.
+appends each block to its cycles at once.  The shadow indices of a whole
+block are drawn once and each challenger without a store runs over them
+once, the first time a window of the block needs its rows.
+``run_cycle`` is the same computation one cycle at a time, with the
+retransmit and fatal rules; the kernel hands it each cycle that loses a
+first attempt on some crossing.
 
 ``write_cycles_csv`` writes the ``cycles.csv`` files of a seed's runs in
 one pass, a window at a time, and formats a window only if no run before
@@ -109,11 +112,10 @@ from .sampling import (
     build_cycle_plan,
     nominal_node_occupancy,
     quantize_us,
-    sample_link,
     sample_service,
     traverse_edge,
 )
-from .streams import Draws, RandomStreams, WindowDraws, derive_seed
+from .streams import RandomStreams, WindowDraws
 
 __all__ = [
     "SimConfig",
@@ -375,10 +377,12 @@ class _Engine:
 
         Each stage and each crossing is one µs column, computed in one pass
         from the normal columns with the float operations of
-        ``sample_service`` and ``traverse_edge`` in their order.  Latency
-        and busy time are then summed across the columns and the fatal
-        cycles patched.  A lost attempt retransmits through ``sample_link``
-        on draws 3-5 of its step.
+        ``sample_service`` and ``traverse_edge`` in their order; latency and
+        busy time are then summed across the columns.  That holds for a
+        cycle whose first attempt on every crossing is delivered.  Each
+        other cycle, found by the loss draw of its step, is recomputed as
+        ``run_cycle(plan, step)``, which holds the retransmit and fatal
+        rules.
         """
         count = len(draws.steps)
         stages = plan.stages
@@ -394,28 +398,18 @@ class _Engine:
             us = _clamped_us(draws.normals(stage.tag), mean, sd, floor, stage.slowdown)
             stage_us.append(us)
         link_us = []
-        fatal: dict[int, int] = {}  # cycle offset -> index of its first edge lost twice
-        for j, edge in enumerate(plan.edges):
+        lost: set[int] = set()  # offsets of the cycles that lose a first attempt
+        for edge in plan.edges:
             if edge.link is None:
                 continue
-            link, scale = edge.model, edge.edge_scale
-            mu = link.base_delay
-            normals = draws.normals(edge.tag)
-            us = _clamped_us(normals, mu, link.jitter_sigma, 0.0, scale)
+            link = edge.model
+            us = _clamped_us(draws.normals(edge.tag), link.base_delay, link.jitter_sigma, 0.0,
+                             edge.edge_scale)
+            link_us.append(us)
             loss = link.loss_probability
             if loss > 0.0:  # a draw in [0, 1) is never below a zero loss
-                timeout_us = quantize_us(4.0 * mu * scale)
                 limit = loss * 2.0**53  # u < loss exactly when m < loss * 2**53
-                for i, m in enumerate(draws.integers(edge.tag, 2)):
-                    if m >= limit:
-                        continue
-                    key = derive_seed(draws.master_seed, edge.tag, draws.steps[i])
-                    delay, lost = sample_link(link, Draws(key, 3))
-                    if lost:
-                        fatal.setdefault(i, j)
-                    else:
-                        us[i] = timeout_us + quantize_us(delay * scale)
-            link_us.append(us)
+                lost.update(i for i, m in enumerate(draws.integers(edge.tag, 2)) if m < limit)
         latency = _add_columns([*stage_us, *link_us], count)
         exogenous = dict(plan.exogenous_us)
         busy = [
@@ -427,14 +421,10 @@ class _Engine:
             for node in self.node_ids
         ]
         met = bytearray(map(self.deadline_us.__ge__, latency))
-        for i, j in fatal.items():
-            # second loss on edge j: the cycle is dead after stage j, latency capped at the period
-            latency[i] = self.period_us
-            met[i] = 0
-            for node, column in zip(self.node_ids, busy):
-                column[i] = exogenous.get(node, 0) + sum(
-                    stage_us[s][i] for s in range(j + 1) if stages[s].node == node
-                )
+        for i in sorted(lost):
+            latency[i], met[i], row_busy = self.run_cycle(plan, draws.steps[i])
+            for column, us in zip(busy, row_busy):
+                column[i] = us
         return latency, met, busy
 
 
@@ -660,14 +650,18 @@ def run_simulation(
     """Simulate ``sim.horizon`` windows of ``controller.window_size`` cycles.
 
     The engine is the environment of ``run_horizon``: per window it reads
-    the active cycles, runs shadow cycles for the inactive candidates at
-    every ``ceil(W / 4)``-th index, one ``run_cycle`` each, and returns the
-    estimates.  Migrations apply at the next cycle release.  The windows
-    fall in the blocks ``_schedule`` cuts: at a window of the active
-    candidate that no rows cover, one ``WindowDraws`` and one
-    ``_Engine.run_window`` call compute its rows to the end of the window's
-    block, and later windows of the block read them while it stays active.
-    At most one such run is held; a migration drops its unread tail.
+    the active cycles, adds the shadow rows of the inactive candidates at
+    every ``ceil(W / 4)``-th index, and returns the estimates.  Migrations
+    apply at the next cycle release.  The windows fall in the blocks
+    ``_schedule`` cuts: at a window of the active candidate that no rows
+    cover, one ``WindowDraws`` and one ``_Engine.run_window`` call compute
+    its rows to the end of the window's block, and later windows of the
+    block read them while it stays active.  At most one such run is held; a
+    migration drops its unread tail.  The shadow indices of every window of
+    a block share one strided ``WindowDraws``, and an inactive candidate
+    without a store runs one ``run_window`` over it, at the first window of
+    the block that needs its rows (after a migration inside a block, the
+    old incumbent's is that window); each window then reads its rows.
     ``fixed`` names a member of ``controller.candidates`` (else ValueError)
     that stays active for the whole run: the controller then runs over that
     one candidate behind a dwell gate that never opens, so a fixed window
@@ -740,9 +734,12 @@ def run_simulation(
 
     block_of = [block for block in schedule for _ in block[0]]  # window k's at k - 1
     ahead: tuple[str, range, int, CycleStore] | None = None  # name, block, first cycle, rows
+    per_window = len(range(0, window, shadow_stride))  # shadow rows of a window
+    # block, draws of its shadow indices, shadow rows of each candidate run over them
+    shadow: tuple[range, WindowDraws, dict[str, tuple]] | None = None
 
     def environment(k: int, placement: Placement):
-        nonlocal ahead
+        nonlocal ahead, shadow
         windows, plans = block_of[k - 1]
         start = (k - 1) * window
         stop = start + window
@@ -751,7 +748,7 @@ def run_simulation(
             if ahead is None or ahead[:2] != (placement.name, windows):
                 # window k's rows to the end of its block, read while the candidate
                 # stays active; a fixed run never migrates, so they are its cycles
-                draws = WindowDraws(sim.seed, start, (windows.stop - 1) * window, normals)
+                draws = WindowDraws(sim.seed, range(start, (windows.stop - 1) * window), normals)
                 rows = cycles if fixed else CycleStore(engine.node_ids, sim.period)
                 rows.append_columns(*engine.run_window(plans[placement.name], draws))
                 ahead = placement.name, windows, start, rows
@@ -760,17 +757,25 @@ def run_simulation(
                 cycles.extend(rows, start - first, stop - first)
         else:
             cycles.extend(known, start, stop)
-        for name, store in known_cycles.items():
-            if name != placement.name:
-                shadow_hist[name].extend(store, start, stop, shadow_stride)
-        shadows = [
-            (name, plan)
-            for name, plan in plans.items()
-            if name != placement.name and name not in known_cycles
-        ]
-        for cycle_index in range(start, stop, shadow_stride):
-            for name, plan in shadows:
-                shadow_hist[name].append(engine.run_cycle(plan, cycle_index))
+        cut = slice((k - windows.start) * per_window, (k - windows.start + 1) * per_window)
+        for name, plan in plans.items():
+            if name == placement.name:
+                continue
+            if name in known_cycles:
+                shadow_hist[name].extend(known_cycles[name], start, stop, shadow_stride)
+                continue
+            if shadow is None or shadow[0] != windows:
+                # the shadow indices of every window of the block, drawn once for
+                # every candidate; rows are addressed by (tag, cycle), so the rows
+                # of later windows are the ones those windows would compute
+                steps = [i for w in windows for i in range((w - 1) * window, w * window,
+                                                           shadow_stride)]
+                shadow = windows, WindowDraws(sim.seed, steps, normals), {}
+            _, draws, made = shadow
+            if name not in made:
+                made[name] = engine.run_window(plan, draws)
+            latency, met, busy = made[name]
+            shadow_hist[name].append_columns(latency[cut], met[cut], [c[cut] for c in busy])
         metrics, observed_util = aggregate_window(cycles.columns(start, stop), duration, fabric)
         observed.append((metrics, placement.name))
         estimates: dict[str, EstimateReport] = {}

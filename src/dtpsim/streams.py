@@ -16,15 +16,16 @@ uniforms, with no cached second normal, so every draw has a fixed address
 (tag, step, n).
 
 ``WindowDraws`` serves the window kernel, which computes every active
-cycle: it makes the draws of a range of steps tag by tag, column by
-column, each tag's keys once however many columns read them.  Each step
-is a 128-bit lane of one int, so splitmix64 mixes a column in a dozen
-big-int operations.  A draw column holds the 53-bit
-integers m that ``Draws.random`` scales by 2**-53 into its uniform, and a
-tag's normals are one column of standard normals z, one pass over two
-such integer columns that makes ``Draws.gauss``' float operations bit for
-bit without building the uniforms (``WindowDraws.normals`` says why each
-step is exact); ``gauss(mu, sigma)`` of a step is ``mu + sigma * z``.
+and shadow cycle: it makes the draws of a list of steps (a block's cycles,
+or its shadow indices) tag by tag, column by column, each tag's keys once
+however many columns read them.  Each step is a 128-bit lane of one int,
+so splitmix64 mixes a column in a dozen big-int operations.  A draw
+column holds the 53-bit integers m that ``Draws.random`` scales by 2**-53
+into its uniform, and a tag's normals are one column of standard normals
+z, one pass over two such integer columns that makes ``Draws.gauss``'
+float operations bit for bit without building the uniforms
+(``WindowDraws.normals`` says why each step is exact); ``gauss(mu,
+sigma)`` of a step is ``mu + sigma * z``.
 
 Draws are keyed by (seed, tag, step) and never by the run that reads them,
 so the runs of one seed can share the normal columns: ``WindowDraws`` takes
@@ -43,6 +44,7 @@ import sys
 import zlib
 from array import array
 from functools import lru_cache
+from operator import lt
 from typing import MutableMapping, Sequence
 
 _MASK64 = (1 << 64) - 1
@@ -95,11 +97,10 @@ class Draws:
 
 
 @lru_cache(maxsize=16)
-def _lanes(count: int) -> tuple[int, int, int, int]:
-    """Over ``count`` 128-bit lanes: 1, the lane's index, and 64- and 53-bit masks."""
+def _lanes(count: int) -> tuple[int, int, int]:
+    """Over ``count`` 128-bit lanes: 1, and the 64- and 53-bit masks."""
     ones = int.from_bytes((array("Q", (1, 0)) * count).tobytes(), sys.byteorder)
-    ramp = array("Q", [v for i in range(count) for v in (i, 0)]).tobytes()
-    return ones, int.from_bytes(ramp, sys.byteorder), ones * _MASK64, ones * ((1 << 53) - 1)
+    return ones, ones * _MASK64, ones * ((1 << 53) - 1)
 
 
 def _unpacked(x: int, count: int) -> array:
@@ -115,49 +116,53 @@ def _mix64_lanes(x: int, lane_mask: int) -> int:
 
 
 class WindowDraws:
-    """The draws of steps ``[start, stop)`` of every tag, one column per draw.
+    """The draws of ``steps``, a strictly increasing list of cycles, of every
+    tag, one column per draw.
 
-    Element i of draw n's column is draw n of ``at(tag, start + i)``, bit for
+    Element i of draw n's column is draw n of ``at(tag, steps[i])``, bit for
     bit, computed over the steps' lanes by ``_mix64_lanes``.  Each tag's keys
     are computed once, on first read, packed; one step's key is
-    ``derive_seed(master_seed, tag, step)``.  With ``normals``, a mapping of
-    ``(master_seed, tag)`` to the tag's normals from step 0, each tag's
-    normals are read from there and their column is filled up to ``stop``
-    first, so the windows of every run that shares the mapping compute each
-    step once.
+    ``derive_seed(master_seed, tag, step)``.  Without ``normals`` each tag's
+    normals are computed once, on first read, so every plan run over these
+    draws shares them.  With ``normals``, a mapping of ``(master_seed, tag)``
+    to the tag's normals from step 0, each tag's normals are read from there
+    and their column is filled up to the last step first, so the windows of
+    every run that shares the mapping compute each step once.
     """
 
-    __slots__ = ("master_seed", "steps", "_offsets", "_keys", "_columns")
+    __slots__ = ("master_seed", "steps", "_offsets", "_keys", "_columns", "_normals")
 
     def __init__(
         self,
         master_seed: int,
-        start: int,
-        stop: int,
+        steps: Sequence[int],
         normals: MutableMapping[tuple[int, str], array] | None = None,
     ):
-        if start < 0 or stop < start:
-            raise ValueError(f"window steps [{start}, {stop}) are not a range of cycles")
+        if steps and (steps[0] < 0 or not all(map(lt, steps, steps[1:]))):
+            raise ValueError(f"window steps {steps} are not increasing cycles")
         self.master_seed = int(master_seed)
-        self.steps = range(start, stop)
-        ones, ramp, mask, _ = _lanes(stop - start)
+        self.steps = steps
+        _, mask, _ = _lanes(len(steps))
         # each step's step * golden, which every tag's key mixes in; it fits
-        # its lane: (2**64 + count) * golden < 2**128
-        self._offsets = ((start & _MASK64) * ones + ramp) * _GOLDEN & mask
+        # its lane: step * golden < 2**128
+        lanes = array("Q", bytes(16 * len(steps)))
+        lanes[::2] = array("Q", steps)
+        self._offsets = int.from_bytes(lanes.tobytes(), sys.byteorder) * _GOLDEN & mask
         self._keys: dict[str, int] = {}
         self._columns = normals
+        self._normals: dict[str, list[float]] = {}
 
     def _packed_keys(self, tag: str) -> int:
         keys = self._keys.get(tag)
         if keys is None:
-            ones, _, mask, _ = _lanes(len(self.steps))
+            ones, mask, _ = _lanes(len(self.steps))
             base = _tag_base(self.master_seed, tag) * ones
             keys = self._keys[tag] = _mix64_lanes(base ^ self._offsets, mask) & mask
         return keys
 
     def _packed_draws(self, tag: str, n: int) -> int:
         """The top 53 bits of draw ``n`` of each step, one per lane."""
-        ones, _, mask, top53 = _lanes(len(self.steps))
+        ones, mask, top53 = _lanes(len(self.steps))
         x = _mix64_lanes(self._packed_keys(tag) ^ (n * _GOLDEN & _MASK64) * ones, mask)
         return x >> 11 & top53
 
@@ -182,23 +187,32 @@ class WindowDraws:
           is exact on both sides (m1 < 2**53 converts exactly), so both are
           the one real product ``2π * m1 * 2**-53`` rounded once.
 
-        Without a ``normals`` mapping the column is computed on each call.
-        With one, it is a copy of the steps' slice of the mapping's column,
-        whose missing steps ``[len(column), stop)`` are computed first: this
-        window's own steps in one pass, any others ``_FILL_LANES`` at a time.
+        Without a ``normals`` mapping the column is computed on the first
+        call and returned again on later ones; the caller must only read it.
+        With one, it is a copy of the steps of the mapping's column, whose
+        missing steps ``[len(column), steps[-1]]`` are computed first: the
+        steps of these draws in one pass if they are exactly those, any
+        others ``_FILL_LANES`` at a time.
         """
         if self._columns is None:
-            return self._standard_normals(tag)
+            column = self._normals.get(tag)
+            if column is None:
+                column = self._normals[tag] = self._standard_normals(tag)
+            return column
         column = self._columns.setdefault((self.master_seed, tag), array("d"))
-        start, stop = self.steps.start, self.steps.stop
+        steps = self.steps
+        if not steps:
+            return column[:0]
+        start, stop = steps[0], steps[-1] + 1
+        contiguous = len(steps) == stop - start
         while (filled := len(column)) < stop:
-            # steps outside this window go _FILL_LANES at a time, so that
+            # steps outside these draws go _FILL_LANES at a time, so that
             # _lanes memoises no constants wider than a block's
-            filler = self if filled == start else WindowDraws(
-                self.master_seed, filled, min(stop, filled + _FILL_LANES)
+            filler = self if contiguous and filled == start else WindowDraws(
+                self.master_seed, range(filled, min(stop, filled + _FILL_LANES))
             )
             column.extend(filler._standard_normals(tag))
-        return column[start:stop]
+        return column[start:stop] if contiguous else array("d", map(column.__getitem__, steps))
 
     def _standard_normals(self, tag: str) -> list[float]:
         """The standard normal of each step (``normals`` says why it is exact)."""

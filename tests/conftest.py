@@ -30,10 +30,13 @@ NODE_PAIRS = [
 
 def cycle_store(records, nodes=("R1", "R2", "E"), period=30.0):
     """A store of (latency ms, met, {node: busy ms}) cycles."""
+    records = list(records)
     store = CycleStore(nodes, period)
-    for latency, met, busy in records:
-        us = [round(busy.get(n, 0.0) * 1000) for n in nodes]
-        store.append((round(latency * 1000), met, us))
+    store.append_columns(
+        [round(latency * 1000) for latency, _, _ in records],
+        [met for _, met, _ in records],
+        [[round(busy.get(n, 0.0) * 1000) for _, _, busy in records] for n in nodes],
+    )
     return store
 
 

@@ -114,7 +114,8 @@ def test_extend_copies_a_range_of_another_store_under_one_placement():
     source = cycle_store([(float(i), i % 2 == 0, {"E": i / 4}) for i in range(10)])
     rows = store_rows(source)
     store = CycleStore(source.nodes, source.period)
-    store.append(rows[0])
+    latency, met, busy = rows[0]
+    store.append_columns([latency], [met], [[us] for us in busy])
     store.extend(source, 1, 4)
     store.extend(source, 4, 9, 3)  # a strided range, as shadow rows are read
     assert store_rows(store) == rows[:4] + [rows[4], rows[7]]
@@ -125,8 +126,10 @@ def test_the_writer_quotes_node_ids_and_placement_names_as_csv_does(tmp_path):
     fabric = Fabric((ComputeNode('R"1', "robot"), ComputeNode("X,2", "robot"),
                      ComputeNode("E", "edge")))
     store = CycleStore(fabric.ids(), 30.0)
-    for i in range(8):
-        store.append((1000 * i + 17, i % 3 != 0, [250 * i, 3 * i, 7 * i]))
+    cycles = range(8)
+    store.append_columns([1000 * i + 17 for i in cycles], [i % 3 != 0 for i in cycles],
+                         [[250 * i for i in cycles], [3 * i for i in cycles],
+                          [7 * i for i in cycles]])
     names = ["LOC", "a,b", 'say "hi"', "two\nlines"]
     trace = SimTrace(store, [window_row(k, names[k % 4]) for k in range(1, 5)], {})
     write_cycles_csv(trace, fabric, tmp_path / "columns.csv")
@@ -219,7 +222,7 @@ def test_a_fixed_run_holds_one_block_at_a_time():
         gc.collect()
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        draws = WindowDraws(sim.seed, 0, simulation.BLOCK_CYCLES)
+        draws = WindowDraws(sim.seed, range(simulation.BLOCK_CYCLES))
         columns = engine.run_window(plan, draws)
         block = tracemalloc.get_traced_memory()[1] - start
     finally:
@@ -260,7 +263,7 @@ def test_run_simulation_holds_one_block_at_a_time():
         held, peak = tracemalloc.get_traced_memory()
         gc.collect()
         start = tracemalloc.get_traced_memory()[0]
-        draws = WindowDraws(sim.seed, 0, simulation.BLOCK_CYCLES)
+        draws = WindowDraws(sim.seed, range(simulation.BLOCK_CYCLES))
         columns = [engine.run_window(plan, draws) for plan in plans.values()]
         gc.collect()
         block = tracemalloc.get_traced_memory()[0] - start

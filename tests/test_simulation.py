@@ -441,27 +441,21 @@ def test_every_dtp_cycle_equals_the_fixed_run_cycle_of_its_placement(
     sim = SimConfig(period=50.0, deadline=30.0, horizon=horizon, seed=seed)
     controller = controller_policy(dag, window_size=window_size, n_min=0)
     disturbances = {"stresses": (stress,), "faults": (fault,)}
-    # (placement, cycle, row) of every cycle run_cycle (the shadows) and the
-    # kernel (the active blocks, run ahead) compute
+    # (placement, cycle, row) of every cycle the kernel computes: a block's
+    # shadow indices (drawn from a step list) and the active blocks, run ahead
+    # (drawn from a range)
     shadow, active = [], []
-    run_cycle = simulation._Engine.run_cycle
     run_window = simulation._Engine.run_window
-
-    def recording_run_cycle(engine, plan, cycle_index):
-        row = run_cycle(engine, plan, cycle_index)
-        shadow.append((plan.placement.name, cycle_index, row))
-        return row
 
     def recording_run_window(engine, plan, draws):
         latency, met, busy = columns = run_window(engine, plan, draws)
-        active.extend(
+        (active if isinstance(draws.steps, range) else shadow).extend(
             (plan.placement.name, cycle_index, (latency[i], met[i], [c[i] for c in busy]))
             for i, cycle_index in enumerate(draws.steps)
         )
         return columns
 
-    with mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle), \
-            mock.patch.object(simulation._Engine, "run_window", recording_run_window):
+    with mock.patch.object(simulation._Engine, "run_window", recording_run_window):
         run_simulation(dag, FABRIC, sim, controller,
                        estimator=EstimatorConfig(static_samples=100), **disturbances)
     ran = shadow + active
@@ -472,7 +466,7 @@ def test_every_dtp_cycle_equals_the_fixed_run_cycle_of_its_placement(
     assert all(plan.placement.name == name
                for name, store in fixed.items() for _, plan in store.source[-1])
     fixed_rows = {name: store_rows(store) for name, store in fixed.items()}
-    # a block run ahead can outlive a migration, so only run_cycle proves a shadow ran
+    # a block run ahead can outlive a migration, so only a shadow block proves a shadow ran
     assert shadow and len(active) >= horizon * window_size
     for name, cycle_index, row in ran:
         assert row == fixed_rows[name][cycle_index]
@@ -643,7 +637,9 @@ def test_blocks_run_ahead_keep_every_active_row_of_the_oracle():
     """W = 7 over 120 windows, so a block may run 35 windows ahead of the
     controller: a stress over windows 20-50 and a fault over windows 60-64
     cut blocks short, the 56 windows after them make two blocks, and DTP
-    migrates inside blocks, dropping their tails."""
+    migrates inside blocks, dropping their tails.  Each block's shadow rows
+    are made once per challenger, ahead of its windows, and every shadow row
+    the estimator reads is the oracle's row at its index."""
     window = 7
     dag = make_dag(cv=0.3, jitter=0.2, loss=0.05)
     disturbances = {
@@ -654,24 +650,48 @@ def test_blocks_run_ahead_keep_every_active_row_of_the_oracle():
     }
     sim = SimConfig(50.0, 30.0, horizon=120, seed=11)
     controller = controller_policy(dag, window_size=window)
-    blocks = []  # (placement, first window, window after the last) of each run_window call
+    # (placement, first window, window after the last) of each run_window call:
+    # active blocks draw a range of cycles, shadow blocks a list of indices
+    blocks, shadow_blocks = [], []
+    hists = {}  # each challenger's shadow history, as update_shadow reads it
     run_window = simulation._Engine.run_window
+    update_shadow = simulation.update_shadow
 
     def recording_run_window(engine, plan, draws):
-        first, stop = (1 + i // window for i in (draws.steps.start, draws.steps.stop))
-        blocks.append((plan.placement.name, first, stop))
+        first, stop = 1 + draws.steps[0] // window, 2 + draws.steps[-1] // window
+        calls = blocks if isinstance(draws.steps, range) else shadow_blocks
+        calls.append((plan.placement.name, first, stop))
         return run_window(engine, plan, draws)
+
+    def recording_update_shadow(hist, name, *args):
+        hists[name] = hist
+        return update_shadow(hist, name, *args)
 
     with mock.patch.object(simulation._Engine, "run_window", recording_run_window):
         fixed_stores(dag, FABRIC, sim, list(controller.candidates), window, **disturbances)
-        block_ends = {stop for _, _, stop in blocks}
+        fixed_blocks = {(first, stop) for _, first, stop in blocks}
         blocks.clear()
-        dtp = run_simulation(dag, FABRIC, sim, controller,
-                             estimator=EstimatorConfig(static_samples=100), **disturbances)
+        with mock.patch.object(simulation, "update_shadow", recording_update_shadow):
+            dtp = run_simulation(dag, FABRIC, sim, controller,
+                                 estimator=EstimatorConfig(static_samples=100), **disturbances)
     reference = reference_rows(dag, FABRIC, sim, list(controller.candidates), window,
                                **disturbances)
     assert len(dtp.cycles) == sim.horizon * window
     assert store_rows(dtp.cycles) == trace_reference_rows(dtp, reference, window)
+    # a challenger's history holds the oracle's rows at the shadow indices of
+    # every window it was not active in
+    stride = -(-window // 4)
+    assert set(hists) == {p.name for p in controller.candidates}
+    for name, hist in hists.items():
+        indices = [i for k, row in enumerate(dtp.windows, 1) if row.placement != name
+                   for i in range((k - 1) * window, k * window, stride)]
+        assert store_rows(hist) == [reference[name][i] for i in indices], name
+    # shadow blocks cover whole blocks, at most once per challenger and block
+    assert {(first, stop) for _, first, stop in shadow_blocks} == fixed_blocks
+    assert len(set(shadow_blocks)) == len(shadow_blocks)
+    # after a migration inside a block, the old incumbent shadows that block
+    assert any(dtp.windows[k - 1].placement == name
+               for name, first, stop in shadow_blocks for k in range(first, stop))
     per_block = simulation.BLOCK_CYCLES // window
     assert per_block == 35
     assert all(0 < stop - first <= per_block for _, first, stop in blocks)
@@ -681,7 +701,7 @@ def test_blocks_run_ahead_keep_every_active_row_of_the_oracle():
     # a switch inside a block: a block ends at a switch before its 35 windows
     assert {20, 51, 60, 65} <= {stop for _, first, stop in blocks if stop - first < per_block}
     # the runs ahead line up with the blocks of the fixed runs: each ends where one ends
-    assert {stop for _, _, stop in blocks} <= block_ends
+    assert {stop for _, _, stop in blocks} <= {stop for _, stop in fixed_blocks}
 
 
 KNOWN_INPUTS = {
@@ -1129,15 +1149,22 @@ def test_fixed_runs_take_every_branch_of_run_cycle(window):
     sim = SimConfig(50.0, 30.0, horizon=horizon, seed=3)
     controller = controller_policy(dag, window_size=window)
     placements = list(controller.candidates)
+    # whether each retransmit was lost: the kernel hands a lane that loses a
+    # first attempt to run_cycle, whose traverse_edge retransmits at once
     retransmits = []
-    sample_link = simulation.sample_link
+    first_lost = [False]
+    sample_link = sampling.sample_link
 
     def recording_sample_link(model, rng):
         delay, lost = sample_link(model, rng)
-        retransmits.append(lost)
+        if first_lost[0]:
+            retransmits.append(lost)
+            first_lost[0] = False
+        else:
+            first_lost[0] = lost
         return delay, lost
 
-    with mock.patch.object(simulation, "sample_link", recording_sample_link):
+    with mock.patch.object(sampling, "sample_link", recording_sample_link):
         stores = fixed_stores(dag, FABRIC, sim, placements, window, **disturbances)
     assert False in retransmits and True in retransmits  # delivered and fatal
     period_us = quantize_us(sim.period)
@@ -1147,6 +1174,62 @@ def test_fixed_runs_take_every_branch_of_run_cycle(window):
     reference = reference_rows(dag, FABRIC, sim, placements, window, **disturbances)
     for name, store in stores.items():
         assert store_rows(store) == reference[name], name
+
+
+def test_the_kernel_hands_each_lane_that_loses_a_first_attempt_to_run_cycle():
+    # a fault with loss 0.3 on every link in windows 2-3: each run_window call
+    # recomputes, once and in step order, each lane whose loss draw (draw 2 of
+    # its step, as sample_link reads it) loses a first attempt on some
+    # crossing, through run_cycle, and its rows stay the oracle's
+    dag = make_dag(cv=0.3, jitter=0.2, edge_scales=(3.0, 4.0, 0.5))
+    fault = FaultInjection(NODE_PAIRS, 1.5, sigma=0.4, loss_probability=0.3, start_window=2,
+                           end_window=3)
+    sim = SimConfig(50.0, 30.0, horizon=4, seed=5)
+    window = 25
+    controller = controller_policy(dag, window_size=window, n_min=0)
+    placements = list(controller.candidates)
+    calls, lost = [], []  # (placement, step) of each run_cycle call, and of each lost lane
+    made = []  # (placement, step, row) of each run_cycle call of every run
+    run_cycle = simulation._Engine.run_cycle
+    run_window = simulation._Engine.run_window
+
+    def recording_run_cycle(engine, plan, cycle_index):
+        row = run_cycle(engine, plan, cycle_index)
+        calls.append((plan.placement.name, cycle_index))
+        made.append((plan.placement.name, cycle_index, row))
+        return row
+
+    def recording_run_window(engine, plan, draws):
+        crossings = [e for e in plan.edges if e.link is not None]
+        lost.extend(
+            (plan.placement.name, step) for i, step in enumerate(draws.steps)
+            if any(draws.integers(e.tag, 2)[i] * 2.0**-53 < e.model.loss_probability
+                   for e in crossings)
+        )
+        return run_window(engine, plan, draws)
+
+    def run(fixed, faults):
+        calls.clear()
+        lost.clear()
+        with mock.patch.object(simulation._Engine, "run_cycle", recording_run_cycle), \
+                mock.patch.object(simulation._Engine, "run_window", recording_run_window):
+            return run_simulation(dag, FABRIC, sim, controller, fixed=fixed, faults=faults,
+                                  estimator=EstimatorConfig(static_samples=100))
+
+    reference = reference_rows(dag, FABRIC, sim, placements, window, faults=(fault,))
+    for fixed in ("LOC", "SO", "HYB", None):
+        run(fixed, ())
+        assert calls == lost == [], fixed  # a loss-free run makes no run_cycle call
+        trace = run(fixed, (fault,))
+        # once per lost lane of each call: a DTP run may compute a cycle in two calls
+        assert calls == lost, fixed
+        assert all(2 <= 1 + step // window <= 3 for _, step in calls), fixed
+        assert store_rows(trace.cycles) == trace_reference_rows(trace, reference, window)
+    period_us = quantize_us(sim.period)
+    assert any(row[0] == period_us for _, _, row in made)  # fatal lanes
+    assert any(row[0] < period_us for _, _, row in made)  # delivered lanes
+    for name, step, row in made:
+        assert row == reference[name][step]
 
 
 def test_stressed_occupancy_warns_once_per_fixed_run():

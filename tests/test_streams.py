@@ -199,7 +199,7 @@ def test_a_handle_started_at_n_draws_from_index_n(key, n, rewinds):
 def test_window_draws_are_the_draws_of_each_step(master, start, count, tag):
     # one 128-bit lane per step: an empty window, W=1 and windows past a
     # 64-lane boundary all give, bit for bit, what at(tag, step) draws
-    window = WindowDraws(master, start, start + count)
+    window = WindowDraws(master, range(start, start + count))
     streams = RandomStreams(master)
     keys = [streams.at(tag, step).key for step in range(start, start + count)]
     draws = [[handle.random() for _ in range(6)] for handle in map(Draws, keys)]
@@ -224,20 +224,52 @@ def test_window_draws_are_the_draws_of_each_step(master, start, count, tag):
 def test_window_draws_read_and_fill_a_shared_normal_column(master, windows):
     # windows read in any order, overlapping or past the filled end, read
     # what a window of their own computes, and the column holds the normals
-    # of every step from 0
+    # of every step from 0 to the last step read (an empty window reads none)
     tag = "svc:T2"
     shared: dict = {}
     for start, count in windows:
-        window = WindowDraws(master, start, start + count, shared)
-        assert list(window.normals(tag)) == WindowDraws(master, start, start + count).normals(tag)
-    filled = max(start + count for start, count in windows)
+        steps = range(start, start + count)
+        window = WindowDraws(master, steps, shared)
+        assert list(window.normals(tag)) == WindowDraws(master, steps).normals(tag)
+    filled = max((start + count for start, count in windows if count), default=0)
     column = shared[(master, tag)]
     assert column.typecode == "d"
-    assert list(column) == WindowDraws(master, 0, filled).normals(tag)
+    assert list(column) == WindowDraws(master, range(filled)).normals(tag)
     assert list(shared) == [(master, tag)]
 
 
-@pytest.mark.parametrize("start, stop", [(-1, 4), (5, 4), (-3, -1)])
+@pytest.mark.parametrize("start, stop", [(-1, 4), (5, 4), (-3, -1), (2, 2)])
 def test_window_draws_reject_steps_that_are_no_range_of_cycles(start, stop):
+    # the steps [start, stop]: a negative cycle, or not strictly increasing
     with pytest.raises(ValueError, match="window steps"):
-        WindowDraws(1, start, stop)
+        WindowDraws(1, [start, stop])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    master=st.integers(0, 2**64),
+    steps=st.lists(st.integers(0, 400), max_size=40, unique=True).map(sorted),
+    prefill=st.integers(0, 400),
+    tag=st.sampled_from(["svc:T1", "lnk:R1:E"]),
+)
+def test_strided_window_draws_are_the_draws_of_each_step(master, steps, prefill, tag):
+    # any increasing step list, alone or reading a shared column filled to
+    # any length, draws what at(tag, step) draws; the column is then filled
+    # contiguously, as one window over all its steps would fill it
+    streams = RandomStreams(master)
+    shared: dict = {}
+    WindowDraws(master, range(prefill), shared).normals(tag)
+    for normals in (None, shared):
+        window = WindowDraws(master, steps, normals)
+        handles = [streams.at(tag, step) for step in steps]
+        draws = [[handle.random() for _ in range(3)] for handle in handles]
+        for n in range(3):
+            assert [m * 2.0**-53 for m in window.integers(tag, n)] == [d[n] for d in draws]
+        expected = [streams.at(tag, step).gauss(0.0, 1.0) for step in steps]
+        assert list(window.normals(tag)) == expected
+        assert list(window.normals(tag)) == expected
+    # without a mapping, every plan run over the draws reads one column
+    alone = WindowDraws(master, steps)
+    assert alone.normals(tag) is alone.normals(tag)
+    filled = max(prefill, steps[-1] + 1 if steps else 0)
+    assert list(shared[(master, tag)]) == WindowDraws(master, range(filled)).normals(tag)
