@@ -8,11 +8,14 @@ The engine estimates a challenger one of two ways:
 * shadow: ``aggregate_window`` over its last W shadow cycles (simulated
   under the candidate in the live environment, not actuated) after.
 
-A static estimate reads only the DAG's base models, the fabric, the
-period, the deadline, the sample count and its generator (the engine
-seeds it from the run's seed and the candidate's name), never a stress or
-a fault.  It is therefore the same in every scenario run with one seed,
-period and deadline: ``run_simulation`` reads and fills a mapping of them
+A static estimate computes its lanes a column at a time, as the window
+kernel computes cycles (``static_latencies``), over the run's
+``sampling.StaticDraws``: draws named by task and link, which every
+candidate reads, so an estimate depends on a candidate's assignment, never
+its name.  It reads only the DAG's base models, the fabric, the period,
+the deadline, the sample count and the run's seed, never a stress or a
+fault, so it is the same in every scenario run with one seed, period and
+deadline: ``run_simulation`` reads and fills a mapping of them
 (``static_estimates``) keyed by candidate name, seed, period, deadline and
 sample count, and ``dtpsim run`` shares one across all its scenarios.
 
@@ -22,7 +25,6 @@ the engine does not call it.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -36,10 +38,13 @@ from .metrics import (
 from .pipeline import Fabric, PipelineDag, Placement
 from .sampling import (
     US_PER_MS,
+    CyclePlan,
+    StaticDraws,
+    _add_columns,
     build_cycle_plan,
     nominal_node_occupancy,
     quantize_us,
-    sample_plan_latencies,
+    traverse_edge,
 )
 
 MIN_STATIC_SAMPLES = 100
@@ -75,27 +80,60 @@ class ConservativeRatios:
                 raise ValueError(f"conservative ratio {name} must be >= 1")
 
 
+def static_latencies(plan: CyclePlan, draws: StaticDraws, deadline_us: int,
+                     period_us: int) -> tuple[list[int], int]:
+    """Each lane's end-to-end latency µs under ``plan``, and how many violate.
+
+    A lane sums its stage and crossing ``draws.column``s.  Where it loses a
+    first attempt (its loss uniform is below the loss), ``traverse_edge``
+    over its ``draws.replay`` decides the crossing; a double loss caps the
+    lane at the period, a violation even at a deadline equal to it.
+    """
+    columns, lossy = [], []
+    for stage, edge in zip(plan.stages, (*plan.edges, None)):
+        model = stage.model
+        columns.append(draws.column(stage.tag, model.mean, model.sd, model.floor, stage.slowdown))
+        if edge is not None and edge.link is not None:
+            link = edge.model
+            columns.append(draws.column(edge.tag, link.base_delay, link.jitter_sigma, 0.0,
+                                        edge.edge_scale))
+            if link.loss_probability > 0.0:  # else it draws no loss uniforms
+                lossy.append((edge, columns[-1]))
+    latency = _add_columns(columns, draws.samples)
+    dead = set()
+    for edge, column in lossy:
+        for i, u in enumerate(draws.drawn(edge.tag, 2)[1]):
+            if u < edge.model.loss_probability:
+                us, fatal = traverse_edge(edge.model, edge.edge_scale, draws.replay(edge.tag, i))
+                latency[i] += us - column[i]
+                if fatal:
+                    dead.add(i)
+    for i in dead:
+        latency[i] = period_us
+    return latency, sum(map(deadline_us.__lt__, latency)) + len(dead) * (deadline_us >= period_us)
+
+
 def estimate_static(
     dag: PipelineDag,
     placement: Placement,
     fabric: Fabric,
     deadline: float,
     period: float,
-    samples: int,
-    rng: random.Random,
+    draws: StaticDraws,
 ) -> EstimateReport:
     """Monte Carlo latency prediction from the DAG's service and link models.
 
-    Draws ``samples`` end-to-end latencies (including the loss/retransmit
-    rule), reports nearest-rank l95 and the fraction violating the
-    deadline, and derives utilization from mean occupancy.
+    Computes ``draws.samples`` end-to-end latencies (``static_latencies``),
+    reports nearest-rank l95 and the fraction violating the deadline, and
+    derives utilization from mean occupancy.
     """
+    samples = draws.samples
     if samples < MIN_STATIC_SAMPLES:
         raise ValueError(f"static estimation needs >= {MIN_STATIC_SAMPLES} samples, got {samples}")
     if deadline > period:
         raise ValueError("deadline must not exceed period")
-    latencies_us, violations = sample_plan_latencies(
-        build_cycle_plan(dag, placement), rng, samples, quantize_us(deadline), quantize_us(period)
+    latencies_us, violations = static_latencies(
+        build_cycle_plan(dag, placement), draws, quantize_us(deadline), quantize_us(period)
     )
     occupancy = nominal_node_occupancy(dag, placement)
     per_node = {n: min(1.0, max(0.0, occupancy.get(n, 0.0) / period)) for n in fabric.ids()}

@@ -1,13 +1,13 @@
-"""Stochastic primitives of the engine and the static estimator's batch kernel.
+"""Stochastic primitives of the engine, and the static estimator's draws.
 
 The engine's window kernel (``simulation._Engine.run_window``) computes
-a cycle's service times and delivered first attempts a column at a time,
-with the float operations of ``sample_service`` and ``traverse_edge``; a
-cycle that loses a first attempt goes through those primitives, one
-cycle at a time (``_Engine.run_cycle``).  The static estimator
-draws a whole estimate at once through ``sample_plan_latencies``, one loop
-over a Mersenne Twister that takes exactly the draws those primitives
-would take from it, in the same order and with the same float operations.
+service times and delivered first attempts a column at a time with
+``_clamped_us``, the float operations of ``sample_service`` and
+``traverse_edge``; a cycle that loses a first attempt goes through those
+primitives (``_Engine.run_cycle``).  The static estimator computes its
+lanes the same way over ``StaticDraws`` and hands each lost lane to
+``traverse_edge`` over a ``Replay`` of its draws, so only ``traverse_edge``
+decides a lost crossing's delay and fatality.
 
 All times are kept as integer microseconds internally so identical seeds
 reproduce identical traces bit for bit; milliseconds appear only at the
@@ -17,9 +17,10 @@ API boundary.
 from __future__ import annotations
 
 import math
-import random
+from array import array
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import repeat
+from typing import Mapping, Sequence
 
 from .pipeline import (
     DagEdge,
@@ -30,7 +31,7 @@ from .pipeline import (
     ServiceTimeModel,
     TaskId,
 )
-from .streams import Draws
+from .streams import Draws, RandomStreams
 
 # a float: an int µs over it is the same ms as over int 1000, and faster
 US_PER_MS = 1000.0
@@ -42,7 +43,7 @@ def quantize_us(value_ms: float) -> int:
 
 
 def sample_service(
-    model: ServiceTimeModel, rng: random.Random | Draws, slowdown: float = 1.0
+    model: ServiceTimeModel, rng: Draws | Replay, slowdown: float = 1.0
 ) -> float:
     """One service time draw in ms: floored Gaussian scaled by slowdown."""
     # the fields once, not through the sd and floor properties: a hot path
@@ -55,7 +56,7 @@ def sample_service(
     return sample * slowdown
 
 
-def sample_link(model: LinkDelayModel, rng: random.Random | Draws) -> tuple[float, bool]:
+def sample_link(model: LinkDelayModel, rng: Draws | Replay) -> tuple[float, bool]:
     """One transmission attempt: (delay in ms, lost flag).
 
     The delay is max(0, Gaussian(base_delay, jitter_sigma)); the loss draw
@@ -70,7 +71,7 @@ def sample_link(model: LinkDelayModel, rng: random.Random | Draws) -> tuple[floa
 def traverse_edge(
     model: LinkDelayModel,
     edge_scale: float,
-    rng: random.Random | Draws,
+    rng: Draws | Replay,
 ) -> tuple[int, bool]:
     """Edge crossing with the single-retransmit rule.
 
@@ -159,97 +160,84 @@ def build_cycle_plan(
     )
 
 
-def _normal(random, cached: float | None) -> tuple[float, float | None]:
-    """One standard normal and the new cached one, as ``random.Random.gauss``
-    draws them from ``random`` given its cached ``gauss_next``."""
-    if cached is not None:
-        return cached, None
-    x2pi = random() * math.tau
-    g2rad = math.sqrt(-2.0 * math.log(1.0 - random()))
-    return math.cos(x2pi) * g2rad, math.sin(x2pi) * g2rad
+class Replay:
+    """A handle over given draws, in order: ``gauss(mu, sigma)`` is ``mu +
+    sigma * z`` of the next, z a standard normal; ``random()`` is the next."""
+
+    __slots__ = ("_next",)
+
+    def __init__(self, draws: Sequence[float]):
+        self._next = iter(draws).__next__
+
+    def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
+        return mu + sigma * self._next()
+
+    def random(self) -> float:
+        return self._next()
 
 
-def sample_plan_latencies(
-    plan: CyclePlan,
-    rng: random.Random,
-    samples: int,
-    deadline_us: int,
-    period_us: int,
-) -> tuple[list[int], int]:
-    """Draw ``samples`` end-to-end latencies for a plan from one Mersenne Twister.
+class StaticDraws:
+    """The static estimator's draws: ``samples`` lanes per tag, read by every
+    candidate (common random numbers, named by task or link, never placement).
 
-    Returns (latencies_us, violations).  The static estimator's batch
-    kernel: it needs no per-node busy accounting or stress context, and it
-    draws exactly what ``sample_service`` and ``traverse_edge`` would draw
-    stage by stage on the same ``rng``, in the same order and with the same
-    float operations.  ``random.Random.gauss`` is inlined, its cached second
-    normal included, and ``rng.gauss_next`` is read on entry and written
-    back on exit, so ``rng.getstate()`` afterwards is the same too.  A
-    double loss caps the cycle at the period and counts as a violation.
+    A tag's columns come from ``streams.fresh(f"static:{tag}")`` on first
+    read, in one order: standard normals (``ceil(samples / 2)`` Box-Muller
+    pairs, both normals of each), then, for a lossy link, first-attempt loss
+    uniforms, retransmit normals and retransmit loss uniforms.  So a column
+    is a pure function of (seed, tag, which draw, samples).
     """
-    # zero-sd stages draw nothing, so their quantized time is one constant;
-    # every other stage and each crossing edge is one step of the loop:
-    # (is_link, mu, sigma, floor or loss, slowdown or edge scale, timeout_us)
-    fixed_us = 0
-    steps = []
-    for stage, edge in zip(plan.stages, (*plan.edges, None)):
-        model = stage.model
-        sd = model.sd
-        if sd == 0.0:
-            fixed_us += quantize_us(model.mean * stage.slowdown)
-        else:
-            steps.append((False, model.mean, sd, model.floor, stage.slowdown, 0))
-        if edge is not None and edge.link is not None:
-            link, scale = edge.model, edge.edge_scale
-            timeout_us = quantize_us(4.0 * link.base_delay * scale)
-            steps.append(
-                (True, link.base_delay, link.jitter_sigma, link.loss_probability, scale, timeout_us)
-            )
 
-    random = rng.random
-    sqrt, log, cos, sin, tau = math.sqrt, math.log, math.cos, math.sin, math.tau
-    cached = rng.gauss_next
-    latencies: list[int] = []
-    append = latencies.append
-    violations = 0
-    for _ in range(samples):
-        total = fixed_us
-        for is_link, mu, sigma, bound, factor, timeout_us in steps:
-            # _normal inlined: a call per step costs about a fifth of the kernel
-            if cached is None:
-                x2pi = random() * tau
-                g2rad = sqrt(-2.0 * log(1.0 - random()))
-                z = cos(x2pi) * g2rad
-                cached = sin(x2pi) * g2rad
+    def __init__(self, streams: RandomStreams, samples: int):
+        self.streams = streams
+        self.samples = samples
+        self._draws: dict[str, list] = {}  # tag -> [its generator's random, *columns]
+        self._columns: dict[tuple, array] = {}
+
+    def drawn(self, tag: str, count: int = 1) -> list[array]:
+        """The first ``count`` of ``tag``'s four draw columns, in their order."""
+        if (drawn := self._draws.get(tag)) is None:
+            drawn = self._draws[tag] = [self.streams.fresh(f"static:{tag}").random]
+        random, n = drawn[0], self.samples
+        while len(drawn) <= count:
+            if len(drawn) % 2:  # normals: the pairs' cosines, then their sines
+                pairs = [(math.sqrt(-2.0 * math.log(1.0 - random())), math.tau * random())
+                         for _ in range((n + 1) // 2)]
+                column = [r * math.cos(t) for r, t in pairs] + [r * math.sin(t) for r, t in pairs]
             else:
-                z = cached
-                cached = None
-            value = mu + z * sigma
-            if not is_link:
-                if bound > value:  # the floor, as max(value, floor)
-                    value = bound
-                total += round(value * factor * US_PER_MS)
-                continue
-            delay = value if value > 0.0 else 0.0
-            if random() >= bound:
-                total += round(delay * factor * US_PER_MS)
-                continue
-            # lost: wait the timeout and retransmit once
-            z, cached = _normal(random, cached)
-            value = mu + z * sigma
-            delay = value if value > 0.0 else 0.0
-            if random() < bound:
-                break
-            total += timeout_us + round(delay * factor * US_PER_MS)
-        else:
-            append(total)
-            if total > deadline_us:
-                violations += 1
-            continue
-        append(period_us)
-        violations += 1
-    rng.gauss_next = cached
-    return latencies, violations
+                column = [random() for _ in range(n)]
+            drawn.append(array("d", column[:n]))
+        return drawn[1:count + 1]
+
+    def column(self, tag: str, mu: float, sigma: float, low: float, scale: float) -> array:
+        """``_clamped_us`` of ``tag``'s normals, computed once per argument set;
+        with ``sigma`` 0.0 it draws nothing: each lane is ``quantize_us(mu * scale)``."""
+        key = (tag, mu, sigma, low, scale)
+        if (column := self._columns.get(key)) is None:
+            column = self._columns[key] = (
+                array("q", [quantize_us(mu * scale)]) * self.samples if sigma == 0.0
+                else array("q", _clamped_us(self.drawn(tag)[0], *key[1:])))
+        return column
+
+    def replay(self, tag: str, lane: int) -> Replay:
+        """Lane ``lane``'s draws of ``tag`` in the order ``traverse_edge`` takes
+        them: first-attempt normal and loss, retransmit normal and loss."""
+        return Replay([column[lane] for column in self.drawn(tag, 4)])
+
+
+def _clamped_us(normals: Sequence[float], mu: float, sigma: float, low: float,
+                scale: float) -> list[int]:
+    """``quantize_us(max(mu + sigma * z, low) * scale)`` of each lane's
+    standard normal z, in one pass: ``sample_service``'s draw with ``low``
+    its floor, or ``traverse_edge``'s first attempt with ``low`` 0.0.  Its
+    ``max(0.0, v)`` differs from ``max(v, 0.0)`` only at v = -0.0, which
+    rounds to the same 0 µs."""
+    return [round((low if low > (v := mu + sigma * z) else v) * scale * US_PER_MS)
+            for z in normals]
+
+
+def _add_columns(columns: Sequence[Sequence[int]], count: int, constant: int = 0) -> list[int]:
+    """The element-wise sum of ``count``-long columns, plus ``constant``."""
+    return list(map(sum, zip(*columns), repeat(constant))) if columns else [constant] * count
 
 
 def nominal_node_occupancy(dag: PipelineDag, placement: Placement) -> dict[NodeId, float]:

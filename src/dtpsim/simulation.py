@@ -109,6 +109,9 @@ from .pipeline import (
 from .sampling import (
     US_PER_MS,
     CyclePlan,
+    StaticDraws,
+    _add_columns,
+    _clamped_us,
     build_cycle_plan,
     nominal_node_occupancy,
     quantize_us,
@@ -389,23 +392,19 @@ class _Engine:
         stage_us = []
         for stage in stages:
             model = stage.model
-            mean = model.mean
-            sd = mean * model.cv
-            if sd == 0.0:
-                stage_us.append([quantize_us(mean * stage.slowdown)] * count)
-                continue
-            floor = mean * model.floor_fraction
-            us = _clamped_us(draws.normals(stage.tag), mean, sd, floor, stage.slowdown)
-            stage_us.append(us)
+            stage_us.append(
+                [quantize_us(model.mean * stage.slowdown)] * count if model.sd == 0.0
+                else _clamped_us(draws.normals(stage.tag), model.mean, model.sd, model.floor,
+                                 stage.slowdown)
+            )
         link_us = []
         lost: set[int] = set()  # offsets of the cycles that lose a first attempt
         for edge in plan.edges:
             if edge.link is None:
                 continue
             link = edge.model
-            us = _clamped_us(draws.normals(edge.tag), link.base_delay, link.jitter_sigma, 0.0,
-                             edge.edge_scale)
-            link_us.append(us)
+            link_us.append(_clamped_us(draws.normals(edge.tag), link.base_delay,
+                                       link.jitter_sigma, 0.0, edge.edge_scale))
             loss = link.loss_probability
             if loss > 0.0:  # a draw in [0, 1) is never below a zero loss
                 limit = loss * 2.0**53  # u < loss exactly when m < loss * 2**53
@@ -426,29 +425,6 @@ class _Engine:
             for column, us in zip(busy, row_busy):
                 column[i] = us
         return latency, met, busy
-
-
-def _clamped_us(
-    normals: Sequence[float],
-    mu: float,
-    sigma: float,
-    low: float,
-    scale: float,
-) -> list[int]:
-    """``quantize_us(max(mu + sigma * z, low) * scale)`` of each lane's
-    standard normal z, in one pass: ``sample_service``'s draw with ``low``
-    its floor, or ``traverse_edge``'s first attempt with ``low`` 0.0.  Its
-    ``max(0.0, v)`` differs from ``max(v, 0.0)`` only at v = -0.0, which
-    rounds to the same 0 µs."""
-    return [
-        round((low if low > (v := mu + sigma * z) else v) * scale * US_PER_MS)
-        for z in normals
-    ]
-
-
-def _add_columns(columns: Sequence[Sequence[int]], count: int, constant: int = 0) -> list[int]:
-    """The element-wise sum of ``count``-long columns, plus ``constant``."""
-    return list(map(sum, zip(*columns), repeat(constant))) if columns else [constant] * count
 
 
 def check_disturbances(
@@ -679,11 +655,12 @@ def run_simulation(
     per-window plans in this run.
 
     ``static_estimates`` maps (candidate name, seed, period, deadline,
-    ``estimator.static_samples``) to an ``estimate_static`` report, read
-    and filled by the run; None keeps them to the run.  The key holds
-    every input but the dag and fabric (an estimate reads no stress or
-    fault), so share one mapping per dag, fabric and candidate set.  A
-    ValueError rejects anything but an EstimateReport, or a report of
+    ``estimator.static_samples``) to an ``estimate_static`` report over the
+    run's one ``StaticDraws``, read and filled by the run; None keeps them
+    to the run.  The key holds every input but the dag and fabric (an
+    estimate reads no stress or fault, and its draws depend on the seed and
+    samples alone), so share one mapping per dag, fabric and candidate set.
+    A ValueError rejects anything but an EstimateReport, or a report of
     another placement, mechanism or sample count than its key's.
 
     ``normals`` maps (seed, tag) to the tag's standard normals from cycle 0,
@@ -713,18 +690,15 @@ def run_simulation(
 
     shadow_hist = {p.name: CycleStore(engine.node_ids, sim.period) for p in placements}
 
+    # one source for every static estimate of the run; it draws a tag on first read
+    static_draws = StaticDraws(engine.streams, estimator.static_samples)
+
     def static_report(candidate: Placement) -> EstimateReport:
         key = (candidate.name, sim.seed, sim.period, sim.deadline, estimator.static_samples)
         report = static.get(key)
         if report is None:
             report = static[key] = estimate_static(
-                dag,
-                candidate,
-                fabric,
-                sim.deadline,
-                sim.period,
-                estimator.static_samples,
-                engine.streams.fresh(f"static:{candidate.name}"),
+                dag, candidate, fabric, sim.deadline, sim.period, static_draws
             )
         return report
 

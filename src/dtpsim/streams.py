@@ -32,8 +32,8 @@ so the runs of one seed can share the normal columns: ``WindowDraws`` takes
 a mapping of ``(seed, tag)`` to an ``array('d')`` of the tag's normals from
 step 0, reads its steps from there and fills the columns it reads past.
 
-``fresh(tag)`` still returns a Mersenne Twister ``random.Random``, seeded
-once, for batch Monte Carlo whose caller owns the whole sequence.
+``fresh(tag)`` returns a Mersenne Twister ``random.Random`` seeded once
+from (seed, tag): ``sampling.StaticDraws`` draws a static tag's columns.
 """
 
 from __future__ import annotations
@@ -231,8 +231,8 @@ class RandomStreams:
 
     ``at(tag, step)`` returns a new handle at draw 0 of ``step``; it keeps
     no state, so handles of one tag never alias.  Only each tag's base key
-    is cached, a pure function of the tag.  ``fresh(tag)`` returns an
-    independent generator for batch sampling that the caller owns.
+    is cached, a pure function of the tag.  ``fresh(tag)`` returns a new
+    generator seeded from (seed, tag), whose whole sequence the caller owns.
     """
 
     def __init__(self, master_seed: int):

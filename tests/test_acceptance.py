@@ -25,7 +25,9 @@ from dtpsim.harness import (
 )
 from dtpsim.metrics import WindowMetrics, percentile_nearest_rank
 from dtpsim.pipeline import canonical_candidates, nominal_latency
+from dtpsim.sampling import StaticDraws
 from dtpsim.simulation import SimConfig, run_horizon, run_simulation
+from dtpsim.streams import RandomStreams
 
 
 def verdict(number, ok, detail):
@@ -376,7 +378,7 @@ def test_criterion_10_static_estimator_is_calibrated(shipped):
     for placement in canonical_candidates(exact):
         report = estimate_static(
             exact, placement, shipped.fabric,
-            deadline=40.0, period=40.0, samples=200, rng=random.Random(1),
+            deadline=40.0, period=40.0, draws=StaticDraws(RandomStreams(1), 200),
         )
         assert report.metrics.l95 == nominal_latency(exact, placement)
         assert report.metrics.violation_rate == 0.0
@@ -386,7 +388,7 @@ def test_criterion_10_static_estimator_is_calibrated(shipped):
         estimates = [
             estimate_static(
                 shipped.dag, placement, shipped.fabric,
-                deadline=40.0, period=40.0, samples=10_000, rng=random.Random(seed),
+                deadline=40.0, period=40.0, draws=StaticDraws(RandomStreams(seed), 10_000),
             ).metrics.l95
             for seed in (11, 97)
         ]

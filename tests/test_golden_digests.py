@@ -56,15 +56,15 @@ RUNS = {
 GOLDEN = {
     "robot-stress-dtp": {
         "cycles.csv": "a2d3d69fa8a01fefb44d9b5fef004749a6e124458dc8049c7b22cd9645a9dfac",
-        "decisions.jsonl": "4606361a377ca175e47e12e3e978c5611af6cae9f591f49f89be1c378435bb93",
+        "decisions.jsonl": "a8c1becdddcf466aafbf66e5d114e6c3c26f8b5bec5ae5a699e5c8c2ea1f6251",
         "summary.json": "a16c1eb67d4999b8a7b4915c38bfa5a42012280374a7f680190f9de9f88898c9",
-        "windows.csv": "a1bcac5127a2b2079d83d4af3b82093a964288536ac8bf397f8d3890ac569353",
+        "windows.csv": "33f54a02e2aba95e4c8e548f9df75bd5b3df66bd8cfb9c290c28999060d0fc59",
     },
     "impairment-dtp": {
         "cycles.csv": "356e8e1e0e3f46f94a8a4c280623725d7ce08ec706f69c324b141169e42d51e9",
-        "decisions.jsonl": "230d6a78be9b1b1a4c1923795c665410ead8edfaa137ebc8c8d1c2dc32c985aa",
+        "decisions.jsonl": "09a4e0869a7001d50a5c96c03e298b1f9eae8662a5855f7a9319bc32d3e5402e",
         "summary.json": "a249982c416dbe01cbe759c0d2c6e9c0d10e17e6280a800f667874ea4f927630",
-        "windows.csv": "09d6587cb6cc5db855ce03b359a80f6ee938266dc49db9df2239bb3bb7da53aa",
+        "windows.csv": "59810fd8b32a0de8caec13827341136f6f3c5266e903ef0d77756c3e8e0d6f19",
     },
     "impairment-so": {
         "cycles.csv": "e936723a0b57b1099e94ad27f5f9075507549b68361c4a82f9e8451f9ac1cdd3",

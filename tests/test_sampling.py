@@ -4,7 +4,7 @@ import random
 import statistics
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import strategies as st
 
 from conftest import make_dag
 from dtpsim.pipeline import LinkDelayModel, ServiceTimeModel, canonical_candidates
@@ -16,7 +16,6 @@ from dtpsim.sampling import (
     nominal_node_occupancy,
     quantize_us,
     sample_link,
-    sample_plan_latencies,
     sample_service,
     traverse_edge,
 )
@@ -118,38 +117,6 @@ def test_cycle_plan_skips_colocated_edges():
     assert [e.link for e in plan.edges] == [None, ("R1", "R2"), None]
 
 
-def test_plan_latency_deterministic_chain():
-    dag = make_dag()
-    plan = build_cycle_plan(dag, canonical_candidates(dag).by_name("LOC"))
-    assert sample_plan_latencies(plan, random.Random(3), 1, 30_000, 50_000) == ([23_000], 0)
-    assert sample_plan_latencies(plan, random.Random(3), 1, 20_000, 50_000) == ([23_000], 1)
-
-
-def test_plan_latency_caps_at_period_on_double_loss():
-    dag = make_dag(loss=0.999999999)
-    plan = build_cycle_plan(dag, canonical_candidates(dag).by_name("SO"))
-    assert sample_plan_latencies(plan, random.Random(5), 1, 30_000, 50_000) == ([50_000], 1)
-
-
-def reference_latencies(plan, rng, samples, deadline_us, period_us):
-    """The batch kernel spelled out with the engine's own per-draw primitives."""
-    latencies, violations = [], 0
-    for _ in range(samples):
-        total = 0
-        for stage, edge in zip(plan.stages, (*plan.edges, None)):
-            total += quantize_us(sample_service(stage.model, rng, stage.slowdown))
-            if edge is None or edge.link is None:
-                continue
-            delay_us, fatal = traverse_edge(edge.model, edge.edge_scale, rng)
-            if fatal:
-                total = None
-                break
-            total += delay_us
-        latencies.append(period_us if total is None else total)
-        violations += total is None or total > deadline_us
-    return latencies, violations
-
-
 service_models = st.builds(
     ServiceTimeModel,
     mean=st.floats(0.0, 20.0),
@@ -179,28 +146,6 @@ def cycle_plans(draw):
         else:
             edges.append(EdgePlan(("A", "B"), draw(link_models), scale, "lnk:A:B"))
     return CyclePlan(None, stages, tuple(edges))
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    plan=cycle_plans(),
-    seed=st.integers(0, 2**32),
-    earlier_gauss=st.integers(0, 3),  # odd: the kernel starts on a cached normal
-    samples=st.integers(1, 40),
-    period_us=st.integers(1, 100_000),
-    deadline_fraction=st.floats(0.0, 1.0),
-)
-def test_batch_kernel_draws_as_the_engine_primitives(
-    plan, seed, earlier_gauss, samples, period_us, deadline_fraction
-):
-    deadline_us = round(period_us * deadline_fraction)
-    kernel_rng, reference_rng = random.Random(seed), random.Random(seed)
-    for _ in range(earlier_gauss):
-        kernel_rng.gauss()
-        reference_rng.gauss()
-    got = sample_plan_latencies(plan, kernel_rng, samples, deadline_us, period_us)
-    assert got == reference_latencies(plan, reference_rng, samples, deadline_us, period_us)
-    assert kernel_rng.getstate() == reference_rng.getstate()
 
 
 def test_nominal_node_occupancy_sums_means():

@@ -1,7 +1,6 @@
 """Engine behavior: determinism, stress, faults, and controller wiring."""
 
 import math
-import random
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -31,7 +30,7 @@ from dtpsim.estimator import (
     estimate_static,
 )
 from dtpsim.pipeline import canonical_candidates, nominal_latency
-from dtpsim.sampling import build_cycle_plan, quantize_us
+from dtpsim.sampling import StaticDraws, build_cycle_plan, quantize_us
 from dtpsim.simulation import (
     FaultInjection,
     SimConfig,
@@ -39,6 +38,7 @@ from dtpsim.simulation import (
     run_simulation,
 )
 from dtpsim.harness import load_config
+from dtpsim.streams import RandomStreams
 
 FABRIC = make_fabric()
 
@@ -927,7 +927,8 @@ SO_KEY = ("SO", 7, 50.0, 30.0, 100)
 def test_static_estimates_of_another_shape_are_rejected(bad, message):
     dag, _, run = static_estimates_case()
     so = estimate_static(
-        dag, canonical_candidates(dag).by_name("SO"), FABRIC, 30.0, 50.0, 100, random.Random(1)
+        dag, canonical_candidates(dag).by_name("SO"), FABRIC, 30.0, 50.0,
+        StaticDraws(RandomStreams(1), 100),
     )
     run((), {SO_KEY: so})  # the report itself passes
     with pytest.raises(ValueError, match=message):
